@@ -41,7 +41,6 @@ from aqfpopt.model import (
     OptimizationConfig,
     ValidationError,
     validate_circuit,
-    validate_library,
 )
 from aqfpopt.solver import InfeasibleScheduleError, explore, optimize_schedule
 from aqfpopt.timing import UnsupportedSkipError, build_constraints, sta_check
@@ -218,8 +217,6 @@ def _load_inputs(args):
     diags = validate_circuit(circuit, lib)
     if diags:
         raise ValidationError(diags)
-    for d in validate_library(lib):
-        log.warning("%s", d)
     return circuit, lib
 
 

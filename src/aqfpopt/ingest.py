@@ -230,8 +230,8 @@ def parse_library(text) -> CellLibrary:
 
     Raises :class:`LibraryFormatError` on any error-severity diagnostic;
     warning-severity findings (reset delay reaching the period, segment
-    discontinuities) are attached to the error only if errors exist,
-    otherwise they are available via ``validate_library``.
+    discontinuities) are logged once here, and callers need not re-run
+    ``validate_library``.
     """
     doc = _load_document(text, LibraryFormatError)
     errs: list[Diagnostic] = []
@@ -357,7 +357,9 @@ def emit_report(
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    # No indent: reports run to megabytes, and an indent forces CPython's
+    # pure-Python encoder.
+    return json.dumps(report) + "\n"
 
 
 def parse_report(text) -> dict:

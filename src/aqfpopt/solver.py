@@ -2,19 +2,19 @@
 
 The frequency-dependent timing functions are piecewise linear over shared
 period breakpoints, so the one-hot segment selector of the mixed-integer
-formulation can be replaced by plain enumeration: one LP per breakpoint
+formulation can be replaced by plain enumeration: one problem per breakpoint
 interval, each restricted to the segment where every timing function is
-affine in the period. The LPs are solved by an in-house two-phase simplex
-with Bland's anti-cycling rule.
+affine in the period. Identical-support constraints are collapsed to their
+binding representative before a solve (an exact reduction).
 
-Identical-support constraints are collapsed to their binding representative
-before a solve (an exact reduction), and large lexicographic period-first
-instances whose collapsed constraints each touch a single row increment are
-solved by an equivalent parametric reduction: feasibility of the row
-intervals depends on (T, S) only through a handful of half-plane families,
-so the period stage becomes a two-variable LP and the latency/slack stages
-become exact scans of one-dimensional piecewise-linear functions. The
-reduction is cross-checked against the plain LP path in the test suite.
+Lexicographic orders led by the period are solved exactly as difference
+constraints over the row prefixes: every collapsed row bounds P_k - P_m by
+a function affine in (T, S), so each stage is a longest-path problem and
+the period and slack stages are Newton iterations on positive-cycle
+weights (Fishburn, "Clock skew optimization", IEEE TC 1990). Weighted mode
+and orders led by latency or slack solve staged LPs with an in-house
+two-phase simplex using Bland's anti-cycling rule; the test suite
+cross-checks the two solvers segment by segment.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ PIVOT_TOL = 1e-11
 
 #: Tolerance used when a lexicographic stage fixes its criterion.
 FIX_TOL = 1e-6
-
-#: Collapsed-row count above which the parametric fast path is preferred.
-FAST_PATH_MIN_ROWS = 400
-
 
 class DegeneratePivotError(RuntimeError):
     def __init__(self, row: int, value: float):
@@ -406,7 +402,7 @@ class SegmentOutcome:
     stage_values: tuple[float, ...] = ()
     values: dict[str, float] = field(default_factory=dict)
     violations: tuple[tuple[Optional[str], float], ...] = ()
-    used_fast_path: bool = False
+    explain: str = "phase-1 residual {v:.6g} ps"  # formats one violation value
 
 
 def _build_segment_lp(
@@ -472,193 +468,180 @@ def _staged_lp_solve(
 
 
 # ---------------------------------------------------------------------------
-# Parametric fast path for large single-row-support systems
+# Period-first lexicographic solving (difference constraints)
+
+#: Gain a longest-path relaxation must exceed to count (ps). A cycle whose
+#: weight stays within it counts as zero, so every Newton step strictly
+#: raises the period or lowers the slack.
+CYCLE_TOL = 1e-9
 
 
-def _pwl_rising_threshold(c: np.ndarray, budget: float) -> float:
-    """Largest s with sum(max(0, c + s)) <= budget (c may contain -inf)."""
-    c = c[np.isfinite(c)]
-    if c.size == 0:
-        return np.inf
-    knots = np.sort(-c)  # ascending; G(knots[0]) == 0
-    if budget < 0:
-        return -np.inf
-    # G evaluated at every knot, then a linear solve on the crossing piece.
-    g = np.maximum(0.0, c[None, :] + knots[:, None]).sum(axis=1)
-    over = np.nonzero(g > budget)[0]
-    if over.size == 0:
-        k = knots.size - 1  # beyond the last knot every row is active
-        slope = c.size
-        return knots[k] + (budget - g[k]) / slope
-    i = int(over[0])
-    if i == 0:
-        return knots[0]  # G == 0 up to the first knot
-    slope = i  # rows active on (knots[i-1], knots[i])
-    return knots[i - 1] + (budget - g[i - 1]) / slope
+class _ConstraintGraph:
+    """Collapsed rows as difference constraints over the row prefixes.
 
-
-def _pwl_falling_threshold(d: np.ndarray, dmax: float, budget: float) -> float:
-    """Largest s with sum(min(dmax, d - s)) >= budget (d may contain +inf)."""
-    const = dmax * np.count_nonzero(~np.isfinite(d))
-    d = d[np.isfinite(d)]
-    if d.size == 0:
-        return np.inf if const >= budget else -np.inf
-    knots = np.sort(d - dmax)  # below knots[k], row k is capped at dmax
-    h = const + np.minimum(dmax, d[None, :] - knots[:, None]).sum(axis=1)
-    under = np.nonzero(h < budget)[0]
-    if under.size == 0:
-        k = knots.size - 1  # beyond the last knot every row is uncapped
-        slope = d.size
-        return knots[k] + (h[k] - budget) / slope
-    i = int(under[0])
-    if i == 0:
-        return -np.inf if h[0] < budget - 1e-9 else knots[0]
-    slope = i
-    return knots[i - 1] + (h[i - 1] - budget) / slope
-
-
-def _fast_lexico(
-    rows,
-    tcs: TimingConstraintSet,
-    seg: SegmentRestriction,
-    cfg: OptimizationConfig,
-) -> SegmentOutcome:
-    """Exact period-first lexicographic solve for single-row-support systems.
-
-    Works because every collapsed constraint bounds one row increment by an
-    affine function of (T, S): row intervals are nonempty iff a small family
-    of half-planes in (T, S) holds, minimum latency at fixed (T, S) is the
-    sum of the interval lower ends, and both remaining stages reduce to
-    monotone piecewise-linear threshold searches in S.
+    With P_r the sum of the first r row increments, an edge i -> j of weight
+    ``t*T + s*S + c`` asks for P_j >= P_i + weight. The least solution with
+    P_0 = 0 is the longest-path distance vector; it exists iff no cycle has
+    positive weight.
     """
-    nd = tcs.num_deltas
-    setups: dict[int, list] = {}
-    holds: dict[int, list] = {}
-    for row in rows:
-        r = row.support[0]
-        entry = (row.t_coef, row.rhs, row.source)
-        (setups if row.kind == "setup" else holds).setdefault(r, []).append(entry)
 
-    pair_fams: dict[tuple[float, float], tuple[float, str]] = {}
-    cap_fams: dict[float, tuple[float, str]] = {}
-    floor_fams: dict[float, tuple[float, str]] = {}
-    for r in set(setups) | set(holds):
-        for a, c, src1 in setups.get(r, []):
-            v = cfg.delta_max - c
-            if a not in cap_fams or v < cap_fams[a][0]:
-                cap_fams[a] = (v, f"setup:{src1}")
-            for b, d, src2 in holds.get(r, []):
-                v = d - c
-                key = (a, b)
-                if key not in pair_fams or v < pair_fams[key][0]:
-                    pair_fams[key] = (v, f"hold:{src2}")
-        for b, d, src2 in holds.get(r, []):
-            if b not in floor_fams or d < floor_fams[b][0]:
-                floor_fams[b] = (d, f"hold:{src2}")
+    def __init__(self, rows, num_nodes: int, delta_max: float):
+        self.n = num_nodes
+        self.edges: list[tuple[int, int, float, float, float, Optional[str]]] = []
+        for r in range(num_nodes - 1):
+            self.edges.append((r, r + 1, 0.0, 0.0, 0.0, None))
+            self.edges.append((r + 1, r, 0.0, 0.0, -delta_max, None))
+        for row in rows:
+            m, k = row.support[0], row.support[-1] + 1
+            tag = f"{row.kind}:{row.source}"
+            if row.kind == "setup":
+                self.edges.append((m, k, row.t_coef, 1.0, row.rhs, tag))
+            else:
+                self.edges.append((k, m, -row.t_coef, 1.0, -row.rhs, tag))
 
-    lp = LpProblem(f"segment{seg.index}:period")
-    lp.add_variable("T", seg.t_lo, seg.t_hi)
-    lp.add_variable("S", cfg.s_min, cfg.s_max)
-    for (a, b), (v, src) in sorted(pair_fams.items()):
-        lp.add_constraint({"T": a - b, "S": 2.0}, "<=", v, tag=src)
-    for a, (v, src) in sorted(cap_fams.items()):
-        lp.add_constraint({"T": a, "S": 1.0}, "<=", v, tag=src)
-    for b, (v, src) in sorted(floor_fams.items()):
-        lp.add_constraint({"T": -b, "S": 1.0}, "<=", v, tag=src)
-    lp.set_objective({"T": 1.0})
-    sol = lp_solve(lp)
-    if sol.status != "optimal":
-        return SegmentOutcome(segment=seg, status=sol.status, violations=sol.violations)
-    t_star = sol.values["T"]
+    def longest_paths(self, t: float, s: float):
+        """Distances at (t, s), or the positive cycles (edge-index lists) found.
 
-    lower = np.full(nd, -np.inf)
-    upper = np.full(nd, np.inf)
-    for r, pieces in setups.items():
-        lower[r] = max(a * t_star + c for a, c, _ in pieces)
-    for r, pieces in holds.items():
-        upper[r] = min(b * t_star + d for b, d, _ in pieces)
+        Gauss-Seidel Bellman-Ford: a sweep up the rows over upward edges,
+        then a sweep down over downward edges, with a check of the parent
+        graph for cycles after each pair of sweeps.
+        """
+        n = self.n
+        up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        down: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        w = []
+        for e, (i, j, a, b, c, _) in enumerate(self.edges):
+            (up if i < j else down)[j].append((i, e))
+            w.append(a * t + b * s + c)
+        dist = [0.0] * n  # a lower bound: every node is reachable from 0 at weight >= 0
+        parent = [-1] * n
+        sweeps = ((range(n), up), (range(n - 1, -1, -1), down))
+        for _ in range(2 * n + 2):
+            changed = False
+            for order, into in sweeps:
+                for j in order:
+                    best = dist[j] + CYCLE_TOL
+                    via = -1
+                    for i, e in into[j]:
+                        cand = dist[i] + w[e]
+                        if cand > best:
+                            best, via = cand, e
+                    if via >= 0:
+                        dist[j] = best
+                        parent[j] = via
+                        changed = True
+            if not changed:
+                return dist, []
+            cycles = self._parent_cycles(parent)
+            if cycles:
+                return None, cycles
+        raise RuntimeError("longest-path sweeps did not settle")
 
-    with np.errstate(invalid="ignore"):
-        s_cap = cfg.s_max
-        both = np.isfinite(lower) & np.isfinite(upper)
-        if both.any():
-            s_cap = min(s_cap, float(((upper[both] - lower[both]) / 2.0).min()))
-        if np.isfinite(upper).any():
-            s_cap = min(s_cap, float(upper[np.isfinite(upper)].min()))
-        if np.isfinite(lower).any():
-            s_cap = min(s_cap, float((cfg.delta_max - lower[np.isfinite(lower)]).min()))
-    s_cap = max(s_cap, cfg.s_min)  # stage-1 feasibility guarantees this up to rounding
+    def _parent_cycles(self, parent: list[int]) -> list[list[int]]:
+        seen = [0] * self.n
+        cycles = []
+        for start in range(self.n):
+            v = start
+            while v >= 0 and not seen[v]:
+                seen[v] = start + 1
+                v = self.edges[parent[v]][0] if parent[v] >= 0 else -1
+            if v >= 0 and seen[v] == start + 1:
+                cycle, u = [], v
+                while True:
+                    cycle.append(parent[u])
+                    u = self.edges[parent[u]][0]
+                    if u == v:
+                        break
+                cycles.append(cycle)
+        return cycles
 
-    def min_latency(s: float) -> float:
-        return float(np.maximum(0.0, lower + s).sum()) if nd else 0.0
+    def weight(self, cycle: list[int], t: float, s: float, param: str) -> tuple[float, float]:
+        """Cycle weight as slope and intercept in ``param`` ("T" or "S")."""
+        ta = sum(self.edges[e][2] for e in cycle)
+        sa = sum(self.edges[e][3] for e in cycle)
+        c = sum(self.edges[e][4] for e in cycle)
+        return (ta, sa * s + c) if param == "T" else (sa, ta * t + c)
 
-    if cfg.priority == ("period", "latency", "slack"):
-        s_lat = cfg.s_min
-        l_star = min_latency(s_lat)
-        s_hi = min(
-            s_cap,
-            _pwl_rising_threshold(lower, l_star + FIX_TOL),
-            _pwl_falling_threshold(upper, cfg.delta_max, l_star),
+
+def _newton(g: _ConstraintGraph, t: float, s: float, param: str, limit: float):
+    """Raise T (or lower S) from its start to the first point with no positive cycle.
+
+    Each positive cycle's weight is affine in the moving parameter; jumping
+    to the farthest root among the cycles found is Newton's method on the
+    convex piecewise-linear maximum cycle weight. Returns ``(value, dist,
+    None)``, or ``(value, None, violations)`` when a cycle stays positive up
+    to ``limit``; the violations tag that cycle's constraints with its
+    weight at ``limit``.
+    """
+    sign = 1.0 if param == "T" else -1.0
+    while True:
+        x = t if param == "T" else s
+        dist, cycles = g.longest_paths(t, s)
+        if not cycles:
+            return x, dist, None
+        best = None
+        for cycle in cycles:
+            slope, icpt = g.weight(cycle, t, s, param)
+            root = -icpt / slope if slope * sign < 0 else np.inf * sign
+            if best is None or (root - best[0]) * sign > 0:
+                best = (root, cycle, slope * limit + icpt)
+        root, cycle, excess = best
+        if (root - limit) * sign > 0:
+            tags = dict.fromkeys(g.edges[e][5] for e in cycle if g.edges[e][5])
+            return x, None, tuple((tag, excess) for tag in tags)
+        if (root - x) * sign <= 0:
+            raise RuntimeError(f"positive cycle does not move {param} off {x!r}")
+        if param == "T":
+            t = root
+        else:
+            s = root
+
+
+def _difference_solve(
+    rows, tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig
+) -> SegmentOutcome:
+    """Exact ``period,latency,slack`` or ``period,slack,latency`` solve.
+
+    Period: Newton on T from ``t_lo`` at ``s_min``, where every constraint is
+    loosest. Latency: the longest-path distance of the last row. Slack:
+    Newton on S down from ``s_max``, under a cap edge that holds the latency
+    to its optimum when latency ranks above slack.
+    """
+    g = _ConstraintGraph(rows, tcs.num_deltas + 1, cfg.delta_max)
+    t_star, dist, violations = _newton(g, seg.t_lo, cfg.s_min, "T", seg.t_hi)
+    if violations is not None:
+        return SegmentOutcome(
+            segment=seg,
+            status="infeasible",
+            violations=violations,
+            explain=f"on a positive cycle: weight {{v:.6g}} ps at period {seg.t_hi:.6g} ps",
         )
-        s_star = max(cfg.s_min, min(cfg.s_max, s_hi))
+    s_star = cfg.s_min
+    if cfg.priority[1] == "latency":
+        l_star = dist[-1]
+        g.edges.append((g.n - 1, 0, 0.0, 0.0, -(l_star + FIX_TOL), None))
+    s_found, dist_s, _ = _newton(g, t_star, cfg.s_max, "S", cfg.s_min)
+    if dist_s is not None:  # s_min is feasible, so only rounding can fail here
+        s_star, dist = max(cfg.s_min, s_found), dist_s
+    deltas = [min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(g.n - 1)]
+    latency = float(sum(deltas))
+    if cfg.priority[1] == "latency":
         stage_values = (t_star, l_star, -s_star)
-    else:  # ("period", "slack", "latency")
-        s_star = min(cfg.s_max, s_cap)
-        l_star = min_latency(s_star)
-        stage_values = (t_star, -s_star, l_star)
-
-    deltas = np.maximum(0.0, lower + s_star) if nd else np.zeros(0)
-    head = np.minimum(cfg.delta_max, upper - s_star) - deltas
-    deficit = max(0.0, l_star - float(deltas.sum()))
-    if deficit > 0 and nd:
-        for r in range(nd):
-            give = min(head[r], deficit)
-            if give > 0:
-                deltas[r] += give
-                deficit -= give
-            if deficit <= 1e-12:
-                break
-    values = {f"delta_{r}": float(deltas[r]) for r in range(nd)}
-    values.update({"T": t_star, "S": float(s_star), "L": float(deltas.sum())})
-    return SegmentOutcome(
-        segment=seg,
-        status="optimal",
-        stage_values=stage_values,
-        values=values,
-        used_fast_path=True,
-    )
+    else:
+        stage_values = (t_star, -s_star, latency)
+    values = {f"delta_{r}": d for r, d in enumerate(deltas)}
+    values.update({"T": t_star, "S": s_star, "L": latency})
+    return SegmentOutcome(segment=seg, status="optimal", stage_values=stage_values, values=values)
 
 
 # ---------------------------------------------------------------------------
 # Public solver entry points
 
 
-def solve_segment(
-    tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig
-) -> LpSolution:
-    """Weighted solve of one segment restriction.
-
-    Minimizes tau*T - sigma*S + lam*L, then pins the objective and refines
-    ties deterministically (smallest period, then smallest latency, then
-    largest slack), so equal-weight configurations still return a canonical
-    optimum.
-    """
-    rows = _collapse(tcs, seg, cfg)
-    stages = [("weighted", _weighted_vector(cfg))] + [
-        (name, _STAGE_VECTORS[name]) for name in ("period", "latency", "slack")
-    ]
-    out = _staged_lp_solve(rows, tcs, seg, cfg, stages)
-    if out.status != "optimal":
-        return LpSolution(status=out.status, violations=out.violations)
-    objective = sum(coef * out.values[v] for v, coef in _weighted_vector(cfg).items())
-    return LpSolution(status="optimal", values=out.values, objective=objective)
-
-
 def _solve_outcome(
     tcs: TimingConstraintSet,
     seg: SegmentRestriction,
     cfg: OptimizationConfig,
-    fast_path_min_rows: int,
 ) -> SegmentOutcome:
     # A segment owns its upper breakpoint only. When a timing function jumps
     # at the shared lower breakpoint, claiming it with this segment's affine
@@ -675,14 +658,8 @@ def _solve_outcome(
         seg = replace(seg, t_lo=seg.t_lo + FIX_TOL)
     rows = _collapse(tcs, seg, cfg)
     if cfg.priority_mode == "lexicographic":
-        fast_ok = (
-            len(rows) >= fast_path_min_rows
-            and cfg.priority[0] == "period"
-            and cfg.priority in (("period", "latency", "slack"), ("period", "slack", "latency"))
-            and all(len(row.support) == 1 for row in rows)
-        )
-        if fast_ok:
-            return _fast_lexico(rows, tcs, seg, cfg)
+        if cfg.priority[0] == "period":
+            return _difference_solve(rows, tcs, seg, cfg)
         stages = [(name, _STAGE_VECTORS[name]) for name in cfg.priority]
         return _staged_lp_solve(rows, tcs, seg, cfg, stages)
     stages = [("weighted", _weighted_vector(cfg))] + [
@@ -706,15 +683,15 @@ def optimize_schedule(
     lib: CellLibrary,
     cfg: OptimizationConfig,
     details: Optional[dict] = None,
-    fast_path_min_rows: int = FAST_PATH_MIN_ROWS,
 ) -> Schedule:
     """Solve every segment restriction and return the best feasible schedule.
 
     Weighted mode compares the refined weighted optima across segments;
     lexicographic mode compares the per-segment stage-value tuples. Ties
     resolve to the lower segment index, matching the boundary ownership
-    rule. When every segment is infeasible the error carries the largest
-    phase-1 residuals of the least-violating segment.
+    rule. When every segment is infeasible the error names the constraints
+    behind the least-violating segment: its largest phase-1 residuals, or
+    the positive cycle that keeps the period stage infeasible.
     """
     segs = segment_restrictions(lib, cfg, tcs)
     if not segs:
@@ -722,10 +699,9 @@ def optimize_schedule(
         raise InfeasibleScheduleError(
             [Diagnostic("INFEASIBLE", "period", f"no segment intersects [{lo}, {hi}]")]
         )
-    outcomes = [_solve_outcome(tcs, seg, cfg, fast_path_min_rows) for seg in segs]
+    outcomes = [_solve_outcome(tcs, seg, cfg) for seg in segs]
     if details is not None:
         details["segments_solved"] = len(outcomes)
-        details["fast_path_segments"] = [o.segment.index for o in outcomes if o.used_fast_path]
         details["outcomes"] = outcomes
 
     feasible = [o for o in outcomes if o.status == "optimal"]
@@ -736,7 +712,7 @@ def optimize_schedule(
             key=lambda o: sum(v for _, v in o.violations) if o.violations else np.inf,
         )
         diags = [
-            Diagnostic("INFEASIBLE", tag or "bounds", f"phase-1 residual {v:.6g} ps")
+            Diagnostic("INFEASIBLE", tag or "bounds", worst.explain.format(v=v))
             for tag, v in worst.violations[:5]
         ] or [Diagnostic("INFEASIBLE", f"segment {worst.segment.index}", "no feasible schedule")]
         raise InfeasibleScheduleError(diags)

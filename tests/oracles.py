@@ -22,28 +22,40 @@ def chain_brute_force(
     node_rows: Optional[list[int]] = None,
     max_skip: Optional[int] = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Best removal over all 2^m subsets; ties prefer removing earlier buffers."""
+    """Best removal over all 2^m subsets; ties prefer removing earlier buffers.
+
+    Every mask is checked at once: bit j of a mask removes buffer j + 1, and
+    each kept node is tested against the kept node before it. Among the
+    feasible masks with the most removals, the lexicographically smallest
+    removed tuple is the mask that is largest when buffer 1 weighs most.
+    """
     m = len(chain.buffers)
-    best = (-1, ())
-    for mask in range(2**m):
-        removed = tuple(j + 1 for j in range(m) if mask >> j & 1)
-        kept = [0] + [j + 1 for j in range(m) if not mask >> j & 1] + [m + 1]
-        ok = True
-        for a, b in zip(kept, kept[1:]):
+    masks = np.arange(2**m)
+    removed = (masks[:, None] >> np.arange(m)) & 1
+    kept = np.ones((masks.size, m + 2), dtype=bool)
+    kept[:, 1:m + 1] = removed == 0
+    nodes = np.arange(m + 2)
+    last_kept = np.maximum.accumulate(np.where(kept, nodes, 0), axis=1)
+    prev = np.concatenate([np.zeros((masks.size, 1), dtype=int), last_kept[:, :-1]], axis=1)
+
+    hop_ok = np.zeros((m + 2, m + 2), dtype=bool)  # hop_ok[a, b]: a may drive b directly
+    for a in range(m + 2):
+        for b in range(a + 1, m + 2):
             length = sum(chain.segment_lengths[a:b]) + (b - a - 1) * lib.l_buffer
-            if length > lib.l_max_drive:
-                ok = False
-                break
+            ok = length <= lib.l_max_drive
             if max_skip is not None and node_rows is not None:
-                if node_rows[b] - node_rows[a] > max_skip:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        cand = (len(removed), removed)
-        if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-    return best
+                ok = ok and node_rows[b] - node_rows[a] <= max_skip
+            hop_ok[a, b] = ok
+    feasible = (hop_ok[prev[:, 1:], nodes[1:]] | ~kept[:, 1:]).all(axis=1)
+    if not feasible.any():
+        return (-1, ())
+
+    count = removed.sum(axis=1)
+    top = feasible & (count == count[feasible].max())
+    rank = removed @ (2 ** np.arange(m - 1, -1, -1))
+    best = int(np.flatnonzero(top)[np.argmax(rank[top])])
+    picked = tuple(j + 1 for j in range(m) if best >> j & 1)
+    return (len(picked), picked)
 
 
 def _pwl_grid(fn, grid: np.ndarray) -> np.ndarray:

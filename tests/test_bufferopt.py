@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_library
@@ -122,6 +124,30 @@ class TestSolveChain:
         count, removed_ids = chain_brute_force(chain, rlib)
         assert removed == count
         assert tuple(k for k in range(len(segments) + 1) if k not in set(removed_ids)) == tuple(kept)
+
+    @given(
+        segments=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=1, max_size=8),
+        l_buffer=st.floats(min_value=1.0, max_value=30.0),
+        l_max=st.floats(min_value=20.0, max_value=260.0),
+        steps=st.lists(st.integers(min_value=0, max_value=2), min_size=8, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_matches_loop_enumeration(self, segments, l_buffer, l_max, steps, lib):
+        # the numpy oracle against a plain loop over the same subsets
+        rlib = make_library(lib.cells, l_buffer=l_buffer, l_max_drive=l_max)
+        chain = chain_of(segments)
+        m = len(chain.buffers)
+        rows = [0] + [sum(steps[:k]) for k in range(1, m + 2)]
+        best = (-1, ())
+        for removed in (c for k in range(m, -1, -1) for c in itertools.combinations(range(1, m + 1), k)):
+            kept = [k for k in range(m + 2) if k not in removed]
+            if all(
+                sum(segments[a:b]) + (b - a - 1) * l_buffer <= l_max and rows[b] - rows[a] <= 2
+                for a, b in zip(kept, kept[1:])
+            ):
+                best = (len(removed), removed)
+                break
+        assert chain_brute_force(chain, rlib, node_rows=rows, max_skip=2) == best
 
 
 class TestExtractChains:

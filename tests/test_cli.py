@@ -93,6 +93,20 @@ class TestOptimizeVerify:
         assert main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
                      "--schedule", str(report_path)]) == 0
 
+    def test_library_warnings_logged_once(self, tmp_path, fixture_library, two_row_circuit, caplog):
+        lib_path = tmp_path / "fixture.qlib.json"
+        lib_path.write_text(serialize_library(fixture_library))
+        circ_path = tmp_path / "c.qc.json"
+        circ_path.write_text(serialize_circuit(two_row_circuit))
+        with caplog.at_level("WARNING", logger="aqfpopt"):
+            assert main(["optimize", "--circuit", str(circ_path), "--lib", str(lib_path)]) == 0
+        jumps = [r.getMessage() for r in caplog.records if "PWL_DISCONTINUITY" in r.getMessage()]
+        assert sorted(jumps) == sorted(set(jumps))
+        assert {m.split(":")[0] for m in jumps} == {
+            "[PWL_DISCONTINUITY] buffer.rd",
+            "[PWL_DISCONTINUITY] majority3.rd",
+        }
+
     def test_smin_respected(self, workdir):
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", seed=5)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import grid_min_period, min_latency_at, solve_2var_by_enumeration
+from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import generate_circuit
 from aqfpopt.model import (
     Circuit,
@@ -11,14 +12,16 @@ from aqfpopt.model import (
     OptimizationConfig,
 )
 from aqfpopt.solver import (
+    _STAGE_VECTORS,
     InfeasibleScheduleError,
     LpProblem,
     SegmentRestriction,
+    _collapse,
+    _staged_lp_solve,
     explore,
     lp_solve,
     optimize_schedule,
     segment_restrictions,
-    solve_segment,
 )
 from aqfpopt.timing import build_constraints, f_hold, f_setup, sta_check
 
@@ -118,61 +121,57 @@ class TestLpSolve:
                 assert sol.objective == pytest.approx(oracle[2], abs=1e-6)
 
 
-@pytest.fixture
-def fixture_setup(two_row_circuit, fixture_library):
-    cfg = OptimizationConfig(priority_mode="weighted", tau=1.0, sigma=1e-6, lam=1e-6)
-    tcs = build_constraints(two_row_circuit, fixture_library, cfg)
-    segs = segment_restrictions(fixture_library, cfg, tcs)
-    return two_row_circuit, fixture_library, cfg, tcs, segs
+WEIGHTED = OptimizationConfig(priority_mode="weighted", tau=1.0, sigma=1e-6, lam=1e-6)
+
+
+def wide_spread_circuit():
+    """Two connections in one row whose delay spread exceeds the hold window
+    everywhere in the fixture library's range (rd(300) - 10 = 98 < 110)."""
+    return Circuit(
+        name="wide-spread",
+        num_rows=2,
+        gates=(
+            Gate("a1", "majority3", 0, 0.0),
+            Gate("a2", "majority3", 0, 0.0),
+            Gate("b1", "majority3", 1, 0.0),
+            Gate("b2", "majority3", 1, 0.0),
+        ),
+        connections=(
+            Connection("a1", "b1", 1.0, prop=0.0),
+            Connection("a2", "b2", 110.0, prop=110.0),
+        ),
+    )
 
 
 class TestSolveSegment:
-    def test_upper_segment_weighted_optimum(self, fixture_setup):
-        _, _, cfg, tcs, segs = fixture_setup
-        assert [(s.index, s.t_lo, s.t_hi) for s in segs] == [(0, 100.0, 100.0), (1, 100.0, 300.0)]
-        sol = solve_segment(tcs, segs[1], cfg)
-        assert sol.status == "optimal"
-        assert sol.values["T"] == pytest.approx(100.0, abs=1e-4)
-        assert sol.values["delta_0"] == pytest.approx(18.0, abs=1e-4)
-        assert sol.values["S"] == pytest.approx(0.0, abs=1e-4)
-        assert sol.values["L"] == pytest.approx(18.0, abs=1e-4)
+    """Weighted solves of the fixture's segments, through ``optimize_schedule``."""
 
-    def test_minimum_slack_shifts_delta(self, fixture_setup, fixture_library, two_row_circuit):
+    def test_upper_segment_weighted_optimum(self, two_row_circuit, fixture_library):
+        tcs = build_constraints(two_row_circuit, fixture_library, WEIGHTED)
+        segs = segment_restrictions(fixture_library, WEIGHTED, tcs)
+        assert [(s.index, s.t_lo, s.t_hi) for s in segs] == [(0, 100.0, 100.0), (1, 100.0, 300.0)]
+        sched = optimize_schedule(tcs, fixture_library, WEIGHTED)
+        assert sched.period == pytest.approx(100.0, abs=1e-4)
+        assert sched.row_deltas[0] == pytest.approx(18.0, abs=1e-4)
+        assert sched.slack == pytest.approx(0.0, abs=1e-4)
+        assert sched.latency == pytest.approx(18.0, abs=1e-4)
+
+    def test_minimum_slack_shifts_delta(self, fixture_library, two_row_circuit):
         cfg = OptimizationConfig(
             priority_mode="weighted", tau=1.0, sigma=1e-6, lam=1e-6, s_min=5.0
         )
         tcs = build_constraints(two_row_circuit, fixture_library, cfg)
-        segs = segment_restrictions(fixture_library, cfg, tcs)
-        sol = solve_segment(tcs, segs[1], cfg)
-        assert sol.values["T"] == pytest.approx(100.0, abs=1e-4)
-        assert sol.values["delta_0"] == pytest.approx(23.0, abs=1e-4)
-        assert sol.values["S"] == pytest.approx(5.0, abs=1e-4)
+        sched = optimize_schedule(tcs, fixture_library, cfg)
+        assert sched.period == pytest.approx(100.0, abs=1e-4)
+        assert sched.row_deltas[0] == pytest.approx(23.0, abs=1e-4)
+        assert sched.slack == pytest.approx(5.0, abs=1e-4)
 
     def test_spread_beyond_hold_window_is_infeasible(self, fixture_library):
-        # two connections in one row whose delay spread exceeds the hold
-        # window everywhere in the segment (rd(300) - 10 = 98 < 110)
-        c = Circuit(
-            name="wide-spread",
-            num_rows=2,
-            gates=(
-                Gate("a1", "majority3", 0, 0.0),
-                Gate("a2", "majority3", 0, 0.0),
-                Gate("b1", "majority3", 1, 0.0),
-                Gate("b2", "majority3", 1, 0.0),
-            ),
-            connections=(
-                Connection("a1", "b1", 1.0, prop=0.0),
-                Connection("a2", "b2", 110.0, prop=110.0),
-            ),
-        )
-        cfg = OptimizationConfig(priority_mode="weighted", tau=1.0, sigma=1e-6, lam=1e-6)
-        tcs = build_constraints(c, fixture_library, cfg)
-        segs = segment_restrictions(fixture_library, cfg, tcs)
-        sol = solve_segment(tcs, segs[1], cfg)
-        assert sol.status == "infeasible"
-        assert sol.violations
+        c = wide_spread_circuit()
+        tcs = build_constraints(c, fixture_library, WEIGHTED)
         with pytest.raises(InfeasibleScheduleError) as e:
-            optimize_schedule(tcs, fixture_library, cfg)
+            optimize_schedule(tcs, fixture_library, WEIGHTED)
+        assert e.value.diagnostics
         assert all(d.code == "INFEASIBLE" for d in e.value.diagnostics)
 
 
@@ -305,30 +304,66 @@ class TestModesAgree:
             s_wei = optimize_schedule(tcs, ref_lib, wei)
             assert abs(s_lex.period - s_wei.period) <= 0.01
 
-    def test_fast_path_matches_lp_path(self, ref_lib):
-        for seed in range(8):
-            for priority in (("period", "latency", "slack"), ("period", "slack", "latency")):
-                c = generate_circuit(rows=8, width=3, seed=seed, lib=ref_lib)
-                cfg = OptimizationConfig(priority=priority, s_min=1.0, s_max=8.0)
-                tcs = build_constraints(c, ref_lib, cfg)
-                d_fast, d_lp = {}, {}
-                fast = optimize_schedule(tcs, ref_lib, cfg, details=d_fast, fast_path_min_rows=0)
-                slow = optimize_schedule(tcs, ref_lib, cfg, details=d_lp, fast_path_min_rows=10**9)
-                assert d_fast["fast_path_segments"] and not d_lp["fast_path_segments"]
-                assert fast.period == pytest.approx(slow.period, abs=1e-6)
-                assert fast.latency == pytest.approx(slow.latency, abs=1e-5)
-                assert fast.slack == pytest.approx(slow.slack, abs=1e-5)
-                assert fast.segment_index == slow.segment_index
-                rep = sta_check(c, ref_lib, fast)
-                assert rep.min_slack >= fast.slack - 1e-6
 
-    def test_fast_path_refuses_skip_rows(self, ref_lib):
-        c = generate_circuit(rows=8, width=3, seed=4, skip_prob=0.5, lib=ref_lib)
+class TestDifferenceSolver:
+    """Period-first orders against the staged simplex, segment by segment."""
+
+    @staticmethod
+    def circuits(lib, rng, count):
+        for _ in range(count):
+            c = generate_circuit(
+                rows=rng.randint(3, 6),
+                width=rng.randint(1, 3),
+                seed=rng.randint(0, 10**6),
+                chain_prob=0.5,
+                skip_prob=0.3,
+                lib=lib,
+            )
+            yield c
+            removed, plan = remove_buffers(c, lib, max_skip=2)
+            if plan.buffers_removed:
+                yield removed
+
+    @pytest.mark.parametrize("lib_name", ["ref_lib", "three_segment_library", "fixture_library"])
+    def test_matches_staged_lp(self, lib_name, request):
+        lib = request.getfixturevalue(lib_name)
+        rng = random.Random(31)
+        compared = 0
+        for c in self.circuits(lib, rng, 5):
+            for priority in (("period", "latency", "slack"), ("period", "slack", "latency")):
+                for s_min, s_max, delta_max in ((0, 50, 1e4), (1, 8, 1e4), (5, 5, 1e4), (0, 50, 80)):
+                    cfg = OptimizationConfig(
+                        priority=priority, s_min=s_min, s_max=s_max, delta_max=delta_max
+                    )
+                    tcs = build_constraints(c, lib, cfg)
+                    details = {}
+                    try:
+                        sched = optimize_schedule(tcs, lib, cfg, details=details)
+                    except InfeasibleScheduleError:
+                        sched = None
+                    stages = [(name, _STAGE_VECTORS[name]) for name in priority]
+                    for out in details["outcomes"]:
+                        if out.status == "pruned":
+                            continue
+                        rows = _collapse(tcs, out.segment, cfg)
+                        ref = _staged_lp_solve(rows, tcs, out.segment, cfg, stages)
+                        assert out.status == ref.status
+                        assert out.stage_values == pytest.approx(ref.stage_values, abs=1e-5)
+                        compared += 1
+                    if sched is not None:
+                        rep = sta_check(c, lib, sched, cfg.hold_mode)
+                        assert rep.min_slack >= sched.slack - 1e-6
+        assert compared >= 30
+
+    def test_infeasible_cycle_names_a_connection(self, fixture_library):
+        c = wide_spread_circuit()
         cfg = OptimizationConfig()
-        tcs = build_constraints(c, ref_lib, cfg)
-        details = {}
-        optimize_schedule(tcs, ref_lib, cfg, details=details, fast_path_min_rows=0)
-        assert details["fast_path_segments"] == []
+        tcs = build_constraints(c, fixture_library, cfg)
+        with pytest.raises(InfeasibleScheduleError) as e:
+            optimize_schedule(tcs, fixture_library, cfg)
+        keys = {conn.key for conn in c.connections}
+        assert all(d.code == "INFEASIBLE" for d in e.value.diagnostics)
+        assert any(d.entity.split(":", 1)[-1] in keys for d in e.value.diagnostics)
 
 
 class TestExplore:
