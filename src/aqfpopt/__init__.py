@@ -21,7 +21,6 @@ from aqfpopt.model import (
     PwlDomainError,
     Schedule,
     ValidationError,
-    pwl_eval,
     validate_circuit,
     validate_library,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "PwlDomainError",
     "Schedule",
     "ValidationError",
-    "pwl_eval",
     "validate_circuit",
     "validate_library",
     "__version__",

@@ -61,10 +61,6 @@ class RemovalPlan:
     buffers_total: int
     buffers_removed: int
 
-    @property
-    def removed_gate_ids(self) -> tuple[str, ...]:
-        return tuple(gid for ch in self.chains for gid in ch.removed_gate_ids)
-
 
 def extract_chains(c: Circuit) -> list[BufferChain]:
     """Collect every maximal buffer run bounded by non-chain gates.

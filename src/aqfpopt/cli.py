@@ -37,8 +37,10 @@ from aqfpopt.model import (
     CellLibrary,
     Circuit,
     Connection,
+    Diagnostic,
     Gate,
     OptimizationConfig,
+    PwlDomainError,
     ValidationError,
     validate_circuit,
 )
@@ -221,8 +223,6 @@ def _load_inputs(args):
 
 
 def _io_diag(path, err):
-    from aqfpopt.model import Diagnostic
-
     return Diagnostic("IO_ERROR", str(path), str(err))
 
 
@@ -328,7 +328,7 @@ def cmd_optimize(args) -> int:
                 f"{entry['src']} -> {entry['dst']}: setup {entry['setup_slack_ps']:.4g} ps, "
                 f"hold {entry['hold_slack_ps']:.4g} ps"
             )
-    if slacks is not None and not slacks.passing(-1e-6):
+    if slacks is not None and not slacks.passing():
         print(f"schedule fails STA: min slack {slacks.min_slack:.6g} ps", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -353,32 +353,24 @@ def cmd_verify(args) -> int:
         log.info("re-applied buffer removal recorded in the report manifest")
     sched = schedule_from_report(report)
     if len(sched.row_deltas) != circuit.num_rows - 1:
-        return _fail(
-            [
-                _schema_diag(
-                    f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
-                )
-            ]
-        )
+        message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
+        return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
     hold_mode = manifest_cfg.get("hold_mode", args.hold_mode)
-    slacks = sta_check(circuit, lib, sched, hold_mode)
-    if slacks.passing(-1e-6):
-        ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
-        print(f"schedule verifies: min slack {ms}")
-        return EXIT_OK
-    for e in slacks.entries:
-        if min(e.setup_slack, e.hold_slack) < -1e-6:
-            print(
-                f"violation on {e.src}->{e.dst}: setup {e.setup_slack:.6g} ps, hold {e.hold_slack:.6g} ps",
-                file=sys.stderr,
-            )
-    return EXIT_VERIFY
-
-
-def _schema_diag(message):
-    from aqfpopt.model import Diagnostic
-
-    return Diagnostic("SCHEMA_MISMATCH", "schedule", message)
+    try:
+        slacks = sta_check(circuit, lib, sched, hold_mode)
+    except PwlDomainError as e:
+        return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
+    failing = [
+        Diagnostic("STA_VIOLATION", f"{e.src}->{e.dst}",
+                   f"timing violation: setup {e.setup_slack:.6g} ps, hold {e.hold_slack:.6g} ps")
+        for e in slacks.entries
+        if not e.passing()
+    ]
+    if failing:
+        return _fail(failing, EXIT_VERIFY)
+    ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
+    print(f"schedule verifies: min slack {ms}")
+    return EXIT_OK
 
 
 def cmd_gen(args) -> int:

@@ -4,12 +4,17 @@ All three formats are versioned JSON documents (``"format_version": 1``).
 Circuit files use the ``.qc.json`` suffix, libraries ``.qlib.json`` and
 reports ``.report.json`` by convention. Unknown keys are rejected so typos
 fail loudly instead of silently dropping timing data.
+
+The parsers check the shape of a document: its keys, JSON types and finite
+numbers. What the content means is checked by ``validate_circuit`` and
+``validate_library`` in :mod:`aqfpopt.model`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
@@ -29,35 +34,77 @@ log = logging.getLogger("aqfpopt")
 
 FORMAT_VERSION = 1
 
-_CIRCUIT_KEYS = {"format_version", "name", "num_rows", "gates", "connections"}
-_GATE_KEYS = {"id", "cell", "row", "clock_offset_ps"}
-_CONN_KEYS = {"src", "dst", "length_um", "prop_ps"}
-_LIBRARY_KEYS = {
-    "format_version",
-    "l_max_drive_um",
-    "l_buffer_um",
-    "prop_ps_per_um",
-    "max_frequency_ghz",
-    "t_min_ps",
-    "t_max_ps",
-    "breakpoints_ps",
-    "cells",
+
+def _is_int(v) -> bool:
+    return type(v) is int  # a JSON true or false decodes to a bool
+
+
+def _is_number(v) -> bool:
+    """A JSON number that converts to a float; NaN and +-Infinity included."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _is_finite(v) -> bool:
+    # False for NaN, +-Infinity and integers too large for a float.
+    return (type(v) is float or type(v) is int) and abs(v) <= sys.float_info.max
+
+
+# Expected type of each field: a predicate and how a diagnostic names it.
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INT = (_is_int, "an integer")
+_FINITE = (_is_finite, "a finite number")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v), "a list of objects")
+
+_CIRCUIT_TYPES = {
+    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "num_rows": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "gates": _OBJECTS,
+    "connections": _OBJECTS,
 }
-_CELL_KEYS = {"c2q", "setup", "hold", "rd"}
+_CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
+_GATE_TYPES = {"id": _STRING, "cell": _STRING, "row": _INT, "clock_offset_ps": _FINITE}
+_CONN_TYPES = {
+    "src": _STRING,
+    "dst": _STRING,
+    "length_um": _FINITE,
+    "prop_ps": (lambda v: v is None or _is_finite(v), "a finite number or null"),
+}
+_LIBRARY_TYPES = {
+    "l_max_drive_um": _FINITE,
+    "l_buffer_um": _FINITE,
+    "prop_ps_per_um": _FINITE,
+    "max_frequency_ghz": _FINITE,
+    "t_min_ps": _FINITE,
+    "t_max_ps": _FINITE,
+    "breakpoints_ps": (lambda v: isinstance(v, list) and all(map(_is_finite, v)), "a list of finite numbers"),
+    "cells": (lambda v: isinstance(v, dict), "an object"),
+}
+_LIBRARY_KEYS = {"format_version", *_LIBRARY_TYPES}
+_CELL_FUNCTIONS = ("c2q", "setup", "hold", "rd")
+# The report fields ``verify`` reads. Row deltas may be non-finite: the STA
+# counts every connection such a delta touches as failing.
+_REPORT_TYPES = {
+    "period_ps": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "latency_ps": _FINITE,
+    "slack_ps": _FINITE,
+    "segment_index": _INT,
+    "row_deltas_ps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "manifest": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+}
+_REPORT_CONFIG_TYPES = {
+    "remove_buffers": (lambda v: isinstance(v, bool), "a boolean"),
+    "max_skip": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "hold_mode": (lambda v: v in ("reset-delay", "dlplace"), "reset-delay or dlplace"),
+}
 _REPORT_KEYS = {
     "format_version",
     "frequency_ghz",
-    "period_ps",
-    "latency_ps",
-    "slack_ps",
     "min_slack_ps",
-    "segment_index",
-    "row_deltas_ps",
     "buffers_total",
     "buffers_removed",
     "connections",
     "chains",
-    "manifest",
+    *_REPORT_TYPES,
 }
 
 
@@ -76,8 +123,6 @@ class ReportFormatError(ValidationError):
 def _load_document(text, exc_type) -> dict:
     if isinstance(text, dict):
         return text
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -87,10 +132,9 @@ def _load_document(text, exc_type) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, allowed: set, entity: str, errs: list) -> None:
-    for key in doc:
-        if key not in allowed:
-            errs.append(Diagnostic("UNKNOWN_KEY", entity, f"unexpected key {key!r}"))
+def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
+    for key in sorted(doc.keys() - allowed):
+        errs.append(Diagnostic("UNKNOWN_KEY", entity, f"unexpected key {key!r}"))
 
 
 def _check_version(doc: dict, entity: str, errs: list) -> None:
@@ -104,83 +148,68 @@ def _check_version(doc: dict, entity: str, errs: list) -> None:
         )
 
 
+def _check_types(doc: dict, types: dict, entity: str, errs: list) -> bool:
+    """Report each present field of ``doc`` whose value fails its type."""
+    bad = [key for key, (ok, _) in types.items() if key in doc and not ok(doc[key])]
+    for key in bad:
+        errs.append(Diagnostic("PARSE_ERROR", entity, f"{key} must be {types[key][1]}"))
+    return not bad
+
+
+def _check_missing(doc: dict, required, entity: str, errs: list) -> bool:
+    missing = [key for key in required if key not in doc]
+    if missing:
+        errs.append(Diagnostic("PARSE_ERROR", entity, f"missing keys {sorted(missing)}"))
+    return not missing
+
+
 def parse_circuit(text) -> Circuit:
     """Parse a circuit document (JSON text or an already-decoded dict).
 
-    Structural problems (duplicate ids, dangling endpoints, non-monotone
-    rows) raise :class:`CircuitFormatError` with one diagnostic per finding.
-    Library-dependent checks happen later in ``validate_circuit``.
+    This pass checks the shape only: keys, JSON types (string ids, cells and
+    endpoints, integer rows, lists of objects) and finite numbers. It raises
+    :class:`CircuitFormatError` with one diagnostic per finding. What the
+    content means is checked by ``validate_circuit``, which every command
+    runs next: unique ids, known cells and endpoints, rows in range and
+    increasing along every connection, and drivable lengths.
     """
     doc = _load_document(text, CircuitFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "circuit", errs)
     _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
-    name = doc.get("name", "")
-    num_rows = doc.get("num_rows")
-    if not isinstance(name, str) or not name:
-        errs.append(Diagnostic("PARSE_ERROR", "name", "name must be a non-empty string"))
-        name = str(name)
-    if not isinstance(num_rows, int) or num_rows < 1:
-        errs.append(Diagnostic("PARSE_ERROR", "num_rows", "num_rows must be a positive integer"))
-        num_rows = max(1, int(num_rows or 1))
+    _check_missing(doc, ("name", "num_rows"), "circuit", errs)
+    if not _check_types(doc, _CIRCUIT_TYPES, "circuit", errs):
+        raise CircuitFormatError(errs)
 
     gates: list[Gate] = []
-    seen: set[str] = set()
     for i, entry in enumerate(doc.get("gates", [])):
-        ent = entry.get("id", f"gates[{i}]") if isinstance(entry, dict) else f"gates[{i}]"
-        if not isinstance(entry, dict):
-            errs.append(Diagnostic("PARSE_ERROR", ent, "gate entry must be an object"))
-            continue
-        _check_keys(entry, _GATE_KEYS, ent, errs)
-        missing = _GATE_KEYS - set(entry)
-        if missing:
-            errs.append(Diagnostic("PARSE_ERROR", ent, f"missing keys {sorted(missing)}"))
-            continue
-        gid = entry["id"]
-        if gid in seen:
-            errs.append(Diagnostic("DUPLICATE_ID", gid, "gate id appears more than once"))
-        seen.add(gid)
-        gates.append(
-            Gate(id=gid, cell=entry["cell"], row=int(entry["row"]), clock_offset=float(entry["clock_offset_ps"]))
-        )
-    rows = {g.id: g.row for g in gates}
+        ent = entry["id"] if isinstance(entry.get("id"), str) else f"gates[{i}]"
+        _check_keys(entry, _GATE_TYPES, ent, errs)
+        if _check_missing(entry, _GATE_TYPES, ent, errs) and _check_types(entry, _GATE_TYPES, ent, errs):
+            gates.append(
+                Gate(id=entry["id"], cell=entry["cell"], row=entry["row"], clock_offset=float(entry["clock_offset_ps"]))
+            )
     connections: list[Connection] = []
     for i, entry in enumerate(doc.get("connections", [])):
         ent = f"connections[{i}]"
-        if not isinstance(entry, dict):
-            errs.append(Diagnostic("PARSE_ERROR", ent, "connection entry must be an object"))
-            continue
-        _check_keys(entry, _CONN_KEYS, ent, errs)
-        missing = {"src", "dst", "length_um"} - set(entry)
-        if missing:
-            errs.append(Diagnostic("PARSE_ERROR", ent, f"missing keys {sorted(missing)}"))
-            continue
-        src, dst = entry["src"], entry["dst"]
-        ent = f"{src}->{dst}"
-        ok = True
-        for gid in (src, dst):
-            if gid not in rows:
-                errs.append(Diagnostic("UNKNOWN_GATE", ent, f"endpoint {gid!r} is not a gate"))
-                ok = False
-        if ok and rows[dst] <= rows[src]:
-            errs.append(
-                Diagnostic("NONMONOTONE_ROW", ent, f"row({dst})={rows[dst]} must exceed row({src})={rows[src]}")
+        _check_keys(entry, _CONN_TYPES, ent, errs)
+        if _check_missing(entry, ("src", "dst", "length_um"), ent, errs) and _check_types(
+            entry, _CONN_TYPES, ent, errs
+        ):
+            prop = entry.get("prop_ps")
+            connections.append(
+                Connection(
+                    src=entry["src"],
+                    dst=entry["dst"],
+                    length=float(entry["length_um"]),
+                    prop=None if prop is None else float(prop),
+                )
             )
-        prop = entry.get("prop_ps")
-        connections.append(
-            Connection(
-                src=src,
-                dst=dst,
-                length=float(entry["length_um"]),
-                prop=None if prop is None else float(prop),
-            )
-        )
-    for g in gates:
-        if not 0 <= g.row < num_rows:
-            errs.append(Diagnostic("ROW_OUT_OF_RANGE", g.id, f"row {g.row} outside 0..{num_rows - 1}"))
     if errs:
         raise CircuitFormatError(errs)
-    return Circuit(name=name, num_rows=num_rows, gates=tuple(gates), connections=tuple(connections))
+    return Circuit(
+        name=doc["name"], num_rows=doc["num_rows"], gates=tuple(gates), connections=tuple(connections)
+    )
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -203,21 +232,14 @@ def serialize_circuit(c: Circuit) -> str:
 
 def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
     if not isinstance(entry, list) or not all(
-        isinstance(seg, list) and len(seg) == 2 for seg in entry
+        isinstance(seg, list) and len(seg) == 2 and all(map(_is_finite, seg)) for seg in entry
     ):
-        errs.append(Diagnostic("PARSE_ERROR", entity, "expected a list of [slope, intercept] pairs"))
-        return None
-    if len(entry) != len(breakpoints) - 1:
         errs.append(
-            Diagnostic(
-                "ARITY_MISMATCH",
-                entity,
-                f"{len(entry)} segments for {len(breakpoints)} breakpoints",
-            )
+            Diagnostic("PARSE_ERROR", entity, "expected a list of [slope, intercept] pairs of finite numbers")
         )
         return None
     try:
-        return PiecewiseLinear(tuple(breakpoints), tuple((s, i) for s, i in entry))
+        return PiecewiseLinear(breakpoints, tuple((s, i) for s, i in entry))
     except ValidationError as e:
         errs.extend(
             Diagnostic(d.code, entity, d.message, d.severity) for d in e.diagnostics
@@ -226,41 +248,37 @@ def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
 
 
 def parse_library(text) -> CellLibrary:
-    """Parse and validate a cell-library document.
+    """Parse a cell-library document, then validate what it means.
 
-    Raises :class:`LibraryFormatError` on any error-severity diagnostic;
-    warning-severity findings (reset delay reaching the period, segment
-    discontinuities) are logged once here, and callers need not re-run
-    ``validate_library``.
+    The parse checks the shape: keys, JSON types and finite numbers, and one
+    list of ``[slope, intercept]`` pairs per cell function, which
+    ``PiecewiseLinear`` checks against the breakpoints. Shape errors raise
+    :class:`LibraryFormatError`. ``validate_library`` then checks the
+    content; its errors raise :class:`LibraryFormatError` as well, and its
+    warnings (reset delay reaching the period, segment discontinuities) are
+    logged once here, so callers need not re-run it.
     """
     doc = _load_document(text, LibraryFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "library", errs)
     _check_keys(doc, _LIBRARY_KEYS, "library", errs)
-    missing = _LIBRARY_KEYS - set(doc)
-    if missing:
-        errs.append(Diagnostic("PARSE_ERROR", "library", f"missing keys {sorted(missing)}"))
+    if not (
+        _check_missing(doc, _LIBRARY_KEYS, "library", errs)
+        and _check_types(doc, _LIBRARY_TYPES, "library", errs)
+    ):
         raise LibraryFormatError(errs)
-    breakpoints = doc["breakpoints_ps"]
-    if not isinstance(breakpoints, list) or len(breakpoints) < 2:
-        errs.append(Diagnostic("PARSE_ERROR", "breakpoints_ps", "need at least two breakpoints"))
-        raise LibraryFormatError(errs)
-    cells_doc = doc["cells"]
-    if not isinstance(cells_doc, dict) or not cells_doc:
-        errs.append(Diagnostic("EMPTY_LIBRARY", "cells", "library defines no cells"))
-        raise LibraryFormatError(errs)
+    breakpoints = tuple(float(b) for b in doc["breakpoints_ps"])
     cells: dict[str, CellTiming] = {}
-    for name, entry in cells_doc.items():
+    for name, entry in doc["cells"].items():
         if not isinstance(entry, dict):
             errs.append(Diagnostic("PARSE_ERROR", name, "cell entry must be an object"))
             continue
-        _check_keys(entry, _CELL_KEYS, name, errs)
-        if set(entry) != _CELL_KEYS:
-            errs.append(Diagnostic("PARSE_ERROR", name, f"cell must define exactly {sorted(_CELL_KEYS)}"))
+        _check_keys(entry, _CELL_FUNCTIONS, name, errs)
+        if not _check_missing(entry, _CELL_FUNCTIONS, name, errs):
             continue
         fns = {
             fname: _parse_pwl(entry[fname], breakpoints, f"{name}.{fname}", errs)
-            for fname in ("c2q", "setup", "hold", "rd")
+            for fname in _CELL_FUNCTIONS
         }
         if all(v is not None for v in fns.values()):
             cells[name] = CellTiming(**fns)
@@ -268,7 +286,7 @@ def parse_library(text) -> CellLibrary:
         raise LibraryFormatError(errs)
     lib = CellLibrary(
         cells=cells,
-        breakpoints=tuple(float(b) for b in breakpoints),
+        breakpoints=breakpoints,
         l_max_drive=float(doc["l_max_drive_um"]),
         l_buffer=float(doc["l_buffer_um"]),
         prop_per_um=float(doc["prop_ps_per_um"]),
@@ -363,14 +381,26 @@ def serialize_report(report: dict) -> str:
 
 
 def parse_report(text) -> dict:
+    """Parse a report document and check the shape of what ``verify`` reads.
+
+    The period, latency and slack must be finite numbers, the period also
+    positive; ``segment_index`` an integer; ``row_deltas_ps`` a list of
+    numbers. The manifest's ``config`` entries that ``verify`` re-applies
+    (``remove_buffers``, ``max_skip``, ``hold_mode``) are type-checked too.
+    """
     doc = _load_document(text, ReportFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "report", errs)
     _check_keys(doc, _REPORT_KEYS, "report", errs)
-    required = _REPORT_KEYS - {"chains", "manifest"}
-    missing = required - set(doc)
-    if missing:
-        errs.append(Diagnostic("PARSE_ERROR", "report", f"missing keys {sorted(missing)}"))
+    _check_missing(doc, _REPORT_KEYS - {"chains", "manifest"}, "report", errs)
+    _check_types(doc, _REPORT_TYPES, "report", errs)
+    manifest = doc.get("manifest")
+    if isinstance(manifest, dict):
+        config = manifest.get("config", {})
+        if isinstance(config, dict):
+            _check_types(config, _REPORT_CONFIG_TYPES, "manifest.config", errs)
+        else:
+            errs.append(Diagnostic("PARSE_ERROR", "manifest", "config must be an object"))
     if errs:
         raise ReportFormatError(errs)
     return doc

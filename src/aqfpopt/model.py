@@ -8,6 +8,7 @@ lengths in um, frequencies in GHz (frequency = 1000 / period_ps).
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,10 +107,15 @@ class PiecewiseLinear:
         slope, intercept = self.segments[self.segment_of(t)]
         return slope * t + intercept
 
+    def jump_at(self, k: int) -> float:
+        """Signed jump (ps) from segment k-1 to segment k at breakpoint k.
 
-def pwl_eval(f: PiecewiseLinear, t: float) -> float:
-    """Evaluate ``f`` at period ``t`` (ps), honouring the boundary rule."""
-    return f(t)
+        A jump within ``CONTINUITY_TOL`` reads as 0.0.
+        """
+        b = self.breakpoints[k]
+        (sl, il), (sr, ir) = self.segments[k - 1], self.segments[k]
+        jump = (sr * b + ir) - (sl * b + il)
+        return jump if abs(jump) > CONTINUITY_TOL else 0.0
 
 
 @dataclass(frozen=True)
@@ -197,43 +203,40 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
                     )
                 )
             for k in range(1, len(fn.breakpoints) - 1):
-                b = fn.breakpoints[k]
-                left = fn.segments[k - 1][0] * b + fn.segments[k - 1][1]
-                right = fn.segments[k][0] * b + fn.segments[k][1]
-                if abs(left - right) > CONTINUITY_TOL:
+                jump = fn.jump_at(k)
+                if jump:
                     out.append(
                         Diagnostic(
                             "PWL_DISCONTINUITY",
                             ent,
-                            f"jump of {right - left:.6g} ps at breakpoint {b} ps",
+                            f"jump of {jump:.6g} ps at breakpoint {fn.breakpoints[k]} ps",
                             severity="warning",
                         )
                     )
-    # Reset delay must stay below the period over the usable range; sampled on
-    # a 100-point grid per segment.
+    # Reset delay must stay below the period over [t_min, t_max]. rd(t) - t is
+    # affine on each segment, so its maximum sits at an end of the segment's
+    # clipped interval; at an open lower breakpoint the affine value there is
+    # the right-hand limit, approached by periods the segment owns.
     for name, cell in sorted(lib.cells.items()):
         rd = cell.rd
         if rd.breakpoints != lib.breakpoints:
             continue
-        for k in range(len(rd.segments)):
+        for k, (a, b) in enumerate(rd.segments):
             lo = max(rd.breakpoints[k], lib.t_min)
             hi = min(rd.breakpoints[k + 1], lib.t_max)
-            if lo > hi:
+            if lo > hi or hi == rd.breakpoints[k]:
                 continue
-            for i in range(100):
-                t = hi - (hi - lo) * i / 99.0 if hi > lo else hi
-                if t <= rd.t_lo:
-                    continue
-                if rd(t) >= t:
-                    out.append(
-                        Diagnostic(
-                            "RESET_EXCEEDS_PERIOD",
-                            f"{name}.rd",
-                            f"rd({t:.4g}) = {rd(t):.4g} ps >= period",
-                            severity="warning",
-                        )
+            excess, t = max(((a - 1.0) * t + b, t) for t in (lo, hi))
+            if excess >= 0.0:
+                out.append(
+                    Diagnostic(
+                        "RESET_EXCEEDS_PERIOD",
+                        f"{name}.rd",
+                        f"rd(t) - t reaches {excess:.6g} ps at t = {t:.6g} ps on segment {k}",
+                        severity="warning",
                     )
-                    break
+                )
+                break
     return out
 
 
@@ -431,6 +434,10 @@ class OptimizationConfig:
 
     def __post_init__(self):
         errs = []
+        numbers = (self.tau, self.sigma, self.lam, self.s_min, self.s_max, self.delta_max,
+                   self.t_min_override, self.t_max_override)
+        if not all(v is None or math.isfinite(v) for v in numbers):
+            errs.append(Diagnostic("INVALID_CONFIG", "config", "numeric settings must be finite"))
         if self.s_min > self.s_max:
             errs.append(Diagnostic("INVALID_CONFIG", "s_min", "s_min must be <= s_max"))
         if min(self.tau, self.sigma, self.lam) < 0:

@@ -20,10 +20,9 @@ cross-checks the two solvers segment by segment.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from aqfpopt.model import (
     CellLibrary,
@@ -67,8 +66,7 @@ class LpConstraint:
 class LpProblem:
     """A named-variable linear program, minimization sense."""
 
-    def __init__(self, name: str = "lp"):
-        self.name = name
+    def __init__(self):
         self.variables: dict[str, tuple[float, Optional[float]]] = {}
         self.constraints: list[LpConstraint] = []
         self.objective: dict[str, float] = {}
@@ -76,7 +74,7 @@ class LpProblem:
     def add_variable(self, name: str, lb: float, ub: Optional[float] = None) -> None:
         if name in self.variables:
             raise ValueError(f"variable {name!r} already declared")
-        if not np.isfinite(lb):
+        if not math.isfinite(lb):
             raise ValueError(f"variable {name!r} needs a finite lower bound")
         self.variables[name] = (float(lb), None if ub is None else float(ub))
 
@@ -103,14 +101,16 @@ class LpSolution:
     violations: tuple[tuple[Optional[str], float], ...] = ()
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], opt_tol: float) -> str:
-    """Minimize in place; last tableau row holds the reduced costs."""
+def _run_simplex(tab, basis: list[int]) -> str:
+    """Minimize the numpy tableau in place; its last row holds the reduced costs."""
+    import numpy as np
+
     m = tab.shape[0] - 1
     limit = 20000 + 20 * tab.shape[1]
     basis_arr = basis  # mutated in place
     for _ in range(limit):
         costs = tab[-1, :-1]
-        neg = np.nonzero(costs < -opt_tol)[0]
+        neg = np.nonzero(costs < -OPT_TOL)[0]
         if neg.size == 0:
             return "optimal"
         enter = int(neg[0])  # Bland: lowest index
@@ -137,13 +137,17 @@ def _run_simplex(tab: np.ndarray, basis: list[int], opt_tol: float) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def lp_solve(p: LpProblem, feas_tol: float = FEAS_TOL, opt_tol: float = OPT_TOL) -> LpSolution:
+def lp_solve(p: LpProblem) -> LpSolution:
     """Two-phase simplex with Bland's rule.
 
     All variables must carry finite lower bounds; upper bounds become extra
     rows. Returns an optimal basic solution, or infeasibility with the
     phase-1 residual per constraint, or an unbounded status.
     """
+    # Imported here: only weighted mode and orders led by latency or slack
+    # run the simplex, and numpy dominates the import time of the package.
+    import numpy as np
+
     names = list(p.variables)
     n = len(names)
     idx = {v: j for j, v in enumerate(names)}
@@ -207,16 +211,16 @@ def lp_solve(p: LpProblem, feas_tol: float = FEAS_TOL, opt_tol: float = OPT_TOL)
         tab[-1, art_start:art_start + na] = 1.0
         for i in art_rows:
             tab[-1] -= tab[i]
-        status = _run_simplex(tab, basis, opt_tol)
+        status = _run_simplex(tab, basis)
         if status != "optimal":
             raise RuntimeError(f"phase 1 ended {status}")
         infeas = -tab[-1, -1]
-        if infeas > feas_tol:
+        if infeas > FEAS_TOL:
             art_vals = {bv: tab[k, -1] for k, bv in enumerate(basis) if bv >= art_start}
             residuals = []
             for i in art_rows:
                 r = art_vals.get(art_of_row[i], 0.0)
-                if r > feas_tol:
+                if r > FEAS_TOL:
                     residuals.append((tags[i], float(r)))
             residuals.sort(key=lambda kv: -kv[1])
             return LpSolution(status="infeasible", violations=tuple(residuals))
@@ -250,7 +254,7 @@ def lp_solve(p: LpProblem, feas_tol: float = FEAS_TOL, opt_tol: float = OPT_TOL)
     for k, bv in enumerate(basis):
         if cost[bv] != 0.0:
             tab[-1] -= cost[bv] * tab[k]
-    status = _run_simplex(tab, basis, opt_tol)
+    status = _run_simplex(tab, basis)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
@@ -263,11 +267,11 @@ def lp_solve(p: LpProblem, feas_tol: float = FEAS_TOL, opt_tol: float = OPT_TOL)
         act = sum(coef * values[v] for v, coef in con.terms.items())
         err = act - con.rhs
         ok = (
-            err <= feas_tol
+            err <= FEAS_TOL
             if con.sense == "<="
-            else err >= -feas_tol
+            else err >= -FEAS_TOL
             if con.sense == ">="
-            else abs(err) <= feas_tol
+            else abs(err) <= FEAS_TOL
         )
         if not ok:
             raise RuntimeError(
@@ -314,27 +318,13 @@ class SegmentRestriction:
         return ca + ra - ha, cb + rb - hb
 
 
-def _cells_in_use(tcs: TimingConstraintSet) -> set[str]:
-    used = set()
-    for tc in tcs.constraints:
-        used.add(tc.src_cell)
-        used.add(tc.dst_cell)
-    return used
+def _discontinuous_at(tcs: TimingConstraintSet, lib: CellLibrary, k: int) -> bool:
+    """Whether a timing function of a cell in use jumps at breakpoint k."""
+    cells = {tc.src_cell for tc in tcs.constraints} | {tc.dst_cell for tc in tcs.constraints}
+    return any(fn.jump_at(k) for cell in cells for fn in lib.timing(cell).functions().values())
 
 
-def _discontinuous_at(lib: CellLibrary, cells: set[str], bp: float, k: int) -> bool:
-    for cell in cells:
-        for fn in lib.timing(cell).functions().values():
-            left = fn.segments[k - 1][0] * bp + fn.segments[k - 1][1]
-            right = fn.segments[k][0] * bp + fn.segments[k][1]
-            if abs(left - right) > 1e-9:
-                return True
-    return False
-
-
-def segment_restrictions(
-    lib: CellLibrary, cfg: OptimizationConfig, tcs: Optional[TimingConstraintSet] = None
-) -> list[SegmentRestriction]:
+def segment_restrictions(lib: CellLibrary, cfg: OptimizationConfig) -> list[SegmentRestriction]:
     """Nonempty per-segment period intervals, in breakpoint order.
 
     Intervals are closed on both ends; a shared breakpoint therefore appears
@@ -408,7 +398,7 @@ class SegmentOutcome:
 def _build_segment_lp(
     rows, tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig
 ) -> LpProblem:
-    lp = LpProblem(f"segment{seg.index}")
+    lp = LpProblem()
     nd = tcs.num_deltas
     for r in range(nd):
         lp.add_variable(f"delta_{r}", 0.0, cfg.delta_max)
@@ -582,7 +572,7 @@ def _newton(g: _ConstraintGraph, t: float, s: float, param: str, limit: float):
         best = None
         for cycle in cycles:
             slope, icpt = g.weight(cycle, t, s, param)
-            root = -icpt / slope if slope * sign < 0 else np.inf * sign
+            root = -icpt / slope if slope * sign < 0 else math.inf * sign
             if best is None or (root - best[0]) * sign > 0:
                 best = (root, cycle, slope * limit + icpt)
         root, cycle, excess = best
@@ -647,11 +637,10 @@ def _solve_outcome(
     # at the shared lower breakpoint, claiming it with this segment's affine
     # values would disagree with the piecewise evaluation, so the interval is
     # nudged open by the fixing tolerance; continuous libraries are exact.
-    bps = seg.lib.breakpoints
     if (
         seg.index > 0
-        and seg.t_lo == bps[seg.index]
-        and _discontinuous_at(seg.lib, _cells_in_use(tcs), bps[seg.index], seg.index)
+        and seg.t_lo == seg.lib.breakpoints[seg.index]
+        and _discontinuous_at(tcs, seg.lib, seg.index)
     ):
         if seg.t_lo + FIX_TOL > seg.t_hi:
             return SegmentOutcome(segment=seg, status="pruned")
@@ -693,7 +682,7 @@ def optimize_schedule(
     behind the least-violating segment: its largest phase-1 residuals, or
     the positive cycle that keeps the period stage infeasible.
     """
-    segs = segment_restrictions(lib, cfg, tcs)
+    segs = segment_restrictions(lib, cfg)
     if not segs:
         lo, hi = cfg.period_bounds(lib)
         raise InfeasibleScheduleError(
@@ -709,7 +698,7 @@ def optimize_schedule(
         scored = [o for o in outcomes if o.status == "infeasible"] or outcomes
         worst = min(
             scored,
-            key=lambda o: sum(v for _, v in o.violations) if o.violations else np.inf,
+            key=lambda o: sum(v for _, v in o.violations) if o.violations else math.inf,
         )
         diags = [
             Diagnostic("INFEASIBLE", tag or "bounds", worst.explain.format(v=v))

@@ -11,6 +11,7 @@ rhs - lhs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +23,10 @@ from aqfpopt.model import (
     OptimizationConfig,
     Schedule,
     ValidationError,
-    pwl_eval,
 )
+
+#: Slack (ps) below which the STA counts a connection as failing.
+STA_MARGIN = -1e-6
 
 
 class UnsupportedSkipError(ValidationError):
@@ -31,21 +34,15 @@ class UnsupportedSkipError(ValidationError):
 
 
 @dataclass(frozen=True)
-class LinearTerm:
-    """Linear expression over named variables plus a constant (ps)."""
-
-    coefficients: dict[str, float]
-    constant: float = 0.0
-
-
-@dataclass(frozen=True)
 class TimingConstraint:
     """One reformulated inequality for one connection.
 
-    The frequency-dependent part stays symbolic as a pseudo-variable
-    ("FS" or "FH" over the source/sink cell pair); the solver substitutes
-    its segment-affine form, and ``dlplace`` hold handling swaps the reset
-    delay for the full period at that point.
+    Setup rows read ``sum(delta[r] for r in delta_rows) - FS - S >= rhs`` and
+    hold rows ``sum(...) - FH + S <= rhs``. The frequency-dependent terms FS
+    (c2q of the source plus setup of the sink) and FH (c2q plus the hold
+    window minus the sink's hold) are pseudo-variables over the cell pair;
+    the solver substitutes their segment-affine form, and ``dlplace`` hold
+    handling swaps the reset delay for the full period at that point.
     """
 
     kind: str  # "setup" or "hold"
@@ -53,36 +50,12 @@ class TimingConstraint:
     dst: str
     src_cell: str
     dst_cell: str
-    sense: str  # ">=" or "<="
     delta_rows: tuple[int, ...]  # indices r with coefficient +1
-    s_coef: float  # -1 for setup, +1 for hold
     rhs: float  # prop_ij - delta_clk_ij
 
     @property
     def key(self) -> str:
         return f"{self.src}->{self.dst}"
-
-    def lhs(self) -> LinearTerm:
-        coeffs = {f"delta_{r}": 1.0 for r in self.delta_rows}
-        tag = "FS" if self.kind == "setup" else "FH"
-        coeffs[f"{tag}[{self.src_cell},{self.dst_cell}]"] = -1.0
-        coeffs["S"] = self.s_coef
-        return LinearTerm(coefficients=coeffs)
-
-
-def f_setup(lib: CellLibrary, src_cell: str, dst_cell: str, period: float) -> float:
-    """Combined frequency-dependent setup term c2q(src) + setup(dst)."""
-    return pwl_eval(lib.timing(src_cell).c2q, period) + pwl_eval(lib.timing(dst_cell).setup, period)
-
-
-def f_hold(
-    lib: CellLibrary, src_cell: str, dst_cell: str, period: float, hold_mode: str = "reset-delay"
-) -> float:
-    """Combined hold term; dlplace mode substitutes the period for the reset delay."""
-    src = lib.timing(src_cell)
-    dst = lib.timing(dst_cell)
-    window = period if hold_mode == "dlplace" else pwl_eval(src.rd, period)
-    return pwl_eval(src.c2q, period) + window - pwl_eval(dst.hold, period)
 
 
 @dataclass(frozen=True)
@@ -91,41 +64,10 @@ class TimingConstraintSet:
 
     constraints: tuple[TimingConstraint, ...]
     num_rows: int
-    s_bounds: tuple[float, float]
-    t_bounds: tuple[float, float]
 
     @property
     def num_deltas(self) -> int:
         return self.num_rows - 1
-
-    def latency_definition(self) -> LinearTerm:
-        coeffs = {"L": 1.0}
-        coeffs.update({f"delta_{r}": -1.0 for r in range(self.num_deltas)})
-        return LinearTerm(coefficients=coeffs)
-
-    def residuals(
-        self,
-        lib: CellLibrary,
-        period: float,
-        row_deltas,
-        hold_mode: str = "reset-delay",
-    ) -> dict[tuple[str, str, str], float]:
-        """Signed satisfaction margin of every constraint at S = 0.
-
-        Setup rows report lhs - rhs, hold rows rhs - lhs, so a nonnegative
-        value always means "satisfied" and the numbers line up one-for-one
-        with the STA slacks.
-        """
-        out = {}
-        for tc in self.constraints:
-            dsum = sum(row_deltas[r] for r in tc.delta_rows)
-            if tc.kind == "setup":
-                lhs = dsum - f_setup(lib, tc.src_cell, tc.dst_cell, period)
-                out[(tc.src, tc.dst, "setup")] = lhs - tc.rhs
-            else:
-                lhs = dsum - f_hold(lib, tc.src_cell, tc.dst_cell, period, hold_mode)
-                out[(tc.src, tc.dst, "hold")] = tc.rhs - lhs
-        return out
 
 
 def delta_clk(c: Circuit, conn: Connection) -> float:
@@ -167,16 +109,11 @@ def build_constraints(
             delta_rows=rows,
             rhs=rhs,
         )
-        constraints.append(TimingConstraint(kind="setup", sense=">=", s_coef=-1.0, **common))
-        constraints.append(TimingConstraint(kind="hold", sense="<=", s_coef=1.0, **common))
+        constraints.append(TimingConstraint(kind="setup", **common))
+        constraints.append(TimingConstraint(kind="hold", **common))
     if errs:
         raise UnsupportedSkipError(errs)
-    return TimingConstraintSet(
-        constraints=tuple(constraints),
-        num_rows=c.num_rows,
-        s_bounds=(cfg.s_min, cfg.s_max),
-        t_bounds=cfg.period_bounds(lib),
-    )
+    return TimingConstraintSet(constraints=tuple(constraints), num_rows=c.num_rows)
 
 
 @dataclass(frozen=True)
@@ -186,15 +123,19 @@ class ConnectionSlack:
     setup_slack: float
     hold_slack: float
 
+    def passing(self) -> bool:
+        """Both slacks are finite and at least ``STA_MARGIN``."""
+        s, h = self.setup_slack, self.hold_slack
+        return math.isfinite(s) and math.isfinite(h) and min(s, h) >= STA_MARGIN
+
 
 @dataclass(frozen=True)
 class SlackReport:
     entries: tuple[ConnectionSlack, ...]
     min_slack: Optional[float]
-    worst: tuple[str, ...] = ()
 
-    def passing(self, margin: float = -1e-6) -> bool:
-        return self.min_slack is None or self.min_slack >= margin
+    def passing(self) -> bool:
+        return all(e.passing() for e in self.entries)
 
 
 def sta_check(
@@ -214,15 +155,14 @@ def sta_check(
 
     entries = []
     min_slack = None
-    worst: tuple[str, ...] = ()
     for conn in c.connections:
         src = c.gate(conn.src)
         dst = c.gate(conn.dst)
         prop = c.propagation(conn, lib)
-        c2q = pwl_eval(lib.timing(src.cell).c2q, period)
-        setup = pwl_eval(lib.timing(dst.cell).setup, period)
-        hold = pwl_eval(lib.timing(dst.cell).hold, period)
-        window = period if hold_mode == "dlplace" else pwl_eval(lib.timing(src.cell).rd, period)
+        c2q = lib.timing(src.cell).c2q(period)
+        setup = lib.timing(dst.cell).setup(period)
+        hold = lib.timing(dst.cell).hold(period)
+        window = period if hold_mode == "dlplace" else lib.timing(src.cell).rd(period)
         setup_slack = (clk[dst.id] - setup) - (clk[src.id] + c2q + prop)
         hold_slack = (clk[src.id] + c2q + prop + window) - (clk[dst.id] + hold)
         entries.append(
@@ -231,7 +171,4 @@ def sta_check(
         local = min(setup_slack, hold_slack)
         if min_slack is None or local < min_slack:
             min_slack = local
-            worst = (conn.key,)
-        elif local == min_slack:
-            worst = worst + (conn.key,)
-    return SlackReport(entries=tuple(entries), min_slack=min_slack, worst=worst)
+    return SlackReport(entries=tuple(entries), min_slack=min_slack)

@@ -9,6 +9,7 @@ from aqfpopt.model import (
     Gate,
     PiecewiseLinear,
 )
+from aqfpopt.solver import SegmentRestriction
 
 BP2 = (0.0, 100.0, 300.0)
 BP3 = (0.0, 100.0, 200.0, 300.0)
@@ -30,6 +31,28 @@ def make_library(cells, bps=BP2, t_min=100.0, t_max=300.0, max_frequency=10.0,
         t_max=t_max,
         max_frequency=max_frequency,
     )
+
+
+def reformulated_residuals(tcs, lib, period, deltas, hold_mode):
+    """Signed margin of every reformulated constraint at S = 0.
+
+    The frequency-dependent terms come from the solver's affine forms
+    (``fs_affine``/``fh_affine``) on the segment that owns ``period``. Setup
+    rows give lhs - rhs and hold rows rhs - lhs, so each value lines up with
+    the STA slack of its connection.
+    """
+    k = next(iter(lib.cells.values())).c2q.segment_of(period)
+    seg = SegmentRestriction(index=k, t_lo=period, t_hi=period, lib=lib)
+    out = {}
+    for tc in tcs.constraints:
+        dsum = sum(deltas[r] for r in tc.delta_rows)
+        if tc.kind == "setup":
+            a, b = seg.fs_affine(tc.src_cell, tc.dst_cell)
+            out[(tc.src, tc.dst, "setup")] = dsum - (a * period + b) - tc.rhs
+        else:
+            a, b = seg.fh_affine(tc.src_cell, tc.dst_cell, hold_mode)
+            out[(tc.src, tc.dst, "hold")] = tc.rhs - (dsum - (a * period + b))
+    return out
 
 
 @pytest.fixture(scope="session")

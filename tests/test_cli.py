@@ -1,6 +1,13 @@
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aqfpopt.cli import main
 from aqfpopt.ingest import parse_circuit, parse_report, serialize_circuit, serialize_library
@@ -258,6 +265,15 @@ class TestUsage:
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path),
                      "--priority", "period,period,slack"]) == 1
 
+    @pytest.mark.parametrize("flag", [["--smin", "nan"], ["--tmin", "nan"], ["--tau", "nan"],
+                                      ["--smax", "inf"]])
+    def test_non_finite_setting_rejected(self, workdir, capsys, flag):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json")
+        capsys.readouterr()
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flag]) == 1
+        assert "[INVALID_CONFIG]" in capsys.readouterr().err
+
     def test_missing_subcommand_args(self):
         assert main(["optimize"]) == 1
 
@@ -266,3 +282,125 @@ class TestUsage:
         monkeypatch.setenv("QPRO_LOG", "debug")
         circ = gen(tmp_path, lib_path, "c.qc.json")
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path)]) == 0
+
+
+NAN = float("nan")
+
+#: (file, path into its JSON document, new value, expected exit code). Each
+#: case once ended in a traceback or a wrong exit code.
+MALFORMED = [
+    ("circuit", ("gates", 0, "clock_offset_ps"), NAN, 1),
+    ("circuit", ("gates", 0, "row"), "x", 1),
+    ("circuit", ("gates", 0, "row"), 1.7, 1),
+    ("circuit", ("connections", 0, "length_um"), None, 1),
+    ("circuit", ("gates",), 5, 1),
+    ("lib", ("cells", "buffer", "c2q", 0, 1), NAN, 1),
+    ("lib", ("t_min_ps",), "x", 1),
+    ("report", ("period_ps",), NAN, 1),
+    ("report", ("period_ps",), "x", 1),
+    ("report", ("row_deltas_ps",), 5, 1),
+    ("report", ("row_deltas_ps", 0), NAN, 3),
+]
+
+
+def set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def run_flow(files):
+    """``optimize`` on the circuit and library, then ``verify`` on the report."""
+    io = ["--circuit", str(files["circuit"]), "--lib", str(files["lib"])]
+    optimized = main(["optimize", *io, "--out", str(files["report"])])
+    return optimized, main(["verify", *io, "--schedule", str(files["report"])])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("target,path,value,exit_code", MALFORMED,
+                             ids=[f"{t}-{'.'.join(map(str, p))}-{v!r}" for t, p, v, _ in MALFORMED])
+    def test_diagnostic_and_stable_exit(self, workdir, capsys, target, path, value, exit_code):
+        tmp_path, lib_path = workdir
+        files = {"circuit": gen(tmp_path, lib_path, "c.qc.json", rows=4, width=2, seed=1),
+                 "lib": lib_path, "report": tmp_path / "c.report.json"}
+        assert run_flow(files) == (0, 0)
+        doc = json.loads(files[target].read_text())
+        set_path(doc, path, value)
+        files[target].write_text(json.dumps(doc))
+        capsys.readouterr()
+        io = ["--circuit", str(files["circuit"]), "--lib", str(lib_path)]
+        if target == "report":
+            code = main(["verify", *io, "--schedule", str(files["report"])])
+        else:
+            code = main(["optimize", *io])
+        err = capsys.readouterr().err
+        assert code == exit_code, err
+        assert re.search(r"^\[[A-Z_]+\] \S+: \S", err, re.M), err
+        assert "Traceback" not in err
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", "import aqfpopt.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )
+
+
+# Values swapped in by the fuzzer: wrong JSON types, non-finite numbers and
+# numbers of the wrong sign or kind.
+JUNK = st.sampled_from([NAN, math.inf, -math.inf, "x", None, True, [], {}, 5, -1, 0, 1.7])
+
+
+def paths_of(doc, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from paths_of(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_seed_docs(tmp_path_factory, ref_lib):
+    """Circuit, library and report documents of one successful small run."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    files = {"circuit": tmp_path / "c.qc.json", "lib": tmp_path / "ref.qlib.json",
+             "report": tmp_path / "c.report.json"}
+    files["lib"].write_text(serialize_library(ref_lib))
+    assert main(["gen", "--rows", "4", "--width", "2", "--seed", "3", "--chain-prob", "0.5",
+                 "--skip-prob", "0.5", "--lib", str(files["lib"]), "--out", str(files["circuit"])]) == 0
+    assert run_flow(files) == (0, 0)
+    return {name: json.loads(path.read_text()) for name, path in files.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_a_stable_exit_code(fuzz_seed_docs, tmp_path, capsys, data):
+    docs = json.loads(json.dumps(fuzz_seed_docs))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(sorted(docs)))
+        path = data.draw(st.sampled_from(sorted(paths_of(docs[target]), key=str)))
+        parent = docs[target]
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JUNK)
+    files = {name: tmp_path / f"fuzz.{name}.json" for name in docs}
+    for name, path in files.items():
+        path.write_text(json.dumps(docs[name]))
+    io = ["--circuit", str(files["circuit"]), "--lib", str(files["lib"])]
+    capsys.readouterr()
+    for argv in (["verify", *io, "--schedule", str(files["report"])],
+                 ["optimize", *io, "--out", str(files["report"])]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or err.strip(), argv
+    if code == 0:
+        text = files["report"].read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert main(["verify", *io, "--schedule", str(files["report"])]) == 0

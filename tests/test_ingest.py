@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from aqfpopt.cli import generate_circuit
+from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import (
     CircuitFormatError,
     LibraryFormatError,
@@ -17,7 +18,7 @@ from aqfpopt.ingest import (
     serialize_library,
     serialize_report,
 )
-from aqfpopt.model import Schedule, pwl_eval
+from aqfpopt.model import Schedule
 from aqfpopt.timing import ConnectionSlack, SlackReport
 
 MINIMAL_CIRCUIT = {
@@ -36,25 +37,37 @@ def codes(excinfo):
     return {d.code for d in excinfo.value.diagnostics}
 
 
+def load_codes(doc, tmp_path, ref_lib, capsys):
+    """Exit code of ``optimize`` on a circuit document, and its diagnostic codes.
+
+    What a circuit means (unique ids, known endpoints, increasing rows) is
+    checked after parsing, by ``validate_circuit``; every command runs both.
+    """
+    circ = tmp_path / "c.qc.json"
+    circ.write_text(json.dumps(doc))
+    lib = tmp_path / "ref.qlib.json"
+    lib.write_text(serialize_library(ref_lib))
+    code = main(["optimize", "--circuit", str(circ), "--lib", str(lib)])
+    return code, set(re.findall(r"^\[(\w+)\]", capsys.readouterr().err, re.M))
+
+
 class TestParseCircuit:
     def test_minimal_document(self):
         c = parse_circuit(json.dumps(MINIMAL_CIRCUIT))
         assert len(c.gates) == 2
         assert c.connections[0].prop is None
 
-    def test_duplicate_id(self):
+    def test_duplicate_id(self, tmp_path, ref_lib, capsys):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["gates"][1]["id"] = "a"
-        with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
-        assert "DUPLICATE_ID" in codes(e)
+        code, found = load_codes(doc, tmp_path, ref_lib, capsys)
+        assert code == 1 and "DUPLICATE_ID" in found
 
-    def test_unknown_gate(self):
+    def test_unknown_gate(self, tmp_path, ref_lib, capsys):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["connections"][0]["dst"] = "ghost"
-        with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
-        assert "UNKNOWN_GATE" in codes(e)
+        code, found = load_codes(doc, tmp_path, ref_lib, capsys)
+        assert code == 1 and "UNKNOWN_GATE" in found
 
     def test_unknown_key_rejected(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
@@ -75,12 +88,11 @@ class TestParseCircuit:
             parse_circuit("{\n  broken\n}")
         assert "PARSE_ERROR" in codes(e)
 
-    def test_nonmonotone_rows_rejected_at_parse(self):
+    def test_nonmonotone_rows_rejected_at_load(self, tmp_path, ref_lib, capsys):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["gates"][1]["row"] = 0
-        with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
-        assert "NONMONOTONE_ROW" in codes(e)
+        code, found = load_codes(doc, tmp_path, ref_lib, capsys)
+        assert code == 1 and "NONMONOTONE_ROW" in found
 
     def test_explicit_prop_survives(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
@@ -91,7 +103,7 @@ class TestParseCircuit:
 
 class TestParseLibrary:
     def test_reference_fixture_anchor(self, ref_lib):
-        assert pwl_eval(ref_lib.timing("buffer").rd, 200.0) == pytest.approx(72.0, abs=1e-12)
+        assert ref_lib.timing("buffer").rd(200.0) == pytest.approx(72.0, abs=1e-12)
 
     def test_arity_mismatch(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
@@ -150,9 +162,7 @@ class TestRoundTrips:
 
     def test_report_round_trip(self):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0, segment_index=1)
-        slacks = SlackReport(
-            entries=(ConnectionSlack("a", "b", 0.0, 62.0),), min_slack=0.0, worst=("a->b",)
-        )
+        slacks = SlackReport(entries=(ConnectionSlack("a", "b", 0.0, 62.0),), min_slack=0.0)
         report = emit_report(sched, slacks, None, manifest={"tool_version": "x"})
         text = serialize_report(report)
         assert parse_report(text) == report

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import const_fn, make_library
+from conftest import BP3, const_fn, make_library
 from aqfpopt.model import (
     CellTiming,
     Circuit,
@@ -11,7 +11,6 @@ from aqfpopt.model import (
     PiecewiseLinear,
     PwlDomainError,
     ValidationError,
-    pwl_eval,
     validate_circuit,
     validate_library,
 )
@@ -20,25 +19,25 @@ from aqfpopt.model import (
 class TestPwlEval:
     def test_two_segment_anchor(self):
         f = PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0), (0.36, 0.0)))
-        assert pwl_eval(f, 200.0) == pytest.approx(72.0, abs=1e-12)
+        assert f(200.0) == pytest.approx(72.0, abs=1e-12)
 
     def test_boundary_belongs_to_lower_segment(self):
         f = PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0), (0.36, 0.0)))
-        assert pwl_eval(f, 100.0) == pytest.approx(40.0, abs=1e-12)
+        assert f(100.0) == pytest.approx(40.0, abs=1e-12)
 
     def test_identity_single_segment(self):
         f = PiecewiseLinear((0.0, 500.0), ((1.0, 0.0),))
-        assert pwl_eval(f, 250.0) == 250.0
+        assert f(250.0) == 250.0
 
     @pytest.mark.parametrize("t", [0.0, -5.0, 300.0001, 1e9])
     def test_domain_error_names_interval(self, t):
         f = PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0), (0.36, 0.0)))
         with pytest.raises(PwlDomainError, match=r"\(0.0, 300.0\]"):
-            pwl_eval(f, t)
+            f(t)
 
     def test_upper_endpoint_included(self):
         f = PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0), (0.36, 0.0)))
-        assert pwl_eval(f, 300.0) == pytest.approx(108.0)
+        assert f(300.0) == pytest.approx(108.0)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -56,7 +55,7 @@ class TestPwlEval:
             if f.breakpoints[k] < t <= f.breakpoints[k + 1]:
                 expected = f.segments[k][0] * t + f.segments[k][1]
                 break
-        assert pwl_eval(f, t) == pytest.approx(expected, abs=1e-12)
+        assert f(t) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLibraryValidation:
@@ -79,11 +78,25 @@ class TestLibraryValidation:
         codes = {d.code for d in validate_library(lib)}
         assert "RESET_EXCEEDS_PERIOD" in codes
 
+    def test_reset_check_exact_above_open_breakpoint(self):
+        # rd(t) = -t + 200.5 on (100, 200]: rd(100.2) = 100.3 >= 100.2. Only
+        # periods just above the open breakpoint show it.
+        timing = CellTiming(
+            c2q=const_fn(10.0, BP3),
+            setup=const_fn(5.0, BP3),
+            hold=const_fn(5.0, BP3),
+            rd=PiecewiseLinear(BP3, ((0.3, 6.0), (-1.0, 200.5), (0.3, 12.0))),
+        )
+        lib = make_library({"buffer": timing}, bps=BP3)
+        assert timing.rd(100.2) >= 100.2
+        codes = {d.code for d in validate_library(lib)}
+        assert codes == {"PWL_DISCONTINUITY", "RESET_EXCEEDS_PERIOD"}
+
     def test_rd_below_period_on_valid_libraries(self, ref_lib, three_segment_library):
         for lib in (ref_lib, three_segment_library):
             for cell in lib.cells.values():
                 for t in [lib.t_min + 1e-9, 0.5 * (lib.t_min + lib.t_max), lib.t_max]:
-                    assert pwl_eval(cell.rd, t) < t
+                    assert cell.rd(t) < t
 
     def test_frequency_limit_tightens_period_floor(self, ref_lib):
         assert ref_lib.period_lo == pytest.approx(200.0)

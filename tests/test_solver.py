@@ -23,7 +23,7 @@ from aqfpopt.solver import (
     optimize_schedule,
     segment_restrictions,
 )
-from aqfpopt.timing import build_constraints, f_hold, f_setup, sta_check
+from aqfpopt.timing import build_constraints, sta_check
 
 
 class TestLpSolve:
@@ -148,7 +148,7 @@ class TestSolveSegment:
 
     def test_upper_segment_weighted_optimum(self, two_row_circuit, fixture_library):
         tcs = build_constraints(two_row_circuit, fixture_library, WEIGHTED)
-        segs = segment_restrictions(fixture_library, WEIGHTED, tcs)
+        segs = segment_restrictions(fixture_library, WEIGHTED)
         assert [(s.index, s.t_lo, s.t_hi) for s in segs] == [(0, 100.0, 100.0), (1, 100.0, 300.0)]
         sched = optimize_schedule(tcs, fixture_library, WEIGHTED)
         assert sched.period == pytest.approx(100.0, abs=1e-4)
@@ -229,17 +229,15 @@ class TestOptimizeSchedule:
             sched = optimize_schedule(tcs, lib, cfg)
             k = sched.segment_index
             seg = SegmentRestriction(index=k, t_lo=0.0, t_hi=0.0, lib=lib)
+            t = sched.period
             cells = {g.cell for g in c.gates}
             for src in cells:
                 for dst in cells:
+                    s, d = lib.timing(src), lib.timing(dst)
                     a, b = seg.fs_affine(src, dst)
-                    assert a * sched.period + b == pytest.approx(
-                        f_setup(lib, src, dst, sched.period), abs=1e-9
-                    )
+                    assert a * t + b == pytest.approx(s.c2q(t) + d.setup(t), abs=1e-9)
                     a, b = seg.fh_affine(src, dst, cfg.hold_mode)
-                    assert a * sched.period + b == pytest.approx(
-                        f_hold(lib, src, dst, sched.period, cfg.hold_mode), abs=1e-9
-                    )
+                    assert a * t + b == pytest.approx(s.c2q(t) + s.rd(t) - d.hold(t), abs=1e-9)
 
     def test_one_lp_pass_per_segment(self, three_segment_library):
         lib = three_segment_library
