@@ -44,7 +44,7 @@ from aqfpopt.model import (
     ValidationError,
     validate_circuit,
 )
-from aqfpopt.solver import InfeasibleScheduleError, explore, optimize_schedule
+from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, explore, optimize_schedule
 from aqfpopt.timing import UnsupportedSkipError, build_constraints, sta_check
 
 log = logging.getLogger("aqfpopt")
@@ -226,6 +226,15 @@ def _io_diag(path, err):
     return Diagnostic("IO_ERROR", str(path), str(err))
 
 
+def _write_output(path, text: str) -> None:
+    """Write a command's output file; an OS error becomes an IO_ERROR diagnostic."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError([_io_diag(path, e)]) from e
+
+
 def _parse_priority(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(","))
     if sorted(parts) != ["latency", "period", "slack"]:
@@ -319,8 +328,7 @@ def cmd_optimize(args) -> int:
         verbose=args.verbose,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_report(report))
+        _write_output(args.out, serialize_report(report))
     print(render_report_table(report))
     if args.verbose:
         for entry in report["connections"]:
@@ -355,6 +363,10 @@ def cmd_verify(args) -> int:
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
         return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
+    if not lib.period_lo - FIX_TOL <= sched.period <= lib.t_max + FIX_TOL:
+        message = (f"period {sched.period:.6g} ps outside the library range "
+                   f"[{lib.period_lo:.6g}, {lib.t_max:.6g}] ps")
+        return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", message)], EXIT_VERIFY)
     hold_mode = manifest_cfg.get("hold_mode", args.hold_mode)
     try:
         slacks = sta_check(circuit, lib, sched, hold_mode)
@@ -393,8 +405,7 @@ def cmd_gen(args) -> int:
     )
     text = serialize_circuit(circuit)
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -500,9 +511,7 @@ def cmd_sweep(args) -> int:
 
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"circuit": circuit.name, "results": results}, fh, indent=2)
-            fh.write("\n")
+        _write_output(args.out, json.dumps({"circuit": circuit.name, "results": results}, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -7,14 +7,15 @@ interval, each restricted to the segment where every timing function is
 affine in the period. Identical-support constraints are collapsed to their
 binding representative before a solve (an exact reduction).
 
-Lexicographic orders led by the period are solved exactly as difference
-constraints over the row prefixes: every collapsed row bounds P_k - P_m by
-a function affine in (T, S), so each stage is a longest-path problem and
-the period and slack stages are Newton iterations on positive-cycle
-weights (Fishburn, "Clock skew optimization", IEEE TC 1990). Weighted mode
-and orders led by latency or slack solve staged LPs with an in-house
-two-phase simplex using Bland's anti-cycling rule; the test suite
-cross-checks the two solvers segment by segment.
+Every collapsed row bounds P_k - P_m, a difference of row prefixes, by a
+function affine in (T, S) (Fishburn, "Clock skew optimization", IEEE TC
+1990). For fixed (T, S) the rows are therefore feasible iff the constraint
+graph has no positive cycle, and the least latency is a longest path. Each
+segment is solved by cutting planes (Kelley, "The cutting-plane method",
+1960): a master LP over (T, S, L) alone, solved with an in-house two-phase
+simplex using Bland's anti-cycling rule, gains one cut per round from the
+positive cycle or the too-long path its point violates most. Weighted mode
+and all six lexicographic orders go through this one loop, stage by stage.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LpConstraint:
     terms: dict[str, float]
     sense: str  # "<=", ">=" or "="
     rhs: float
-    tag: Optional[str] = None
+    tag: object = None  # names the row in infeasibility reports
 
 
 class LpProblem:
@@ -98,42 +99,41 @@ class LpSolution:
     status: str  # "optimal", "infeasible" or "unbounded"
     values: dict[str, float] = field(default_factory=dict)
     objective: Optional[float] = None
-    violations: tuple[tuple[Optional[str], float], ...] = ()
+    violations: tuple[tuple[object, float], ...] = ()
 
 
-def _run_simplex(tab, basis: list[int]) -> str:
-    """Minimize the numpy tableau in place; its last row holds the reduced costs."""
-    import numpy as np
+def _pivot(tab: list[list[float]], leave: int, enter: int) -> None:
+    piv = tab[leave][enter]
+    row = tab[leave] = [x / piv for x in tab[leave]]
+    for i, other in enumerate(tab):
+        f = other[enter]
+        if i != leave and f != 0.0:
+            tab[i] = [x - f * y for x, y in zip(other, row)]
 
-    m = tab.shape[0] - 1
-    limit = 20000 + 20 * tab.shape[1]
-    basis_arr = basis  # mutated in place
+
+def _run_simplex(tab: list[list[float]], basis: list[int]) -> str:
+    """Minimize the tableau (a list of rows) in place; its last row holds the reduced costs."""
+    m = len(tab) - 1
+    width = len(tab[-1])
+    limit = 20000 + 20 * width
     for _ in range(limit):
-        costs = tab[-1, :-1]
-        neg = np.nonzero(costs < -OPT_TOL)[0]
-        if neg.size == 0:
+        costs = tab[-1]
+        enter = next((j for j in range(width - 1) if costs[j] < -OPT_TOL), -1)  # Bland: lowest index
+        if enter < 0:
             return "optimal"
-        enter = int(neg[0])  # Bland: lowest index
-        col = tab[:m, enter]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            if (col > 0).any():
-                row = int(np.argmax(col))
-                raise DegeneratePivotError(row, float(col[row]))
+        col = [tab[i][enter] for i in range(m)]
+        cand = [i for i in range(m) if col[i] > PIVOT_TOL]
+        if not cand:
+            if any(x > 0 for x in col):
+                row = max(range(m), key=col.__getitem__)
+                raise DegeneratePivotError(row, col[row])
             return "unbounded"
-        cand = np.nonzero(pos)[0]
-        ratios = tab[cand, -1] / col[cand]
-        best = ratios.min()
-        tied = cand[ratios <= best + 1e-12]
-        leave = int(tied[np.argmin([basis_arr[i] for i in tied])])  # Bland tie-break
-        piv = tab[leave, enter]
-        if piv < PIVOT_TOL:
-            raise DegeneratePivotError(leave, float(piv))
-        tab[leave] /= piv
-        colvec = tab[:, enter].copy()
-        colvec[leave] = 0.0
-        tab -= np.outer(colvec, tab[leave])
-        basis_arr[leave] = enter
+        ratios = [tab[i][-1] / col[i] for i in cand]
+        best = min(ratios)
+        tied = [i for i, r in zip(cand, ratios) if r <= best + 1e-12]
+        leave = min(tied, key=basis.__getitem__)  # Bland tie-break
+        _pivot(tab, leave, enter)
+        basis[leave] = enter
     raise RuntimeError("simplex iteration limit exceeded")
 
 
@@ -144,23 +144,19 @@ def lp_solve(p: LpProblem) -> LpSolution:
     rows. Returns an optimal basic solution, or infeasibility with the
     phase-1 residual per constraint, or an unbounded status.
     """
-    # Imported here: only weighted mode and orders led by latency or slack
-    # run the simplex, and numpy dominates the import time of the package.
-    import numpy as np
-
     names = list(p.variables)
     n = len(names)
     idx = {v: j for j, v in enumerate(names)}
-    lb = np.array([p.variables[v][0] for v in names], dtype=float)
+    lb = [p.variables[v][0] for v in names]
 
     rows, senses, rhs, tags = [], [], [], []
     for con in p.constraints:
-        a = np.zeros(n)
+        a = [0.0] * n
         for v, coef in con.terms.items():
             a[idx[v]] += coef
         rows.append(a)
         senses.append(con.sense)
-        rhs.append(con.rhs - float(a @ lb))
+        rhs.append(con.rhs - sum(x * l for x, l in zip(a, lb)))
         tags.append(con.tag)
     for j, v in enumerate(names):
         u = p.variables[v][1]
@@ -168,7 +164,7 @@ def lp_solve(p: LpProblem) -> LpSolution:
             continue
         if u - lb[j] < -1e-12:
             return LpSolution(status="infeasible", violations=((f"bound:{v}", lb[j] - u),))
-        a = np.zeros(n)
+        a = [0.0] * n
         a[j] = 1.0
         rows.append(a)
         senses.append("<=")
@@ -176,12 +172,10 @@ def lp_solve(p: LpProblem) -> LpSolution:
         tags.append(f"bound:{v}")
 
     m = len(rows)
-    A = np.array(rows) if m else np.zeros((0, n))
-    b = np.array(rhs) if m else np.zeros(0)
     for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
             senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
 
     slack_rows = [i for i in range(m) if senses[i] == "<="]
@@ -191,32 +185,31 @@ def lp_solve(p: LpProblem) -> LpSolution:
     nu = n + ns + nr + na
     art_start = n + ns + nr
 
-    tab = np.zeros((m + 1, nu + 1))
-    tab[:m, :n] = A
-    tab[:m, -1] = b
+    tab = [rows[i] + [0.0] * (nu - n) + [rhs[i]] for i in range(m)] + [[0.0] * (nu + 1)]
     basis = [0] * m
     art_of_row: dict[int, int] = {}
     for k, i in enumerate(slack_rows):
-        tab[i, n + k] = 1.0
+        tab[i][n + k] = 1.0
         basis[i] = n + k
     for k, i in enumerate(surp_rows):
-        tab[i, n + ns + k] = -1.0
+        tab[i][n + ns + k] = -1.0
     for k, i in enumerate(art_rows):
-        tab[i, art_start + k] = 1.0
+        tab[i][art_start + k] = 1.0
         basis[i] = art_start + k
         art_of_row[i] = art_start + k
 
     if na:
         # Phase 1: minimize the artificial sum.
-        tab[-1, art_start:art_start + na] = 1.0
+        cost = [0.0] * art_start + [1.0] * na + [0.0]
         for i in art_rows:
-            tab[-1] -= tab[i]
+            cost = [x - y for x, y in zip(cost, tab[i])]
+        tab[-1] = cost
         status = _run_simplex(tab, basis)
         if status != "optimal":
             raise RuntimeError(f"phase 1 ended {status}")
-        infeas = -tab[-1, -1]
+        infeas = -tab[-1][-1]
         if infeas > FEAS_TOL:
-            art_vals = {bv: tab[k, -1] for k, bv in enumerate(basis) if bv >= art_start}
+            art_vals = {bv: tab[k][-1] for k, bv in enumerate(basis) if bv >= art_start}
             residuals = []
             for i in art_rows:
                 r = art_vals.get(art_of_row[i], 0.0)
@@ -225,44 +218,37 @@ def lp_solve(p: LpProblem) -> LpSolution:
             residuals.sort(key=lambda kv: -kv[1])
             return LpSolution(status="infeasible", violations=tuple(residuals))
         # Drive surviving artificials out of the basis, dropping redundant rows.
-        drop = []
+        drop = set()
         for k in range(m):
             if basis[k] < art_start:
                 continue
-            pivcols = np.nonzero(np.abs(tab[k, :art_start]) > 1e-9)[0]
-            if pivcols.size:
-                enter = int(pivcols[0])
-                piv = tab[k, enter]
-                tab[k] /= piv
-                colvec = tab[:, enter].copy()
-                colvec[k] = 0.0
-                tab -= np.outer(colvec, tab[k])
+            enter = next((j for j in range(art_start) if abs(tab[k][j]) > 1e-9), -1)
+            if enter >= 0:
+                _pivot(tab, k, enter)
                 basis[k] = enter
             else:
-                drop.append(k)
+                drop.add(k)
         if drop:
-            tab = np.delete(tab, drop, axis=0)
-            basis = [bv for k, bv in enumerate(basis) if k not in set(drop)]
-            m = len(basis)
+            tab = [row for k, row in enumerate(tab) if k not in drop]
+            basis = [bv for k, bv in enumerate(basis) if k not in drop]
 
-    tab = np.delete(tab, np.s_[art_start:art_start + na], axis=1)
+    tab = [row[:art_start] + row[-1:] for row in tab]
     nu = art_start
-    cost = np.zeros(nu + 1)
+    cost = [0.0] * (nu + 1)
     for v, coef in p.objective.items():
         cost[idx[v]] += coef
-    tab[-1] = cost
+    tab[-1] = list(cost)
     for k, bv in enumerate(basis):
         if cost[bv] != 0.0:
-            tab[-1] -= cost[bv] * tab[k]
+            tab[-1] = [x - cost[bv] * y for x, y in zip(tab[-1], tab[k])]
     status = _run_simplex(tab, basis)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
-    y = np.zeros(nu)
+    y = [0.0] * nu
     for k, bv in enumerate(basis):
-        y[bv] = tab[k, -1]
-    x = lb + y[:n]
-    values = {v: float(x[j]) for j, v in enumerate(names)}
+        y[bv] = tab[k][-1]
+    values = {v: lb[j] + y[j] for j, v in enumerate(names)}
     for con in p.constraints:
         act = sum(coef * values[v] for v, coef in con.terms.items())
         err = act - con.rhs
@@ -376,93 +362,11 @@ def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: Optimizati
 
 
 # ---------------------------------------------------------------------------
-# Per-segment staged solving (LP path)
-
-_STAGE_VECTORS = {"period": {"T": 1.0}, "latency": {"L": 1.0}, "slack": {"S": -1.0}}
-
-
-def _weighted_vector(cfg: OptimizationConfig) -> dict[str, float]:
-    return {"T": cfg.tau, "S": -cfg.sigma, "L": cfg.lam}
-
-
-@dataclass
-class SegmentOutcome:
-    segment: SegmentRestriction
-    status: str
-    stage_values: tuple[float, ...] = ()
-    values: dict[str, float] = field(default_factory=dict)
-    violations: tuple[tuple[Optional[str], float], ...] = ()
-    explain: str = "phase-1 residual {v:.6g} ps"  # formats one violation value
-
-
-def _build_segment_lp(
-    rows, tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig
-) -> LpProblem:
-    lp = LpProblem()
-    nd = tcs.num_deltas
-    for r in range(nd):
-        lp.add_variable(f"delta_{r}", 0.0, cfg.delta_max)
-    lp.add_variable("T", seg.t_lo, seg.t_hi)
-    lp.add_variable("S", cfg.s_min, cfg.s_max)
-    lp.add_variable("L", 0.0, nd * cfg.delta_max if nd else 0.0)
-    for row in rows:
-        terms = {f"delta_{r}": 1.0 for r in row.support}
-        terms["T"] = -row.t_coef
-        terms["S"] = -1.0 if row.kind == "setup" else 1.0
-        lp.add_constraint(terms, ">=" if row.kind == "setup" else "<=", row.rhs,
-                          tag=f"{row.kind}:{row.source}")
-    lat = {f"delta_{r}": -1.0 for r in range(nd)}
-    lat["L"] = 1.0
-    lp.add_constraint(lat, "=", 0.0, tag="latency")
-    return lp
-
-
-def _staged_lp_solve(
-    rows,
-    tcs: TimingConstraintSet,
-    seg: SegmentRestriction,
-    cfg: OptimizationConfig,
-    stages: list[tuple[str, dict[str, float]]],
-) -> SegmentOutcome:
-    """Optimize the stage criteria in order, fixing each within FIX_TOL.
-
-    Criteria that are plain variables are fixed by tightening their bounds;
-    the weighted combination is fixed with one extra row.
-    """
-    lp = _build_segment_lp(rows, tcs, seg, cfg)
-    stage_values = []
-    sol: Optional[LpSolution] = None
-    for name, vec in stages:
-        lp.set_objective(vec)
-        nxt = lp_solve(lp)
-        if nxt.status != "optimal":
-            if sol is None:
-                return SegmentOutcome(
-                    segment=seg, status=nxt.status, violations=nxt.violations
-                )
-            log.warning("stage %s on segment %d ended %s; keeping previous stage", name, seg.index, nxt.status)
-            break
-        sol = nxt
-        stage_values.append(float(nxt.objective))
-        if name in ("period", "latency", "slack"):
-            var = {"period": "T", "latency": "L", "slack": "S"}[name]
-            v = nxt.values[var]
-            lo, hi = lp.variables[var]
-            lp.variables[var] = (max(lo, v - FIX_TOL), min(hi if hi is not None else v + FIX_TOL, v + FIX_TOL))
-        else:
-            lp.add_constraint(dict(vec), "<=", float(nxt.objective) + FIX_TOL, tag=f"fix:{name}")
-    assert sol is not None
-    return SegmentOutcome(
-        segment=seg, status="optimal", stage_values=tuple(stage_values), values=dict(sol.values)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Period-first lexicographic solving (difference constraints)
+# Per-segment solving: cutting planes on the constraint graph
 
 #: Gain a longest-path relaxation must exceed to count (ps). A cycle whose
-#: weight stays within it counts as zero, so every Newton step strictly
-#: raises the period or lowers the slack.
+#: weight stays within it counts as zero, and a cut must be violated by more
+#: than it to be added.
 CYCLE_TOL = 1e-9
 
 
@@ -488,24 +392,24 @@ class _ConstraintGraph:
                 self.edges.append((m, k, row.t_coef, 1.0, row.rhs, tag))
             else:
                 self.edges.append((k, m, -row.t_coef, 1.0, -row.rhs, tag))
+        self.up: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        self.down: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        for e, (i, j, *_) in enumerate(self.edges):
+            (self.up if i < j else self.down)[j].append((i, e))
 
     def longest_paths(self, t: float, s: float):
-        """Distances at (t, s), or the positive cycles (edge-index lists) found.
+        """``(dist, parent, [])`` at (t, s), or ``(None, None, cycles)`` with
+        the positive cycles found as edge-index lists.
 
         Gauss-Seidel Bellman-Ford: a sweep up the rows over upward edges,
         then a sweep down over downward edges, with a check of the parent
         graph for cycles after each pair of sweeps.
         """
         n = self.n
-        up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        down: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        w = []
-        for e, (i, j, a, b, c, _) in enumerate(self.edges):
-            (up if i < j else down)[j].append((i, e))
-            w.append(a * t + b * s + c)
+        w = [a * t + b * s + c for _, _, a, b, c, _ in self.edges]
         dist = [0.0] * n  # a lower bound: every node is reachable from 0 at weight >= 0
         parent = [-1] * n
-        sweeps = ((range(n), up), (range(n - 1, -1, -1), down))
+        sweeps = ((range(n), self.up), (range(n - 1, -1, -1), self.down))
         for _ in range(2 * n + 2):
             changed = False
             for order, into in sweeps:
@@ -521,10 +425,10 @@ class _ConstraintGraph:
                         parent[j] = via
                         changed = True
             if not changed:
-                return dist, []
+                return dist, parent, []
             cycles = self._parent_cycles(parent)
             if cycles:
-                return None, cycles
+                return None, None, cycles
         raise RuntimeError("longest-path sweeps did not settle")
 
     def _parent_cycles(self, parent: list[int]) -> list[list[int]]:
@@ -545,83 +449,125 @@ class _ConstraintGraph:
                 cycles.append(cycle)
         return cycles
 
-    def weight(self, cycle: list[int], t: float, s: float, param: str) -> tuple[float, float]:
-        """Cycle weight as slope and intercept in ``param`` ("T" or "S")."""
-        ta = sum(self.edges[e][2] for e in cycle)
-        sa = sum(self.edges[e][3] for e in cycle)
-        c = sum(self.edges[e][4] for e in cycle)
-        return (ta, sa * s + c) if param == "T" else (sa, ta * t + c)
+    def path_to_last(self, parent: list[int]) -> list[int]:
+        """Edges of the parent-tree path into the last row.
+
+        The walk stops at a node that was never relaxed. That node keeps
+        distance 0, which the all-zero forward edges reach from row 0, so
+        the path's weight still bounds the latency from below.
+        """
+        path, v = [], self.n - 1
+        while parent[v] >= 0:
+            path.append(parent[v])
+            v = self.edges[parent[v]][0]
+        return path
+
+    def cut(self, edges: list[int]) -> tuple[float, float, float, tuple[str, ...]]:
+        """Summed weight coefficients of T and S, the constant, and the connections."""
+        ta = sum(self.edges[e][2] for e in edges)
+        sa = sum(self.edges[e][3] for e in edges)
+        c = sum(self.edges[e][4] for e in edges)
+        tags = tuple(dict.fromkeys(self.edges[e][5] for e in edges if self.edges[e][5]))
+        return ta, sa, c, tags
 
 
-def _newton(g: _ConstraintGraph, t: float, s: float, param: str, limit: float):
-    """Raise T (or lower S) from its start to the first point with no positive cycle.
+def _cut_loop(g: _ConstraintGraph, master: LpProblem, cuts: set):
+    """Solve the master, adding the cut its point violates most, until none is new.
 
-    Each positive cycle's weight is affine in the moving parameter; jumping
-    to the farthest root among the cycles found is Newton's method on the
-    convex piecewise-linear maximum cycle weight. Returns ``(value, dist,
-    None)``, or ``(value, None, violations)`` when a cycle stays positive up
-    to ``limit``; the violations tag that cycle's constraints with its
-    weight at ``limit``.
+    At the master point (T, S) a positive cycle gives the cut
+    ``weight(T, S) <= 0``. Once the graph settles, the longest path into the
+    last row gives ``weight(T, S) <= L`` if it is longer than the master's
+    L. ``cuts`` holds the edge sets already in the master, so no cycle or
+    path is added twice and the loop ends. Returns the master's solution and
+    the final distances; a point whose positive cycles are all in the master
+    already ends ``infeasible``, with those cycles' weights as violations.
     """
-    sign = 1.0 if param == "T" else -1.0
     while True:
-        x = t if param == "T" else s
-        dist, cycles = g.longest_paths(t, s)
-        if not cycles:
-            return x, dist, None
-        best = None
-        for cycle in cycles:
-            slope, icpt = g.weight(cycle, t, s, param)
-            root = -icpt / slope if slope * sign < 0 else math.inf * sign
-            if best is None or (root - best[0]) * sign > 0:
-                best = (root, cycle, slope * limit + icpt)
-        root, cycle, excess = best
-        if (root - limit) * sign > 0:
-            tags = dict.fromkeys(g.edges[e][5] for e in cycle if g.edges[e][5])
-            return x, None, tuple((tag, excess) for tag in tags)
-        if (root - x) * sign <= 0:
-            raise RuntimeError(f"positive cycle does not move {param} off {x!r}")
-        if param == "T":
-            t = root
+        sol = lp_solve(master)
+        if sol.status != "optimal":
+            return sol, None
+        t, s, latency = sol.values["T"], sol.values["S"], sol.values["L"]
+        dist, parent, cycles = g.longest_paths(t, s)
+        violated = []
+        for edges, bound in [(c, 0.0) for c in cycles] or [(g.path_to_last(parent), latency)]:
+            ta, sa, c, tags = g.cut(edges)
+            excess = ta * t + sa * s + c - bound
+            if excess > CYCLE_TOL:
+                violated.append((excess, frozenset(edges), ta, sa, c, tags))
+        new = [v for v in violated if v[1] not in cuts]
+        if new:
+            _, key, ta, sa, c, tags = max(new, key=lambda v: v[0])
+            cuts.add(key)
+            terms = {"T": ta, "S": sa} if cycles else {"T": ta, "S": sa, "L": -1.0}
+            master.add_constraint(terms, "<=", -c, tag=tags)
+        elif cycles:
+            return LpSolution("infeasible", violations=tuple((v[5], v[0]) for v in violated)), None
         else:
-            s = root
+            return sol, dist
 
 
-def _difference_solve(
-    rows, tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig
-) -> SegmentOutcome:
-    """Exact ``period,latency,slack`` or ``period,slack,latency`` solve.
+_STAGE_VECTORS = {"period": {"T": 1.0}, "latency": {"L": 1.0}, "slack": {"S": -1.0}}
 
-    Period: Newton on T from ``t_lo`` at ``s_min``, where every constraint is
-    loosest. Latency: the longest-path distance of the last row. Slack:
-    Newton on S down from ``s_max``, under a cap edge that holds the latency
-    to its optimum when latency ranks above slack.
+
+def _stages(cfg: OptimizationConfig) -> list[tuple[str, dict[str, float]]]:
+    """Stage objectives in solve order: the weighted vector and then period,
+    latency and slack in weighted mode, ``cfg.priority`` otherwise."""
+    if cfg.priority_mode == "lexicographic":
+        return [(name, _STAGE_VECTORS[name]) for name in cfg.priority]
+    weighted = {"T": cfg.tau, "S": -cfg.sigma, "L": cfg.lam}
+    return [("weighted", weighted)] + [
+        (name, _STAGE_VECTORS[name]) for name in ("period", "latency", "slack")
+    ]
+
+
+@dataclass
+class SegmentOutcome:
+    segment: SegmentRestriction
+    status: str
+    stage_values: tuple[float, ...] = ()
+    values: dict[str, float] = field(default_factory=dict)
+    #: Connections of each violated cycle cut, with its violation in ps.
+    violations: tuple[tuple[tuple[str, ...], float], ...] = ()
+
+
+def _solve_segment(rows, num_deltas: int, seg: SegmentRestriction, cfg: OptimizationConfig):
+    """Optimize the stage criteria in order over (T, S, L), fixing each within FIX_TOL.
+
+    Criteria that are plain variables are fixed by tightening their bounds;
+    the weighted combination is fixed with one extra row. The master LP
+    starts from the bounds alone and gains its rows from ``_cut_loop``; the
+    row increments are the final longest-path distance differences.
     """
-    g = _ConstraintGraph(rows, tcs.num_deltas + 1, cfg.delta_max)
-    t_star, dist, violations = _newton(g, seg.t_lo, cfg.s_min, "T", seg.t_hi)
-    if violations is not None:
-        return SegmentOutcome(
-            segment=seg,
-            status="infeasible",
-            violations=violations,
-            explain=f"on a positive cycle: weight {{v:.6g}} ps at period {seg.t_hi:.6g} ps",
-        )
-    s_star = cfg.s_min
-    if cfg.priority[1] == "latency":
-        l_star = dist[-1]
-        g.edges.append((g.n - 1, 0, 0.0, 0.0, -(l_star + FIX_TOL), None))
-    s_found, dist_s, _ = _newton(g, t_star, cfg.s_max, "S", cfg.s_min)
-    if dist_s is not None:  # s_min is feasible, so only rounding can fail here
-        s_star, dist = max(cfg.s_min, s_found), dist_s
-    deltas = [min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(g.n - 1)]
-    latency = float(sum(deltas))
-    if cfg.priority[1] == "latency":
-        stage_values = (t_star, l_star, -s_star)
-    else:
-        stage_values = (t_star, -s_star, latency)
+    g = _ConstraintGraph(rows, num_deltas + 1, cfg.delta_max)
+    master = LpProblem()
+    master.add_variable("T", seg.t_lo, seg.t_hi)
+    master.add_variable("S", cfg.s_min, cfg.s_max)
+    master.add_variable("L", 0.0, num_deltas * cfg.delta_max)
+    cuts: set = set()
+    stage_values = []
+    best = None
+    for name, vec in _stages(cfg):
+        master.set_objective(vec)
+        sol, dist = _cut_loop(g, master, cuts)
+        if sol.status != "optimal":
+            if best is None:
+                return SegmentOutcome(segment=seg, status=sol.status, violations=sol.violations)
+            log.warning("stage %s on segment %d ended %s; keeping previous stage", name, seg.index, sol.status)
+            break
+        best = sol, dist
+        stage_values.append(float(sol.objective))
+        if len(vec) == 1:
+            (var,) = vec
+            v = sol.values[var]
+            lo, hi = master.variables[var]
+            master.variables[var] = (max(lo, v - FIX_TOL), min(hi, v + FIX_TOL))
+        else:
+            master.add_constraint(dict(vec), "<=", float(sol.objective) + FIX_TOL, tag=(f"fix:{name}",))
+    sol, dist = best
+    deltas = [min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas)]
     values = {f"delta_{r}": d for r, d in enumerate(deltas)}
-    values.update({"T": t_star, "S": s_star, "L": latency})
-    return SegmentOutcome(segment=seg, status="optimal", stage_values=stage_values, values=values)
+    values.update({"T": sol.values["T"], "S": sol.values["S"]})
+    return SegmentOutcome(segment=seg, status="optimal", stage_values=tuple(stage_values), values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +591,7 @@ def _solve_outcome(
         if seg.t_lo + FIX_TOL > seg.t_hi:
             return SegmentOutcome(segment=seg, status="pruned")
         seg = replace(seg, t_lo=seg.t_lo + FIX_TOL)
-    rows = _collapse(tcs, seg, cfg)
-    if cfg.priority_mode == "lexicographic":
-        if cfg.priority[0] == "period":
-            return _difference_solve(rows, tcs, seg, cfg)
-        stages = [(name, _STAGE_VECTORS[name]) for name in cfg.priority]
-        return _staged_lp_solve(rows, tcs, seg, cfg, stages)
-    stages = [("weighted", _weighted_vector(cfg))] + [
-        (name, _STAGE_VECTORS[name]) for name in ("period", "latency", "slack")
-    ]
-    return _staged_lp_solve(rows, tcs, seg, cfg, stages)
+    return _solve_segment(_collapse(tcs, seg, cfg), tcs.num_deltas, seg, cfg)
 
 
 def _lex_le(a: tuple[float, ...], b: tuple[float, ...], tol: float = FIX_TOL) -> bool:
@@ -678,9 +615,9 @@ def optimize_schedule(
     Weighted mode compares the refined weighted optima across segments;
     lexicographic mode compares the per-segment stage-value tuples. Ties
     resolve to the lower segment index, matching the boundary ownership
-    rule. When every segment is infeasible the error names the constraints
-    behind the least-violating segment: its largest phase-1 residuals, or
-    the positive cycle that keeps the period stage infeasible.
+    rule. When every segment is infeasible the error names the connections
+    behind the least-violating segment: those on the positive cycles whose
+    cuts keep its master LP infeasible, with each cut's phase-1 residual.
     """
     segs = segment_restrictions(lib, cfg)
     if not segs:
@@ -701,8 +638,9 @@ def optimize_schedule(
             key=lambda o: sum(v for _, v in o.violations) if o.violations else math.inf,
         )
         diags = [
-            Diagnostic("INFEASIBLE", tag or "bounds", worst.explain.format(v=v))
-            for tag, v in worst.violations[:5]
+            Diagnostic("INFEASIBLE", conn, f"on a positive cycle violated by {v:.6g} ps")
+            for conns, v in worst.violations[:5]
+            for conn in conns
         ] or [Diagnostic("INFEASIBLE", f"segment {worst.segment.index}", "no feasible schedule")]
         raise InfeasibleScheduleError(diags)
 

@@ -3,7 +3,8 @@
 Nothing here may share logic with the code paths under test: chain removal
 is checked by exhaustive subset enumeration, schedules by grid search over
 the period with a Bellman-Ford difference-constraint solve per grid point,
-and small LPs by brute-force vertex enumeration.
+segment schedules by the full per-segment LP solved with SciPy's HiGHS, and
+small LPs by brute-force vertex enumeration.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import itertools
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
-from aqfpopt.model import BufferChain, CellLibrary, Circuit
+from aqfpopt.model import BufferChain, CellLibrary, Circuit, OptimizationConfig
 
 
 def chain_brute_force(
@@ -151,6 +153,80 @@ def min_latency_at(
         circuit, lib, np.array([period]), slack, hold_mode=hold_mode
     )
     return float(lat[0]) if feasible[0] else None
+
+
+def segment_lp_oracle(
+    circuit: Circuit,
+    lib: CellLibrary,
+    cfg: OptimizationConfig,
+    k: int,
+    t_lo: float,
+    t_hi: float,
+    fix_tol: float = 1e-6,
+) -> tuple[str, tuple[float, ...]]:
+    """Status and stage values of segment k's full LP, solved stage by stage.
+
+    The variables are the row increments delta_0.., T, S and L. Each
+    connection gives its own setup and hold row, written from the circuit
+    and the library's slope and intercept on segment k:
+
+        sum(delta) - (c2q + setup)(T) - S >= prop - clock difference
+        sum(delta) - (c2q + window - hold)(T) + S <= prop - clock difference
+
+    where the hold window is the source's reset delay, or T itself in
+    ``dlplace`` mode. Weighted mode minimizes ``tau*T - sigma*S + lam*L``
+    first and then period, latency and slack; lexicographic mode follows
+    ``cfg.priority``. Each stage's optimum is held within ``fix_tol`` by a
+    row before the next stage.
+    """
+    nd = circuit.num_rows - 1
+    it, is_, il = nd, nd + 1, nd + 2
+    a_ub, b_ub = [], []
+    for conn in circuit.connections:
+        src, dst = circuit.gate(conn.src), circuit.gate(conn.dst)
+        x = circuit.propagation(conn, lib) - (dst.clock_offset - src.clock_offset)
+        ts, td = lib.timing(src.cell), lib.timing(dst.cell)
+        (ca, cb), (ua, ub), (ha, hb) = ts.c2q.segments[k], td.setup.segments[k], td.hold.segments[k]
+        wa, wb = (1.0, 0.0) if cfg.hold_mode == "dlplace" else ts.rd.segments[k]
+        setup = np.zeros(nd + 3)
+        setup[src.row:dst.row] = -1.0
+        setup[it], setup[is_] = ca + ua, 1.0
+        a_ub.append(setup)
+        b_ub.append(-(cb + ub + x))
+        hold = np.zeros(nd + 3)
+        hold[src.row:dst.row] = 1.0
+        hold[it], hold[is_] = -(ca + wa - ha), 1.0
+        a_ub.append(hold)
+        b_ub.append(cb + wb - hb + x)
+    a_eq = np.zeros((1, nd + 3))
+    a_eq[0, :nd] = -1.0
+    a_eq[0, il] = 1.0
+    bounds = [(0.0, cfg.delta_max)] * nd + [(t_lo, t_hi), (cfg.s_min, cfg.s_max), (0.0, None)]
+
+    def vector(coefs):
+        c = np.zeros(nd + 3)
+        for i, v in coefs:
+            c[i] = v
+        return c
+
+    single = {"period": [(it, 1.0)], "latency": [(il, 1.0)], "slack": [(is_, -1.0)]}
+    if cfg.priority_mode == "weighted":
+        stages = [[(it, cfg.tau), (is_, -cfg.sigma), (il, cfg.lam)]]
+        stages += [single[n] for n in ("period", "latency", "slack")]
+    else:
+        stages = [single[n] for n in cfg.priority]
+    values: list[float] = []
+    for coefs in stages:
+        c = vector(coefs)
+        res = linprog(c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                      A_eq=a_eq, b_eq=[0.0], bounds=bounds, method="highs")
+        if res.status == 2 and not values:
+            return "infeasible", ()
+        assert res.status == 0, res.message
+        values.append(float(res.fun))
+        a_ub.append(c)
+        b_ub.append(res.fun + fix_tol)
+    return "optimal", tuple(values)
 
 
 def solve_2var_by_enumeration(constraints, x_bounds, y_bounds, objective):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -177,6 +178,34 @@ class TestOptimizeVerify:
                      "--lib", str(lib_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("period", [150.0, 180.0, 190.0])
+    def test_period_below_library_floor_fails_verify(self, workdir, capsys, period):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", seed=4)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["period_ps"] = period
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 3
+        assert "[PERIOD_OUT_OF_RANGE] schedule: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "gen"])
+    def test_unwritable_out_is_io_error(self, workdir, capsys, command):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json")
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        argv = {"optimize": ["optimize", *io], "sweep": ["sweep", *io, "--configs", "table1a"],
+                "gen": ["gen", "--rows", "3", "--width", "2", "--lib", str(lib_path)]}[command]
+        out = tmp_path / "missing" / "out.json"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"[IO_ERROR] {out}: " in err
+        assert "Traceback" not in err
+
     def test_verify_after_remove_buffers(self, workdir):
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", rows=8, width=2, seed=13, chain_prob=0.9)
@@ -339,18 +368,49 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
-def test_import_leaves_numpy_unloaded():
+#: Runs a weighted and a latency-first optimize on the circuit and library
+#: named in argv, then checks that numpy was never imported.
+SOLVE_WITHOUT_NUMPY = """
+import sys
+from aqfpopt.cli import main
+io = ["--circuit", sys.argv[1], "--lib", sys.argv[2]]
+assert main(["optimize", *io, "--tau", "1"]) == 0
+assert main(["optimize", *io, "--priority", "latency,period,slack"]) == 0
+assert "numpy" not in sys.modules
+"""
+
+
+def test_import_leaves_numpy_unloaded(workdir):
+    tmp_path, lib_path = workdir
+    circ = gen(tmp_path, lib_path, "c.qc.json", skip_prob=0.5)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
         [sys.executable, "-c", "import aqfpopt.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True,
     )
+    subprocess.run(
+        [sys.executable, "-c", SOLVE_WITHOUT_NUMPY, str(circ), str(lib_path)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
 
 
 # Values swapped in by the fuzzer: wrong JSON types, non-finite numbers and
 # numbers of the wrong sign or kind.
 JUNK = st.sampled_from([NAN, math.inf, -math.inf, "x", None, True, [], {}, 5, -1, 0, 1.7])
+
+# Solver settings for the fuzzed optimize: one of the six lexicographic
+# orders, or weighted mode with one to three finite non-negative weights.
+PRIORITY_FLAGS = st.sampled_from(list(itertools.permutations(("period", "latency", "slack"))))
+WEIGHT_FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--tau", "--sigma", "--lambda"]),
+              st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=3, unique_by=lambda flag: flag[0],
+)
+SOLVER_FLAGS = st.one_of(
+    PRIORITY_FLAGS.map(lambda order: ["--priority", ",".join(order)]),
+    WEIGHT_FLAGS.map(lambda flags: [x for name, value in flags for x in (name, repr(value))]),
+)
 
 
 def paths_of(doc, prefix=()):
@@ -389,13 +449,14 @@ def test_fuzzed_inputs_end_in_a_stable_exit_code(fuzz_seed_docs, tmp_path, capsy
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(JUNK)
+    solver_flags = data.draw(SOLVER_FLAGS)
     files = {name: tmp_path / f"fuzz.{name}.json" for name in docs}
     for name, path in files.items():
         path.write_text(json.dumps(docs[name]))
     io = ["--circuit", str(files["circuit"]), "--lib", str(files["lib"])]
     capsys.readouterr()
     for argv in (["verify", *io, "--schedule", str(files["report"])],
-                 ["optimize", *io, "--out", str(files["report"])]):
+                 ["optimize", *io, *solver_flags, "--out", str(files["report"])]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from oracles import grid_min_period, min_latency_at, solve_2var_by_enumeration
+from oracles import grid_min_period, min_latency_at, segment_lp_oracle, solve_2var_by_enumeration
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import generate_circuit
 from aqfpopt.model import (
@@ -12,12 +13,9 @@ from aqfpopt.model import (
     OptimizationConfig,
 )
 from aqfpopt.solver import (
-    _STAGE_VECTORS,
     InfeasibleScheduleError,
     LpProblem,
     SegmentRestriction,
-    _collapse,
-    _staged_lp_solve,
     explore,
     lp_solve,
     optimize_schedule,
@@ -303,8 +301,18 @@ class TestModesAgree:
             assert abs(s_lex.period - s_wei.period) <= 0.01
 
 
+PRIORITIES = list(itertools.permutations(("period", "latency", "slack")))
+
+#: Every lexicographic order, the CLI's weighted default and a setting that
+#: trades slack against latency.
+SOLVER_CONFIGS = [dict(priority=p) for p in PRIORITIES] + [
+    dict(priority_mode="weighted", tau=1.0, sigma=1e-8, lam=1e-4),
+    dict(priority_mode="weighted", tau=1.0, sigma=0.5, lam=0.01),
+]
+
+
 class TestDifferenceSolver:
-    """Period-first orders against the staged simplex, segment by segment."""
+    """The cut loop on the constraint graph against the full LP, segment by segment."""
 
     @staticmethod
     def circuits(lib, rng, count):
@@ -327,11 +335,11 @@ class TestDifferenceSolver:
         lib = request.getfixturevalue(lib_name)
         rng = random.Random(31)
         compared = 0
-        for c in self.circuits(lib, rng, 5):
-            for priority in (("period", "latency", "slack"), ("period", "slack", "latency")):
+        for c in self.circuits(lib, rng, 3):
+            for settings in SOLVER_CONFIGS:
                 for s_min, s_max, delta_max in ((0, 50, 1e4), (1, 8, 1e4), (5, 5, 1e4), (0, 50, 80)):
                     cfg = OptimizationConfig(
-                        priority=priority, s_min=s_min, s_max=s_max, delta_max=delta_max
+                        s_min=s_min, s_max=s_max, delta_max=delta_max, **settings
                     )
                     tcs = build_constraints(c, lib, cfg)
                     details = {}
@@ -339,23 +347,26 @@ class TestDifferenceSolver:
                         sched = optimize_schedule(tcs, lib, cfg, details=details)
                     except InfeasibleScheduleError:
                         sched = None
-                    stages = [(name, _STAGE_VECTORS[name]) for name in priority]
                     for out in details["outcomes"]:
                         if out.status == "pruned":
                             continue
-                        rows = _collapse(tcs, out.segment, cfg)
-                        ref = _staged_lp_solve(rows, tcs, out.segment, cfg, stages)
-                        assert out.status == ref.status
-                        assert out.stage_values == pytest.approx(ref.stage_values, abs=1e-5)
+                        seg = out.segment
+                        status, values = segment_lp_oracle(c, lib, cfg, seg.index, seg.t_lo, seg.t_hi)
+                        assert out.status == status
+                        assert out.stage_values == pytest.approx(values, abs=1e-5)
                         compared += 1
                     if sched is not None:
                         rep = sta_check(c, lib, sched, cfg.hold_mode)
                         assert rep.min_slack >= sched.slack - 1e-6
-        assert compared >= 30
+        assert compared >= 120
 
-    def test_infeasible_cycle_names_a_connection(self, fixture_library):
+    @pytest.mark.parametrize("settings", [
+        {}, dict(priority=("latency", "period", "slack")),
+        dict(priority=("slack", "period", "latency")), dict(priority_mode="weighted"),
+    ], ids=["default", "latency-first", "slack-first", "weighted"])
+    def test_infeasible_cycle_names_a_connection(self, fixture_library, settings):
         c = wide_spread_circuit()
-        cfg = OptimizationConfig()
+        cfg = OptimizationConfig(**settings)
         tcs = build_constraints(c, fixture_library, cfg)
         with pytest.raises(InfeasibleScheduleError) as e:
             optimize_schedule(tcs, fixture_library, cfg)
