@@ -69,6 +69,8 @@ _CONN_TYPES = {
     "length_um": _FINITE,
     "prop_ps": (lambda v: v is None or _is_finite(v), "a finite number or null"),
 }
+_CONN_REQUIRED = ("src", "dst", "length_um")
+_NUMBER = (float, int)  # exact JSON number types; a bool is neither
 _LIBRARY_TYPES = {
     "l_max_drive_um": _FINITE,
     "l_buffer_um": _FINITE,
@@ -163,6 +165,12 @@ def _check_missing(doc: dict, required, entity: str, errs: list) -> bool:
     return not missing
 
 
+def _entry_ok(entry: dict, types: dict, required, entity: str, errs: list) -> bool:
+    """Check one gate or connection entry against its type table."""
+    _check_keys(entry, types, entity, errs)
+    return _check_missing(entry, required, entity, errs) and _check_types(entry, types, entity, errs)
+
+
 def parse_circuit(text) -> Circuit:
     """Parse a circuit document (JSON text or an already-decoded dict).
 
@@ -181,30 +189,38 @@ def parse_circuit(text) -> Circuit:
     if not _check_types(doc, _CIRCUIT_TYPES, "circuit", errs):
         raise CircuitFormatError(errs)
 
+    # A well-formed entry passes one inline test: its exact key set, exact
+    # JSON types and finite numbers. Any other entry goes through the type
+    # tables, which name what is wrong with it.
+    fmax = sys.float_info.max
     gates: list[Gate] = []
     for i, entry in enumerate(doc.get("gates", [])):
-        ent = entry["id"] if isinstance(entry.get("id"), str) else f"gates[{i}]"
-        _check_keys(entry, _GATE_TYPES, ent, errs)
-        if _check_missing(entry, _GATE_TYPES, ent, errs) and _check_types(entry, _GATE_TYPES, ent, errs):
-            gates.append(
-                Gate(id=entry["id"], cell=entry["cell"], row=entry["row"], clock_offset=float(entry["clock_offset_ps"]))
-            )
+        gid, cell, row = entry.get("id"), entry.get("cell"), entry.get("row")
+        offset = entry.get("clock_offset_ps")
+        if (
+            len(entry) == 4
+            and type(gid) is str
+            and type(cell) is str
+            and type(row) is int
+            and type(offset) in _NUMBER
+            and -fmax <= offset <= fmax
+        ) or _entry_ok(
+            entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs
+        ):
+            gates.append(Gate(gid, cell, row, float(offset)))
     connections: list[Connection] = []
     for i, entry in enumerate(doc.get("connections", [])):
-        ent = f"connections[{i}]"
-        _check_keys(entry, _CONN_TYPES, ent, errs)
-        if _check_missing(entry, ("src", "dst", "length_um"), ent, errs) and _check_types(
-            entry, _CONN_TYPES, ent, errs
-        ):
-            prop = entry.get("prop_ps")
-            connections.append(
-                Connection(
-                    src=entry["src"],
-                    dst=entry["dst"],
-                    length=float(entry["length_um"]),
-                    prop=None if prop is None else float(prop),
-                )
-            )
+        src, dst = entry.get("src"), entry.get("dst")
+        length, prop = entry.get("length_um"), entry.get("prop_ps")
+        if (
+            (len(entry) == 3 or (len(entry) == 4 and "prop_ps" in entry))
+            and type(src) is str
+            and type(dst) is str
+            and type(length) in _NUMBER
+            and -fmax <= length <= fmax
+            and (prop is None or (type(prop) in _NUMBER and -fmax <= prop <= fmax))
+        ) or _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
+            connections.append(Connection(src, dst, float(length), None if prop is None else float(prop)))
     if errs:
         raise CircuitFormatError(errs)
     return Circuit(

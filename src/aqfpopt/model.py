@@ -1,8 +1,10 @@
 """Domain types shared across the toolkit.
 
 All types are immutable after construction, so they can be shared freely
-across threads. Units are fixed throughout the package: times in ps,
-lengths in um, frequencies in GHz (frequency = 1000 / period_ps).
+across threads. Gates and connections, one per netlist entry, are named
+tuples, which cost a fraction of a frozen dataclass to build. Units are
+fixed throughout the package: times in ps, lengths in um, frequencies in
+GHz (frequency = 1000 / period_ps).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 log = logging.getLogger("aqfpopt")
 
@@ -240,8 +242,7 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """A clocked cell instance placed in a row of the pipeline.
 
     ``clock_offset`` is the cumulative base clock propagation delay from the
@@ -255,8 +256,7 @@ class Gate:
     clock_offset: float  # ps
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """A routed data connection between two gates in increasing rows."""
 
     src: str
@@ -287,15 +287,6 @@ class Circuit:
     def gate(self, gid: str) -> Gate:
         return self.gates_by_id[gid]
 
-    def span(self, conn: Connection) -> int:
-        return self.gate(conn.dst).row - self.gate(conn.src).row
-
-    def propagation(self, conn: Connection, lib: CellLibrary) -> float:
-        """Data propagation delay of a connection, resolved lazily against lib."""
-        if conn.prop is not None:
-            return conn.prop
-        return conn.length * lib.prop_per_um
-
     @cached_property
     def fanout(self) -> dict[str, tuple[Connection, ...]]:
         out: dict[str, list[Connection]] = {g.id: [] for g in self.gates}
@@ -321,6 +312,7 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
     seen: set[str] = set()
+    by_row: dict[int, float] = {}
     for g in c.gates:
         if g.id in seen:
             out.append(Diagnostic("DUPLICATE_ID", g.id, "gate id appears more than once"))
@@ -331,10 +323,11 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
             )
         if g.cell not in lib.cells:
             out.append(Diagnostic("UNKNOWN_CELL", g.id, f"cell type {g.cell!r} not in library"))
-    by_row: dict[int, float] = {}
-    for g in c.gates:
         prev = by_row.get(g.row)
-        if prev is not None and g.clock_offset < prev - 1e-12:
+        if prev is None:
+            by_row[g.row] = g.clock_offset
+            continue
+        if g.clock_offset < prev - 1e-12:
             log.warning(
                 "clock_offset of %s decreases along row %d (%.6g after %.6g)",
                 g.id,
@@ -342,34 +335,35 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
                 g.clock_offset,
                 prev,
             )
-        by_row[g.row] = max(prev, g.clock_offset) if prev is not None else g.clock_offset
+        by_row[g.row] = max(prev, g.clock_offset)
+    gates = c.gates_by_id
+    l_max_drive = lib.l_max_drive
     for conn in c.connections:
-        ent = conn.key
-        missing = False
-        for gid in (conn.src, conn.dst):
-            if gid not in c.gates_by_id:
-                out.append(Diagnostic("UNKNOWN_GATE", ent, f"endpoint {gid!r} is not a gate"))
-                missing = True
-        if missing:
+        src = gates.get(conn.src)
+        dst = gates.get(conn.dst)
+        if src is None or dst is None:
+            for gid, gate in ((conn.src, src), (conn.dst, dst)):
+                if gate is None:
+                    out.append(Diagnostic("UNKNOWN_GATE", conn.key, f"endpoint {gid!r} is not a gate"))
             continue
-        if c.span(conn) < 1:
+        if dst.row - src.row < 1:
             out.append(
                 Diagnostic(
                     "NONMONOTONE_ROW",
-                    ent,
-                    f"row({conn.dst})={c.gate(conn.dst).row} must exceed row({conn.src})={c.gate(conn.src).row}",
+                    conn.key,
+                    f"row({conn.dst})={dst.row} must exceed row({conn.src})={src.row}",
                 )
             )
-        if conn.length > lib.l_max_drive:
+        if conn.length > l_max_drive:
             out.append(
                 Diagnostic(
                     "LENGTH_EXCEEDS_DRIVE",
-                    ent,
+                    conn.key,
                     f"length {conn.length} um exceeds l_max_drive {lib.l_max_drive} um",
                 )
             )
         if conn.length < 0:
-            out.append(Diagnostic("NEGATIVE_LENGTH", ent, "length must be >= 0"))
+            out.append(Diagnostic("NEGATIVE_LENGTH", conn.key, "length must be >= 0"))
     return out
 
 

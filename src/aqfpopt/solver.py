@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
     CellLibrary,
@@ -32,7 +32,7 @@ from aqfpopt.model import (
     Schedule,
     ValidationError,
 )
-from aqfpopt.timing import TimingConstraintSet
+from aqfpopt.timing import TimingConstraint, TimingConstraintSet
 
 log = logging.getLogger("aqfpopt")
 
@@ -333,11 +333,14 @@ def segment_restrictions(lib: CellLibrary, cfg: OptimizationConfig) -> list[Segm
 # Constraint collapse
 
 
-@dataclass(frozen=True)
-class CollapsedRow:
-    """Binding representative of all constraints sharing one lhs shape."""
+class CollapsedRow(NamedTuple):
+    """Binding representative of all rows sharing one lhs shape.
 
-    support: tuple[int, ...]
+    The row covers the increments delta_first_row .. delta_{last_row-1}.
+    """
+
+    first_row: int
+    last_row: int
     kind: str  # "setup" or "hold"
     t_coef: float  # slope of the combined timing term on this segment
     rhs: float  # rhs constant with the affine intercept folded in
@@ -345,20 +348,37 @@ class CollapsedRow:
 
 
 def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig):
-    best: dict[tuple, CollapsedRow] = {}
+    """Binding setup and hold rows per (rows, slope), sorted by that shape.
+
+    A setup row binds with the largest rhs and a hold row with the smallest;
+    on a tie the first connection in file order stays the representative.
+    """
+    affine: dict[tuple[str, str], tuple] = {}
+    setup: dict[tuple, tuple[float, TimingConstraint]] = {}
+    hold: dict[tuple, tuple[float, TimingConstraint]] = {}
     for tc in tcs.constraints:
-        if tc.kind == "setup":
-            slope, intercept = seg.fs_affine(tc.src_cell, tc.dst_cell)
-        else:
-            slope, intercept = seg.fh_affine(tc.src_cell, tc.dst_cell, cfg.hold_mode)
-        rhs = tc.rhs + intercept
-        key = (tc.delta_rows, tc.kind, slope)
-        cur = best.get(key)
-        if cur is None or (rhs > cur.rhs if tc.kind == "setup" else rhs < cur.rhs):
-            best[key] = CollapsedRow(
-                support=tc.delta_rows, kind=tc.kind, t_coef=slope, rhs=rhs, source=tc.key
-            )
-    return [best[k] for k in sorted(best, key=lambda k: (k[0], k[1], k[2]))]
+        pair = tc.src_cell, tc.dst_cell
+        forms = affine.get(pair)
+        if forms is None:
+            forms = affine[pair] = (*seg.fs_affine(*pair), *seg.fh_affine(*pair, cfg.hold_mode))
+        fs_slope, fs_intercept, fh_slope, fh_intercept = forms
+        rhs = tc.rhs + fs_intercept
+        key = (tc.first_row, tc.last_row, fs_slope)
+        cur = setup.get(key)
+        if cur is None or rhs > cur[0]:
+            setup[key] = (rhs, tc)
+        rhs = tc.rhs + fh_intercept
+        key = (tc.first_row, tc.last_row, fh_slope)
+        cur = hold.get(key)
+        if cur is None or rhs < cur[0]:
+            hold[key] = (rhs, tc)
+    # No two rows share (first_row, last_row, kind, t_coef), so the sort
+    # never compares further fields.
+    return sorted(
+        CollapsedRow(first, last, kind, slope, rhs, tc.key)
+        for kind, best in (("setup", setup), ("hold", hold))
+        for (first, last, slope), (rhs, tc) in best.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +406,7 @@ class _ConstraintGraph:
             self.edges.append((r, r + 1, 0.0, 0.0, 0.0, None))
             self.edges.append((r + 1, r, 0.0, 0.0, -delta_max, None))
         for row in rows:
-            m, k = row.support[0], row.support[-1] + 1
+            m, k = row.first_row, row.last_row
             tag = f"{row.kind}:{row.source}"
             if row.kind == "setup":
                 self.edges.append((m, k, row.t_coef, 1.0, row.rhs, tag))

@@ -5,20 +5,19 @@ linear constraints over the row increments, the period, the uniform slack
 and the latency. ``sta_check`` evaluates the raw inequalities directly on a
 concrete schedule and never touches the reformulation, which makes it an
 independent correctness oracle: for every connection the STA setup slack
-equals the setup constraint's lhs - rhs at S = 0, and the hold slack equals
-rhs - lhs.
+equals lhs - rhs of the setup row of its record at S = 0, and the hold
+slack equals rhs - lhs of the hold row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
     CellLibrary,
     Circuit,
-    Connection,
     Diagnostic,
     OptimizationConfig,
     Schedule,
@@ -33,25 +32,26 @@ class UnsupportedSkipError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class TimingConstraint:
-    """One reformulated inequality for one connection.
+class TimingConstraint(NamedTuple):
+    """The setup and the hold inequality of one connection.
 
-    Setup rows read ``sum(delta[r] for r in delta_rows) - FS - S >= rhs`` and
-    hold rows ``sum(...) - FH + S <= rhs``. The frequency-dependent terms FS
-    (c2q of the source plus setup of the sink) and FH (c2q plus the hold
-    window minus the sink's hold) are pseudo-variables over the cell pair;
-    the solver substitutes their segment-affine form, and ``dlplace`` hold
-    handling swaps the reset delay for the full period at that point.
+    Both read off the same record. With ``D`` the sum of the row increments
+    ``delta[first_row] .. delta[last_row - 1]``, the setup row is
+    ``D - FS - S >= rhs`` and the hold row ``D - FH + S <= rhs``. The
+    frequency-dependent terms FS (c2q of the source plus setup of the sink)
+    and FH (c2q plus the hold window minus the sink's hold) are
+    pseudo-variables over the cell pair; the solver substitutes their
+    segment-affine form, and ``dlplace`` hold handling swaps the reset delay
+    for the full period at that point.
     """
 
-    kind: str  # "setup" or "hold"
     src: str
     dst: str
+    first_row: int  # row of the source gate
+    last_row: int  # row of the sink gate
     src_cell: str
     dst_cell: str
-    delta_rows: tuple[int, ...]  # indices r with coefficient +1
-    rhs: float  # prop_ij - delta_clk_ij
+    rhs: float  # propagation delay minus the base clock-arrival difference
 
     @property
     def key(self) -> str:
@@ -60,7 +60,7 @@ class TimingConstraint:
 
 @dataclass(frozen=True)
 class TimingConstraintSet:
-    """The linear system over (delta_0.., T, S, L) generated from a circuit."""
+    """The linear system over (delta_0.., T, S, L), one record per connection."""
 
     constraints: tuple[TimingConstraint, ...]
     num_rows: int
@@ -70,54 +70,45 @@ class TimingConstraintSet:
         return self.num_rows - 1
 
 
-def delta_clk(c: Circuit, conn: Connection) -> float:
-    """Base clock-arrival difference between the endpoints of a connection."""
-    return c.gate(conn.dst).clock_offset - c.gate(conn.src).clock_offset
-
-
 def build_constraints(
     c: Circuit, lib: CellLibrary, cfg: OptimizationConfig
 ) -> TimingConstraintSet:
-    """Emit one setup and one hold constraint per connection.
+    """Emit one record per connection, carrying its setup and its hold row.
 
     A connection from row m to row n contributes the increments
     delta_m .. delta_{n-1} with coefficient +1; spans beyond ``cfg.max_skip``
     are rejected since the clock schedule was never characterized for them.
+    The circuit must have passed ``validate_circuit``.
     """
+    gates = c.gates_by_id
+    prop_per_um = lib.prop_per_um
+    max_skip = math.inf if cfg.max_skip is None else cfg.max_skip
     constraints: list[TimingConstraint] = []
     errs: list[Diagnostic] = []
     for conn in c.connections:
-        src = c.gate(conn.src)
-        dst = c.gate(conn.dst)
-        span = dst.row - src.row
-        if cfg.max_skip is not None and span > cfg.max_skip:
+        src = gates[conn.src]
+        dst = gates[conn.dst]
+        first, last = src.row, dst.row
+        if last - first > max_skip:
             errs.append(
                 Diagnostic(
                     "UNSUPPORTED_SKIP",
                     conn.key,
-                    f"row span {span} exceeds the supported maximum {cfg.max_skip}",
+                    f"row span {last - first} exceeds the supported maximum {cfg.max_skip}",
                 )
             )
             continue
-        rows = tuple(range(src.row, dst.row))
-        rhs = c.propagation(conn, lib) - delta_clk(c, conn)
-        common = dict(
-            src=conn.src,
-            dst=conn.dst,
-            src_cell=src.cell,
-            dst_cell=dst.cell,
-            delta_rows=rows,
-            rhs=rhs,
-        )
-        constraints.append(TimingConstraint(kind="setup", **common))
-        constraints.append(TimingConstraint(kind="hold", **common))
+        prop = conn.prop
+        if prop is None:
+            prop = conn.length * prop_per_um
+        rhs = prop - (dst.clock_offset - src.clock_offset)
+        constraints.append(TimingConstraint(conn.src, conn.dst, first, last, src.cell, dst.cell, rhs))
     if errs:
         raise UnsupportedSkipError(errs)
     return TimingConstraintSet(constraints=tuple(constraints), num_rows=c.num_rows)
 
 
-@dataclass(frozen=True)
-class ConnectionSlack:
+class ConnectionSlack(NamedTuple):
     src: str
     dst: str
     setup_slack: float
@@ -125,8 +116,8 @@ class ConnectionSlack:
 
     def passing(self) -> bool:
         """Both slacks are finite and at least ``STA_MARGIN``."""
-        s, h = self.setup_slack, self.hold_slack
-        return math.isfinite(s) and math.isfinite(h) and min(s, h) >= STA_MARGIN
+        # A NaN fails both comparisons, +-Infinity one of them.
+        return STA_MARGIN <= self.setup_slack < math.inf and STA_MARGIN <= self.hold_slack < math.inf
 
 
 @dataclass(frozen=True)
@@ -144,31 +135,46 @@ def sta_check(
     """Static timing check of a concrete schedule against the raw inequalities.
 
     Clock arrival at a gate is its base offset plus every row increment
-    before its row. The computation deliberately bypasses the reformulated
-    constraint system.
+    before its row. Each cell's timing functions are evaluated once at the
+    period and each gate's arrival is resolved once; the connections then
+    only add their propagation delay. The computation reads the circuit,
+    the library and the schedule alone and deliberately bypasses the
+    reformulated constraint system.
     """
+    if not c.connections:
+        return SlackReport(entries=(), min_slack=None)
     period = sched.period
     prefix = [0.0] * (c.num_rows + 1)
     for r, d in enumerate(sched.row_deltas):
         prefix[r + 1] = prefix[r] + d
-    clk = {g.id: g.clock_offset + prefix[g.row] for g in c.gates}
+    at_period = {}
+    for name in dict.fromkeys(g.cell for g in c.gates):
+        fns = lib.timing(name)
+        window = period if hold_mode == "dlplace" else fns.rd(period)
+        at_period[name] = (fns.c2q(period), fns.setup(period), fns.hold(period), window)
+    # Per gate: when data launched there leaves, with the hold window of its
+    # cell, and when data captured there is due and when its capture closes.
+    launch, capture = {}, {}
+    for g in c.gates:
+        c2q, setup, hold, window = at_period[g.cell]
+        clk = g.clock_offset + prefix[g.row]
+        launch[g.id] = (clk + c2q, window)
+        capture[g.id] = (clk - setup, clk + hold)
 
+    prop_per_um = lib.prop_per_um
     entries = []
     min_slack = None
     for conn in c.connections:
-        src = c.gate(conn.src)
-        dst = c.gate(conn.dst)
-        prop = c.propagation(conn, lib)
-        c2q = lib.timing(src.cell).c2q(period)
-        setup = lib.timing(dst.cell).setup(period)
-        hold = lib.timing(dst.cell).hold(period)
-        window = period if hold_mode == "dlplace" else lib.timing(src.cell).rd(period)
-        setup_slack = (clk[dst.id] - setup) - (clk[src.id] + c2q + prop)
-        hold_slack = (clk[src.id] + c2q + prop + window) - (clk[dst.id] + hold)
-        entries.append(
-            ConnectionSlack(src=conn.src, dst=conn.dst, setup_slack=setup_slack, hold_slack=hold_slack)
-        )
-        local = min(setup_slack, hold_slack)
+        leaves, window = launch[conn.src]
+        due, closes = capture[conn.dst]
+        prop = conn.prop
+        if prop is None:
+            prop = conn.length * prop_per_um
+        arrival = leaves + prop
+        setup_slack = due - arrival
+        hold_slack = arrival + window - closes
+        entries.append(ConnectionSlack(conn.src, conn.dst, setup_slack, hold_slack))
+        local = hold_slack if hold_slack < setup_slack else setup_slack
         if min_slack is None or local < min_slack:
             min_slack = local
     return SlackReport(entries=tuple(entries), min_slack=min_slack)

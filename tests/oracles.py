@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from aqfpopt.model import BufferChain, CellLibrary, Circuit, OptimizationConfig
+from aqfpopt.model import BufferChain, CellLibrary, Circuit, Connection, Gate, OptimizationConfig
 
 
 def chain_brute_force(
@@ -68,6 +68,16 @@ def _pwl_grid(fn, grid: np.ndarray) -> np.ndarray:
     return slopes * grid + intercepts
 
 
+def _raw_rhs(conn: Connection, src: Gate, dst: Gate, lib: CellLibrary) -> float:
+    """Propagation delay minus base clock difference, from the raw fields.
+
+    A connection without an extracted delay takes its wire length times the
+    library's per-um delay.
+    """
+    prop = conn.length * lib.prop_per_um if conn.prop is None else conn.prop
+    return prop - (dst.clock_offset - src.clock_offset)
+
+
 def schedule_feasibility_grid(
     circuit: Circuit,
     lib: CellLibrary,
@@ -92,10 +102,10 @@ def schedule_feasibility_grid(
     for r in range(rows - 1):
         edges.append((r, r + 1, zero))
         edges.append((r + 1, r, np.full(nt, -delta_max)))
+    gates = {g.id: g for g in circuit.gates}
     for conn in circuit.connections:
-        src = circuit.gate(conn.src)
-        dst = circuit.gate(conn.dst)
-        x = circuit.propagation(conn, lib) - (dst.clock_offset - src.clock_offset)
+        src, dst = gates[conn.src], gates[conn.dst]
+        x = _raw_rhs(conn, src, dst, lib)
         fs = _pwl_grid(lib.timing(src.cell).c2q, grid) + _pwl_grid(lib.timing(dst.cell).setup, grid)
         window = grid if hold_mode == "dlplace" else _pwl_grid(lib.timing(src.cell).rd, grid)
         fh = _pwl_grid(lib.timing(src.cell).c2q, grid) + window - _pwl_grid(
@@ -182,9 +192,10 @@ def segment_lp_oracle(
     nd = circuit.num_rows - 1
     it, is_, il = nd, nd + 1, nd + 2
     a_ub, b_ub = [], []
+    gates = {g.id: g for g in circuit.gates}
     for conn in circuit.connections:
-        src, dst = circuit.gate(conn.src), circuit.gate(conn.dst)
-        x = circuit.propagation(conn, lib) - (dst.clock_offset - src.clock_offset)
+        src, dst = gates[conn.src], gates[conn.dst]
+        x = _raw_rhs(conn, src, dst, lib)
         ts, td = lib.timing(src.cell), lib.timing(dst.cell)
         (ca, cb), (ua, ub), (ha, hb) = ts.c2q.segments[k], td.setup.segments[k], td.hold.segments[k]
         wa, wb = (1.0, 0.0) if cfg.hold_mode == "dlplace" else ts.rd.segments[k]

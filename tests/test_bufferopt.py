@@ -16,7 +16,8 @@ from aqfpopt.bufferopt import (
     solve_chain,
 )
 from aqfpopt.cli import generate_circuit
-from aqfpopt.model import BufferChain, Circuit, Connection, Gate, validate_circuit
+from aqfpopt.model import BufferChain, Circuit, Connection, Gate, OptimizationConfig, validate_circuit
+from aqfpopt.timing import build_constraints
 
 
 def chain_of(segments, source="s", sink="t"):
@@ -268,8 +269,11 @@ class TestRemoveBuffers:
         )
         rewritten, _ = remove_buffers(c, lib)
         (merged,) = rewritten.connections
+        # No extracted delay: the constraint build derives it from the merged
+        # length, less the 2 ps base clock difference.
         assert merged.prop is None
-        assert rewritten.propagation(merged, lib) == pytest.approx(70.0 * lib.prop_per_um)
+        (tc,) = build_constraints(rewritten, lib, OptimizationConfig()).constraints
+        assert tc.rhs == pytest.approx(70.0 * lib.prop_per_um - 2.0)
 
     def test_randomized_decomposition_and_safety(self, ref_lib):
         rng = random.Random(7)

@@ -1,8 +1,11 @@
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aqfpopt import ingest
 from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import (
     CircuitFormatError,
@@ -18,7 +21,7 @@ from aqfpopt.ingest import (
     serialize_library,
     serialize_report,
 )
-from aqfpopt.model import Schedule
+from aqfpopt.model import Connection, Gate, Schedule
 from aqfpopt.timing import ConnectionSlack, SlackReport
 
 MINIMAL_CIRCUIT = {
@@ -99,6 +102,75 @@ class TestParseCircuit:
         doc["connections"][0]["prop_ps"] = 7.25
         c = parse_circuit(doc)
         assert c.connections[0].prop == 7.25
+
+
+def table_path(doc):
+    """Diagnostics, gates and connections the type tables alone make of a
+    circuit document's entries."""
+    errs, gates, connections = [], [], []
+    for i, e in enumerate(doc["gates"]):
+        ent = e["id"] if isinstance(e.get("id"), str) else f"gates[{i}]"
+        ingest._check_keys(e, ingest._GATE_TYPES, ent, errs)
+        if ingest._check_missing(e, ingest._GATE_TYPES, ent, errs) and ingest._check_types(
+            e, ingest._GATE_TYPES, ent, errs
+        ):
+            gates.append(Gate(e["id"], e["cell"], e["row"], float(e["clock_offset_ps"])))
+    for i, e in enumerate(doc["connections"]):
+        ent = f"connections[{i}]"
+        ingest._check_keys(e, ingest._CONN_TYPES, ent, errs)
+        if ingest._check_missing(e, ("src", "dst", "length_um"), ent, errs) and ingest._check_types(
+            e, ingest._CONN_TYPES, ent, errs
+        ):
+            prop = e.get("prop_ps")
+            connections.append(
+                Connection(e["src"], e["dst"], float(e["length_um"]), None if prop is None else float(prop))
+            )
+    return errs, tuple(gates), tuple(connections)
+
+
+def parser_seed_doc():
+    """A valid circuit document; every other connection has no extracted delay."""
+    doc = json.loads(serialize_circuit(generate_circuit(rows=4, width=2, seed=3, skip_prob=0.5)))
+    for conn in doc["connections"][::2]:
+        del conn["prop_ps"]
+    doc["connections"][1]["prop_ps"] = None
+    return doc
+
+
+#: Single-field corruptions: drop a field, add a key, or set a field to a
+#: value of the wrong JSON type, a non-finite number, an int no float can
+#: hold, a fractional row or null.
+CORRUPTIONS = [("missing",), ("extra",)] + [
+    ("set", v) for v in (True, False, "x", math.nan, math.inf, -math.inf, 10**400, 1.7, None)
+]
+ENTRY_FIELDS = {"gates": sorted(ingest._GATE_TYPES), "connections": sorted(ingest._CONN_TYPES)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inline_entry_check_agrees_with_type_tables(data):
+    doc = parser_seed_doc()
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
+        entry = doc[kind][data.draw(st.integers(0, len(doc[kind]) - 1))]
+        corruption = data.draw(st.sampled_from(CORRUPTIONS))
+        key = data.draw(st.sampled_from(ENTRY_FIELDS[kind]))
+        if corruption[0] == "extra":
+            entry["colour"] = "blue"
+        elif corruption[0] == "missing":
+            entry.pop(key, None)
+        else:
+            entry[key] = corruption[1]
+    errs, gates, connections = table_path(doc)
+    if errs:
+        with pytest.raises(CircuitFormatError) as e:
+            parse_circuit(doc)
+        assert e.value.diagnostics == errs
+    else:
+        c = parse_circuit(doc)
+        # repr tells 1 from 1.0, so the field types must match too.
+        assert repr(c.gates) == repr(gates)
+        assert repr(c.connections) == repr(connections)
 
 
 class TestParseLibrary:

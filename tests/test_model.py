@@ -151,8 +151,17 @@ class TestValidateCircuit:
 
     def test_clean_circuit_has_topological_row_order(self, two_row_circuit, fixture_library):
         assert validate_circuit(two_row_circuit, fixture_library) == []
-        for conn in two_row_circuit.connections:
-            assert two_row_circuit.span(conn) >= 1
+        a, b = two_row_circuit.gates
+        for rows in ((1, 1), (1, 0)):
+            c = Circuit(
+                name="x",
+                num_rows=2,
+                gates=(a._replace(row=rows[0]), b._replace(row=rows[1])),
+                connections=two_row_circuit.connections,
+            )
+            diags = validate_circuit(c, fixture_library)
+            assert [(d.code, d.entity) for d in diags] == [("NONMONOTONE_ROW", "a->b")]
+            assert diags[0].message == f"row(b)={rows[1]} must exceed row(a)={rows[0]}"
 
 
 class TestConfig:

@@ -1,17 +1,22 @@
-"""The names the benchmark harness reaches into must exist.
+"""The names and shapes the benchmark harness reaches into must exist.
 
 ``perfbench/traced_cli.py`` wraps the functions in its ``TRACED`` table and
 ``perfbench/make_libraries.py`` imports from ``aqfpopt``. Both are read as
-source here, never run, so a rename in the package fails this test rather
-than a traced benchmark run.
+source here, and ``traced_cli.py`` also runs one small ``optimize``, so a
+rename in the package or a change to what the spans record fails these
+tests rather than a traced benchmark run.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from aqfpopt.cli import generate_circuit
+from aqfpopt.ingest import serialize_circuit, serialize_library
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +57,25 @@ def test_make_libraries_imports_resolve():
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
                 found += 1
     assert found
+
+
+def test_traced_run_records_constraint_and_sta_spans(tmp_path, ref_lib):
+    circuit = generate_circuit(rows=6, width=3, seed=5, skip_prob=0.3, lib=ref_lib)
+    circuit_path, lib_path = tmp_path / "c.qc.json", tmp_path / "ref.qlib.json"
+    circuit_path.write_text(serialize_circuit(circuit))
+    lib_path.write_text(serialize_library(ref_lib))
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = ["optimize", "--circuit", str(circuit_path), "--lib", str(lib_path)]
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans_path), *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans_path.read_text())
+    assert traced["exit_code"] == 0
+    by_name = {}
+    for span in traced["spans"]:
+        by_name.setdefault(span["name"], []).append(span)
+    (build,) = by_name["timing.build_constraints"]
+    # One constraint record per connection.
+    assert build["attrs"]["constraints"] == len(circuit.connections)
+    assert len(by_name["timing.sta_check"]) == 1

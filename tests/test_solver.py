@@ -374,6 +374,24 @@ class TestDifferenceSolver:
         assert all(d.code == "INFEASIBLE" for d in e.value.diagnostics)
         assert any(d.entity.split(":", 1)[-1] in keys for d in e.value.diagnostics)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_connection_in_file_order_names_a_tied_row(self, fixture_library, reverse):
+        # Two setup rows and two hold rows tie on rhs; the first connection
+        # of each pair in file order represents the collapsed row.
+        setup_pair = [Connection("a2", "b2", 110.0, prop=110.0), Connection("a1", "b2", 110.0, prop=110.0)]
+        hold_pair = [Connection("a1", "b1", 1.0, prop=0.0), Connection("a2", "b1", 1.0, prop=0.0)]
+        if reverse:
+            setup_pair.reverse()
+            hold_pair.reverse()
+        gates = wide_spread_circuit().gates
+        c = Circuit(name="ties", num_rows=2, gates=gates, connections=tuple(setup_pair + hold_pair))
+        cfg = OptimizationConfig()
+        tcs = build_constraints(c, fixture_library, cfg)
+        with pytest.raises(InfeasibleScheduleError) as e:
+            optimize_schedule(tcs, fixture_library, cfg)
+        named = {d.entity for d in e.value.diagnostics}
+        assert named == {f"setup:{setup_pair[0].key}", f"hold:{hold_pair[0].key}"}
+
 
 class TestExplore:
     def test_smin_monotonicity(self, ref_lib):

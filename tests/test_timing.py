@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,7 @@ from aqfpopt.model import (
     Connection,
     Gate,
     OptimizationConfig,
+    PwlDomainError,
     Schedule,
 )
 from aqfpopt.solver import SegmentRestriction
@@ -17,7 +19,6 @@ from aqfpopt.timing import (
     ConnectionSlack,
     UnsupportedSkipError,
     build_constraints,
-    delta_clk,
     sta_check,
 )
 
@@ -42,30 +43,31 @@ class TestDeltaClk:
     @pytest.mark.parametrize(
         "src_off,dst_off,expected", [(3.0, 5.0, 2.0), (4.0, 4.0, 0.0), (5.0, 3.0, -2.0)]
     )
-    def test_offset_difference(self, src_off, dst_off, expected):
+    def test_offset_difference(self, src_off, dst_off, expected, fixture_library):
+        # The base clock-arrival difference enters the record's rhs, after
+        # the length-derived delay (1 um at 1 ps/um).
         c = Circuit(
             name="d",
             num_rows=2,
             gates=(Gate("a", "majority3", 0, src_off), Gate("b", "majority3", 1, dst_off)),
             connections=(Connection("a", "b", 1.0),),
         )
-        assert delta_clk(c, c.connections[0]) == expected
+        (tc,) = build_constraints(c, fixture_library, OptimizationConfig()).constraints
+        assert tc.rhs == 1.0 * fixture_library.prop_per_um - expected
 
 
 class TestBuildConstraints:
     def test_adjacent_row_shape(self, two_row_circuit, fixture_library):
         tcs = build_constraints(two_row_circuit, fixture_library, OptimizationConfig())
-        assert len(tcs.constraints) == 2
-        setup = next(tc for tc in tcs.constraints if tc.kind == "setup")
-        hold = next(tc for tc in tcs.constraints if tc.kind == "hold")
-        assert setup.delta_rows == (0,) and hold.delta_rows == (0,)
-        assert setup.rhs == pytest.approx(3.0)  # prop 5 - delta_clk 2
-        assert hold.rhs == pytest.approx(3.0)
+        (tc,) = tcs.constraints
+        assert (tc.src, tc.dst, tc.first_row, tc.last_row) == ("a", "b", 0, 1)
+        assert tc.key == "a->b"
+        assert tc.rhs == pytest.approx(3.0)  # prop 5 - clock difference 2
 
     def test_fixture_values_via_pseudo_variables(self, two_row_circuit, fixture_library):
         tcs = build_constraints(two_row_circuit, fixture_library, OptimizationConfig())
-        setup = next(tc for tc in tcs.constraints if tc.kind == "setup")
-        assert (setup.src_cell, setup.dst_cell) == ("majority3", "majority3")
+        (tc,) = tcs.constraints
+        assert (tc.src_cell, tc.dst_cell) == ("majority3", "majority3")
         # combined terms on the fixture at 200 ps (segment 1): F_S = 15, F_H = 5 + rd(T)
         seg = SegmentRestriction(index=1, t_lo=100.0, t_hi=300.0, lib=fixture_library)
         a, b = seg.fs_affine("majority3", "majority3")
@@ -75,10 +77,8 @@ class TestBuildConstraints:
 
     def test_skip_connection_references_both_deltas(self, fixture_library):
         tcs = build_constraints(three_row_skip_circuit(), fixture_library, OptimizationConfig())
-        skip = [tc for tc in tcs.constraints if tc.dst == "c"]
-        assert all(tc.delta_rows == (0, 1) for tc in skip)
-        adj = [tc for tc in tcs.constraints if tc.dst == "b"]
-        assert all(tc.delta_rows == (0,) for tc in adj)
+        rows = {tc.dst: (tc.first_row, tc.last_row) for tc in tcs.constraints}
+        assert rows == {"b": (0, 1), "c": (0, 2)}
 
     def test_span_cap_enforced(self, fixture_library):
         c = Circuit(
@@ -92,7 +92,7 @@ class TestBuildConstraints:
         assert e.value.diagnostics[0].code == "UNSUPPORTED_SKIP"
         assert e.value.diagnostics[0].entity == "a->d"
         tcs = build_constraints(c, fixture_library, OptimizationConfig(max_skip=None))
-        assert {tc.delta_rows for tc in tcs.constraints} == {(0, 1, 2)}
+        assert [(tc.first_row, tc.last_row) for tc in tcs.constraints] == [(0, 3)]
 
 
 class TestStaCheck:
@@ -121,6 +121,16 @@ class TestStaCheck:
         assert rep.min_slack is None
         assert rep.passing()
 
+    @pytest.mark.parametrize("period", [0.0, 300.5, math.nan])
+    def test_period_outside_the_breakpoints_raises(self, two_row_circuit, fixture_library, period):
+        sched = Schedule(period=period, row_deltas=(18.0,), slack=0.0, latency=18.0)
+        for mode in ("reset-delay", "dlplace"):
+            with pytest.raises(PwlDomainError):
+                sta_check(two_row_circuit, fixture_library, sched, mode)
+        # Without connections nothing is evaluated, so nothing raises.
+        empty = dataclasses.replace(two_row_circuit, connections=())
+        assert sta_check(empty, fixture_library, sched).entries == ()
+
     def test_dlplace_mode_uses_period_as_window(self, two_row_circuit, fixture_library):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0)
         rep = sta_check(two_row_circuit, fixture_library, sched, hold_mode="dlplace")
@@ -148,18 +158,25 @@ class TestReformulationEquivalence:
             )
 
     def test_random_circuits_both_modes(self, ref_lib):
+        # Adversarial circuits carry no extracted delays, so every
+        # connection's delay is its length times prop_per_um; a factor
+        # other than 1 makes a dropped or doubled factor show.
         rng = random.Random(123)
-        for trial in range(30):
-            circuit = generate_circuit(
-                rows=rng.randint(2, 8),
-                width=rng.randint(1, 4),
-                seed=rng.randint(0, 10**6),
-                chain_prob=0.4,
-                skip_prob=0.4,
-                lib=ref_lib,
-            )
-            for mode in ("reset-delay", "dlplace"):
-                self.equivalence_case(circuit, ref_lib, rng, mode)
+        scaled = dataclasses.replace(ref_lib, prop_per_um=0.75)
+        for adversarial, lib in ((False, ref_lib), (True, scaled)):
+            for trial in range(30):
+                circuit = generate_circuit(
+                    rows=rng.randint(2, 8),
+                    width=rng.randint(1, 4),
+                    seed=rng.randint(0, 10**6),
+                    chain_prob=0.4,
+                    skip_prob=0.4,
+                    adversarial=adversarial,
+                    lib=lib,
+                )
+                assert all((conn.prop is None) == adversarial for conn in circuit.connections)
+                for mode in ("reset-delay", "dlplace"):
+                    self.equivalence_case(circuit, lib, rng, mode)
 
     def test_negative_delta_clk_is_legal(self, fixture_library):
         c = Circuit(
@@ -168,9 +185,8 @@ class TestReformulationEquivalence:
             gates=(Gate("a", "majority3", 0, 5.0), Gate("b", "majority3", 1, 3.0)),
             connections=(Connection("a", "b", 5.0, prop=5.0),),
         )
-        tcs = build_constraints(c, fixture_library, OptimizationConfig())
-        setup = next(tc for tc in tcs.constraints if tc.kind == "setup")
-        assert setup.rhs == pytest.approx(7.0)  # 5 - (-2)
+        (tc,) = build_constraints(c, fixture_library, OptimizationConfig()).constraints
+        assert tc.rhs == pytest.approx(7.0)  # 5 - (-2)
 
 
 class TestDlplaceRelaxation:
