@@ -1,7 +1,7 @@
 """Command-line front end: optimize, verify, gen and sweep subcommands.
 
 Exit codes are stable across commands: 0 success, 1 usage or input errors,
-2 infeasible schedule, 3 verification failure. The ``QPRO_LOG`` environment
+2 infeasible schedule or solver breakdown, 3 verification failure. The ``QPRO_LOG`` environment
 variable (error, warn, info, debug) controls diagnostic verbosity.
 """
 

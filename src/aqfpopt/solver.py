@@ -12,10 +12,14 @@ function affine in (T, S) (Fishburn, "Clock skew optimization", IEEE TC
 1990). For fixed (T, S) the rows are therefore feasible iff the constraint
 graph has no positive cycle, and the least latency is a longest path. Each
 segment is solved by cutting planes (Kelley, "The cutting-plane method",
-1960): a master LP over (T, S, L) alone, solved with an in-house two-phase
-simplex using Bland's anti-cycling rule, gains one cut per round from the
-positive cycle or the too-long path its point violates most. Weighted mode
-and all six lexicographic orders go through this one loop, stage by stage.
+1960): a master LP with three bounded columns, T, S and L, and only ``<=``
+rows, solved by a dense simplex with Bland's anti-cycling rule, gains one
+cut per round from the positive cycle or the too-long path its point
+violates most. Weighted mode and all six lexicographic orders go through
+this one loop, stage by stage. Every cycle cut rises with S, so whether the
+master is feasible is decided before each simplex run from its cycle cuts
+at S = s_min, each a half-line in T; one or two of them prove an infeasible
+segment. A numerical failure ends only its own segment, as a breakdown.
 """
 
 from __future__ import annotations
@@ -36,70 +40,47 @@ from aqfpopt.timing import TimingConstraint, TimingConstraintSet
 
 log = logging.getLogger("aqfpopt")
 
-#: Simplex tolerances (ps scale): phase-1 feasibility, reduced-cost optimality
+#: Simplex tolerances (ps scale): row feasibility, reduced-cost optimality
 #: and the smallest pivot magnitude accepted before declaring breakdown.
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-11
+#: Pivots one simplex run may take before declaring breakdown.
+PIVOT_LIMIT = 10000
 
 #: Tolerance used when a lexicographic stage fixes its criterion.
 FIX_TOL = 1e-6
 
-class DegeneratePivotError(RuntimeError):
-    def __init__(self, row: int, value: float):
-        self.row = row
-        self.value = value
-        super().__init__(f"pivot magnitude {value:.3e} below {PIVOT_TOL} in constraint row {row}")
+
+class SolverBreakdown(RuntimeError):
+    """A numerical failure that leaves one segment unsolved."""
 
 
 class InfeasibleScheduleError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class LpConstraint:
-    terms: dict[str, float]
-    sense: str  # "<=", ">=" or "="
+class Cut(NamedTuple):
+    """The master row ``t*T + s*S + l*L <= rhs``.
+
+    ``conns`` names the connections of a cycle cut and is empty for path
+    cuts and stage-fix rows.
+    """
+
+    t: float
+    s: float
+    l: float
     rhs: float
-    tag: object = None  # names the row in infeasibility reports
+    conns: tuple[str, ...] = ()
 
 
-class LpProblem:
-    """A named-variable linear program, minimization sense."""
+@dataclass
+class Master:
+    """Minimize ``objective`` over the boxed columns (T, S, L) and the rows."""
 
-    def __init__(self):
-        self.variables: dict[str, tuple[float, Optional[float]]] = {}
-        self.constraints: list[LpConstraint] = []
-        self.objective: dict[str, float] = {}
-
-    def add_variable(self, name: str, lb: float, ub: Optional[float] = None) -> None:
-        if name in self.variables:
-            raise ValueError(f"variable {name!r} already declared")
-        if not math.isfinite(lb):
-            raise ValueError(f"variable {name!r} needs a finite lower bound")
-        self.variables[name] = (float(lb), None if ub is None else float(ub))
-
-    def add_constraint(self, terms: dict[str, float], sense: str, rhs: float, tag=None) -> None:
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"unknown sense {sense!r}")
-        for v in terms:
-            if v not in self.variables:
-                raise ValueError(f"constraint references undeclared variable {v!r}")
-        self.constraints.append(LpConstraint(dict(terms), sense, float(rhs), tag))
-
-    def set_objective(self, terms: dict[str, float]) -> None:
-        for v in terms:
-            if v not in self.variables:
-                raise ValueError(f"objective references undeclared variable {v!r}")
-        self.objective = dict(terms)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal", "infeasible" or "unbounded"
-    values: dict[str, float] = field(default_factory=dict)
-    objective: Optional[float] = None
-    violations: tuple[tuple[object, float], ...] = ()
+    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+    objective: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    constraints: list[Cut] = field(default_factory=list)
 
 
 def _pivot(tab: list[list[float]], leave: int, enter: int) -> None:
@@ -111,160 +92,79 @@ def _pivot(tab: list[list[float]], leave: int, enter: int) -> None:
             tab[i] = [x - f * y for x, y in zip(other, row)]
 
 
-def _run_simplex(tab: list[list[float]], basis: list[int]) -> str:
-    """Minimize the tableau (a list of rows) in place; its last row holds the reduced costs."""
+def _run_simplex(tab: list[list[float]], basis: list[int]) -> None:
+    """Minimize the tableau (a list of rows) in place; its last row holds the reduced costs.
+
+    Every column is bounded, so an improving column always has a pivot row.
+    """
     m = len(tab) - 1
     width = len(tab[-1])
-    limit = 20000 + 20 * width
-    for _ in range(limit):
+    for _ in range(PIVOT_LIMIT):
         costs = tab[-1]
         enter = next((j for j in range(width - 1) if costs[j] < -OPT_TOL), -1)  # Bland: lowest index
         if enter < 0:
-            return "optimal"
+            return
         col = [tab[i][enter] for i in range(m)]
         cand = [i for i in range(m) if col[i] > PIVOT_TOL]
         if not cand:
-            if any(x > 0 for x in col):
-                row = max(range(m), key=col.__getitem__)
-                raise DegeneratePivotError(row, col[row])
-            return "unbounded"
+            raise SolverBreakdown(f"largest pivot {max(col):.3e} in column {enter} is below {PIVOT_TOL}")
         ratios = [tab[i][-1] / col[i] for i in cand]
         best = min(ratios)
         tied = [i for i, r in zip(cand, ratios) if r <= best + 1e-12]
         leave = min(tied, key=basis.__getitem__)  # Bland tie-break
         _pivot(tab, leave, enter)
         basis[leave] = enter
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverBreakdown(f"simplex took more than {PIVOT_LIMIT} pivots")
 
 
-def lp_solve(p: LpProblem) -> LpSolution:
-    """Two-phase simplex with Bland's rule.
+def lp_solve(master: Master) -> tuple[float, float, float]:
+    """An optimal vertex (T, S, L) of a feasible master, by Bland's simplex.
 
-    All variables must carry finite lower bounds; upper bounds become extra
-    rows. Returns an optimal basic solution, or infeasibility with the
-    phase-1 residual per constraint, or an unbounded status.
+    The columns are shifted to their lower bounds and each upper bound is
+    one more row. Rows the lower corner violates are met by phase 1 with a
+    single artificial column subtracted from every row (Chvatal, "Linear
+    Programming", 1983, ch. 3). Infeasibility is decided before the call
+    (``_certificate``), so a phase 1 that ends above FEAS_TOL is a breakdown.
     """
-    names = list(p.variables)
-    n = len(names)
-    idx = {v: j for j, v in enumerate(names)}
-    lb = [p.variables[v][0] for v in names]
-
-    rows, senses, rhs, tags = [], [], [], []
-    for con in p.constraints:
-        a = [0.0] * n
-        for v, coef in con.terms.items():
-            a[idx[v]] += coef
-        rows.append(a)
-        senses.append(con.sense)
-        rhs.append(con.rhs - sum(x * l for x, l in zip(a, lb)))
-        tags.append(con.tag)
-    for j, v in enumerate(names):
-        u = p.variables[v][1]
-        if u is None:
-            continue
-        if u - lb[j] < -1e-12:
-            return LpSolution(status="infeasible", violations=((f"bound:{v}", lb[j] - u),))
-        a = [0.0] * n
-        a[j] = 1.0
-        rows.append(a)
-        senses.append("<=")
-        rhs.append(u - lb[j])
-        tags.append(f"bound:{v}")
-
+    lb = [lo for lo, _ in master.bounds]
+    rows = [[float(j == k) for k in range(3)] + [hi - lo] for j, (lo, hi) in enumerate(master.bounds)]
+    rows += [[c.t, c.s, c.l, c.rhs - c.t * lb[0] - c.s * lb[1] - c.l * lb[2]] for c in master.constraints]
     m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_rows = [i for i in range(m) if senses[i] == "<="]
-    surp_rows = [i for i in range(m) if senses[i] == ">="]
-    art_rows = [i for i in range(m) if senses[i] in (">=", "=")]
-    ns, nr, na = len(slack_rows), len(surp_rows), len(art_rows)
-    nu = n + ns + nr + na
-    art_start = n + ns + nr
-
-    tab = [rows[i] + [0.0] * (nu - n) + [rhs[i]] for i in range(m)] + [[0.0] * (nu + 1)]
-    basis = [0] * m
-    art_of_row: dict[int, int] = {}
-    for k, i in enumerate(slack_rows):
-        tab[i][n + k] = 1.0
-        basis[i] = n + k
-    for k, i in enumerate(surp_rows):
-        tab[i][n + ns + k] = -1.0
-    for k, i in enumerate(art_rows):
-        tab[i][art_start + k] = 1.0
-        basis[i] = art_start + k
-        art_of_row[i] = art_start + k
-
-    if na:
-        # Phase 1: minimize the artificial sum.
-        cost = [0.0] * art_start + [1.0] * na + [0.0]
-        for i in art_rows:
-            cost = [x - y for x, y in zip(cost, tab[i])]
-        tab[-1] = cost
-        status = _run_simplex(tab, basis)
-        if status != "optimal":
-            raise RuntimeError(f"phase 1 ended {status}")
-        infeas = -tab[-1][-1]
-        if infeas > FEAS_TOL:
-            art_vals = {bv: tab[k][-1] for k, bv in enumerate(basis) if bv >= art_start}
-            residuals = []
-            for i in art_rows:
-                r = art_vals.get(art_of_row[i], 0.0)
-                if r > FEAS_TOL:
-                    residuals.append((tags[i], float(r)))
-            residuals.sort(key=lambda kv: -kv[1])
-            return LpSolution(status="infeasible", violations=tuple(residuals))
-        # Drive surviving artificials out of the basis, dropping redundant rows.
-        drop = set()
-        for k in range(m):
-            if basis[k] < art_start:
-                continue
-            enter = next((j for j in range(art_start) if abs(tab[k][j]) > 1e-9), -1)
-            if enter >= 0:
-                _pivot(tab, k, enter)
-                basis[k] = enter
-            else:
-                drop.add(k)
-        if drop:
-            tab = [row for k, row in enumerate(tab) if k not in drop]
-            basis = [bv for k, bv in enumerate(basis) if k not in drop]
-
-    tab = [row[:art_start] + row[-1:] for row in tab]
-    nu = art_start
-    cost = [0.0] * (nu + 1)
-    for v, coef in p.objective.items():
-        cost[idx[v]] += coef
-    tab[-1] = list(cost)
+    art = 3 + m
+    tab = [row[:3] + [float(i == k) for k in range(m)] + [-1.0, row[3]] for i, row in enumerate(rows)]
+    basis = [3 + i for i in range(m)]
+    worst = min(range(m), key=lambda i: tab[i][-1])
+    if tab[worst][-1] < 0.0:
+        tab.append([0.0] * art + [1.0, 0.0])
+        _pivot(tab, worst, art)
+        basis[worst] = art
+        _run_simplex(tab, basis)
+        if -tab[-1][-1] > FEAS_TOL:
+            raise SolverBreakdown(f"phase 1 leaves the master infeasible by {-tab[-1][-1]:.3e}")
+        if art in basis:  # basic at zero: swap it for the column with the largest entry
+            k = basis.index(art)
+            enter = max(range(art), key=lambda j: abs(tab[k][j]))
+            _pivot(tab, k, enter)
+            basis[k] = enter
+        tab.pop()
+    tab = [row[:art] + row[-1:] for row in tab]
+    cost = list(master.objective) + [0.0] * (m + 1)
     for k, bv in enumerate(basis):
         if cost[bv] != 0.0:
-            tab[-1] = [x - cost[bv] * y for x, y in zip(tab[-1], tab[k])]
-    status = _run_simplex(tab, basis)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
+            cost = [x - cost[bv] * y for x, y in zip(cost, tab[k])]
+    tab.append(cost)
+    _run_simplex(tab, basis)
 
-    y = [0.0] * nu
+    point = list(lb)
     for k, bv in enumerate(basis):
-        y[bv] = tab[k][-1]
-    values = {v: lb[j] + y[j] for j, v in enumerate(names)}
-    for con in p.constraints:
-        act = sum(coef * values[v] for v, coef in con.terms.items())
-        err = act - con.rhs
-        ok = (
-            err <= FEAS_TOL
-            if con.sense == "<="
-            else err >= -FEAS_TOL
-            if con.sense == ">="
-            else abs(err) <= FEAS_TOL
-        )
-        if not ok:
-            raise RuntimeError(
-                f"optimal basis violates constraint {con.tag or con.terms} by {err:.3e}"
-            )
-    objective = sum(coef * values[v] for v, coef in p.objective.items())
-    return LpSolution(status="optimal", values=values, objective=float(objective))
+        if bv < 3:
+            point[bv] += tab[k][-1]
+    t, s, l = point
+    for c in master.constraints:
+        err = c.t * t + c.s * s + c.l * l - c.rhs
+        if err > FEAS_TOL:
+            raise SolverBreakdown(f"optimal basis violates a master row by {err:.3e}")
+    return t, s, l
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +233,15 @@ def segment_restrictions(lib: CellLibrary, cfg: OptimizationConfig) -> list[Segm
 # Constraint collapse
 
 
-class CollapsedRow(NamedTuple):
-    """Binding representative of all rows sharing one lhs shape.
-
-    The row covers the increments delta_first_row .. delta_{last_row-1}.
-    """
-
-    first_row: int
-    last_row: int
-    kind: str  # "setup" or "hold"
-    t_coef: float  # slope of the combined timing term on this segment
-    rhs: float  # rhs constant with the affine intercept folded in
-    source: str  # connection key of the binding member
-
-
 def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig):
-    """Binding setup and hold rows per (rows, slope), sorted by that shape.
+    """The binding setup and hold row per (rows, slope), as constraint-graph edges.
 
     A setup row binds with the largest rhs and a hold row with the smallest;
     on a tie the first connection in file order stays the representative.
+    Over the row prefixes, a setup row asks ``P_last - P_first >= fs(T) + S
+    + rhs``, the edge first -> last, and a hold row ``P_last - P_first <=
+    fh(T) - S + rhs``, the edge last -> first. Edges come sorted by rows,
+    kind and slope.
     """
     affine: dict[tuple[str, str], tuple] = {}
     setup: dict[tuple, tuple[float, TimingConstraint]] = {}
@@ -372,13 +262,15 @@ def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: Optimizati
         cur = hold.get(key)
         if cur is None or rhs < cur[0]:
             hold[key] = (rhs, tc)
-    # No two rows share (first_row, last_row, kind, t_coef), so the sort
+    # No two rows share (first_row, last_row, kind, slope), so the sort
     # never compares further fields.
-    return sorted(
-        CollapsedRow(first, last, kind, slope, rhs, tc.key)
+    rows = sorted(
+        (first, last, kind, slope, rhs, f"{kind}:{tc.key}")
         for kind, best in (("setup", setup), ("hold", hold))
         for (first, last, slope), (rhs, tc) in best.items()
     )
+    return [(m, k, a, 1.0, c, tag) if kind == "setup" else (k, m, -a, 1.0, -c, tag)
+            for m, k, kind, a, c, tag in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +283,7 @@ CYCLE_TOL = 1e-9
 
 
 class _ConstraintGraph:
-    """Collapsed rows as difference constraints over the row prefixes.
+    """Collapsed rows and the delta bounds as difference constraints over the row prefixes.
 
     With P_r the sum of the first r row increments, an edge i -> j of weight
     ``t*T + s*S + c`` asks for P_j >= P_i + weight. The least solution with
@@ -399,19 +291,13 @@ class _ConstraintGraph:
     positive weight.
     """
 
-    def __init__(self, rows, num_nodes: int, delta_max: float):
+    def __init__(self, edges, num_nodes: int, delta_max: float):
         self.n = num_nodes
         self.edges: list[tuple[int, int, float, float, float, Optional[str]]] = []
         for r in range(num_nodes - 1):
             self.edges.append((r, r + 1, 0.0, 0.0, 0.0, None))
             self.edges.append((r + 1, r, 0.0, 0.0, -delta_max, None))
-        for row in rows:
-            m, k = row.first_row, row.last_row
-            tag = f"{row.kind}:{row.source}"
-            if row.kind == "setup":
-                self.edges.append((m, k, row.t_coef, 1.0, row.rhs, tag))
-            else:
-                self.edges.append((k, m, -row.t_coef, 1.0, -row.rhs, tag))
+        self.edges += edges
         self.up: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         self.down: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         for e, (i, j, *_) in enumerate(self.edges):
@@ -449,7 +335,7 @@ class _ConstraintGraph:
             cycles = self._parent_cycles(parent)
             if cycles:
                 return None, None, cycles
-        raise RuntimeError("longest-path sweeps did not settle")
+        raise SolverBreakdown("longest-path sweeps did not settle")
 
     def _parent_cycles(self, parent: list[int]) -> list[list[int]]:
         seen = [0] * self.n
@@ -491,22 +377,62 @@ class _ConstraintGraph:
         return ta, sa, c, tags
 
 
-def _cut_loop(g: _ConstraintGraph, master: LpProblem, cuts: set):
+class Certificate(NamedTuple):
+    """One or two cycle cuts that leave no period at S = s_min."""
+
+    cycles: tuple[tuple[str, ...], ...]  # the connections of each cut
+    excess: float  # least, over the segment's periods, of the cuts' largest weight (ps)
+
+
+def _certificate(master: Master) -> Optional[Certificate]:
+    """Decide from the cycle cuts alone whether the master is infeasible.
+
+    Every cycle cut reads ``t*T + s*S <= rhs`` with s >= 1, so S = s_min is
+    best for all of them at once, and each is a half-line in T. The falling
+    cut with the largest root and the rising cut with the smallest root
+    bound the periods left, so no period is left iff one of them is
+    positive over the whole segment or the two are nowhere both satisfied.
+    A master that passes is feasible: path cuts and fix rows are only added
+    where the graph settled, and every such point satisfies all of them.
+    """
+    (t_lo, t_hi), (s_min, _), _ = master.bounds
+
+    def weight(c, t):
+        return c.t * t + c.s * s_min - c.rhs
+
+    def root(c):  # where the weight crosses zero; a cut flat in T is true or false throughout
+        return -weight(c, 0.0) / c.t if c.t else -math.inf if weight(c, 0.0) > 0.0 else math.inf
+
+    cycle_cuts = [c for c in master.constraints if c.conns]
+    falling = max((c for c in cycle_cuts if c.t < 0.0), key=root, default=None)
+    rising = min((c for c in cycle_cuts if c.t >= 0.0), key=root, default=None)
+    extreme = [c for c in (falling, rising) if c]
+    for cuts in [[c] for c in extreme] + [extreme] * (len(extreme) == 2):
+        periods = [t_lo, t_hi]
+        if len(cuts) == 2:  # where the falling and the rising weight cross
+            cross = (weight(rising, 0.0) - weight(falling, 0.0)) / (falling.t - rising.t)
+            periods.append(min(t_hi, max(t_lo, cross)))
+        excess = min(max(weight(c, t) for c in cuts) for t in periods)
+        if excess > CYCLE_TOL:
+            return Certificate(tuple(c.conns for c in cuts), excess)
+    return None
+
+
+def _cut_loop(g: _ConstraintGraph, master: Master, cuts: set):
     """Solve the master, adding the cut its point violates most, until none is new.
 
     At the master point (T, S) a positive cycle gives the cut
     ``weight(T, S) <= 0``. Once the graph settles, the longest path into the
     last row gives ``weight(T, S) <= L`` if it is longer than the master's
     L. ``cuts`` holds the edge sets already in the master, so no cycle or
-    path is added twice and the loop ends. Returns the master's solution and
-    the final distances; a point whose positive cycles are all in the master
-    already ends ``infeasible``, with those cycles' weights as violations.
+    path is added twice and the loop ends. Returns the optimal point and the
+    final distances, or the certificate once the cycle cuts leave no period.
     """
     while True:
-        sol = lp_solve(master)
-        if sol.status != "optimal":
-            return sol, None
-        t, s, latency = sol.values["T"], sol.values["S"], sol.values["L"]
+        cert = _certificate(master)
+        if cert:
+            return None, None, cert
+        t, s, latency = point = lp_solve(master)
         dist, parent, cycles = g.longest_paths(t, s)
         violated = []
         for edges, bound in [(c, 0.0) for c in cycles] or [(g.path_to_last(parent), latency)]:
@@ -518,76 +444,60 @@ def _cut_loop(g: _ConstraintGraph, master: LpProblem, cuts: set):
         if new:
             _, key, ta, sa, c, tags = max(new, key=lambda v: v[0])
             cuts.add(key)
-            terms = {"T": ta, "S": sa} if cycles else {"T": ta, "S": sa, "L": -1.0}
-            master.add_constraint(terms, "<=", -c, tag=tags)
+            master.constraints.append(Cut(ta, sa, 0.0, -c, tags) if cycles else Cut(ta, sa, -1.0, -c))
         elif cycles:
-            return LpSolution("infeasible", violations=tuple((v[5], v[0]) for v in violated)), None
+            raise SolverBreakdown("the master optimum lies on positive cycles it has cut off already")
         else:
-            return sol, dist
+            return point, dist, None
 
 
-_STAGE_VECTORS = {"period": {"T": 1.0}, "latency": {"L": 1.0}, "slack": {"S": -1.0}}
+_STAGE_VECTORS = {"period": (1.0, 0.0, 0.0), "latency": (0.0, 0.0, 1.0), "slack": (0.0, -1.0, 0.0)}
 
 
-def _stages(cfg: OptimizationConfig) -> list[tuple[str, dict[str, float]]]:
-    """Stage objectives in solve order: the weighted vector and then period,
-    latency and slack in weighted mode, ``cfg.priority`` otherwise."""
+def _stages(cfg: OptimizationConfig) -> list[tuple[float, float, float]]:
+    """Stage objectives over (T, S, L) in solve order: the weighted vector and
+    then period, latency and slack in weighted mode, ``cfg.priority`` otherwise."""
     if cfg.priority_mode == "lexicographic":
-        return [(name, _STAGE_VECTORS[name]) for name in cfg.priority]
-    weighted = {"T": cfg.tau, "S": -cfg.sigma, "L": cfg.lam}
-    return [("weighted", weighted)] + [
-        (name, _STAGE_VECTORS[name]) for name in ("period", "latency", "slack")
-    ]
+        return [_STAGE_VECTORS[name] for name in cfg.priority]
+    weighted = (cfg.tau, -cfg.sigma, cfg.lam)
+    return [weighted] + [_STAGE_VECTORS[name] for name in ("period", "latency", "slack")]
 
 
 @dataclass
 class SegmentOutcome:
     segment: SegmentRestriction
-    status: str
+    status: str  # "optimal", "infeasible", "pruned" or "breakdown"
     stage_values: tuple[float, ...] = ()
-    values: dict[str, float] = field(default_factory=dict)
-    #: Connections of each violated cycle cut, with its violation in ps.
-    violations: tuple[tuple[tuple[str, ...], float], ...] = ()
+    period: float = math.nan
+    slack: float = math.nan
+    deltas: tuple[float, ...] = ()
+    violations: Optional[Certificate] = None  # why an infeasible segment is infeasible
+    reason: str = ""  # what broke down
 
 
-def _solve_segment(rows, num_deltas: int, seg: SegmentRestriction, cfg: OptimizationConfig):
+def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: OptimizationConfig):
     """Optimize the stage criteria in order over (T, S, L), fixing each within FIX_TOL.
 
-    Criteria that are plain variables are fixed by tightening their bounds;
-    the weighted combination is fixed with one extra row. The master LP
-    starts from the bounds alone and gains its rows from ``_cut_loop``; the
-    row increments are the final longest-path distance differences.
+    The master starts from the bounds alone and gains its rows from
+    ``_cut_loop``; each finished stage adds the row ``objective <= optimum +
+    FIX_TOL``. The previous stage's optimum meets every later row, so only
+    the first stage can end with a certificate. The row increments are the
+    final longest-path distance differences.
     """
-    g = _ConstraintGraph(rows, num_deltas + 1, cfg.delta_max)
-    master = LpProblem()
-    master.add_variable("T", seg.t_lo, seg.t_hi)
-    master.add_variable("S", cfg.s_min, cfg.s_max)
-    master.add_variable("L", 0.0, num_deltas * cfg.delta_max)
+    g = _ConstraintGraph(edges, num_deltas + 1, cfg.delta_max)
+    master = Master(((seg.t_lo, seg.t_hi), (cfg.s_min, cfg.s_max), (0.0, num_deltas * cfg.delta_max)))
     cuts: set = set()
     stage_values = []
-    best = None
-    for name, vec in _stages(cfg):
-        master.set_objective(vec)
-        sol, dist = _cut_loop(g, master, cuts)
-        if sol.status != "optimal":
-            if best is None:
-                return SegmentOutcome(segment=seg, status=sol.status, violations=sol.violations)
-            log.warning("stage %s on segment %d ended %s; keeping previous stage", name, seg.index, sol.status)
-            break
-        best = sol, dist
-        stage_values.append(float(sol.objective))
-        if len(vec) == 1:
-            (var,) = vec
-            v = sol.values[var]
-            lo, hi = master.variables[var]
-            master.variables[var] = (max(lo, v - FIX_TOL), min(hi, v + FIX_TOL))
-        else:
-            master.add_constraint(dict(vec), "<=", float(sol.objective) + FIX_TOL, tag=(f"fix:{name}",))
-    sol, dist = best
-    deltas = [min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas)]
-    values = {f"delta_{r}": d for r, d in enumerate(deltas)}
-    values.update({"T": sol.values["T"], "S": sol.values["S"]})
-    return SegmentOutcome(segment=seg, status="optimal", stage_values=tuple(stage_values), values=values)
+    for vec in _stages(cfg):
+        master.objective = vec
+        point, dist, cert = _cut_loop(g, master, cuts)
+        if cert:
+            return SegmentOutcome(segment=seg, status="infeasible", violations=cert)
+        value = sum(a * x for a, x in zip(vec, point))
+        stage_values.append(value)
+        master.constraints.append(Cut(*vec, value + FIX_TOL))
+    deltas = tuple(min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas))
+    return SegmentOutcome(seg, "optimal", tuple(stage_values), period=point[0], slack=point[1], deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +521,10 @@ def _solve_outcome(
         if seg.t_lo + FIX_TOL > seg.t_hi:
             return SegmentOutcome(segment=seg, status="pruned")
         seg = replace(seg, t_lo=seg.t_lo + FIX_TOL)
-    return _solve_segment(_collapse(tcs, seg, cfg), tcs.num_deltas, seg, cfg)
+    try:
+        return _solve_segment(_collapse(tcs, seg, cfg), tcs.num_deltas, seg, cfg)
+    except SolverBreakdown as e:
+        return SegmentOutcome(segment=seg, status="breakdown", reason=str(e))
 
 
 def _lex_le(a: tuple[float, ...], b: tuple[float, ...], tol: float = FIX_TOL) -> bool:
@@ -635,9 +548,12 @@ def optimize_schedule(
     Weighted mode compares the refined weighted optima across segments;
     lexicographic mode compares the per-segment stage-value tuples. Ties
     resolve to the lower segment index, matching the boundary ownership
-    rule. When every segment is infeasible the error names the connections
-    behind the least-violating segment: those on the positive cycles whose
-    cuts keep its master LP infeasible, with each cut's phase-1 residual.
+    rule. A segment whose solve breaks down numerically is skipped with a
+    warning; when no segment is feasible, any breakdown is reported as
+    ``SOLVER_BREAKDOWN``. Otherwise the error names the connections of the
+    certificate with the smallest X: one or two positive cycles that leave
+    no period of their segment at S = s_min, where at every period one of
+    them weighs at least X ps.
     """
     segs = segment_restrictions(lib, cfg)
     if not segs:
@@ -651,27 +567,26 @@ def optimize_schedule(
         details["outcomes"] = outcomes
 
     feasible = [o for o in outcomes if o.status == "optimal"]
-    if not feasible:
-        scored = [o for o in outcomes if o.status == "infeasible"] or outcomes
-        worst = min(
-            scored,
-            key=lambda o: sum(v for _, v in o.violations) if o.violations else math.inf,
+    broken = [o for o in outcomes if o.status == "breakdown"]
+    if not feasible and broken:
+        raise InfeasibleScheduleError(
+            [Diagnostic("SOLVER_BREAKDOWN", f"segment {o.segment.index}", o.reason) for o in broken]
         )
-        diags = [
-            Diagnostic("INFEASIBLE", conn, f"on a positive cycle violated by {v:.6g} ps")
-            for conns, v in worst.violations[:5]
-            for conn in conns
-        ] or [Diagnostic("INFEASIBLE", f"segment {worst.segment.index}", "no feasible schedule")]
-        raise InfeasibleScheduleError(diags)
+    for o in broken:
+        log.warning("segment %d: solver breakdown (%s); skipped", o.segment.index, o.reason)
+    if not feasible:  # the lowest segment is never pruned, so one is infeasible
+        cert = min((o.violations for o in outcomes if o.violations), key=lambda c: c.excess)
+        raise InfeasibleScheduleError([
+            Diagnostic("INFEASIBLE", conn, f"on a positive cycle violated by {cert.excess:.6g} ps")
+            for conn in dict.fromkeys(conn for cycle in cert.cycles for conn in cycle)
+        ])
 
     best = feasible[0]
     for cand in feasible[1:]:
         if not _lex_le(best.stage_values, cand.stage_values):
             best = cand
 
-    nd = tcs.num_deltas
-    deltas = tuple(best.values[f"delta_{r}"] for r in range(nd))
-    period = best.values["T"]
+    period = best.period
     seg_index = best.segment.index
     # A period landing exactly on the segment's open lower breakpoint belongs
     # to the segment below; relabel so the reported segment owns the period.
@@ -680,9 +595,9 @@ def optimize_schedule(
         seg_index -= 1
     return Schedule(
         period=period,
-        row_deltas=deltas,
-        slack=best.values["S"],
-        latency=sum(deltas),
+        row_deltas=best.deltas,
+        slack=best.slack,
+        latency=sum(best.deltas),
         segment_index=seg_index,
     )
 

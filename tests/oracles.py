@@ -3,13 +3,11 @@
 Nothing here may share logic with the code paths under test: chain removal
 is checked by exhaustive subset enumeration, schedules by grid search over
 the period with a Bellman-Ford difference-constraint solve per grid point,
-segment schedules by the full per-segment LP solved with SciPy's HiGHS, and
-small LPs by brute-force vertex enumeration.
+and segment schedules by the full per-segment LP solved with SciPy's HiGHS.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
@@ -238,46 +236,3 @@ def segment_lp_oracle(
         a_ub.append(c)
         b_ub.append(res.fun + fix_tol)
     return "optimal", tuple(values)
-
-
-def solve_2var_by_enumeration(constraints, x_bounds, y_bounds, objective):
-    """Minimize c.(x, y) over half-planes by enumerating boundary intersections.
-
-    ``constraints`` are (a, b, sense, rhs) rows meaning a*x + b*y sense rhs.
-    Returns (x, y, value) or None when infeasible.
-    """
-    lines = [(a, b, rhs) for a, b, _, rhs in constraints]
-    lines += [(1.0, 0.0, x_bounds[0]), (1.0, 0.0, x_bounds[1])]
-    lines += [(0.0, 1.0, y_bounds[0]), (0.0, 1.0, y_bounds[1])]
-    points = []
-    for (a1, b1, r1), (a2, b2, r2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-12:
-            continue
-        x = (r1 * b2 - r2 * b1) / det
-        y = (a1 * r2 - a2 * r1) / det
-        points.append((x, y))
-
-    def feasible(x, y):
-        if not (x_bounds[0] - 1e-9 <= x <= x_bounds[1] + 1e-9):
-            return False
-        if not (y_bounds[0] - 1e-9 <= y <= y_bounds[1] + 1e-9):
-            return False
-        for a, b, sense, rhs in constraints:
-            v = a * x + b * y
-            if sense == "<=" and v > rhs + 1e-9:
-                return False
-            if sense == ">=" and v < rhs - 1e-9:
-                return False
-            if sense == "=" and abs(v - rhs) > 1e-9:
-                return False
-        return True
-
-    best = None
-    for x, y in points:
-        if not feasible(x, y):
-            continue
-        val = objective[0] * x + objective[1] * y
-        if best is None or val < best[2] - 1e-12:
-            best = (x, y, val)
-    return best

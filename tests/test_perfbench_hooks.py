@@ -79,3 +79,8 @@ def test_traced_run_records_constraint_and_sta_spans(tmp_path, ref_lib):
     # One constraint record per connection.
     assert build["attrs"]["constraints"] == len(circuit.connections)
     assert len(by_name["timing.sta_check"]) == 1
+    # perfbench's solver.lp_* metrics read the master's constraint count.
+    assert by_name["solver.lp_solve"]
+    for span in by_name["solver.lp_solve"]:
+        rows = span["attrs"]["rows"]
+        assert type(rows) is int and rows >= 0

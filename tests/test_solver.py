@@ -1,21 +1,34 @@
 import itertools
+import json
+import logging
 import random
+import re
 
 import pytest
 
-from oracles import grid_min_period, min_latency_at, segment_lp_oracle, solve_2var_by_enumeration
+from scipy.optimize import linprog
+
+from conftest import BP2, const_fn, make_library
+from oracles import grid_min_period, min_latency_at, segment_lp_oracle
+from aqfpopt import solver
 from aqfpopt.bufferopt import remove_buffers
-from aqfpopt.cli import generate_circuit
+from aqfpopt.cli import generate_circuit, main
+from aqfpopt.ingest import serialize_circuit, serialize_library
 from aqfpopt.model import (
+    CellTiming,
     Circuit,
     Connection,
     Gate,
     OptimizationConfig,
+    PiecewiseLinear,
 )
 from aqfpopt.solver import (
+    Cut,
     InfeasibleScheduleError,
-    LpProblem,
+    Master,
     SegmentRestriction,
+    SolverBreakdown,
+    _certificate,
     explore,
     lp_solve,
     optimize_schedule,
@@ -24,99 +37,107 @@ from aqfpopt.solver import (
 from aqfpopt.timing import build_constraints, sta_check
 
 
+def master(bounds, rows=(), objective=(0.0, 0.0, 0.0)):
+    """A master over boxed (T, S, L) with ``<=`` rows (t, s, l, rhs[, conns])."""
+    return Master(bounds, objective, [Cut(*row) for row in rows])
+
+
+def highs(m):
+    """SciPy's HiGHS on the same master: (status, objective)."""
+    res = linprog(m.objective, A_ub=[c[:3] for c in m.constraints] or None,
+                  b_ub=[c.rhs for c in m.constraints] or None, bounds=m.bounds, method="highs")
+    return res.status, res.fun
+
+
 class TestLpSolve:
     def test_simple_maximization(self):
-        p = LpProblem()
-        p.add_variable("x", 0.0, None)
-        p.add_constraint({"x": 1.0}, "<=", 3.0)
-        p.set_objective({"x": -1.0})
-        sol = lp_solve(p)
-        assert sol.status == "optimal"
-        assert sol.values["x"] == pytest.approx(3.0)
-        assert sol.objective == pytest.approx(-3.0)
+        m = master(((0.0, 1e6), (0.0, 0.0), (0.0, 0.0)), [(1.0, 0.0, 0.0, 3.0)], objective=(-1.0, 0.0, 0.0))
+        assert lp_solve(m) == pytest.approx((3.0, 0.0, 0.0))
 
     def test_infeasible_box(self):
-        p = LpProblem()
-        p.add_variable("x", 0.0, None)
-        p.add_constraint({"x": 1.0}, ">=", 2.0, tag="lo")
-        p.add_constraint({"x": 1.0}, "<=", 1.0, tag="hi")
-        p.set_objective({"x": 1.0})
-        sol = lp_solve(p)
-        assert sol.status == "infeasible"
-        assert sol.violations and sol.violations[0][1] >= 1.0 - 1e-9
+        # Cycle-shaped cuts T >= 2 + S and T <= 1 - S leave no period at S = 0;
+        # at T = 1.5 both weigh 0.5 ps, and no period does better.
+        m = master(((0.0, 10.0), (0.0, 5.0), (0.0, 0.0)),
+                   [(-1.0, 1.0, 0.0, -2.0, ("lo",)), (1.0, 1.0, 0.0, 1.0, ("hi",))])
+        cert = _certificate(m)
+        assert cert.cycles == (("lo",), ("hi",))
+        assert cert.excess == pytest.approx(0.5)
+        with pytest.raises(SolverBreakdown):
+            lp_solve(m)
 
     def test_two_variable_vertex(self):
-        p = LpProblem()
-        p.add_variable("x", 0.0, None)
-        p.add_variable("y", 0.0, None)
-        p.add_constraint({"x": 1.0, "y": 2.0}, ">=", 4.0)
-        p.add_constraint({"x": 3.0, "y": 1.0}, ">=", 6.0)
-        p.set_objective({"x": 1.0, "y": 1.0})
-        sol = lp_solve(p)
-        oracle = solve_2var_by_enumeration(
-            [(1.0, 2.0, ">=", 4.0), (3.0, 1.0, ">=", 6.0)], (0.0, 1e6), (0.0, 1e6), (1.0, 1.0)
-        )
-        assert sol.status == "optimal"
-        assert sol.values["x"] == pytest.approx(1.6)
-        assert sol.values["y"] == pytest.approx(1.2)
-        assert sol.objective == pytest.approx(2.8)
-        assert sol.objective == pytest.approx(oracle[2])
-
-    def test_unbounded(self):
-        p = LpProblem()
-        p.add_variable("x", 0.0, None)
-        p.set_objective({"x": -1.0})
-        sol = lp_solve(p)
-        assert sol.status == "unbounded"
-
-    def test_equality_and_shifted_bounds(self):
-        p = LpProblem()
-        p.add_variable("x", -5.0, 5.0)
-        p.add_variable("y", -5.0, 5.0)
-        p.add_constraint({"x": 1.0, "y": 1.0}, "=", 1.0)
-        p.set_objective({"x": 1.0, "y": -1.0})
-        sol = lp_solve(p)
-        assert sol.status == "optimal"
-        assert sol.values["x"] + sol.values["y"] == pytest.approx(1.0)
-        assert sol.values == {"x": -4.0, "y": 5.0}
+        # x + 2y >= 4 and 3x + y >= 6, minimizing x + y: the rows cross at (1.6, 1.2).
+        m = master(((0.0, 1e6), (0.0, 1e6), (0.0, 0.0)), [(-1.0, -2.0, 0.0, -4.0), (-3.0, -1.0, 0.0, -6.0)],
+                   objective=(1.0, 1.0, 0.0))
+        assert lp_solve(m) == pytest.approx((1.6, 1.2, 0.0))
 
     def test_deterministic(self):
         def build():
-            p = LpProblem()
-            p.add_variable("a", 0.0, 10.0)
-            p.add_variable("b", 0.0, 10.0)
-            p.add_variable("c", 0.0, 10.0)
-            p.add_constraint({"a": 1.0, "b": 1.0, "c": 1.0}, ">=", 5.0)
-            p.add_constraint({"a": 1.0, "b": -1.0}, "<=", 2.0)
-            p.set_objective({"a": 1.0, "b": 1.0, "c": 1.0})
-            return p
+            return master(((0.0, 10.0),) * 3, [(-1.0, -1.0, -1.0, -5.0), (1.0, -1.0, 0.0, 2.0)],
+                          objective=(1.0, 1.0, 1.0))
 
-        first = lp_solve(build())
-        second = lp_solve(build())
-        assert first.values == second.values
+        assert lp_solve(build()) == lp_solve(build())
 
-    def test_random_2var_against_enumeration(self):
+    def test_random_boxed_lps_match_highs(self):
         rng = random.Random(99)
-        for trial in range(60):
-            cons = []
-            for _ in range(rng.randint(1, 5)):
-                a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
-                sense = rng.choice(["<=", ">="])
-                cons.append((a, b, sense, rng.uniform(-5, 5)))
-            obj = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            p = LpProblem()
-            p.add_variable("x", 0.0, 10.0)
-            p.add_variable("y", 0.0, 10.0)
-            for k, (a, b, sense, rhs) in enumerate(cons):
-                p.add_constraint({"x": a, "y": b}, sense, rhs, tag=str(k))
-            p.set_objective({"x": obj[0], "y": obj[1]})
-            sol = lp_solve(p)
-            oracle = solve_2var_by_enumeration(cons, (0.0, 10.0), (0.0, 10.0), obj)
-            if oracle is None:
-                assert sol.status == "infeasible"
-            else:
-                assert sol.status == "optimal"
-                assert sol.objective == pytest.approx(oracle[2], abs=1e-6)
+        statuses = []
+        for trial in range(200):
+            bounds = []
+            for _ in range(3):
+                lo = rng.uniform(-5, 5)
+                bounds.append((lo, lo + rng.choice([0.0, rng.uniform(0, 10)])))
+            rows = [tuple(rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(3)) + (rng.uniform(-3, 9),)
+                    for _ in range(rng.randint(0, 6))]
+            m = master(tuple(bounds), rows, objective=tuple(rng.uniform(-2, 2) for _ in range(3)))
+            status, value = highs(m)
+            statuses.append(status)
+            if status == 2:
+                with pytest.raises(SolverBreakdown):
+                    lp_solve(m)
+                continue
+            assert status == 0
+            point = lp_solve(m)
+            assert sum(c * x for c, x in zip(m.objective, point)) == pytest.approx(value, abs=1e-6)
+            assert all(lo - 1e-9 <= x <= hi + 1e-9 for x, (lo, hi) in zip(point, m.bounds))
+            assert all(sum(a * x for a, x in zip(c[:3], point)) <= c.rhs + 1e-7 for c in m.constraints)
+        assert 50 <= statuses.count(2) <= 150
+
+    def test_cycle_cut_verdict_matches_highs(self):
+        # Cuts shaped like cycle cuts: S coefficient >= 1, no L, and a slope
+        # in T that is zero now and then. A sloped cut weighs 0 at
+        # (root, s_min) for a root near the segment.
+        rng = random.Random(7)
+        verdicts = []
+        for trial in range(300):
+            t_lo = rng.uniform(100, 250)
+            t_hi = t_lo + rng.choice([0.0, rng.uniform(0, 150), rng.uniform(0, 150)])
+            s_min = rng.uniform(0, 5)
+            bounds = ((t_lo, t_hi), (s_min, s_min + rng.uniform(0, 50)), (0.0, 100.0))
+            rows = []
+            for k in range(rng.randint(1, 5)):
+                s = float(rng.randint(1, 4))
+                if rng.random() < 0.1:
+                    t, rhs = 0.0, s * s_min + rng.uniform(-1, 5)
+                else:
+                    t = rng.uniform(-1, 1)
+                    rhs = t * rng.uniform(t_lo - 20, t_hi + 20) + s * s_min
+                rows.append((t, s, 0.0, rhs, (f"cut{k}",)))
+            m = master(bounds, rows, objective=(1.0, 0.0, 0.0))
+            cert = _certificate(m)
+            status, _ = highs(m)
+            assert (cert is None) == (status == 0), (trial, cert, status)
+            verdicts.append(len(cert.cycles) if cert else 0)
+            if cert is None:
+                continue
+            # The certificate's one or two cuts are positive over the whole
+            # segment at s_min, by cert.excess at the least.
+            assert cert.excess > 0
+            cuts = [c for c in m.constraints if c.conns in cert.cycles]
+            grid = [t_lo + (t_hi - t_lo) * i / 400 for i in range(401)]
+            weights = [max(c.t * t + c.s * s_min - c.rhs for c in cuts) for t in grid]
+            assert min(weights) >= cert.excess - 1e-9
+            assert min(weights) <= cert.excess + (t_hi - t_lo) / 400
+        assert verdicts.count(0) >= 50 and verdicts.count(1) >= 50 and verdicts.count(2) >= 10
 
 
 WEIGHTED = OptimizationConfig(priority_mode="weighted", tau=1.0, sigma=1e-6, lam=1e-6)
@@ -391,6 +412,139 @@ class TestDifferenceSolver:
             optimize_schedule(tcs, fixture_library, cfg)
         named = {d.entity for d in e.value.diagnostics}
         assert named == {f"setup:{setup_pair[0].key}", f"hold:{hold_pair[0].key}"}
+
+
+def two_cycle_circuit():
+    """Rows 0 -> 1 with a hold-critical and a setup-critical connection.
+
+    With the setup-sloped library below and delta_max 72, the 2-cycle
+    through both connections rules out periods below 200 ps, and the
+    setup row against the delta_max bound rules out periods above 150 ps.
+    """
+    gates = wide_spread_circuit().gates
+    return Circuit(name="two-cycles", num_rows=2, gates=gates,
+                   connections=(Connection("a1", "b1", 1.0, prop=0.0), Connection("a2", "b2", 52.0, prop=52.0)))
+
+
+def sloped_setup_library():
+    """The fixture library with setup 0.1*T - 5 ps."""
+    timing = CellTiming(c2q=const_fn(10.0), setup=PiecewiseLinear(BP2, ((0.1, -5.0),) * 2),
+                        hold=const_fn(5.0), rd=PiecewiseLinear(BP2, ((0.3, 10.0), (0.36, 0.0))))
+    return make_library({"buffer": timing, "majority3": timing})
+
+
+def reported_excess(err):
+    """The X of every ``violated by X ps`` line, which must agree; printed to six digits."""
+    found = {float(x) for x in re.findall(r"^\[INFEASIBLE\] .*violated by (\S+) ps$", err, re.M)}
+    assert len(found) == 1, err
+    return found.pop()
+
+
+def cli_inputs(tmp_path, circuit, lib):
+    """Write the circuit and library files; returns their command-line flags."""
+    (tmp_path / "c.qc.json").write_text(serialize_circuit(circuit))
+    (tmp_path / "l.qlib.json").write_text(serialize_library(lib))
+    return ["--circuit", str(tmp_path / "c.qc.json"), "--lib", str(tmp_path / "l.qlib.json")]
+
+
+@pytest.fixture
+def fresh_log_handler(monkeypatch):
+    # main() keeps the stderr handler it made first; make one for this test's captured stderr.
+    monkeypatch.setattr(logging.getLogger("aqfpopt"), "handlers", [])
+
+
+@pytest.mark.usefixtures("fresh_log_handler")
+class TestInfeasibleReport:
+    """What ``violated by X ps`` reports, worked out from the library's values
+    and the connections' delays rather than from solver edges."""
+
+    def test_wide_spread_excess(self, fixture_library, tmp_path, capsys):
+        c = wide_spread_circuit()
+        t = fixture_library.timing("majority3")
+        # The 2-cycle through setup a2->b2 and hold a1->b1 weighs, at S = 0,
+        # c2q + setup + 110 - (c2q + rd - hold + 0). rd grows with the period,
+        # so the least weight over the library's range is at its top.
+        def weight(p):
+            return t.c2q(p) + t.setup(p) + c.connections[1].prop - (t.c2q(p) + t.rd(p) - t.hold(p))
+
+        assert main(["optimize", *cli_inputs(tmp_path, c, fixture_library)]) == 2
+        assert reported_excess(capsys.readouterr().err) == pytest.approx(weight(300.0), rel=1e-5)
+
+    def test_two_cycle_excess_is_where_the_weights_cross(self):
+        c, lib = two_cycle_circuit(), sloped_setup_library()
+        t = lib.timing("majority3")
+        cfg = OptimizationConfig(delta_max=72.0)
+
+        delay = c.connections[1].prop
+
+        def falling(p):  # setup a2->b2 and hold a1->b1
+            return t.c2q(p) + t.setup(p) + delay - (t.c2q(p) + t.rd(p) - t.hold(p))
+
+        def rising(p):  # setup a2->b2 against delta_max
+            return t.c2q(p) + t.setup(p) + delay - cfg.delta_max
+
+        # Both are affine on (100, 300]; the least largest weight is where they cross.
+        p1, p2 = 150.0, 250.0
+        gap = [falling(p) - rising(p) for p in (p1, p2)]
+        cross = p1 + (p2 - p1) * gap[0] / (gap[0] - gap[1])
+        assert falling(cross) > 0
+        with pytest.raises(InfeasibleScheduleError) as e:
+            optimize_schedule(build_constraints(c, lib, cfg), lib, cfg)
+        assert reported_excess("\n".join(map(str, e.value.diagnostics))) == pytest.approx(falling(cross), rel=1e-5)
+        assert {d.entity for d in e.value.diagnostics} == {"setup:a2->b2", "hold:a1->b1"}
+
+
+#: (what is forced, patched object, attribute, value, circuit, solver flags, reason in the diagnostic).
+BREAKDOWNS = [
+    ("pivot", solver, "PIVOT_TOL", 1e9, "two_row", (), "is below"),
+    ("pivot-limit", solver, "PIVOT_LIMIT", 0, "two_row", (), "more than 0 pivots"),
+    ("post-check", solver, "FEAS_TOL", -1.0, "two_row", ("--priority", "slack,period,latency"),
+     "violates a master row"),
+    ("sweeps", solver._ConstraintGraph, "_parent_cycles", lambda self, parent: [], "wide_spread", (),
+     "did not settle"),
+]
+
+
+@pytest.mark.usefixtures("fresh_log_handler")
+class TestSolverBreakdown:
+    @pytest.mark.parametrize("target,attr,value,circuit,flags,reason",
+                             [b[1:] for b in BREAKDOWNS], ids=[b[0] for b in BREAKDOWNS])
+    def test_breakdown_is_a_diagnostic(self, monkeypatch, tmp_path, capsys, fixture_library, two_row_circuit,
+                                       target, attr, value, circuit, flags, reason):
+        monkeypatch.setattr(target, attr, value)
+        c = two_row_circuit if circuit == "two_row" else wide_spread_circuit()
+        assert main(["optimize", *cli_inputs(tmp_path, c, fixture_library), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("[SOLVER_BREAKDOWN] segment ")]
+        assert lines and all(reason in line for line in lines), err
+
+    def test_sweep_records_breakdown_as_failed_row(self, monkeypatch, tmp_path, capsys, fixture_library,
+                                                   two_row_circuit):
+        monkeypatch.setattr(solver, "PIVOT_LIMIT", 0)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", *cli_inputs(tmp_path, two_row_circuit, fixture_library),
+                     "--configs", "table1a,table3", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [r["config"] for r in rows] == ["table1a", "table3"]
+        assert all(r["error"][0].startswith("[SOLVER_BREAKDOWN] segment ") for r in rows)
+
+    def test_other_segments_still_solve(self, monkeypatch, two_row_circuit, fixture_library):
+        # Break only the upper segment down; the lower one still gives the schedule.
+        real = solver._solve_segment
+
+        def fails_above_first(edges, num_deltas, seg, cfg):
+            if seg.index:
+                raise SolverBreakdown("forced")
+            return real(edges, num_deltas, seg, cfg)
+
+        monkeypatch.setattr(solver, "_solve_segment", fails_above_first)
+        cfg = OptimizationConfig()
+        details = {}
+        sched = optimize_schedule(build_constraints(two_row_circuit, fixture_library, cfg), fixture_library, cfg,
+                                  details=details)
+        assert [o.status for o in details["outcomes"]] == ["optimal", "breakdown"]
+        assert sched.period == pytest.approx(100.0)
 
 
 class TestExplore:
