@@ -12,9 +12,7 @@ optima add up to the global optimum.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
     BUFFER_CELL,
@@ -24,17 +22,15 @@ from aqfpopt.model import (
     Connection,
     Diagnostic,
     ValidationError,
+    log,
 )
-
-log = logging.getLogger("aqfpopt")
 
 
 class MalformedChainError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainGraph:
+class ChainGraph(NamedTuple):
     """Removal DAG of one chain: nodes 0..m+1, edges (i, j) with i < j.
 
     An edge exists iff every buffer strictly between its endpoints can be
@@ -46,8 +42,7 @@ class ChainGraph:
     edges: tuple[tuple[int, int, int, float], ...]  # (i, j, weight, merged length)
 
 
-@dataclass(frozen=True)
-class ChainRemoval:
+class ChainRemoval(NamedTuple):
     source: str
     sink: str
     kept_nodes: tuple[int, ...]
@@ -55,8 +50,7 @@ class ChainRemoval:
     merged_connections: tuple[Connection, ...]
 
 
-@dataclass(frozen=True)
-class RemovalPlan:
+class RemovalPlan(NamedTuple):
     chains: tuple[ChainRemoval, ...]
     buffers_total: int
     buffers_removed: int

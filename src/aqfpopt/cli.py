@@ -8,9 +8,8 @@ variable (error, warn, info, debug) controls diagnostic verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
-import logging
 import os
 import random
 import sys
@@ -34,6 +33,7 @@ from aqfpopt.ingest import (
 )
 from aqfpopt.model import (
     BUFFER_CELL,
+    LOG_LEVELS,
     CellLibrary,
     Circuit,
     Connection,
@@ -42,12 +42,11 @@ from aqfpopt.model import (
     OptimizationConfig,
     PwlDomainError,
     ValidationError,
+    log,
     validate_circuit,
 )
 from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, explore, optimize_schedule
 from aqfpopt.timing import UnsupportedSkipError, build_constraints, sta_check
-
-log = logging.getLogger("aqfpopt")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -185,20 +184,6 @@ def generate_circuit(
 # Shared plumbing
 
 
-def _configure_logging() -> None:
-    level = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }.get(os.environ.get("QPRO_LOG", "warn").lower(), logging.WARNING)
-    if not log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        log.addHandler(handler)
-    log.setLevel(level)
-
-
 def _fail(diagnostics, code: int = EXIT_INPUT) -> int:
     for d in diagnostics:
         print(str(d), file=sys.stderr)
@@ -262,7 +247,7 @@ def _config_from_args(args) -> OptimizationConfig:
 
 
 def _config_echo(cfg: OptimizationConfig, remove_buffers_flag: bool) -> dict:
-    doc = dataclasses.asdict(cfg)
+    doc = cfg._asdict()
     doc["priority"] = list(cfg.priority)
     doc["remove_buffers"] = remove_buffers_flag
     return doc
@@ -416,9 +401,9 @@ def _preset_config(name: str) -> OptimizationConfig:
     if name == "table1a":
         return base
     if name == "table1b":
-        return dataclasses.replace(base, s_min=5.0)
+        return base._replace(s_min=5.0)
     if name == "table1c":
-        return dataclasses.replace(base, priority=("period", "slack", "latency"))
+        return base._replace(priority=("period", "slack", "latency"))
     raise ValueError(name)
 
 
@@ -589,16 +574,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    log.level = LOG_LEVELS.get(os.environ.get("QPRO_LOG", "warn").lower(), LOG_LEVELS["warn"])
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code else EXIT_OK
+    # Nearly all a command allocates lives until it returns, so cyclic
+    # collection passes would only cost time. The caller's setting is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValidationError as e:
         return _fail(e.diagnostics)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ numbers. What the content means is checked by ``validate_circuit`` and
 from __future__ import annotations
 
 import json
-import logging
 import sys
 from typing import Any, Optional
 
@@ -27,10 +26,9 @@ from aqfpopt.model import (
     PiecewiseLinear,
     Schedule,
     ValidationError,
+    log,
     validate_library,
 )
-
-log = logging.getLogger("aqfpopt")
 
 FORMAT_VERSION = 1
 

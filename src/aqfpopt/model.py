@@ -1,22 +1,58 @@
 """Domain types shared across the toolkit.
 
 All types are immutable after construction, so they can be shared freely
-across threads. Gates and connections, one per netlist entry, are named
-tuples, which cost a fraction of a frozen dataclass to build. Units are
-fixed throughout the package: times in ps, lengths in um, frequencies in
-GHz (frequency = 1000 / period_ps).
+across threads. Every record is a named tuple, cheap to build and to
+import. A record that coerces or checks its fields does so in ``__new__``,
+and its copies made with ``_replace`` pass through the same checks. Units
+are fixed throughout the package: times in ps, lengths in um, frequencies
+in GHz (frequency = 1000 / period_ps).
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-log = logging.getLogger("aqfpopt")
+#: ``QPRO_LOG`` values and the least severity each one lets through.
+LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
+
+
+class _StderrLog:
+    """The package's log: ``LEVEL aqfpopt: message`` lines, each written to the
+    ``sys.stderr`` current at the time, so a caller that swaps stderr (a test
+    capturing it) gets its own lines. ``level`` is the least severity written."""
+
+    level = LOG_LEVELS["warn"]
+
+    def _write(self, severity: int, name: str, msg: str, args: tuple) -> None:
+        if severity >= self.level:
+            sys.stderr.write(f"{name} aqfpopt: {msg % args if args else msg}\n")
+            sys.stderr.flush()
+
+    def warning(self, msg: str, *args) -> None:
+        self._write(LOG_LEVELS["warn"], "WARNING", msg, args)
+
+    def info(self, msg: str, *args) -> None:
+        self._write(LOG_LEVELS["info"], "INFO", msg, args)
+
+
+log = _StderrLog()
+
+
+class _Checked:
+    """Base of a named tuple whose ``__new__`` coerces and checks its fields.
+    The generated ``_make``, which ``_replace`` calls, skips ``__new__``; this
+    one goes through it, so every copy is checked too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
 
 BUFFER_CELL = "buffer"
 
@@ -29,8 +65,7 @@ class PwlDomainError(ValueError):
     """Evaluation of a piecewise-linear function outside its domain."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """Machine-readable finding produced by a validation pass."""
 
     code: str
@@ -50,8 +85,12 @@ class ValidationError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class _PiecewiseLinearFields(NamedTuple):
+    breakpoints: tuple[float, ...]
+    segments: tuple[tuple[float, float], ...]
+
+
+class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
     """Piecewise-linear function of the clock period.
 
     ``segments[k]`` is the ``(slope, intercept)`` pair active on the interval
@@ -61,33 +100,27 @@ class PiecewiseLinear:
     the feasible sets of the per-segment LPs closed.
     """
 
-    breakpoints: tuple[float, ...]
-    segments: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(
-            self, "segments", tuple((float(s), float(i)) for s, i in self.segments)
-        )
+    def __new__(cls, breakpoints, segments):
+        bps = tuple(float(b) for b in breakpoints)
+        segs = tuple((float(s), float(i)) for s, i in segments)
         errs = []
-        if len(self.breakpoints) < 2:
+        if len(bps) < 2:
             errs.append(Diagnostic("ARITY_MISMATCH", "pwl", "need at least two breakpoints"))
-        elif len(self.segments) != len(self.breakpoints) - 1:
+        elif len(segs) != len(bps) - 1:
             errs.append(
-                Diagnostic(
-                    "ARITY_MISMATCH",
-                    "pwl",
-                    f"{len(self.segments)} segments for {len(self.breakpoints)} breakpoints",
-                )
+                Diagnostic("ARITY_MISMATCH", "pwl", f"{len(segs)} segments for {len(bps)} breakpoints")
             )
-        if self.breakpoints and self.breakpoints[0] < 0:
+        if bps and bps[0] < 0:
             errs.append(Diagnostic("NEGATIVE_BREAKPOINT", "pwl", "first breakpoint must be >= 0"))
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(a >= b for a, b in zip(bps, bps[1:])):
             errs.append(
                 Diagnostic("NONMONOTONE_BREAKPOINTS", "pwl", "breakpoints must be strictly increasing")
             )
         if errs:
             raise ValidationError(errs)
+        return super().__new__(cls, bps, segs)
 
     @property
     def t_lo(self) -> float:
@@ -120,8 +153,7 @@ class PiecewiseLinear:
         return jump if abs(jump) > CONTINUITY_TOL else 0.0
 
 
-@dataclass(frozen=True)
-class CellTiming:
+class CellTiming(NamedTuple):
     """Per-cell timing functions over the library-wide period breakpoints."""
 
     c2q: PiecewiseLinear
@@ -133,10 +165,7 @@ class CellTiming:
         return {"c2q": self.c2q, "setup": self.setup, "hold": self.hold, "rd": self.rd}
 
 
-@dataclass(frozen=True)
-class CellLibrary:
-    """Cell timing plus the interconnect constants shared by all passes."""
-
+class _CellLibraryFields(NamedTuple):
     cells: dict[str, CellTiming]
     breakpoints: tuple[float, ...]
     l_max_drive: float  # um, longest reliably drivable interconnect
@@ -146,8 +175,14 @@ class CellLibrary:
     t_max: float  # ps
     max_frequency: float  # GHz, adiabatic limit of the library
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
+
+class CellLibrary(_Checked, _CellLibraryFields):
+    """Cell timing plus the interconnect constants shared by all passes."""
+
+    __slots__ = ()
+
+    def __new__(cls, cells, breakpoints, *args, **kwargs):
+        return super().__new__(cls, cells, tuple(float(b) for b in breakpoints), *args, **kwargs)
 
     def timing(self, cell: str) -> CellTiming:
         return self.cells[cell]
@@ -269,16 +304,19 @@ class Connection(NamedTuple):
         return f"{self.src}->{self.dst}"
 
 
-@dataclass(frozen=True)
-class Circuit:
+class _CircuitFields(NamedTuple):
     name: str
     num_rows: int
     gates: tuple[Gate, ...]
     connections: tuple[Connection, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "connections", tuple(self.connections))
+
+class Circuit(_Checked, _CircuitFields):
+    """A netlist. Unlike the other records it has an instance ``__dict__``,
+    which caches the gate index and the fanout and fanin maps on first use."""
+
+    def __new__(cls, name, num_rows, gates, connections):
+        return super().__new__(cls, name, num_rows, tuple(gates), tuple(connections))
 
     @cached_property
     def gates_by_id(self) -> dict[str, Gate]:
@@ -367,17 +405,21 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
-class BufferChain:
-    """A maximal run of single-fanin/single-fanout buffers between two gates."""
-
+class _BufferChainFields(NamedTuple):
     source: str
     buffers: tuple[str, ...]
     sink: str
     segment_lengths: tuple[float, ...]  # len(buffers) + 1 routed hops
     connections: tuple[Connection, ...] = ()
 
-    def __post_init__(self):
+
+class BufferChain(_Checked, _BufferChainFields):
+    """A maximal run of single-fanin/single-fanout buffers between two gates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.segment_lengths) != len(self.buffers) + 1:
             raise ValidationError(
                 [
@@ -388,31 +430,27 @@ class BufferChain:
                     )
                 ]
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A solved clock-delay schedule."""
-
+class _ScheduleFields(NamedTuple):
     period: float  # ps
     row_deltas: tuple[float, ...]  # ps, one per row boundary
     slack: float  # ps, uniform margin S achieved by the solver
     latency: float  # ps, sum of row_deltas
     segment_index: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "row_deltas", tuple(float(d) for d in self.row_deltas))
+
+class Schedule(_Checked, _ScheduleFields):
+    """A solved clock-delay schedule."""
+
+    __slots__ = ()
+
+    def __new__(cls, period, row_deltas, *args, **kwargs):
+        return super().__new__(cls, period, tuple(float(d) for d in row_deltas), *args, **kwargs)
 
 
-@dataclass(frozen=True)
-class OptimizationConfig:
-    """User-facing knobs of the schedule optimization.
-
-    The weighted objective minimizes ``tau*T - sigma*S + lam*L``. Defaults
-    emulate a strong period >> latency >> slack priority. In lexicographic
-    mode the ``priority`` order is optimized criterion by criterion instead.
-    """
-
+class _OptimizationConfigFields(NamedTuple):
     tau: float = 1.0
     sigma: float = 1e-8
     lam: float = 1e-4
@@ -426,7 +464,19 @@ class OptimizationConfig:
     delta_max: float = 10000.0  # ps, upper bound per row delta, keeps LPs bounded
     max_skip: Optional[int] = 2  # largest supported connection row span
 
-    def __post_init__(self):
+
+class OptimizationConfig(_Checked, _OptimizationConfigFields):
+    """User-facing knobs of the schedule optimization.
+
+    The weighted objective minimizes ``tau*T - sigma*S + lam*L``. Defaults
+    emulate a strong period >> latency >> slack priority. In lexicographic
+    mode the ``priority`` order is optimized criterion by criterion instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         errs = []
         numbers = (self.tau, self.sigma, self.lam, self.s_min, self.s_max, self.delta_max,
                    self.t_min_override, self.t_max_override)
@@ -458,6 +508,7 @@ class OptimizationConfig:
             errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be >= 1 or None"))
         if errs:
             raise ValidationError(errs)
+        return self
 
     def period_bounds(self, lib: CellLibrary) -> tuple[float, float]:
         lo = lib.period_lo if self.t_min_override is None else max(self.t_min_override, lib.period_lo)

@@ -24,9 +24,7 @@ segment. A numerical failure ends only its own segment, as a breakdown.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
@@ -35,10 +33,9 @@ from aqfpopt.model import (
     OptimizationConfig,
     Schedule,
     ValidationError,
+    log,
 )
 from aqfpopt.timing import TimingConstraint, TimingConstraintSet
-
-log = logging.getLogger("aqfpopt")
 
 #: Simplex tolerances (ps scale): row feasibility, reduced-cost optimality
 #: and the smallest pivot magnitude accepted before declaring breakdown.
@@ -74,13 +71,18 @@ class Cut(NamedTuple):
     conns: tuple[str, ...] = ()
 
 
-@dataclass
 class Master:
-    """Minimize ``objective`` over the boxed columns (T, S, L) and the rows."""
+    """Minimize ``objective`` over the boxed columns (T, S, L) and the rows.
 
-    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    objective: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    constraints: list[Cut] = field(default_factory=list)
+    The cut loop sets ``objective`` per stage and appends to ``constraints``.
+    """
+
+    __slots__ = ("bounds", "objective", "constraints")
+
+    def __init__(self, bounds, objective=(0.0, 0.0, 0.0), constraints=None):
+        self.bounds: tuple[tuple[float, float], ...] = bounds  # (lower, upper) of T, S and L
+        self.objective: tuple[float, float, float] = objective
+        self.constraints: list[Cut] = [] if constraints is None else constraints
 
 
 def _pivot(tab: list[list[float]], leave: int, enter: int) -> None:
@@ -171,8 +173,7 @@ def lp_solve(master: Master) -> tuple[float, float, float]:
 # Segment restrictions
 
 
-@dataclass(frozen=True)
-class SegmentRestriction:
+class SegmentRestriction(NamedTuple):
     """One breakpoint interval with every timing function affine inside it.
 
     ``t_lo``/``t_hi`` are the interval endpoints after intersection with the
@@ -463,8 +464,7 @@ def _stages(cfg: OptimizationConfig) -> list[tuple[float, float, float]]:
     return [weighted] + [_STAGE_VECTORS[name] for name in ("period", "latency", "slack")]
 
 
-@dataclass
-class SegmentOutcome:
+class SegmentOutcome(NamedTuple):
     segment: SegmentRestriction
     status: str  # "optimal", "infeasible", "pruned" or "breakdown"
     stage_values: tuple[float, ...] = ()
@@ -520,7 +520,7 @@ def _solve_outcome(
     ):
         if seg.t_lo + FIX_TOL > seg.t_hi:
             return SegmentOutcome(segment=seg, status="pruned")
-        seg = replace(seg, t_lo=seg.t_lo + FIX_TOL)
+        seg = seg._replace(t_lo=seg.t_lo + FIX_TOL)
     try:
         return _solve_segment(_collapse(tcs, seg, cfg), tcs.num_deltas, seg, cfg)
     except SolverBreakdown as e:
@@ -602,8 +602,7 @@ def optimize_schedule(
     )
 
 
-@dataclass(frozen=True)
-class ExploreRow:
+class ExploreRow(NamedTuple):
     label: str
     config: OptimizationConfig
     schedule: Optional[Schedule]

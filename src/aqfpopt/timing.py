@@ -12,7 +12,6 @@ slack equals rhs - lhs of the hold row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
@@ -58,8 +57,7 @@ class TimingConstraint(NamedTuple):
         return f"{self.src}->{self.dst}"
 
 
-@dataclass(frozen=True)
-class TimingConstraintSet:
+class TimingConstraintSet(NamedTuple):
     """The linear system over (delta_0.., T, S, L), one record per connection."""
 
     constraints: tuple[TimingConstraint, ...]
@@ -120,8 +118,7 @@ class ConnectionSlack(NamedTuple):
         return STA_MARGIN <= self.setup_slack < math.inf and STA_MARGIN <= self.hold_slack < math.inf
 
 
-@dataclass(frozen=True)
-class SlackReport:
+class SlackReport(NamedTuple):
     entries: tuple[ConnectionSlack, ...]
     min_slack: Optional[float]
 

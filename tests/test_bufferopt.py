@@ -191,7 +191,7 @@ class TestExtractChains:
         with pytest.raises(MalformedChainError):
             extract_chains(c)
 
-    def test_high_fanout_buffer_excluded(self, lib, caplog):
+    def test_high_fanout_buffer_excluded(self, lib, capsys):
         gates = (
             Gate("s", "majority3", 0, 0.0),
             Gate("b", "buffer", 1, 1.0),
@@ -205,6 +205,7 @@ class TestExtractChains:
         )
         c = Circuit(name="fanout", num_rows=3, gates=gates, connections=conns)
         assert extract_chains(c) == []
+        assert capsys.readouterr().err == "WARNING aqfpopt: buffer b has fanout 2, excluded from chains\n"
 
 
 class TestRemoveBuffers:

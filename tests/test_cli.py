@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import itertools
 import json
 import math
@@ -10,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from aqfpopt import cli
 from aqfpopt.cli import main
 from aqfpopt.ingest import parse_circuit, parse_report, serialize_circuit, serialize_library
-from aqfpopt.model import validate_circuit
+from aqfpopt.model import Diagnostic, ValidationError, validate_circuit
 
 
 @pytest.fixture
@@ -101,19 +105,33 @@ class TestOptimizeVerify:
         assert main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
                      "--schedule", str(report_path)]) == 0
 
-    def test_library_warnings_logged_once(self, tmp_path, fixture_library, two_row_circuit, caplog):
+    @staticmethod
+    def optimize_discontinuous(tmp_path, fixture_library, two_row_circuit):
+        """Optimize with a library whose rd jumps; returns the jump warnings on stderr."""
         lib_path = tmp_path / "fixture.qlib.json"
         lib_path.write_text(serialize_library(fixture_library))
         circ_path = tmp_path / "c.qc.json"
         circ_path.write_text(serialize_circuit(two_row_circuit))
-        with caplog.at_level("WARNING", logger="aqfpopt"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
             assert main(["optimize", "--circuit", str(circ_path), "--lib", str(lib_path)]) == 0
-        jumps = [r.getMessage() for r in caplog.records if "PWL_DISCONTINUITY" in r.getMessage()]
+        text = err.getvalue()
+        err.close()  # a log bound to this stream would fail on a later call
+        assert "Logging error" not in text
+        return [line for line in text.splitlines() if "PWL_DISCONTINUITY" in line]
+
+    def test_library_warnings_logged_once(self, tmp_path, fixture_library, two_row_circuit):
+        jumps = self.optimize_discontinuous(tmp_path, fixture_library, two_row_circuit)
         assert sorted(jumps) == sorted(set(jumps))
-        assert {m.split(":")[0] for m in jumps} == {
+        assert {m.split(":")[1].strip() for m in jumps} == {
             "[PWL_DISCONTINUITY] buffer.rd",
             "[PWL_DISCONTINUITY] majority3.rd",
         }
+        assert all(m.startswith("WARNING aqfpopt: ") for m in jumps)
+
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path, fixture_library, two_row_circuit):
+        first = self.optimize_discontinuous(tmp_path, fixture_library, two_row_circuit)
+        second = self.optimize_discontinuous(tmp_path, fixture_library, two_row_circuit)
+        assert len(first) == 2 and second == first
 
     def test_smin_respected(self, workdir):
         tmp_path, lib_path = workdir
@@ -305,6 +323,29 @@ class TestUsage:
 
     def test_missing_subcommand_args(self):
         assert main(["optimize"]) == 1
+
+    @pytest.mark.parametrize("caller_gc", [True, False])
+    @pytest.mark.parametrize("outcome,code", [(0, 0), (2, 2), (ValidationError([Diagnostic("X", "y", "z")]), 1)],
+                             ids=["exit0", "exit2", "exit1"])
+    def test_command_runs_with_gc_paused(self, monkeypatch, caller_gc, outcome, code):
+        seen = []
+
+        def fake_optimize(args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "cmd_optimize", fake_optimize)
+        was = gc.isenabled()
+        (gc.enable if caller_gc else gc.disable)()
+        try:
+            assert main(["optimize", "--circuit", "c.qc.json", "--lib", "l.qlib.json"]) == code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+        assert after is caller_gc
 
     def test_log_env_accepted(self, workdir, monkeypatch):
         tmp_path, lib_path = workdir

@@ -42,6 +42,10 @@ class TestPwlEval:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0),))
+        f = PiecewiseLinear((0.0, 100.0, 300.0), ((0.3, 10.0), (0.36, 0.0)))
+        with pytest.raises(ValidationError):  # a copy is checked too
+            f._replace(segments=((0.3, 10.0),))
+        assert f._replace(breakpoints=[0, 50, 300]).breakpoints == (0.0, 50.0, 300.0)
 
     def test_nonmonotone_breakpoints_rejected(self):
         with pytest.raises(ValidationError):
@@ -172,6 +176,8 @@ class TestConfig:
     def test_slack_bounds_checked(self):
         with pytest.raises(ValidationError):
             OptimizationConfig(s_min=10.0, s_max=5.0)
+        with pytest.raises(ValidationError):  # a copy is checked too
+            OptimizationConfig(s_max=5.0)._replace(s_min=10.0)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,5 @@
 import itertools
 import json
-import logging
 import random
 import re
 
@@ -447,13 +446,6 @@ def cli_inputs(tmp_path, circuit, lib):
     return ["--circuit", str(tmp_path / "c.qc.json"), "--lib", str(tmp_path / "l.qlib.json")]
 
 
-@pytest.fixture
-def fresh_log_handler(monkeypatch):
-    # main() keeps the stderr handler it made first; make one for this test's captured stderr.
-    monkeypatch.setattr(logging.getLogger("aqfpopt"), "handlers", [])
-
-
-@pytest.mark.usefixtures("fresh_log_handler")
 class TestInfeasibleReport:
     """What ``violated by X ps`` reports, worked out from the library's values
     and the connections' delays rather than from solver edges."""
@@ -505,7 +497,6 @@ BREAKDOWNS = [
 ]
 
 
-@pytest.mark.usefixtures("fresh_log_handler")
 class TestSolverBreakdown:
     @pytest.mark.parametrize("target,attr,value,circuit,flags,reason",
                              [b[1:] for b in BREAKDOWNS], ids=[b[0] for b in BREAKDOWNS])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -128,7 +127,7 @@ class TestStaCheck:
             with pytest.raises(PwlDomainError):
                 sta_check(two_row_circuit, fixture_library, sched, mode)
         # Without connections nothing is evaluated, so nothing raises.
-        empty = dataclasses.replace(two_row_circuit, connections=())
+        empty = two_row_circuit._replace(connections=())
         assert sta_check(empty, fixture_library, sched).entries == ()
 
     def test_dlplace_mode_uses_period_as_window(self, two_row_circuit, fixture_library):
@@ -162,7 +161,7 @@ class TestReformulationEquivalence:
         # connection's delay is its length times prop_per_um; a factor
         # other than 1 makes a dropped or doubled factor show.
         rng = random.Random(123)
-        scaled = dataclasses.replace(ref_lib, prop_per_um=0.75)
+        scaled = ref_lib._replace(prop_per_um=0.75)
         for adversarial, lib in ((False, ref_lib), (True, scaled)):
             for trial in range(30):
                 circuit = generate_circuit(
