@@ -88,9 +88,21 @@ def generate_circuit(
     propagation delays are emitted with a bounded per-row spread so the
     result is schedulable by construction; ``adversarial`` drops the
     explicit delays and lets raw wire lengths produce infeasible instances.
+    Sizes below 1 and probabilities outside [0, 1], NaN included, raise a
+    :class:`ValidationError` naming each such argument.
     """
-    if rows < 1 or width < 1:
-        raise ValueError("rows and width must be >= 1")
+    errs = [
+        Diagnostic("INVALID_CONFIG", name, f"{name} must be >= 1")
+        for name, count in (("rows", rows), ("width", width))
+        if count < 1
+    ]
+    errs += [
+        Diagnostic("INVALID_CONFIG", name, f"{name} must be in [0, 1]")
+        for name, prob in (("chain_prob", chain_prob), ("skip_prob", skip_prob))
+        if not 0.0 <= prob <= 1.0
+    ]
+    if errs:
+        raise ValidationError(errs)
     lib = lib if lib is not None else reference_library()
     rng = random.Random(seed)
     pool = [cell for cell in _GATE_CELLS if cell in lib.cells] or sorted(lib.cells)
@@ -396,8 +408,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _preset_config(name: str) -> OptimizationConfig:
-    base = OptimizationConfig(priority_mode="lexicographic")
+def _preset_config(name: str, max_skip: Optional[int]) -> OptimizationConfig:
+    base = OptimizationConfig(priority_mode="lexicographic", max_skip=max_skip)
     if name == "table1a":
         return base
     if name == "table1b":
@@ -416,6 +428,8 @@ def cmd_sweep(args) -> int:
     if unknown:
         print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
         return EXIT_INPUT
+    # table3 runs table1a twice: without and with buffer removal.
+    configs = {n: _preset_config("table1a" if n == "table3" else n, args.max_skip) for n in names}
     try:
         circuit, lib = _load_inputs(args)
     except ValidationError as e:
@@ -428,8 +442,8 @@ def cmd_sweep(args) -> int:
     plain = [n for n in names if n != "table3"]
     explored = {}
     if plain:
-        tcs = build_constraints(circuit, lib, _preset_config(plain[0]))
-        rows = explore(tcs, lib, [_preset_config(n) for n in plain], labels=plain)
+        tcs = build_constraints(circuit, lib, configs[plain[0]])
+        rows = explore(tcs, lib, [configs[n] for n in plain], labels=plain)
         explored = {row.label: row for row in rows}
 
     def sta_of(circ, sched, cfg):
@@ -458,7 +472,7 @@ def cmd_sweep(args) -> int:
             )
             continue
         try:
-            cfg = _preset_config("table1a")
+            cfg = configs[name]
             base_sched = optimize_schedule(build_constraints(circuit, lib, cfg), lib, cfg)
             removed_circ, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
             ps_sched = optimize_schedule(build_constraints(removed_circ, lib, cfg), lib, cfg)

@@ -4,10 +4,12 @@ Nothing here may share logic with the code paths under test: chain removal
 is checked by exhaustive subset enumeration, schedules by grid search over
 the period with a Bellman-Ford difference-constraint solve per grid point,
 and segment schedules by the full per-segment LP solved with SciPy's HiGHS.
+Circuit files are checked against ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import numpy as np
@@ -236,3 +238,22 @@ def segment_lp_oracle(
         a_ub.append(c)
         b_ub.append(res.fun + fix_tol)
     return "optimal", tuple(values)
+
+
+def circuit_json_reference(c: Circuit) -> str:
+    """The circuit document as the standard library's indent-2 encoder writes it."""
+    doc = {
+        "format_version": 1,
+        "name": c.name,
+        "num_rows": c.num_rows,
+        "gates": [
+            {"id": g.id, "cell": g.cell, "row": g.row, "clock_offset_ps": g.clock_offset}
+            for g in c.gates
+        ],
+        "connections": [
+            {"src": k.src, "dst": k.dst, "length_um": k.length}
+            | ({} if k.prop is None else {"prop_ps": k.prop})
+            for k in c.connections
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aqfpopt import cli
+from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.ingest import parse_circuit, parse_report, serialize_circuit, serialize_library
 from aqfpopt.model import Diagnostic, ValidationError, validate_circuit
@@ -65,6 +67,16 @@ class TestGen:
             code = main(["optimize", "--circuit", str(out), "--lib", str(lib_path)])
             assert code == 0, capsys.readouterr()
 
+    def test_benchmark_style_output_is_pinned(self, capsys):
+        # The benchmark generates its inputs with this generator and writer,
+        # so a change to the random stream or to the file layout would change
+        # every workload's circuits. It fails here first.
+        capsys.readouterr()
+        assert main(["gen", "--rows", "40", "--width", "6", "--seed", "3", "--chain-prob", "0.5",
+                     "--skip-prob", "0.3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "aaca567828b9309e7925b9a4b8130294a19e7ae63e05181d892f95d772267b72"
+
     def test_generator_soundness_over_100_seeds(self, ref_lib):
         from aqfpopt.cli import generate_circuit
         from aqfpopt.model import OptimizationConfig
@@ -85,6 +97,28 @@ class TestGen:
             sched = optimize_schedule(build_constraints(c, ref_lib, cfg), ref_lib, cfg)
             rep = sta_check(c, ref_lib, sched)
             assert rep.min_slack is None or rep.min_slack >= sched.slack - 1e-6
+
+
+#: gen sizes and probabilities: below range, non-finite, above range and valid.
+GEN_SIZES = st.sampled_from(["-3", "0", "1", "3"])
+GEN_PROBS = st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "0.5", "1", "1.5"])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=GEN_SIZES, width=GEN_SIZES, chain_prob=GEN_PROBS, skip_prob=GEN_PROBS)
+def test_gen_arguments_end_in_a_diagnostic(capsys, rows, width, chain_prob, skip_prob):
+    args = {"rows": rows, "width": width, "chain_prob": chain_prob, "skip_prob": skip_prob}
+    bad = sorted(name for name, value in args.items()
+                 if not (int(value) >= 1 if name in ("rows", "width") else 0 <= float(value) <= 1))
+    capsys.readouterr()
+    code = main(["gen", *(f"--{name.replace('_', '-')}={value}" for name, value in args.items())])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert code == (1 if bad else 0), err
+    assert sorted(re.findall(r"^\[INVALID_CONFIG\] (\w+): \S", err, re.M)) == bad
+    if not bad:
+        parse_circuit(out)
 
 
 class TestOptimizeVerify:
@@ -290,6 +324,39 @@ class TestSweep:
         row = json.loads(out.read_text())["results"][0]
         assert row["buffers_saved_pct"] > 0
         assert "baseline" in row and "phase_skipping" in row
+
+    def test_max_skip_reaches_every_preset(self, workdir, ref_lib, capsys):
+        # Removal with --max-skip 3 makes span-3 skips on this circuit, which
+        # the presets' constraints must accept, as optimize's do.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=9, width=2, seed=8, chain_prob=0.9)
+        removed, _ = remove_buffers(parse_circuit(circ.read_text()), ref_lib, max_skip=3)
+        row = {g.id: g.row for g in removed.gates}
+        assert max(row[k.dst] - row[k.src] for k in removed.connections) == 3
+        removed_path = tmp_path / "removed.qc.json"
+        removed_path.write_text(serialize_circuit(removed))
+        # table3 removes buffers itself; table1a gets the circuit removal made.
+        for name, path, flags in (("table3", circ, ["--remove-buffers"]), ("table1a", removed_path, [])):
+            io = ["--circuit", str(path), "--lib", str(lib_path), "--max-skip", "3"]
+            report_path, sweep_path = tmp_path / f"{name}.report.json", tmp_path / f"{name}.sweep.json"
+            assert main(["optimize", *io, *flags, "--out", str(report_path)]) == 0
+            capsys.readouterr()
+            assert main(["sweep", *io, "--configs", name, "--out", str(sweep_path)]) == 0
+            assert "UNSUPPORTED_SKIP" not in capsys.readouterr().err
+            report = parse_report(report_path.read_text())
+            row = json.loads(sweep_path.read_text())["results"][0]
+            row = row.get("phase_skipping", row)
+            assert row["frequency_ghz"] == pytest.approx(report["frequency_ghz"])
+            assert row["latency_ps"] == pytest.approx(report["latency_ps"])
+
+    def test_max_skip_below_one_rejected(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json")
+        for configs in ("table1a", "table3"):
+            capsys.readouterr()
+            assert main(["sweep", "--circuit", str(circ), "--lib", str(lib_path), "--configs", configs,
+                         "--max-skip", "0"]) == 1
+            assert "[INVALID_CONFIG] max_skip: " in capsys.readouterr().err
 
     def test_empty_configs_usage_error(self, workdir):
         tmp_path, lib_path = workdir

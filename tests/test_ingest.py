@@ -21,8 +21,10 @@ from aqfpopt.ingest import (
     serialize_library,
     serialize_report,
 )
-from aqfpopt.model import Connection, Gate, Schedule
+from aqfpopt.model import Circuit, Connection, Gate, Schedule
 from aqfpopt.timing import ConnectionSlack, SlackReport
+
+from oracles import circuit_json_reference
 
 MINIMAL_CIRCUIT = {
     "format_version": 1,
@@ -238,6 +240,41 @@ class TestRoundTrips:
         report = emit_report(sched, slacks, None, manifest={"tool_version": "x"})
         text = serialize_report(report)
         assert parse_report(text) == report
+
+
+#: Names built from pieces the encoder escapes or passes through: quotes,
+#: backslashes, newlines, a separator look-alike, non-ASCII text and lone
+#: surrogates, plus any code point at all.
+ODD_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "\n", '", "', "é", "µm", "\ud800", "\udfff", "g0_1"])
+    | st.characters(exclude_categories=()),
+    max_size=6,
+).map("".join)
+ODD_FLOATS = st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]) | st.floats()
+ODD_CIRCUITS = st.builds(
+    Circuit,
+    name=ODD_TEXT,
+    num_rows=st.integers(-(2**70), 2**70),
+    gates=st.lists(st.builds(Gate, ODD_TEXT, ODD_TEXT, st.integers(-(2**70), 2**70), ODD_FLOATS),
+                   max_size=6),
+    connections=st.lists(st.builds(Connection, ODD_TEXT, ODD_TEXT, ODD_FLOATS, st.none() | ODD_FLOATS),
+                         max_size=6),
+)
+GENERATED_CIRCUITS = st.builds(
+    generate_circuit,
+    rows=st.integers(1, 12),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    chain_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    skip_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    adversarial=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=ODD_CIRCUITS | GENERATED_CIRCUITS)
+def test_circuit_writer_matches_indent_2_json(c):
+    assert serialize_circuit(c) == circuit_json_reference(c)
 
 
 class TestEmitReport:
