@@ -203,14 +203,16 @@ def _fail(diagnostics, code: int = EXIT_INPUT) -> int:
 
 
 def _load_inputs(args):
+    # The parsers read the files themselves, so no caller frame keeps the
+    # text alive once it is decoded.
     try:
         with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse_circuit(fh.read())
+            circuit = parse_circuit(fh)
     except OSError as e:
         raise ValidationError([_io_diag(args.circuit, e)])
     try:
         with open(args.lib, "r", encoding="utf-8") as fh:
-            lib = parse_library(fh.read())
+            lib = parse_library(fh)
     except OSError as e:
         raise ValidationError([_io_diag(args.lib, e)])
     diags = validate_circuit(circuit, lib)
@@ -223,11 +225,12 @@ def _io_diag(path, err):
     return Diagnostic("IO_ERROR", str(path), str(err))
 
 
-def _write_output(path, text: str) -> None:
-    """Write a command's output file; an OS error becomes an IO_ERROR diagnostic."""
+def _write_output(path, write) -> None:
+    """Open a command's output file and pass it to ``write``; an OS error
+    becomes an IO_ERROR diagnostic."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as e:
         raise ValidationError([_io_diag(path, e)]) from e
 
@@ -325,14 +328,11 @@ def cmd_optimize(args) -> int:
         verbose=args.verbose,
     )
     if args.out:
-        _write_output(args.out, serialize_report(report))
+        _write_output(args.out, lambda fh: serialize_report(report, fh))
     print(render_report_table(report))
     if args.verbose:
-        for entry in report["connections"]:
-            print(
-                f"{entry['src']} -> {entry['dst']}: setup {entry['setup_slack_ps']:.4g} ps, "
-                f"hold {entry['hold_slack_ps']:.4g} ps"
-            )
+        for e in report["connections"]:
+            print(f"{e.src} -> {e.dst}: setup {e.setup_slack:.4g} ps, hold {e.hold_slack:.4g} ps")
     if slacks is not None and not slacks.passing():
         print(f"schedule fails STA: min slack {slacks.min_slack:.6g} ps", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -346,17 +346,20 @@ def cmd_verify(args) -> int:
         return _fail(e.diagnostics)
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
-            report = parse_report(fh.read())
+            report = parse_report(fh)
     except OSError as e:
         return _fail([_io_diag(args.schedule, e)])
     except ReportFormatError as e:
         return _fail(e.diagnostics)
-
+    # Only the schedule and the manifest config are read; the rest of the
+    # document, one object per connection, is freed before the STA.
     manifest_cfg = (report.get("manifest") or {}).get("config", {})
+    sched = schedule_from_report(report)
+    del report
+
     if manifest_cfg.get("remove_buffers"):
         circuit, _ = remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
         log.info("re-applied buffer removal recorded in the report manifest")
-    sched = schedule_from_report(report)
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
         return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
@@ -402,7 +405,7 @@ def cmd_gen(args) -> int:
     )
     text = serialize_circuit(circuit)
     if args.out and args.out != "-":
-        _write_output(args.out, text)
+        _write_output(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -476,7 +479,7 @@ def cmd_sweep(args) -> int:
             base_sched = optimize_schedule(build_constraints(circuit, lib, cfg), lib, cfg)
             removed_circ, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
             ps_sched = optimize_schedule(build_constraints(removed_circ, lib, cfg), lib, cfg)
-        except (InfeasibleScheduleError, UnsupportedSkipError, MalformedChainError) as e:
+        except InfeasibleScheduleError as e:
             log.warning("preset %s failed: %s", name, e)
             lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
             results.append({"config": name, "error": [str(d) for d in e.diagnostics]})
@@ -510,7 +513,8 @@ def cmd_sweep(args) -> int:
 
     print("\n".join(lines))
     if args.out:
-        _write_output(args.out, json.dumps({"circuit": circuit.name, "results": results}, indent=2) + "\n")
+        doc = {"circuit": circuit.name, "results": results}
+        _write_output(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
     return EXIT_OK
 
 

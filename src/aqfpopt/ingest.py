@@ -120,11 +120,15 @@ class ReportFormatError(ValidationError):
     pass
 
 
-def _load_document(text, exc_type) -> dict:
-    if isinstance(text, dict):
-        return text
+def _load_document(source, exc_type) -> dict:
+    """Decode ``source``: JSON text, a readable text file or a decoded dict.
+
+    A file is read and decoded here, so its text is freed on return.
+    """
+    if isinstance(source, dict):
+        return source
     try:
-        doc = json.loads(text)
+        doc = json.load(source) if hasattr(source, "read") else json.loads(source)
     except json.JSONDecodeError as e:
         raise exc_type([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
     if not isinstance(doc, dict):
@@ -169,8 +173,8 @@ def _entry_ok(entry: dict, types: dict, required, entity: str, errs: list) -> bo
     return _check_missing(entry, required, entity, errs) and _check_types(entry, types, entity, errs)
 
 
-def parse_circuit(text) -> Circuit:
-    """Parse a circuit document (JSON text or an already-decoded dict).
+def parse_circuit(source) -> Circuit:
+    """Parse a circuit document (JSON text, a readable text file or a decoded dict).
 
     This pass checks the shape only: keys, JSON types (string ids, cells and
     endpoints, integer rows, lists of objects) and finite numbers. It raises
@@ -178,8 +182,12 @@ def parse_circuit(text) -> Circuit:
     content means is checked by ``validate_circuit``, which every command
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
+
+    Each connection endpoint that names a gate is that gate's own id
+    object, and each distinct cell name is one object, so the records share
+    their strings and later lookups by id hit on identity.
     """
-    doc = _load_document(text, CircuitFormatError)
+    doc = _load_document(source, CircuitFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "circuit", errs)
     _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
@@ -192,6 +200,8 @@ def parse_circuit(text) -> Circuit:
     # tables, which name what is wrong with it.
     fmax = sys.float_info.max
     gates: list[Gate] = []
+    ids: dict[str, str] = {}
+    cells: dict[str, str] = {}
     for i, entry in enumerate(doc.get("gates", [])):
         gid, cell, row = entry.get("id"), entry.get("cell"), entry.get("row")
         offset = entry.get("clock_offset_ps")
@@ -205,7 +215,8 @@ def parse_circuit(text) -> Circuit:
         ) or _entry_ok(
             entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs
         ):
-            gates.append(Gate(gid, cell, row, float(offset)))
+            ids[gid] = gid
+            gates.append(Gate(gid, cells.setdefault(cell, cell), row, float(offset)))
     connections: list[Connection] = []
     for i, entry in enumerate(doc.get("connections", [])):
         src, dst = entry.get("src"), entry.get("dst")
@@ -218,7 +229,9 @@ def parse_circuit(text) -> Circuit:
             and -fmax <= length <= fmax
             and (prop is None or (type(prop) in _NUMBER and -fmax <= prop <= fmax))
         ) or _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
-            connections.append(Connection(src, dst, float(length), None if prop is None else float(prop)))
+            connections.append(Connection(
+                ids.get(src, src), ids.get(dst, dst), float(length), None if prop is None else float(prop)
+            ))
     if errs:
         raise CircuitFormatError(errs)
     return Circuit(
@@ -289,7 +302,7 @@ def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
         return None
 
 
-def parse_library(text) -> CellLibrary:
+def parse_library(source) -> CellLibrary:
     """Parse a cell-library document, then validate what it means.
 
     The parse checks the shape: keys, JSON types and finite numbers, and one
@@ -300,7 +313,7 @@ def parse_library(text) -> CellLibrary:
     warnings (reset delay reaching the period, segment discontinuities) are
     logged once here, so callers need not re-run it.
     """
-    doc = _load_document(text, LibraryFormatError)
+    doc = _load_document(source, LibraryFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "library", errs)
     _check_keys(doc, _LIBRARY_KEYS, "library", errs)
@@ -377,10 +390,11 @@ def emit_report(
 
     ``slacks`` is the :class:`aqfpopt.timing.SlackReport` of the final
     schedule (or None for a connection-free circuit); ``stats`` the
-    buffer-removal plan, if removal ran.
+    buffer-removal plan, if removal ran. The document's ``connections`` are
+    the STA's ``ConnectionSlack`` records; ``serialize_report`` writes each
+    as a ``src``/``dst``/``setup_slack_ps``/``hold_slack_ps`` object.
     """
     period = schedule.period
-    entries = [] if slacks is None else list(slacks.entries)
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "frequency_ghz": 1000.0 / period,
@@ -392,15 +406,7 @@ def emit_report(
         "row_deltas_ps": list(schedule.row_deltas),
         "buffers_total": 0 if stats is None else stats.buffers_total,
         "buffers_removed": 0 if stats is None else stats.buffers_removed,
-        "connections": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "setup_slack_ps": e.setup_slack,
-                "hold_slack_ps": e.hold_slack,
-            }
-            for e in entries
-        ],
+        "connections": [] if slacks is None else list(slacks.entries),
     }
     if verbose and stats is not None:
         doc["chains"] = [
@@ -416,13 +422,36 @@ def emit_report(
     return doc
 
 
-def serialize_report(report: dict) -> str:
-    # No indent: reports run to megabytes, and an indent forces CPython's
-    # pure-Python encoder.
-    return json.dumps(report) + "\n"
+#: Connections encoded per batch: the writer holds one batch's text at a time.
+REPORT_BATCH = 4096
 
 
-def parse_report(text) -> dict:
+def serialize_report(report: dict, out) -> None:
+    """Write the report document to the text stream ``out``.
+
+    The bytes equal ``json.dumps(doc)`` and a newline, where ``doc`` holds
+    one object per connection; but neither those objects nor a string of
+    the whole report is ever built. The connections are encoded in batches
+    of ``REPORT_BATCH``, one C encoder call per field column, as in
+    ``serialize_circuit``. No indent, since reports run to megabytes.
+    """
+    head = {key: value for key, value in report.items() if key not in ("connections", "chains", "manifest")}
+    out.write(json.dumps(head)[:-1] + ', "connections": [')
+    connections = report["connections"]
+    for start in range(0, len(connections), REPORT_BATCH):
+        tokens = _field_tokens(connections[start:start + REPORT_BATCH])
+        out.write((", " if start else "") + ", ".join(
+            f'{{"src": {src}, "dst": {dst}, "setup_slack_ps": {setup}, "hold_slack_ps": {hold}}}'
+            for src, dst, setup, hold in zip(*tokens)
+        ))
+    out.write("]")
+    for key in ("chains", "manifest"):
+        if key in report:
+            out.write(f', "{key}": {json.dumps(report[key])}')
+    out.write("}\n")
+
+
+def parse_report(source) -> dict:
     """Parse a report document and check the shape of what ``verify`` reads.
 
     The period, latency and slack must be finite numbers, the period also
@@ -430,7 +459,7 @@ def parse_report(text) -> dict:
     numbers. The manifest's ``config`` entries that ``verify`` re-applies
     (``remove_buffers``, ``max_skip``, ``hold_mode``) are type-checked too.
     """
-    doc = _load_document(text, ReportFormatError)
+    doc = _load_document(source, ReportFormatError)
     errs: list[Diagnostic] = []
     _check_version(doc, "report", errs)
     _check_keys(doc, _REPORT_KEYS, "report", errs)

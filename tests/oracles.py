@@ -4,7 +4,8 @@ Nothing here may share logic with the code paths under test: chain removal
 is checked by exhaustive subset enumeration, schedules by grid search over
 the period with a Bellman-Ford difference-constraint solve per grid point,
 and segment schedules by the full per-segment LP solved with SciPy's HiGHS.
-Circuit files are checked against ``json.dumps(doc, indent=2)``.
+Circuit files are checked against ``json.dumps(doc, indent=2)``, report
+files against ``json.dumps`` of a document with one dict per connection.
 """
 
 from __future__ import annotations
@@ -257,3 +258,36 @@ def circuit_json_reference(c: Circuit) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def report_json_reference(schedule, slacks=None, stats=None, manifest=None, verbose=False) -> str:
+    """The report document as the standard library's compact encoder writes it.
+
+    Every connection is one dict of its endpoints and slacks; ``chains``
+    appears only with ``verbose`` and removal stats, and the manifest is
+    always last.
+    """
+    doc = {
+        "format_version": 1,
+        "frequency_ghz": 1000.0 / schedule.period,
+        "period_ps": schedule.period,
+        "latency_ps": schedule.latency,
+        "slack_ps": schedule.slack,
+        "min_slack_ps": None if slacks is None else slacks.min_slack,
+        "segment_index": schedule.segment_index,
+        "row_deltas_ps": list(schedule.row_deltas),
+        "buffers_total": 0 if stats is None else stats.buffers_total,
+        "buffers_removed": 0 if stats is None else stats.buffers_removed,
+        "connections": [
+            {"src": e.src, "dst": e.dst, "setup_slack_ps": e.setup_slack, "hold_slack_ps": e.hold_slack}
+            for e in ([] if slacks is None else slacks.entries)
+        ],
+    }
+    if verbose and stats is not None:
+        doc["chains"] = [
+            {"source": ch.source, "sink": ch.sink, "kept_nodes": list(ch.kept_nodes),
+             "removed_gate_ids": list(ch.removed_gate_ids)}
+            for ch in stats.chains
+        ]
+    doc["manifest"] = {} if manifest is None else manifest
+    return json.dumps(doc) + "\n"

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from aqfpopt import cli
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
-from aqfpopt.ingest import parse_circuit, parse_report, serialize_circuit, serialize_library
-from aqfpopt.model import Diagnostic, ValidationError, validate_circuit
+from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
+from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, ValidationError, validate_circuit
 
 
 @pytest.fixture
@@ -349,6 +350,27 @@ class TestSweep:
             assert row["frequency_ghz"] == pytest.approx(report["frequency_ghz"])
             assert row["latency_ps"] == pytest.approx(report["latency_ps"])
 
+    @pytest.mark.parametrize("error", ["UNSUPPORTED_SKIP", "MALFORMED_CHAIN"])
+    def test_table3_input_errors_exit_like_optimize(self, workdir, capsys, error):
+        tmp_path, lib_path = workdir
+        if error == "UNSUPPORTED_SKIP":
+            circ, flags = gen(tmp_path, lib_path, "c.qc.json", rows=12, width=3, skip_prob=1.0), ["--max-skip", "1"]
+        else:
+            # A buffer with two fanins fits no chain.
+            gates = (Gate("a", "majority3", 0, 0.0), Gate("b", "majority3", 0, 0.0),
+                     Gate("buf", "buffer", 1, 1.0), Gate("d", "majority3", 2, 2.0))
+            conns = (Connection("a", "buf", 10.0, 30.0), Connection("b", "buf", 10.0, 30.0),
+                     Connection("buf", "d", 10.0, 30.0))
+            circ, flags = tmp_path / "c.qc.json", []
+            circ.write_text(serialize_circuit(Circuit("twofanin", 3, gates, conns)))
+        io = ["--circuit", str(circ), "--lib", str(lib_path), *flags]
+        capsys.readouterr()
+        assert main(["optimize", *io, "--remove-buffers"]) == 1
+        expected = capsys.readouterr().err
+        assert expected.startswith(f"[{error}] ")
+        assert main(["sweep", *io, "--configs", "table3"]) == 1
+        assert capsys.readouterr().err == expected
+
     def test_max_skip_below_one_rejected(self, workdir, capsys):
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json")
@@ -573,3 +595,40 @@ def test_fuzzed_inputs_end_in_a_stable_exit_code(fuzz_seed_docs, tmp_path, capsy
         text = files["report"].read_text()
         assert "NaN" not in text and "Infinity" not in text
         assert main(["verify", *io, "--schedule", str(files["report"])]) == 0
+
+
+def perfbench_checker():
+    """``perfbench/checker.py``, which shares no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKED_RUNS = {
+    "default": ("ref_lib", {}, [], {"mode": "lexicographic", "remove_buffers": False}),
+    "remove-buffers": ("ref_lib", {"chain_prob": 0.8}, ["--remove-buffers"],
+                       {"mode": "lexicographic", "remove_buffers": True}),
+    "weighted-3seg": ("three_segment_library", {"skip_prob": 0.3}, ["--tau", "1"],
+                      {"mode": "weighted", "remove_buffers": False, "tau": 1.0, "sigma": 1e-8, "lam": 1e-4}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CHECKED_RUNS))
+def test_streamed_report_passes_the_checker(request, tmp_path, run):
+    # Wide enough that the writer streams the connections in two batches.
+    lib_fixture, gen_kw, flags, spec = CHECKED_RUNS[run]
+    lib = request.getfixturevalue(lib_fixture)
+    files = {name: tmp_path / f"c.{name}.json" for name in ("circuit", "lib", "report")}
+    files["circuit"].write_text(serialize_circuit(cli.generate_circuit(rows=20, width=220, seed=7, lib=lib, **gen_kw)))
+    files["lib"].write_text(serialize_library(lib))
+    assert main(["optimize", "--circuit", str(files["circuit"]), "--lib", str(files["lib"]), *flags,
+                 "--out", str(files["report"])]) == 0
+    text = {name: path.read_text() for name, path in files.items()}
+    report = json.loads(text["report"])
+    assert len(report["connections"]) > REPORT_BATCH
+    assert report["buffers_removed"] > 0 or not spec["remove_buffers"]
+    spec = dict(spec, s_min=0.0, s_max=50.0, max_skip=2)
+    fails, _ = perfbench_checker().check_report(text["circuit"], text["lib"], text["report"], spec)
+    assert fails == []

@@ -1,9 +1,12 @@
+import io
+import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from aqfpopt import ingest
 from aqfpopt.cli import generate_circuit, main
@@ -21,10 +24,11 @@ from aqfpopt.ingest import (
     serialize_library,
     serialize_report,
 )
+from aqfpopt.bufferopt import ChainRemoval, RemovalPlan
 from aqfpopt.model import Circuit, Connection, Gate, Schedule
 from aqfpopt.timing import ConnectionSlack, SlackReport
 
-from oracles import circuit_json_reference
+from oracles import circuit_json_reference, report_json_reference
 
 MINIMAL_CIRCUIT = {
     "format_version": 1,
@@ -237,9 +241,26 @@ class TestRoundTrips:
     def test_report_round_trip(self):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0, segment_index=1)
         slacks = SlackReport(entries=(ConnectionSlack("a", "b", 0.0, 62.0),), min_slack=0.0)
-        report = emit_report(sched, slacks, None, manifest={"tool_version": "x"})
-        text = serialize_report(report)
-        assert parse_report(text) == report
+        text = written_report(emit_report(sched, slacks, None, manifest={"tool_version": "x"}))
+        reference = report_json_reference(sched, slacks, None, manifest={"tool_version": "x"})
+        assert text == reference
+        assert parse_report(io.StringIO(text)) == json.loads(reference)
+        assert schedule_from_report(parse_report(text)) == sched
+
+    def test_endpoints_are_the_gates_own_ids(self, ref_lib):
+        c = generate_circuit(rows=8, width=4, seed=3, chain_prob=0.5, skip_prob=0.5, lib=ref_lib)
+        parsed = parse_circuit(serialize_circuit(c))
+        gates = parsed.gates_by_id
+        for conn in parsed.connections:
+            assert conn.src is gates[conn.src].id and conn.dst is gates[conn.dst].id
+        # One object per distinct cell name.
+        assert len({id(g.cell) for g in parsed.gates}) == len({g.cell for g in parsed.gates})
+
+
+def written_report(report) -> str:
+    out = io.StringIO()
+    serialize_report(report, out)
+    return out.getvalue()
 
 
 #: Names built from pieces the encoder escapes or passes through: quotes,
@@ -275,6 +296,64 @@ GENERATED_CIRCUITS = st.builds(
 @given(c=ODD_CIRCUITS | GENERATED_CIRCUITS)
 def test_circuit_writer_matches_indent_2_json(c):
     assert serialize_circuit(c) == circuit_json_reference(c)
+
+
+B = ingest.REPORT_BATCH
+ODD_PLANS = st.builds(
+    RemovalPlan,
+    chains=st.lists(st.builds(ChainRemoval, ODD_TEXT, ODD_TEXT, st.lists(st.integers()).map(tuple),
+                              st.lists(ODD_TEXT, max_size=3).map(tuple), st.just(())),
+                    max_size=3).map(tuple),
+    buffers_total=st.integers(),
+    buffers_removed=st.integers(),
+)
+ODD_MANIFESTS = st.none() | st.dictionaries(ODD_TEXT, st.none() | ODD_FLOATS | ODD_TEXT, max_size=4)
+
+
+# No shrink phase: each step would re-encode thousands of connections, and a
+# failure already shows on the first example that meets it.
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@settings(max_examples=8, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    pool=st.lists(st.builds(ConnectionSlack, ODD_TEXT, ODD_TEXT, ODD_FLOATS, ODD_FLOATS), min_size=1, max_size=5),
+    sched=st.builds(Schedule, ODD_FLOATS.filter(bool), st.lists(ODD_FLOATS, max_size=3), ODD_FLOATS, ODD_FLOATS,
+                    st.integers()),
+    min_slack=st.none() | ODD_FLOATS,
+    no_sta=st.booleans(),
+    stats=st.none() | ODD_PLANS,
+    manifest=ODD_MANIFESTS,
+    verbose=st.booleans(),
+)
+def test_report_writer_matches_compact_json(count, pool, sched, min_slack, no_sta, stats, manifest, verbose):
+    # A connection-free circuit has no STA at all; the writer sees None.
+    entries = tuple(itertools.islice(itertools.cycle(pool), count))
+    slacks = None if count == 0 and no_sta else SlackReport(entries, min_slack)
+    report = emit_report(sched, slacks, stats, manifest=manifest, verbose=verbose)
+    assert written_report(report) == report_json_reference(sched, slacks, stats, manifest, verbose)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _writer_peak_bytes(count: int) -> int:
+    """Peak traced allocation while ``count`` connections go to a sink."""
+    entries = tuple(ConnectionSlack(f"g{i}_0", f"g{i}_1", i * 0.37, -i * 1.9) for i in range(count))
+    report = emit_report(Schedule(period=200.0, row_deltas=(1.0,), slack=0.0, latency=1.0),
+                         SlackReport(entries, -count * 1.9), None, manifest={"tool_version": "x"})
+    tracemalloc.start()
+    try:
+        serialize_report(report, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_writer_memory_does_not_grow_with_connections():
+    # The writer holds one batch at a time, so four times the connections
+    # must not raise its peak.
+    assert _writer_peak_bytes(8 * B) <= 1.25 * _writer_peak_bytes(2 * B)
 
 
 class TestEmitReport:
