@@ -9,7 +9,6 @@ schedule solver (:mod:`aqfpopt.solver`), and a command-line front end
 """
 
 from aqfpopt.model import (
-    BufferChain,
     CellLibrary,
     CellTiming,
     Circuit,
@@ -28,7 +27,6 @@ from aqfpopt.model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BufferChain",
     "CellLibrary",
     "CellTiming",
     "Circuit",

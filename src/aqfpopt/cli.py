@@ -45,7 +45,7 @@ from aqfpopt.model import (
     log,
     validate_circuit,
 )
-from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, explore, optimize_schedule
+from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, optimize_schedule
 from aqfpopt.timing import UnsupportedSkipError, build_constraints, sta_check
 
 EXIT_OK = 0
@@ -438,51 +438,42 @@ def cmd_sweep(args) -> int:
     except ValidationError as e:
         return _fail(e.diagnostics)
 
+    # build_constraints reads only max_skip, which every preset shares.
+    tcs = build_constraints(circuit, lib, configs[names[0]])
+
     header = f"{'config':<14} {'freq (GHz)':>11} {'latency (ps)':>13} {'min slack (ps)':>15} {'buffers saved':>14}"
     lines = [header, "-" * len(header)]
     results = []
-
-    plain = [n for n in names if n != "table3"]
-    explored = {}
-    if plain:
-        tcs = build_constraints(circuit, lib, configs[plain[0]])
-        rows = explore(tcs, lib, [configs[n] for n in plain], labels=plain)
-        explored = {row.label: row for row in rows}
 
     def sta_of(circ, sched, cfg):
         return sta_check(circ, lib, sched, cfg.hold_mode) if circ.connections else None
 
     for name in names:
-        if name != "table3":
-            row = explored[name]
-            if row.schedule is None:
-                lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
-                results.append({"config": name, "error": [str(d) for d in row.error]})
-                continue
-            sched = row.schedule
-            slacks = sta_of(circuit, sched, row.config)
-            ms = "n/a" if slacks is None or slacks.min_slack is None else f"{slacks.min_slack:.2f}"
-            lines.append(
-                f"{name:<14} {1000.0 / sched.period:>11.3f} {sched.latency:>13.2f} {ms:>15} {'-':>14}"
-            )
-            results.append(
-                {
-                    "config": name,
-                    "frequency_ghz": 1000.0 / sched.period,
-                    "latency_ps": sched.latency,
-                    "min_slack_ps": None if slacks is None else slacks.min_slack,
-                }
-            )
-            continue
+        cfg = configs[name]
         try:
-            cfg = configs[name]
-            base_sched = optimize_schedule(build_constraints(circuit, lib, cfg), lib, cfg)
-            removed_circ, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
-            ps_sched = optimize_schedule(build_constraints(removed_circ, lib, cfg), lib, cfg)
+            base_sched = optimize_schedule(tcs, lib, cfg)
+            if name == "table3":
+                removed_circ, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
+                ps_sched = optimize_schedule(build_constraints(removed_circ, lib, cfg), lib, cfg)
         except InfeasibleScheduleError as e:
             log.warning("preset %s failed: %s", name, e)
             lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
             results.append({"config": name, "error": [str(d) for d in e.diagnostics]})
+            continue
+        if name != "table3":
+            slacks = sta_of(circuit, base_sched, cfg)
+            ms = "n/a" if slacks is None or slacks.min_slack is None else f"{slacks.min_slack:.2f}"
+            lines.append(
+                f"{name:<14} {1000.0 / base_sched.period:>11.3f} {base_sched.latency:>13.2f} {ms:>15} {'-':>14}"
+            )
+            results.append(
+                {
+                    "config": name,
+                    "frequency_ghz": 1000.0 / base_sched.period,
+                    "latency_ps": base_sched.latency,
+                    "min_slack_ps": None if slacks is None else slacks.min_slack,
+                }
+            )
             continue
         saved_pct = 100.0 * plan.buffers_removed / plan.buffers_total if plan.buffers_total else 0.0
         freq0, freq1 = 1000.0 / base_sched.period, 1000.0 / ps_sched.period

@@ -313,7 +313,7 @@ class _CircuitFields(NamedTuple):
 
 class Circuit(_Checked, _CircuitFields):
     """A netlist. Unlike the other records it has an instance ``__dict__``,
-    which caches the gate index and the fanout and fanin maps on first use."""
+    which caches the gate index on first use."""
 
     def __new__(cls, name, num_rows, gates, connections):
         return super().__new__(cls, name, num_rows, tuple(gates), tuple(connections))
@@ -321,25 +321,6 @@ class Circuit(_Checked, _CircuitFields):
     @cached_property
     def gates_by_id(self) -> dict[str, Gate]:
         return {g.id: g for g in self.gates}
-
-    def gate(self, gid: str) -> Gate:
-        return self.gates_by_id[gid]
-
-    @cached_property
-    def fanout(self) -> dict[str, tuple[Connection, ...]]:
-        out: dict[str, list[Connection]] = {g.id: [] for g in self.gates}
-        for c in self.connections:
-            if c.src in out:
-                out[c.src].append(c)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def fanin(self) -> dict[str, tuple[Connection, ...]]:
-        out: dict[str, list[Connection]] = {g.id: [] for g in self.gates}
-        for c in self.connections:
-            if c.dst in out:
-                out[c.dst].append(c)
-        return {k: tuple(v) for k, v in out.items()}
 
 
 def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
@@ -403,34 +384,6 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
         if conn.length < 0:
             out.append(Diagnostic("NEGATIVE_LENGTH", conn.key, "length must be >= 0"))
     return out
-
-
-class _BufferChainFields(NamedTuple):
-    source: str
-    buffers: tuple[str, ...]
-    sink: str
-    segment_lengths: tuple[float, ...]  # len(buffers) + 1 routed hops
-    connections: tuple[Connection, ...] = ()
-
-
-class BufferChain(_Checked, _BufferChainFields):
-    """A maximal run of single-fanin/single-fanout buffers between two gates."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.segment_lengths) != len(self.buffers) + 1:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        "ARITY_MISMATCH",
-                        f"chain {self.source}->{self.sink}",
-                        "segment_lengths must have one entry per hop",
-                    )
-                ]
-            )
-        return self
 
 
 class _ScheduleFields(NamedTuple):

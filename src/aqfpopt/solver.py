@@ -600,27 +600,3 @@ def optimize_schedule(
         latency=sum(best.deltas),
         segment_index=seg_index,
     )
-
-
-class ExploreRow(NamedTuple):
-    label: str
-    config: OptimizationConfig
-    schedule: Optional[Schedule]
-    error: tuple[Diagnostic, ...] = ()
-
-
-def explore(
-    tcs: TimingConstraintSet, lib: CellLibrary, configs, labels=None
-) -> list[ExploreRow]:
-    """Run the optimizer once per configuration; failures do not stop the run."""
-    rows = []
-    for i, cfg in enumerate(configs):
-        label = labels[i] if labels else f"config{i}"
-        try:
-            sched = optimize_schedule(tcs, lib, cfg)
-            rows.append(ExploreRow(label=label, config=cfg, schedule=sched))
-        except InfeasibleScheduleError as e:
-            rows.append(
-                ExploreRow(label=label, config=cfg, schedule=None, error=tuple(e.diagnostics))
-            )
-    return rows

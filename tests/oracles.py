@@ -16,23 +16,29 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from aqfpopt.model import BufferChain, CellLibrary, Circuit, Connection, Gate, OptimizationConfig
+from aqfpopt.model import CellLibrary, Circuit, Connection, Gate, OptimizationConfig
 
 
 def chain_brute_force(
-    chain: BufferChain,
+    lengths: list[float],
     lib: CellLibrary,
     node_rows: Optional[list[int]] = None,
     max_skip: Optional[int] = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Best removal over all 2^m subsets; ties prefer removing earlier buffers.
+    """Best removal over all 2^m subsets of a chain with hop ``lengths``;
+    ties prefer removing earlier buffers.
 
-    Every mask is checked at once: bit j of a mask removes buffer j + 1, and
-    each kept node is tested against the kept node before it. Among the
-    feasible masks with the most removals, the lexicographically smallest
-    removed tuple is the mask that is largest when buffer 1 weighs most.
+    A chain of m + 1 hops has nodes 0..m + 1 and buffers 1..m. A kept node
+    may follow the kept node before it if they are neighbours (an original
+    hop is always allowed), or if the merged length stays within the drive
+    limit and, given ``node_rows`` and ``max_skip``, the row span within
+    ``max_skip``. Every mask is checked at once: bit j of a mask removes
+    buffer j + 1, and each kept node is tested against the kept node before
+    it. Among the feasible masks with the most removals, the
+    lexicographically smallest removed tuple is the mask that is largest
+    when buffer 1 weighs most.
     """
-    m = len(chain.buffers)
+    m = len(lengths) - 1
     masks = np.arange(2**m)
     removed = (masks[:, None] >> np.arange(m)) & 1
     kept = np.ones((masks.size, m + 2), dtype=bool)
@@ -42,16 +48,15 @@ def chain_brute_force(
     prev = np.concatenate([np.zeros((masks.size, 1), dtype=int), last_kept[:, :-1]], axis=1)
 
     hop_ok = np.zeros((m + 2, m + 2), dtype=bool)  # hop_ok[a, b]: a may drive b directly
-    for a in range(m + 2):
-        for b in range(a + 1, m + 2):
-            length = sum(chain.segment_lengths[a:b]) + (b - a - 1) * lib.l_buffer
+    for a in range(m + 1):
+        hop_ok[a, a + 1] = True
+        for b in range(a + 2, m + 2):
+            length = sum(lengths[a:b]) + (b - a - 1) * lib.l_buffer
             ok = length <= lib.l_max_drive
             if max_skip is not None and node_rows is not None:
                 ok = ok and node_rows[b] - node_rows[a] <= max_skip
             hop_ok[a, b] = ok
     feasible = (hop_ok[prev[:, 1:], nodes[1:]] | ~kept[:, 1:]).all(axis=1)
-    if not feasible.any():
-        return (-1, ())
 
     count = removed.sum(axis=1)
     top = feasible & (count == count[feasible].max())

@@ -14,7 +14,6 @@ from aqfpopt.bufferopt import extract_chains, remove_buffers, solve_chain
 from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import parse_report, serialize_library
 from aqfpopt.model import (
-    BufferChain,
     Circuit,
     Connection,
     Gate,
@@ -36,17 +35,10 @@ def criterion(number, description):
 
 
 def random_chain(rng):
+    """The hops of a chain of 0 to 12 buffers."""
     m = rng.randint(0, 12)
-    segments = tuple(rng.uniform(1.0, 100.0) for _ in range(m + 1))
-    buffers = tuple(f"b{i}" for i in range(m))
-    nodes = ("s", *buffers, "t")
-    conns = tuple(
-        Connection(src=nodes[i], dst=nodes[i + 1], length=segments[i])
-        for i in range(len(segments))
-    )
-    return BufferChain(
-        source="s", buffers=buffers, sink="t", segment_lengths=segments, connections=conns
-    )
+    nodes = ("s", *(f"b{i}" for i in range(m)), "t")
+    return tuple(Connection(nodes[i], nodes[i + 1], rng.uniform(1.0, 100.0)) for i in range(m + 1))
 
 
 def test_criterion_1_chain_optimality(fixture_library):
@@ -54,14 +46,15 @@ def test_criterion_1_chain_optimality(fixture_library):
         rng = random.Random(20240801)
         start = time.perf_counter()
         for trial in range(1000):
-            chain = random_chain(rng)
+            hops = random_chain(rng)
             lib = make_library(
                 fixture_library.cells,
                 l_buffer=rng.uniform(2.0, 30.0),
                 l_max_drive=rng.uniform(110.0, 400.0),
             )
-            _, removed = solve_chain(chain, lib)
-            expected, _ = chain_brute_force(chain, lib)
+            rows = list(range(len(hops) + 1))
+            removed = len(rows) - len(solve_chain(hops, rows, lib, None))
+            expected, _ = chain_brute_force([h.length for h in hops], lib)
             assert removed == expected
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
@@ -80,9 +73,10 @@ def test_criterion_2_decomposition(ref_lib):
             )
             _, plan = remove_buffers(c, ref_lib, max_skip=2)
             total = 0
-            for chain in extract_chains(c):
-                rows = [c.gate(g).row for g in (chain.source, *chain.buffers, chain.sink)]
-                total += solve_chain(chain, ref_lib, node_rows=rows, max_skip=2)[1]
+            gates = c.gates_by_id
+            for hops in extract_chains(c):
+                rows = [gates[hops[0].src].row] + [gates[h.dst].row for h in hops]
+                total += len(rows) - len(solve_chain(hops, rows, ref_lib, 2))
             assert plan.buffers_removed == total
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,38 +10,32 @@ from conftest import make_library
 from oracles import chain_brute_force
 from aqfpopt.bufferopt import (
     MalformedChainError,
-    build_chain_graph,
     extract_chains,
-    merged_length,
     remove_buffers,
     solve_chain,
 )
 from aqfpopt.cli import generate_circuit
-from aqfpopt.model import BufferChain, Circuit, Connection, Gate, OptimizationConfig, validate_circuit
+from aqfpopt.ingest import serialize_circuit
+from aqfpopt.model import Circuit, Connection, Gate, OptimizationConfig, validate_circuit
 from aqfpopt.timing import build_constraints
 
 
-def chain_of(segments, source="s", sink="t"):
-    buffers = tuple(f"b{i}" for i in range(1, len(segments)))
-    nodes = (source, *buffers, sink)
-    conns = tuple(
-        Connection(src=nodes[i], dst=nodes[i + 1], length=segments[i]) for i in range(len(segments))
-    )
-    return BufferChain(
-        source=source, buffers=buffers, sink=sink, segment_lengths=tuple(segments), connections=conns
-    )
+def chain_of(segments, props=None, source="s", sink="t"):
+    """The hops of a chain through buffers b1, b2, ..., one per segment."""
+    nodes = (source, *(f"b{i}" for i in range(1, len(segments))), sink)
+    props = props or [None] * len(segments)
+    return tuple(Connection(nodes[i], nodes[i + 1], segments[i], props[i]) for i in range(len(segments)))
 
 
-def pipeline_with_chain(segments, cell="majority3"):
-    """A straight circuit embedding one chain, one gate per row."""
-    chain = chain_of(segments)
-    gates = [Gate("s", cell, 0, 0.0)]
-    for i, b in enumerate(chain.buffers):
-        gates.append(Gate(b, "buffer", i + 1, float(i + 1)))
-    gates.append(Gate("t", cell, len(segments), float(len(segments))))
-    return Circuit(
-        name="chain", num_rows=len(segments) + 1, gates=tuple(gates), connections=chain.connections
+def pipeline_with_chain(segments, props=None, rows=None, cell="majority3"):
+    """A circuit that is one chain, its nodes in ``rows`` (default one per row)."""
+    hops = chain_of(segments, props)
+    rows = rows or list(range(len(segments) + 1))
+    nodes = ("s", *(h.dst for h in hops))
+    gates = tuple(
+        Gate(g, cell if k in (0, len(segments)) else "buffer", rows[k], float(k)) for k, g in enumerate(nodes)
     )
+    return Circuit(name="chain", num_rows=rows[-1] + 1, gates=gates, connections=hops)
 
 
 @pytest.fixture(scope="module")
@@ -49,115 +44,130 @@ def lib(fixture_library):
 
 
 class TestMergedLength:
+    """Lengths and delays of the connections that ``remove_buffers`` merges."""
+
     def test_two_buffer_span(self, lib):
-        chain = chain_of([30.0, 30.0, 30.0])
-        assert merged_length(chain, 0, 3, lib) == pytest.approx(110.0)
+        rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0, 30.0]), lib, max_skip=None)
+        (merged,) = rewritten.connections
+        assert merged.length == pytest.approx(110.0)
 
     def test_zero_removed(self, lib):
-        chain = chain_of([30.0, 30.0, 30.0])
-        assert merged_length(chain, 0, 1, lib) == pytest.approx(30.0)
+        c = pipeline_with_chain([30.0, 30.0, 30.0])
+        rewritten, plan = remove_buffers(c, make_library(lib.cells, l_max_drive=60.0), max_skip=None)
+        assert rewritten == c
+        assert plan.chains[0].kept_nodes == (0, 1, 2, 3)
 
     def test_single_buffer_case(self, lib):
-        chain = chain_of([30.0, 30.0])
-        assert merged_length(chain, 0, 2, lib) == pytest.approx(70.0)
-
-    def test_invalid_span_rejected(self, lib):
-        chain = chain_of([30.0, 30.0])
-        with pytest.raises(ValueError):
-            merged_length(chain, 2, 1, lib)
+        rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0]), lib)
+        (merged,) = rewritten.connections
+        assert merged.length == pytest.approx(70.0)
 
     @given(
-        segments=st.lists(st.floats(min_value=0.1, max_value=60.0), min_size=1, max_size=8),
-        i=st.integers(min_value=0, max_value=7),
-        dj=st.integers(min_value=1, max_value=8),
+        segments=st.lists(st.floats(min_value=0.1, max_value=60.0), min_size=2, max_size=8),
+        props=st.lists(st.none() | st.floats(min_value=0.0, max_value=40.0), min_size=8, max_size=8),
+        steps=st.lists(st.integers(min_value=1, max_value=2), min_size=8, max_size=8),
+        l_max=st.floats(min_value=60.0, max_value=260.0),
+        max_skip=st.sampled_from([None, 1, 2, 3]),
     )
-    def test_matches_direct_sum(self, segments, i, dj, lib):
-        chain = chain_of(segments)
-        j = min(i + dj, len(segments))
-        if i >= j:
-            return
-        expected = sum(segments[i:j]) + (j - i - 1) * lib.l_buffer
-        assert merged_length(chain, i, j, lib) == pytest.approx(expected)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_sum(self, segments, props, steps, l_max, max_skip, lib):
+        rlib = make_library(lib.cells, l_max_drive=l_max)
+        rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
+        c = pipeline_with_chain(segments, props[:len(segments)], rows)
+        hops = c.connections
+        rewritten, plan = remove_buffers(c, rlib, max_skip=max_skip)
+        (chain,) = plan.chains
+        kept = chain.kept_nodes
+        merged = [k for k in rewritten.connections if k not in hops]
+        spans = [(a, b) for a, b in zip(kept, kept[1:]) if b > a + 1]
+        assert len(merged) == len(spans)
+        for conn, (a, b) in zip(merged, spans):
+            replaced = hops[a:b]
+            assert (conn.src, conn.dst) == (replaced[0].src, replaced[-1].dst)
+            assert conn.length == pytest.approx(sum(h.length for h in replaced) + (b - a - 1) * rlib.l_buffer)
+            if any(h.prop is None for h in replaced):
+                assert conn.prop is None
+            else:
+                wire = (b - a - 1) * rlib.l_buffer * rlib.prop_per_um
+                assert conn.prop == pytest.approx(sum(h.prop for h in replaced) + wire)
+        assert chain.removed_gate_ids == tuple(h.dst for k, h in enumerate(hops[:-1]) if k + 1 not in kept)
 
 
 class TestSolveChain:
     def test_full_removal_when_drivable(self, lib):
-        kept, removed = solve_chain(chain_of([30.0, 30.0, 30.0]), lib)
-        assert removed == 2
-        assert kept == [0, 3]
+        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], lib, None) == [0, 3]
 
     def test_tight_drive_keeps_later_buffer(self, lib):
         tight = make_library(lib.cells, l_max_drive=80.0)
-        kept, removed = solve_chain(chain_of([30.0, 30.0, 30.0]), tight)
-        assert removed == 1
-        assert kept == [0, 2, 3]  # removes b1, keeps b2
+        # removes b1, keeps b2
+        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], tight, None) == [0, 2, 3]
 
     def test_empty_chain(self, lib):
-        kept, removed = solve_chain(chain_of([30.0]), lib)
-        assert removed == 0
-        assert kept == [0, 1]
+        assert solve_chain(chain_of([30.0]), [0, 1], lib, None) == [0, 1]
 
     def test_row_span_cap_limits_removal(self, lib):
-        chain = chain_of([20.0, 20.0, 20.0])
+        hops = chain_of([20.0, 20.0, 20.0])
         rows = [0, 1, 2, 3]
-        kept, removed = solve_chain(chain, lib, node_rows=rows, max_skip=2)
-        assert removed == 1  # both at once would span 3 rows
-        kept_unc, removed_unc = solve_chain(chain, lib)
-        assert removed_unc == 2
+        assert solve_chain(hops, rows, lib, 2) == [0, 2, 3]  # both at once would span 3 rows
+        assert solve_chain(hops, rows, lib, None) == [0, 3]
+        # A hop that itself skips too far stays, for the constraint build to report.
+        assert solve_chain(chain_of([10.0, 10.0]), [0, 3, 4], lib, 2) == [0, 1, 2]
 
     def test_edges_require_drivability(self, lib):
-        graph = build_chain_graph(chain_of([30.0, 30.0, 30.0]), make_library(lib.cells, l_max_drive=80.0))
-        pairs = {(i, j) for i, j, _, _ in graph.edges}
-        assert (0, 3) not in pairs
-        assert {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)} <= pairs
+        tight = make_library(lib.cells, l_max_drive=80.0)
+        hops = chain_of([30.0, 30.0, 30.0])
+        kept = solve_chain(hops, [0, 1, 2, 3], tight, None)
+        for a, b in zip(kept, kept[1:]):
+            assert sum(h.length for h in hops[a:b]) + (b - a - 1) * tight.l_buffer <= 80.0
 
     @given(
         segments=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=1, max_size=9),
         l_buffer=st.floats(min_value=1.0, max_value=30.0),
         l_max=st.floats(min_value=105.0, max_value=260.0),
+        steps=st.lists(st.integers(min_value=1, max_value=2), min_size=9, max_size=9),
+        max_skip=st.sampled_from([None, 1, 2, 3]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_bruteforce(self, segments, l_buffer, l_max, lib):
+    def test_matches_bruteforce(self, segments, l_buffer, l_max, steps, max_skip, lib):
         rlib = make_library(lib.cells, l_buffer=l_buffer, l_max_drive=l_max)
         segments = [min(s, l_max) for s in segments]
-        chain = chain_of(segments)
-        kept, removed = solve_chain(chain, rlib)
-        count, removed_ids = chain_brute_force(chain, rlib)
-        assert removed == count
+        rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
+        kept = solve_chain(chain_of(segments), rows, rlib, max_skip)
+        count, removed_ids = chain_brute_force(segments, rlib, node_rows=rows, max_skip=max_skip)
+        assert len(segments) + 1 - len(kept) == count
         assert tuple(k for k in range(len(segments) + 1) if k not in set(removed_ids)) == tuple(kept)
 
     @given(
         segments=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=1, max_size=8),
         l_buffer=st.floats(min_value=1.0, max_value=30.0),
         l_max=st.floats(min_value=20.0, max_value=260.0),
-        steps=st.lists(st.integers(min_value=0, max_value=2), min_size=8, max_size=8),
+        steps=st.lists(st.integers(min_value=1, max_value=3), min_size=8, max_size=8),
     )
     @settings(max_examples=100, deadline=None)
     def test_oracle_matches_loop_enumeration(self, segments, l_buffer, l_max, steps, lib):
         # the numpy oracle against a plain loop over the same subsets
         rlib = make_library(lib.cells, l_buffer=l_buffer, l_max_drive=l_max)
-        chain = chain_of(segments)
-        m = len(chain.buffers)
+        m = len(segments) - 1
         rows = [0] + [sum(steps[:k]) for k in range(1, m + 2)]
-        best = (-1, ())
+        best = None
         for removed in (c for k in range(m, -1, -1) for c in itertools.combinations(range(1, m + 1), k)):
             kept = [k for k in range(m + 2) if k not in removed]
             if all(
-                sum(segments[a:b]) + (b - a - 1) * l_buffer <= l_max and rows[b] - rows[a] <= 2
+                b == a + 1
+                or (sum(segments[a:b]) + (b - a - 1) * l_buffer <= l_max and rows[b] - rows[a] <= 2)
                 for a, b in zip(kept, kept[1:])
             ):
                 best = (len(removed), removed)
                 break
-        assert chain_brute_force(chain, rlib, node_rows=rows, max_skip=2) == best
+        assert chain_brute_force(segments, rlib, node_rows=rows, max_skip=2) == best
 
 
 class TestExtractChains:
     def test_single_chain(self, lib):
         c = pipeline_with_chain([30.0, 30.0, 30.0])
         chains = extract_chains(c)
-        assert len(chains) == 1
-        assert chains[0].buffers == ("b1", "b2")
-        assert chains[0].segment_lengths == (30.0, 30.0, 30.0)
+        assert chains == [c.connections]
+        assert tuple(h.dst for h in chains[0][:-1]) == ("b1", "b2")
 
     def test_no_buffers(self, two_row_circuit):
         assert extract_chains(two_row_circuit) == []
@@ -179,7 +189,7 @@ class TestExtractChains:
         c = Circuit(name="fan", num_rows=3, gates=gates, connections=conns)
         chains = extract_chains(c)
         assert len(chains) == 2
-        assert {ch.buffers for ch in chains} == {("b1",), ("b2",)}
+        assert chains == [conns[0::2], conns[1::2]]
 
     def test_buffer_without_fanin_raises(self, lib):
         c = Circuit(
@@ -288,9 +298,10 @@ class TestRemoveBuffers:
             )
             rewritten, plan = remove_buffers(c, ref_lib, max_skip=2)
             total = 0
-            for chain in extract_chains(c):
-                node_rows = [c.gate(g).row for g in (chain.source, *chain.buffers, chain.sink)]
-                total += chain_brute_force(chain, ref_lib, node_rows=node_rows, max_skip=2)[0]
+            gates = c.gates_by_id
+            for hops in extract_chains(c):
+                rows = [gates[hops[0].src].row] + [gates[h.dst].row for h in hops]
+                total += chain_brute_force([h.length for h in hops], ref_lib, node_rows=rows, max_skip=2)[0]
             assert plan.buffers_removed == total
             assert validate_circuit(rewritten, ref_lib) == []
             for conn in rewritten.connections:
@@ -300,9 +311,9 @@ class TestRemoveBuffers:
         rng = random.Random(3)
         for _ in range(25):
             segments = [rng.uniform(5.0, 60.0) for _ in range(rng.randint(1, 7))]
-            chain = chain_of(segments)
+            hops, rows = chain_of(segments), list(range(len(segments) + 1))
             removed = [
-                solve_chain(chain, make_library(lib.cells, l_max_drive=lmax))[1]
+                len(segments) + 1 - len(solve_chain(hops, rows, make_library(lib.cells, l_max_drive=lmax), None))
                 for lmax in (65.0, 90.0, 120.0, 200.0)
             ]
             assert removed == sorted(removed)
@@ -313,3 +324,10 @@ class TestRemoveBuffers:
         twice, plan2 = remove_buffers(once, ref_lib, max_skip=2)
         assert plan2.buffers_removed == 0
         assert twice == once
+
+    def test_output_is_pinned(self, ref_lib):
+        c = generate_circuit(rows=60, width=5, seed=7, chain_prob=0.8, skip_prob=0.3, lib=ref_lib)
+        rewritten, plan = remove_buffers(c, ref_lib, max_skip=2)
+        digest = hashlib.sha256(serialize_circuit(rewritten).encode()).hexdigest()
+        assert digest == "bfd45ed6445ee7f8df8e247774ea949491460b0f4dff68c69af11ed0ee2b04bd"
+        assert (len(plan.chains), plan.buffers_removed, plan.buffers_total) == (40, 55, 86)

@@ -350,12 +350,12 @@ class TestSweep:
             assert row["frequency_ghz"] == pytest.approx(report["frequency_ghz"])
             assert row["latency_ps"] == pytest.approx(report["latency_ps"])
 
-    @pytest.mark.parametrize("error", ["UNSUPPORTED_SKIP", "MALFORMED_CHAIN"])
+    @pytest.mark.parametrize("error", ["UNSUPPORTED_SKIP", "MALFORMED_CHAIN", "skipping-hop"])
     def test_table3_input_errors_exit_like_optimize(self, workdir, capsys, error):
         tmp_path, lib_path = workdir
         if error == "UNSUPPORTED_SKIP":
             circ, flags = gen(tmp_path, lib_path, "c.qc.json", rows=12, width=3, skip_prob=1.0), ["--max-skip", "1"]
-        else:
+        elif error == "MALFORMED_CHAIN":
             # A buffer with two fanins fits no chain.
             gates = (Gate("a", "majority3", 0, 0.0), Gate("b", "majority3", 0, 0.0),
                      Gate("buf", "buffer", 1, 1.0), Gate("d", "majority3", 2, 2.0))
@@ -363,11 +363,23 @@ class TestSweep:
                      Connection("buf", "d", 10.0, 30.0))
             circ, flags = tmp_path / "c.qc.json", []
             circ.write_text(serialize_circuit(Circuit("twofanin", 3, gates, conns)))
+        else:
+            # A chain hop that itself spans 3 rows is the skip it is, with or
+            # without buffer removal.
+            gates = (Gate("s", "majority3", 0, 0.0), Gate("b", "buffer", 3, 3.0), Gate("t", "majority3", 4, 4.0))
+            conns = (Connection("s", "b", 10.0, 30.0), Connection("b", "t", 10.0, 30.0))
+            circ, flags = tmp_path / "c.qc.json", []
+            circ.write_text(serialize_circuit(Circuit("skiphop", 5, gates, conns)))
         io = ["--circuit", str(circ), "--lib", str(lib_path), *flags]
         capsys.readouterr()
         assert main(["optimize", *io, "--remove-buffers"]) == 1
         expected = capsys.readouterr().err
-        assert expected.startswith(f"[{error}] ")
+        if error == "skipping-hop":
+            assert expected == "[UNSUPPORTED_SKIP] s->b: row span 3 exceeds the supported maximum 2\n"
+            assert main(["optimize", *io]) == 1
+            assert capsys.readouterr().err == expected
+        else:
+            assert expected.startswith(f"[{error}] ")
         assert main(["sweep", *io, "--configs", "table3"]) == 1
         assert capsys.readouterr().err == expected
 

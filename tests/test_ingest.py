@@ -302,7 +302,7 @@ B = ingest.REPORT_BATCH
 ODD_PLANS = st.builds(
     RemovalPlan,
     chains=st.lists(st.builds(ChainRemoval, ODD_TEXT, ODD_TEXT, st.lists(st.integers()).map(tuple),
-                              st.lists(ODD_TEXT, max_size=3).map(tuple), st.just(())),
+                              st.lists(ODD_TEXT, max_size=3).map(tuple)),
                     max_size=3).map(tuple),
     buffers_total=st.integers(),
     buffers_removed=st.integers(),

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import BP2, const_fn, make_library
 from oracles import grid_min_period, min_latency_at, segment_lp_oracle
-from aqfpopt import solver
+from aqfpopt import cli, solver
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import serialize_circuit, serialize_library
@@ -28,7 +28,6 @@ from aqfpopt.solver import (
     SegmentRestriction,
     SolverBreakdown,
     _certificate,
-    explore,
     lp_solve,
     optimize_schedule,
     segment_restrictions,
@@ -539,20 +538,18 @@ class TestSolverBreakdown:
 
 
 class TestExplore:
+    """One circuit's constraints solved under several configurations, as
+    ``sweep`` solves its presets."""
+
     def test_smin_monotonicity(self, ref_lib):
         for seed in range(5):
             c = generate_circuit(rows=6, width=3, seed=seed, lib=ref_lib)
             base = OptimizationConfig()
-            tight = OptimizationConfig(s_min=5.0)
             tcs = build_constraints(c, ref_lib, base)
-            rows = explore(tcs, ref_lib, [base, tight], labels=["base", "smin5"])
-            assert all(r.schedule is not None for r in rows)
-            assert rows[1].schedule.latency >= rows[0].schedule.latency - 1e-6
-            assert rows[1].schedule.period >= rows[0].schedule.period - 1e-9
-
-    def test_empty_config_list(self, ref_lib, two_row_circuit, fixture_library):
-        tcs = build_constraints(two_row_circuit, fixture_library, OptimizationConfig())
-        assert explore(tcs, fixture_library, []) == []
+            loose = optimize_schedule(tcs, ref_lib, base)
+            tight = optimize_schedule(tcs, ref_lib, OptimizationConfig(s_min=5.0))
+            assert tight.latency >= loose.latency - 1e-6
+            assert tight.period >= loose.period - 1e-9
 
     def test_dlplace_relaxes_period(self, fixture_library):
         # delay spread of 70 needs the rd-based window 0.36T - 10 >= 70,
@@ -572,20 +569,31 @@ class TestExplore:
             ),
         )
         reset = OptimizationConfig()
-        relaxed = OptimizationConfig(hold_mode="dlplace")
         tcs = build_constraints(c, fixture_library, reset)
-        rows = explore(tcs, fixture_library, [reset, relaxed], labels=["reset", "dlplace"])
-        t_reset = rows[0].schedule.period
-        t_dl = rows[1].schedule.period
+        t_reset = optimize_schedule(tcs, fixture_library, reset).period
+        t_dl = optimize_schedule(tcs, fixture_library, OptimizationConfig(hold_mode="dlplace")).period
         assert t_dl <= t_reset
         assert t_dl < t_reset - 1.0  # strict on this fixture
         assert t_reset == pytest.approx(80.0 / 0.36, rel=1e-3)
         assert t_dl == pytest.approx(100.0, abs=1e-4)
 
-    def test_failures_recorded_not_raised(self, fixture_library, two_row_circuit):
-        ok = OptimizationConfig()
-        bad = OptimizationConfig(t_min_override=500.0)
-        tcs = build_constraints(two_row_circuit, fixture_library, ok)
-        rows = explore(tcs, fixture_library, [ok, bad], labels=["ok", "bad"])
-        assert rows[0].schedule is not None
-        assert rows[1].schedule is None and rows[1].error
+    def test_failures_recorded_not_raised(self, monkeypatch, tmp_path, capsys, fixture_library, two_row_circuit):
+        # A preset whose solve fails becomes a failed row, and the next preset still runs.
+        with pytest.raises(InfeasibleScheduleError) as e:
+            optimize_schedule(build_constraints(two_row_circuit, fixture_library, OptimizationConfig()),
+                              fixture_library, OptimizationConfig(t_min_override=500.0))
+        real = optimize_schedule
+
+        def fails_with_min_slack(tcs, lib, cfg):
+            if cfg.s_min:
+                raise e.value
+            return real(tcs, lib, cfg)
+
+        monkeypatch.setattr(cli, "optimize_schedule", fails_with_min_slack)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", *cli_inputs(tmp_path, two_row_circuit, fixture_library),
+                     "--configs", "table1b,table1a", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert rows[0] == {"config": "table1b", "error": [str(d) for d in e.value.diagnostics]}
+        assert rows[1]["config"] == "table1a" and rows[1]["frequency_ghz"] > 0
+        assert "WARNING aqfpopt: preset table1b failed: " in capsys.readouterr().err
