@@ -314,10 +314,12 @@ def cmd_optimize(args) -> int:
     except InfeasibleScheduleError as e:
         return _fail(e.diagnostics, EXIT_INFEASIBLE)
     timings["solve"] = time.perf_counter() - t0
+    del tcs  # the STA reads the circuit, not the constraint records
 
     t0 = time.perf_counter()
     slacks = sta_check(circuit, lib, sched, cfg.hold_mode) if circuit.connections else None
     timings["verify"] = time.perf_counter() - t0
+    del circuit  # the report is written from the STA records
 
     summary = f"{1000.0 / sched.period:.4g} GHz, latency {sched.latency:.6g} ps"
     report = emit_report(

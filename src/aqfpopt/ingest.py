@@ -51,7 +51,8 @@ def _is_finite(v) -> bool:
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INT = (_is_int, "an integer")
 _FINITE = (_is_finite, "a finite number")
-_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v), "a list of objects")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, (Connection, Gate, dict)) for e in v),
+            "a list of objects")
 
 _CIRCUIT_TYPES = {
     "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
@@ -68,7 +69,8 @@ _CONN_TYPES = {
     "prop_ps": (lambda v: v is None or _is_finite(v), "a finite number or null"),
 }
 _CONN_REQUIRED = ("src", "dst", "length_um")
-_NUMBER = (float, int)  # exact JSON number types; a bool is neither
+_GATE_KEYS = ("id", "cell", "row", "clock_offset_ps")  # the file keys of each record field
+_CONN_KEYS = ("src", "dst", "length_um", "prop_ps")
 _LIBRARY_TYPES = {
     "l_max_drive_um": _FINITE,
     "l_buffer_um": _FINITE,
@@ -93,7 +95,7 @@ _REPORT_TYPES = {
 }
 _REPORT_CONFIG_TYPES = {
     "remove_buffers": (lambda v: isinstance(v, bool), "a boolean"),
-    "max_skip": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "max_skip": (lambda v: v is None or (_is_int(v) and v >= 1), "an integer >= 1 or null"),
     "hold_mode": (lambda v: v in ("reset-delay", "dlplace"), "reset-delay or dlplace"),
 }
 _REPORT_KEYS = {
@@ -120,20 +122,38 @@ class ReportFormatError(ValidationError):
     pass
 
 
-def _load_document(source, exc_type) -> dict:
+def _load_document(source, exc_type, object_hook=None) -> dict:
     """Decode ``source``: JSON text, a readable text file or a decoded dict.
 
-    A file is read and decoded here, so its text is freed on return.
+    A file is read and decoded here, so its text is freed on return. Each
+    decoded object, a dict document's too, is passed to ``object_hook``.
     """
     if isinstance(source, dict):
-        return source
+        return source if object_hook is None else _object(_mapped(source, object_hook))
     try:
-        doc = json.load(source) if hasattr(source, "read") else json.loads(source)
+        doc = (json.load if hasattr(source, "read") else json.loads)(source, object_hook=object_hook)
     except json.JSONDecodeError as e:
         raise exc_type([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
+    doc = _object(doc)  # the top-level object too may spell an entry
     if not isinstance(doc, dict):
         raise exc_type([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
     return doc
+
+
+def _mapped(v, f):
+    """``v`` with ``f`` applied to each object and record in it, innermost first and in document order."""
+    if type(v) is list:
+        return [_mapped(x, f) for x in v]
+    if type(v) is dict:
+        v = {key: _mapped(x, f) for key, x in v.items()}
+    return f(v) if type(v) in (dict, Gate, Connection) else v
+
+
+def _object(v):
+    """The object that a record was decoded from; any other value as it is."""
+    if type(v) is Gate or type(v) is Connection:
+        return dict(zip(_GATE_KEYS if type(v) is Gate else _CONN_KEYS, v if v[-1] is not None else v[:3]))
+    return v
 
 
 def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
@@ -143,13 +163,9 @@ def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
 
 def _check_version(doc: dict, entity: str, errs: list) -> None:
     if doc.get("format_version") != FORMAT_VERSION:
-        errs.append(
-            Diagnostic(
-                "BAD_FORMAT_VERSION",
-                entity,
-                f"expected format_version {FORMAT_VERSION}, got {doc.get('format_version')!r}",
-            )
-        )
+        got = _mapped(doc.get("format_version"), _object)  # as decoded, without records
+        message = f"expected format_version {FORMAT_VERSION}, got {got!r}"
+        errs.append(Diagnostic("BAD_FORMAT_VERSION", entity, message))
 
 
 def _check_types(doc: dict, types: dict, entity: str, errs: list) -> bool:
@@ -183,11 +199,36 @@ def parse_circuit(source) -> Circuit:
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
 
-    Each connection endpoint that names a gate is that gate's own id
-    object, and each distinct cell name is one object, so the records share
-    their strings and later lookups by id hit on identity.
+    The records are built inside the JSON decoder, so the decoded objects
+    never pile up. The decoder makes a ``Gate`` or ``Connection`` of each
+    object that the record turns back into exactly: keys in field order
+    (``prop_ps`` absent or a float), string ids, an integer row and finite
+    floats. Any other entry, and a record found outside its own list, is
+    checked as that object against the type tables, which build a valid
+    entry's record or name what is wrong with it.
+
+    Each distinct cell name and gate id is one object, shared by the
+    endpoints naming that gate if ``gates`` precedes ``connections``.
     """
-    doc = _load_document(source, CircuitFormatError)
+    fmax = sys.float_info.max
+    shared: dict[str, str] = {}
+    new = tuple.__new__  # makes a record without a call to its Python-level __new__
+
+    def record(obj: dict):
+        keys = tuple(obj)
+        if keys == _CONN_KEYS or keys == _CONN_REQUIRED:
+            src, dst, length, prop = obj["src"], obj["dst"], obj["length_um"], obj.get("prop_ps")
+            if type(src) is str and type(dst) is str and type(length) is float and -fmax <= length <= fmax \
+                    and (type(prop) is float and -fmax <= prop <= fmax or len(keys) == 3):
+                return new(Connection, (shared.get(src, src), shared.get(dst, dst), length, prop))
+        elif keys == _GATE_KEYS:
+            gid, cell, row, offset = obj.values()
+            if type(gid) is str and type(cell) is str and type(row) is int and type(offset) is float \
+                    and -fmax <= offset <= fmax:
+                return new(Gate, (shared.setdefault(gid, gid), shared.setdefault(cell, cell), row, offset))
+        return obj
+
+    doc = _load_document(source, CircuitFormatError, record)
     errs: list[Diagnostic] = []
     _check_version(doc, "circuit", errs)
     _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
@@ -195,48 +236,30 @@ def parse_circuit(source) -> Circuit:
     if not _check_types(doc, _CIRCUIT_TYPES, "circuit", errs):
         raise CircuitFormatError(errs)
 
-    # A well-formed entry passes one inline test: its exact key set, exact
-    # JSON types and finite numbers. Any other entry goes through the type
-    # tables, which name what is wrong with it.
-    fmax = sys.float_info.max
     gates: list[Gate] = []
-    ids: dict[str, str] = {}
-    cells: dict[str, str] = {}
     for i, entry in enumerate(doc.get("gates", [])):
-        gid, cell, row = entry.get("id"), entry.get("cell"), entry.get("row")
-        offset = entry.get("clock_offset_ps")
-        if (
-            len(entry) == 4
-            and type(gid) is str
-            and type(cell) is str
-            and type(row) is int
-            and type(offset) in _NUMBER
-            and -fmax <= offset <= fmax
-        ) or _entry_ok(
-            entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs
-        ):
-            ids[gid] = gid
-            gates.append(Gate(gid, cells.setdefault(cell, cell), row, float(offset)))
+        if type(entry) is not Gate:
+            entry = _object(entry)
+            gid, cell = entry.get("id"), entry.get("cell")
+            if not _entry_ok(entry, _GATE_TYPES, _GATE_TYPES,
+                             gid if isinstance(gid, str) else f"gates[{i}]", errs):
+                continue
+            entry = Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), entry["row"],
+                         float(entry["clock_offset_ps"]))
+        gates.append(entry)
     connections: list[Connection] = []
     for i, entry in enumerate(doc.get("connections", [])):
-        src, dst = entry.get("src"), entry.get("dst")
-        length, prop = entry.get("length_um"), entry.get("prop_ps")
-        if (
-            (len(entry) == 3 or (len(entry) == 4 and "prop_ps" in entry))
-            and type(src) is str
-            and type(dst) is str
-            and type(length) in _NUMBER
-            and -fmax <= length <= fmax
-            and (prop is None or (type(prop) in _NUMBER and -fmax <= prop <= fmax))
-        ) or _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
-            connections.append(Connection(
-                ids.get(src, src), ids.get(dst, dst), float(length), None if prop is None else float(prop)
-            ))
+        if type(entry) is not Connection:
+            entry = _object(entry)
+            if not _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
+                continue
+            src, dst, prop = entry["src"], entry["dst"], entry.get("prop_ps")
+            entry = Connection(shared.get(src, src), shared.get(dst, dst), float(entry["length_um"]),
+                               None if prop is None else float(prop))
+        connections.append(entry)
     if errs:
         raise CircuitFormatError(errs)
-    return Circuit(
-        name=doc["name"], num_rows=doc["num_rows"], gates=tuple(gates), connections=tuple(connections)
-    )
+    return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=gates, connections=connections)
 
 
 def _field_tokens(records) -> list[list[str]]:

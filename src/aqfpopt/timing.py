@@ -149,28 +149,23 @@ def sta_check(
         fns = lib.timing(name)
         window = period if hold_mode == "dlplace" else fns.rd(period)
         at_period[name] = (fns.c2q(period), fns.setup(period), fns.hold(period), window)
-    # Per gate: when data launched there leaves, with the hold window of its
-    # cell, and when data captured there is due and when its capture closes.
-    launch, capture = {}, {}
-    for g in c.gates:
-        c2q, setup, hold, window = at_period[g.cell]
-        clk = g.clock_offset + prefix[g.row]
-        launch[g.id] = (clk + c2q, window)
-        capture[g.id] = (clk - setup, clk + hold)
-
+    clock = {g.id: g.clock_offset + prefix[g.row] for g in c.gates}
+    gates = c.gates_by_id
     prop_per_um = lib.prop_per_um
     entries = []
     min_slack = None
     for conn in c.connections:
-        leaves, window = launch[conn.src]
-        due, closes = capture[conn.dst]
+        src, dst = conn.src, conn.dst
+        c2q, _, _, window = at_period[gates[src].cell]
+        _, setup, hold, _ = at_period[gates[dst].cell]
         prop = conn.prop
         if prop is None:
             prop = conn.length * prop_per_um
-        arrival = leaves + prop
-        setup_slack = due - arrival
-        hold_slack = arrival + window - closes
-        entries.append(ConnectionSlack(conn.src, conn.dst, setup_slack, hold_slack))
+        arrival = clock[src] + c2q + prop
+        clk = clock[dst]
+        setup_slack = (clk - setup) - arrival
+        hold_slack = arrival + window - (clk + hold)
+        entries.append(ConnectionSlack(src, dst, setup_slack, hold_slack))
         local = hold_slack if hold_slack < setup_slack else setup_slack
         if min_slack is None or local < min_slack:
             min_slack = local

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
 from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, ValidationError, validate_circuit
+from aqfpopt.solver import FIX_TOL
 
 
 @pytest.fixture
@@ -139,6 +141,7 @@ class TestOptimizeVerify:
 
         assert main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
                      "--schedule", str(report_path)]) == 0
+        assert checker_failures(circ, lib_path, report_path, remove_buffers=False) == []
 
     @staticmethod
     def optimize_discontinuous(tmp_path, fixture_library, two_row_circuit):
@@ -270,6 +273,50 @@ class TestOptimizeVerify:
         assert report["buffers_removed"] > 0
         assert main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
                      "--schedule", str(report_path)]) == 0
+        assert checker_failures(circ, lib_path, report_path, remove_buffers=True) == []
+
+    @pytest.mark.parametrize("max_skip", [0, -1])
+    def test_manifest_max_skip_below_one_rejected(self, workdir, capsys, max_skip):
+        # optimize rejects --max-skip 0, so a report claiming it is malformed;
+        # re-running buffer removal with it would report false violations.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=8, width=2, seed=13, chain_prob=0.9)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--remove-buffers", "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["manifest"]["config"]["max_skip"] = max_skip
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 1
+        assert capsys.readouterr().err == "[PARSE_ERROR] manifest.config: max_skip must be an integer >= 1 or null\n"
+
+    @pytest.mark.parametrize("gen_kw,flags", [({}, []), ({"skip_prob": 0.4}, []),
+                                              ({"chain_prob": 0.8}, ["--remove-buffers"])])
+    def test_entry_and_list_order_leave_the_schedule(self, workdir, gen_kw, flags):
+        # The same circuit with its gates and connections shuffled, and the
+        # connections written before the gates, must get the same schedule.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=12, width=4, seed=17, **gen_kw)
+        doc = json.loads(circ.read_text())
+        rng = random.Random(3)
+        rng.shuffle(doc["gates"])
+        rng.shuffle(doc["connections"])
+        shuffled = tmp_path / "shuffled.qc.json"
+        shuffled.write_text(json.dumps({"format_version": 1, "connections": doc["connections"],
+                                        "gates": doc["gates"], "name": doc["name"], "num_rows": doc["num_rows"]}))
+        a, b = (parse_circuit(path.read_text()) for path in (circ, shuffled))
+        assert set(a.gates) == set(b.gates) and set(a.connections) == set(b.connections)
+        reports = []
+        for path in (circ, shuffled):
+            out = path.with_suffix(".report.json")
+            assert main(["optimize", "--circuit", str(path), "--lib", str(lib_path), *flags, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        for key in ("period_ps", "latency_ps", "slack_ps"):
+            assert reports[1][key] == pytest.approx(reports[0][key], abs=FIX_TOL)
+        assert [sorted((e["src"], e["dst"]) for e in r["connections"]) for r in reports[1:]] == [
+            sorted((e["src"], e["dst"]) for e in reports[0]["connections"])
+        ]
 
 
 class TestFixtureCircuit:
@@ -616,6 +663,13 @@ def perfbench_checker():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def checker_failures(circ, lib_path, report_path, remove_buffers):
+    """What ``perfbench/checker.py`` finds wrong with a default-settings report."""
+    spec = {"mode": "lexicographic", "remove_buffers": remove_buffers, "s_min": 0.0, "s_max": 50.0, "max_skip": 2}
+    texts = [Path(path).read_text() for path in (circ, lib_path, report_path)]
+    return perfbench_checker().check_report(*texts, spec)[0]
 
 
 CHECKED_RUNS = {

@@ -25,7 +25,7 @@ from aqfpopt.ingest import (
     serialize_report,
 )
 from aqfpopt.bufferopt import ChainRemoval, RemovalPlan
-from aqfpopt.model import Circuit, Connection, Gate, Schedule
+from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, Schedule
 from aqfpopt.timing import ConnectionSlack, SlackReport
 
 from oracles import circuit_json_reference, report_json_reference
@@ -112,16 +112,23 @@ class TestParseCircuit:
 
 def table_path(doc):
     """Diagnostics, gates and connections the type tables alone make of a
-    circuit document's entries."""
+    circuit document; None for the entries if its top level already fails."""
     errs, gates, connections = [], [], []
-    for i, e in enumerate(doc["gates"]):
+    if doc.get("format_version") != 1:
+        message = f"expected format_version 1, got {doc.get('format_version')!r}"
+        errs.append(Diagnostic("BAD_FORMAT_VERSION", "circuit", message))
+    ingest._check_keys(doc, ingest._CIRCUIT_KEYS, "circuit", errs)
+    ingest._check_missing(doc, ("name", "num_rows"), "circuit", errs)
+    if not ingest._check_types(doc, ingest._CIRCUIT_TYPES, "circuit", errs):
+        return errs, None, None
+    for i, e in enumerate(doc.get("gates", [])):
         ent = e["id"] if isinstance(e.get("id"), str) else f"gates[{i}]"
         ingest._check_keys(e, ingest._GATE_TYPES, ent, errs)
         if ingest._check_missing(e, ingest._GATE_TYPES, ent, errs) and ingest._check_types(
             e, ingest._GATE_TYPES, ent, errs
         ):
             gates.append(Gate(e["id"], e["cell"], e["row"], float(e["clock_offset_ps"])))
-    for i, e in enumerate(doc["connections"]):
+    for i, e in enumerate(doc.get("connections", [])):
         ent = f"connections[{i}]"
         ingest._check_keys(e, ingest._CONN_TYPES, ent, errs)
         if ingest._check_missing(e, ("src", "dst", "length_um"), ent, errs) and ingest._check_types(
@@ -150,11 +157,21 @@ CORRUPTIONS = [("missing",), ("extra",)] + [
     ("set", v) for v in (True, False, "x", math.nan, math.inf, -math.inf, 10**400, 1.7, None)
 ]
 ENTRY_FIELDS = {"gates": sorted(ingest._GATE_TYPES), "connections": sorted(ingest._CONN_TYPES)}
+#: Objects a decoder could take for entries: a gate, and connections without
+#: a delay, with a null delay and with a delay.
+ENTRY_OBJECTS = [parser_seed_doc()["gates"][0]] + parser_seed_doc()["connections"][:4]
+#: Where such an object can sit other than in its own list: in the other list,
+#: under a top-level field or an unknown key, in an entry's field, or as the
+#: whole document.
+PLACES = ("gates", "connections", "name", "format_version", "colour", "entry", "document")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_inline_entry_check_agrees_with_type_tables(data):
+    # The decoder's records, and the type tables' diagnostics for everything
+    # else, must be what the tables alone make of the document, whether it
+    # comes as a dict, as JSON text or as an open file.
     doc = parser_seed_doc()
     for _ in range(data.draw(st.integers(0, 3))):
         kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
@@ -167,16 +184,45 @@ def test_inline_entry_check_agrees_with_type_tables(data):
             entry.pop(key, None)
         else:
             entry[key] = corruption[1]
+    # Valid spellings no record spells back: keys in reverse order, or an
+    # integer where the writer puts a float.
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
+        entry = doc[kind][data.draw(st.integers(0, len(doc[kind]) - 1))]
+        floats = [key for key, value in entry.items() if type(value) is float]
+        if floats and data.draw(st.booleans()):
+            entry[data.draw(st.sampled_from(floats))] = 2
+        else:
+            items = list(entry.items())[::-1]
+            entry.clear()
+            entry.update(items)
+    for _ in range(data.draw(st.integers(0, 2))):
+        obj = json.loads(json.dumps(data.draw(st.sampled_from(ENTRY_OBJECTS))))
+        obj = data.draw(st.sampled_from([obj, [obj], {"k": obj}])) if data.draw(st.booleans()) else obj
+        place = data.draw(st.sampled_from(PLACES))
+        if place == "document":
+            doc = obj if isinstance(obj, dict) else {"k": obj}
+        elif place in ("gates", "connections") and isinstance(doc.get(place), list):
+            doc[place].insert(data.draw(st.integers(0, len(doc[place]))), obj)
+        elif place == "entry" and isinstance(doc.get("gates"), list):
+            kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
+            entry = doc[kind][data.draw(st.integers(0, len(doc[kind]) - 1))]
+            entry[data.draw(st.sampled_from(ENTRY_FIELDS[kind]))] = obj
+        elif place not in ("gates", "connections", "entry"):
+            doc[place] = obj
     errs, gates, connections = table_path(doc)
-    if errs:
-        with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
-        assert e.value.diagnostics == errs
-    else:
-        c = parse_circuit(doc)
-        # repr tells 1 from 1.0, so the field types must match too.
-        assert repr(c.gates) == repr(gates)
-        assert repr(c.connections) == repr(connections)
+    text = json.dumps(doc)
+    for source in (doc, text, io.StringIO(text)):
+        if errs:
+            with pytest.raises(CircuitFormatError) as e:
+                parse_circuit(source)
+            assert e.value.diagnostics == errs
+        else:
+            c = parse_circuit(source)
+            # repr tells 1 from 1.0, so the field types must match too.
+            assert repr(c.gates) == repr(gates)
+            assert repr(c.connections) == repr(connections)
+    assert json.dumps(doc) == text  # a dict document is left as it was
 
 
 class TestParseLibrary:
@@ -354,6 +400,23 @@ def test_report_writer_memory_does_not_grow_with_connections():
     # The writer holds one batch at a time, so four times the connections
     # must not raise its peak.
     assert _writer_peak_bytes(8 * B) <= 1.25 * _writer_peak_bytes(2 * B)
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_parse_memory_stays_near_the_records(adversarial):
+    # The text is made before tracing starts, so the peak leaves it out. The
+    # decoder turns each entry into its record at once, so the peak is the
+    # records plus a little; holding every decoded object until the records
+    # are built, as a separate pass must, reads about 2.4 to 2.9 times them.
+    text = serialize_circuit(generate_circuit(rows=100, width=10, seed=1, adversarial=adversarial))
+    tracemalloc.start()
+    try:
+        circuit = parse_circuit(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(circuit.connections) > 1000
+    assert peak <= 1.5 * retained
 
 
 class TestEmitReport:
