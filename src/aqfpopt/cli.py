@@ -18,10 +18,8 @@ from importlib import resources
 from typing import Optional
 
 from aqfpopt import __version__
-from aqfpopt.bufferopt import MalformedChainError, RemovalPlan, remove_buffers
+from aqfpopt.bufferopt import RemovalPlan, remove_buffers
 from aqfpopt.ingest import (
-    LibraryFormatError,
-    ReportFormatError,
     emit_report,
     parse_circuit,
     parse_library,
@@ -46,7 +44,7 @@ from aqfpopt.model import (
     validate_circuit,
 )
 from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, optimize_schedule
-from aqfpopt.timing import UnsupportedSkipError, build_constraints, sta_check
+from aqfpopt.timing import build_constraints, sta_check
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -202,19 +200,20 @@ def _fail(diagnostics, code: int = EXIT_INPUT) -> int:
     return code
 
 
+def _read_input(path, parse):
+    """Open an input file and pass it to ``parse``; an OS error becomes an
+    IO_ERROR diagnostic. The parsers read the file themselves, so no caller
+    frame keeps the text alive once it is decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as e:
+        raise ValidationError([_io_diag(path, e)]) from e
+
+
 def _load_inputs(args):
-    # The parsers read the files themselves, so no caller frame keeps the
-    # text alive once it is decoded.
-    try:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse_circuit(fh)
-    except OSError as e:
-        raise ValidationError([_io_diag(args.circuit, e)])
-    try:
-        with open(args.lib, "r", encoding="utf-8") as fh:
-            lib = parse_library(fh)
-    except OSError as e:
-        raise ValidationError([_io_diag(args.lib, e)])
+    circuit = _read_input(args.circuit, parse_circuit)
+    lib = _read_input(args.lib, parse_library)
     diags = validate_circuit(circuit, lib)
     if diags:
         raise ValidationError(diags)
@@ -278,6 +277,48 @@ def _manifest(args, cfg, remove_flag, timings, summary) -> dict:
     }
 
 
+def _schedule(held, lib, configs, remove, timings):
+    """The paper's flow on one circuit, for configs that share their
+    ``max_skip``: remove buffers if ``remove``, build the constraints once,
+    solve each config, then check each schedule by STA.
+
+    ``held`` is a one-element list holding the circuit. It is emptied, so a
+    caller that keeps no other reference lets the parsed circuit go as soon
+    as removal has replaced it. Returns the removal plan (None without
+    removal) and, per config, its ``(Schedule, SlackReport)`` or the
+    :class:`InfeasibleScheduleError` of its solve. Each phase's time goes
+    into ``timings``. The constraint set is dropped before the STA.
+    """
+    circuit = held.pop()
+    plan: Optional[RemovalPlan] = None
+    if remove:
+        t0 = time.perf_counter()
+        circuit, plan = remove_buffers(circuit, lib, max_skip=configs[0].max_skip)
+        timings["buffer_removal"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    tcs = build_constraints(circuit, lib, configs[0])  # reads only max_skip
+    timings["constraints"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    solved = []
+    for cfg in configs:
+        try:
+            solved.append(optimize_schedule(tcs, lib, cfg))
+        except InfeasibleScheduleError as e:
+            solved.append(e)
+    timings["solve"] = time.perf_counter() - t0
+    del tcs  # the STA reads the circuit, not the constraint records
+
+    t0 = time.perf_counter()
+    outcomes = [
+        s if isinstance(s, InfeasibleScheduleError) else (s, sta_check(circuit, lib, s, cfg.hold_mode))
+        for s, cfg in zip(solved, configs)
+    ]
+    timings["verify"] = time.perf_counter() - t0
+    return plan, outcomes
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -285,41 +326,17 @@ def _manifest(args, cfg, remove_flag, timings, summary) -> dict:
 def cmd_optimize(args) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    try:
-        circuit, lib = _load_inputs(args)
-    except ValidationError as e:
-        return _fail(e.diagnostics)
+    circuit, lib = _load_inputs(args)
     timings["parse"] = time.perf_counter() - t0
-
     cfg = _config_from_args(args)
-    plan: Optional[RemovalPlan] = None
-    if args.remove_buffers:
-        t0 = time.perf_counter()
-        try:
-            circuit, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
-        except MalformedChainError as e:
-            return _fail(e.diagnostics)
-        timings["buffer_removal"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        tcs = build_constraints(circuit, lib, cfg)
-    except UnsupportedSkipError as e:
-        return _fail(e.diagnostics)
-    timings["constraints"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        sched = optimize_schedule(tcs, lib, cfg)
-    except InfeasibleScheduleError as e:
-        return _fail(e.diagnostics, EXIT_INFEASIBLE)
-    timings["solve"] = time.perf_counter() - t0
-    del tcs  # the STA reads the circuit, not the constraint records
-
-    t0 = time.perf_counter()
-    slacks = sta_check(circuit, lib, sched, cfg.hold_mode) if circuit.connections else None
-    timings["verify"] = time.perf_counter() - t0
-    del circuit  # the report is written from the STA records
+    # The report is written from the STA records, so the pipeline gets the
+    # only reference to the circuit.
+    held = [circuit]
+    del circuit
+    plan, [outcome] = _schedule(held, lib, [cfg], args.remove_buffers, timings)
+    if isinstance(outcome, InfeasibleScheduleError):
+        raise outcome
+    sched, slacks = outcome
 
     summary = f"{1000.0 / sched.period:.4g} GHz, latency {sched.latency:.6g} ps"
     report = emit_report(
@@ -335,24 +352,15 @@ def cmd_optimize(args) -> int:
     if args.verbose:
         for e in report["connections"]:
             print(f"{e.src} -> {e.dst}: setup {e.setup_slack:.4g} ps, hold {e.hold_slack:.4g} ps")
-    if slacks is not None and not slacks.passing():
+    if not slacks.passing():
         print(f"schedule fails STA: min slack {slacks.min_slack:.6g} ps", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        circuit, lib = _load_inputs(args)
-    except ValidationError as e:
-        return _fail(e.diagnostics)
-    try:
-        with open(args.schedule, "r", encoding="utf-8") as fh:
-            report = parse_report(fh)
-    except OSError as e:
-        return _fail([_io_diag(args.schedule, e)])
-    except ReportFormatError as e:
-        return _fail(e.diagnostics)
+    circuit, lib = _load_inputs(args)
+    report = _read_input(args.schedule, parse_report)
     # Only the schedule and the manifest config are read; the rest of the
     # document, one object per connection, is freed before the STA.
     manifest_cfg = (report.get("manifest") or {}).get("config", {})
@@ -388,14 +396,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    lib = None
-    if args.lib:
-        try:
-            with open(args.lib, "r", encoding="utf-8") as fh:
-                lib = parse_library(fh.read())
-        except (OSError, LibraryFormatError) as e:
-            diags = e.diagnostics if isinstance(e, LibraryFormatError) else [_io_diag(args.lib, e)]
-            return _fail(diags)
     circuit = generate_circuit(
         rows=args.rows,
         width=args.width,
@@ -403,7 +403,7 @@ def cmd_gen(args) -> int:
         chain_prob=args.chain_prob,
         skip_prob=args.skip_prob,
         adversarial=args.adversarial,
-        lib=lib,
+        lib=_read_input(args.lib, parse_library) if args.lib else None,
     )
     text = serialize_circuit(circuit)
     if args.out and args.out != "-":
@@ -415,13 +415,16 @@ def cmd_gen(args) -> int:
 
 def _preset_config(name: str, max_skip: Optional[int]) -> OptimizationConfig:
     base = OptimizationConfig(priority_mode="lexicographic", max_skip=max_skip)
-    if name == "table1a":
-        return base
     if name == "table1b":
         return base._replace(s_min=5.0)
     if name == "table1c":
         return base._replace(priority=("period", "slack", "latency"))
-    raise ValueError(name)
+    return base  # table1a, and table3, which runs table1a's config
+
+
+def _sweep_line(tag: str, sched, slacks, saved: str) -> str:
+    ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.2f}"
+    return f"{tag:<14} {1000.0 / sched.period:>11.3f} {sched.latency:>13.2f} {ms:>15} {saved:>14}"
 
 
 def cmd_sweep(args) -> int:
@@ -433,50 +436,38 @@ def cmd_sweep(args) -> int:
     if unknown:
         print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
         return EXIT_INPUT
-    # table3 runs table1a twice: without and with buffer removal.
-    configs = {n: _preset_config("table1a" if n == "table3" else n, args.max_skip) for n in names}
-    try:
-        circuit, lib = _load_inputs(args)
-    except ValidationError as e:
-        return _fail(e.diagnostics)
-
-    # build_constraints reads only max_skip, which every preset shares.
-    tcs = build_constraints(circuit, lib, configs[names[0]])
+    configs = {name: _preset_config(name, args.max_skip) for name in names}
+    circuit, lib = _load_inputs(args)
+    # Each distinct config is solved once on the parsed circuit; table3's
+    # baseline is table1a's run, paired with one run after buffer removal.
+    distinct = list(dict.fromkeys(configs.values()))
+    _, outcomes = _schedule([circuit], lib, distinct, False, {})
+    solved = dict(zip(distinct, outcomes))
 
     header = f"{'config':<14} {'freq (GHz)':>11} {'latency (ps)':>13} {'min slack (ps)':>15} {'buffers saved':>14}"
     lines = [header, "-" * len(header)]
     results = []
-
-    def sta_of(circ, sched, cfg):
-        return sta_check(circ, lib, sched, cfg.hold_mode) if circ.connections else None
-
+    removal = None
     for name in names:
-        cfg = configs[name]
-        try:
-            base_sched = optimize_schedule(tcs, lib, cfg)
-            if name == "table3":
-                removed_circ, plan = remove_buffers(circuit, lib, max_skip=args.max_skip)
-                ps_sched = optimize_schedule(build_constraints(removed_circ, lib, cfg), lib, cfg)
-        except InfeasibleScheduleError as e:
-            log.warning("preset %s failed: %s", name, e)
+        runs = [solved[configs[name]]]
+        if name == "table3" and not isinstance(runs[0], InfeasibleScheduleError):
+            if removal is None:  # made when the first table3 row is reached
+                removal = _schedule([circuit], lib, [configs[name]], True, {})
+            plan, [skip_run] = removal
+            runs.append(skip_run)
+        err = next((r for r in runs if isinstance(r, InfeasibleScheduleError)), None)
+        if err is not None:
+            log.warning("preset %s failed: %s", name, err)
             lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
-            results.append({"config": name, "error": [str(d) for d in e.diagnostics]})
+            results.append({"config": name, "error": [str(d) for d in err.diagnostics]})
             continue
         if name != "table3":
-            slacks = sta_of(circuit, base_sched, cfg)
-            ms = "n/a" if slacks is None or slacks.min_slack is None else f"{slacks.min_slack:.2f}"
-            lines.append(
-                f"{name:<14} {1000.0 / base_sched.period:>11.3f} {base_sched.latency:>13.2f} {ms:>15} {'-':>14}"
-            )
-            results.append(
-                {
-                    "config": name,
-                    "frequency_ghz": 1000.0 / base_sched.period,
-                    "latency_ps": base_sched.latency,
-                    "min_slack_ps": None if slacks is None else slacks.min_slack,
-                }
-            )
+            [(sched, slacks)] = runs
+            lines.append(_sweep_line(name, sched, slacks, "-"))
+            results.append({"config": name, "frequency_ghz": 1000.0 / sched.period,
+                            "latency_ps": sched.latency, "min_slack_ps": slacks.min_slack})
             continue
+        (base_sched, base_slacks), (ps_sched, ps_slacks) = runs
         saved_pct = 100.0 * plan.buffers_removed / plan.buffers_total if plan.buffers_total else 0.0
         freq0, freq1 = 1000.0 / base_sched.period, 1000.0 / ps_sched.period
         dfreq = 100.0 * (freq1 - freq0) / freq0
@@ -485,13 +476,8 @@ def cmd_sweep(args) -> int:
             if base_sched.latency
             else 0.0
         )
-        for tag, sched, circ in (("baseline", base_sched, circuit), ("phase-skip", ps_sched, removed_circ)):
-            slacks = sta_of(circ, sched, cfg)
-            ms = "n/a" if slacks is None or slacks.min_slack is None else f"{slacks.min_slack:.2f}"
-            lines.append(
-                f"{tag:<14} {1000.0 / sched.period:>11.3f} {sched.latency:>13.2f} {ms:>15} "
-                f"{(f'{saved_pct:.1f}%' if tag == 'phase-skip' else '-'):>14}"
-            )
+        lines.append(_sweep_line("baseline", base_sched, base_slacks, "-"))
+        lines.append(_sweep_line("phase-skip", ps_sched, ps_slacks, f"{saved_pct:.1f}%"))
         lines.append(f"{'change':<14} {dfreq:>10.1f}% {dlat:>12.1f}% {'':>15} {saved_pct:>13.1f}%")
         results.append(
             {
@@ -597,6 +583,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
+    except InfeasibleScheduleError as e:
+        return _fail(e.diagnostics, EXIT_INFEASIBLE)
     except ValidationError as e:
         return _fail(e.diagnostics)
     finally:

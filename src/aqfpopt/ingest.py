@@ -95,7 +95,7 @@ _REPORT_TYPES = {
 }
 _REPORT_CONFIG_TYPES = {
     "remove_buffers": (lambda v: isinstance(v, bool), "a boolean"),
-    "max_skip": (lambda v: v is None or (_is_int(v) and v >= 1), "an integer >= 1 or null"),
+    "max_skip": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "hold_mode": (lambda v: v in ("reset-delay", "dlplace"), "reset-delay or dlplace"),
 }
 _REPORT_KEYS = {

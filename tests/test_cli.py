@@ -22,6 +22,7 @@ from aqfpopt.cli import main
 from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
 from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, ValidationError, validate_circuit
 from aqfpopt.solver import FIX_TOL
+from aqfpopt.timing import TimingConstraintSet
 
 
 @pytest.fixture
@@ -275,10 +276,39 @@ class TestOptimizeVerify:
                      "--schedule", str(report_path)]) == 0
         assert checker_failures(circ, lib_path, report_path, remove_buffers=True) == []
 
-    @pytest.mark.parametrize("max_skip", [0, -1])
+    @pytest.mark.parametrize("flags", [[], ["--remove-buffers"]])
+    def test_optimize_frees_what_later_phases_do_not_read(self, workdir, ref_lib, monkeypatch, flags):
+        # optimize's peak memory relies on this: the STA runs without the
+        # constraint set and, after removal, without the parsed circuit, and
+        # the report is written with no circuit alive.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=9, width=2, seed=4242, chain_prob=0.9)
+        parsed = parse_circuit(circ.read_text())
+        removed, plan = remove_buffers(parsed, ref_lib)
+        assert plan.buffers_removed > 0
+        circuit_name, gates = parsed.name, len(removed.gates) if flags else len(parsed.gates)
+        del parsed, removed
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                objs = gc.get_objects()
+                seen[name] = (sum(type(o) is TimingConstraintSet for o in objs),
+                              [len(o.gates) for o in objs if type(o) is Circuit and o.name == circuit_name])
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("sta_check", cli.sta_check)
+        spy("emit_report", cli.emit_report)
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags]) == 0
+        assert seen["sta_check"] == (0, [gates])
+        assert seen["emit_report"] == (0, [])
+
+    @pytest.mark.parametrize("max_skip", [0, -1, None])
     def test_manifest_max_skip_below_one_rejected(self, workdir, capsys, max_skip):
-        # optimize rejects --max-skip 0, so a report claiming it is malformed;
-        # re-running buffer removal with it would report false violations.
+        # optimize writes only integers >= 1, so a report claiming 0, -1 or
+        # null is malformed; re-running buffer removal with it would report
+        # false violations.
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", rows=8, width=2, seed=13, chain_prob=0.9)
         report_path = tmp_path / "c.report.json"
@@ -289,7 +319,7 @@ class TestOptimizeVerify:
         report_path.write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["verify", *io, "--schedule", str(report_path)]) == 1
-        assert capsys.readouterr().err == "[PARSE_ERROR] manifest.config: max_skip must be an integer >= 1 or null\n"
+        assert capsys.readouterr().err == "[PARSE_ERROR] manifest.config: max_skip must be an integer >= 1\n"
 
     @pytest.mark.parametrize("gen_kw,flags", [({}, []), ({"skip_prob": 0.4}, []),
                                               ({"chain_prob": 0.8}, ["--remove-buffers"])])
@@ -348,6 +378,25 @@ class TestFixtureCircuit:
         assert reports[0] == reports[1]
 
 
+def test_connection_free_circuit_has_no_slack(workdir, capsys):
+    # One row, no connections: the STA has nothing to check, and every
+    # command says so instead of printing a number.
+    tmp_path, lib_path = workdir
+    circ = gen(tmp_path, lib_path, "c.qc.json", rows=1, width=3)
+    report_path, sweep_path = tmp_path / "c.report.json", tmp_path / "c.sweep.json"
+    io = ["--circuit", str(circ), "--lib", str(lib_path)]
+    assert main(["optimize", *io, "--out", str(report_path)]) == 0
+    assert re.search(r"^min slack \(STA\)\s+n/a$", capsys.readouterr().out, re.M)
+    report = json.loads(report_path.read_text())
+    assert report["min_slack_ps"] is None and report["connections"] == []
+    assert main(["verify", *io, "--schedule", str(report_path)]) == 0
+    assert capsys.readouterr().out == "schedule verifies: min slack n/a\n"
+    assert main(["sweep", *io, "--configs", "table1a,table3", "--out", str(sweep_path)]) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows["table1a"][3] == rows["baseline"][3] == rows["phase-skip"][3] == "n/a"
+    assert json.loads(sweep_path.read_text())["results"][0]["min_slack_ps"] is None
+
+
 class TestSweep:
     def test_priority_presets_ordering(self, workdir, capsys):
         tmp_path, lib_path = workdir
@@ -383,19 +432,75 @@ class TestSweep:
         assert max(row[k.dst] - row[k.src] for k in removed.connections) == 3
         removed_path = tmp_path / "removed.qc.json"
         removed_path.write_text(serialize_circuit(removed))
-        # table3 removes buffers itself; table1a gets the circuit removal made.
-        for name, path, flags in (("table3", circ, ["--remove-buffers"]), ("table1a", removed_path, [])):
+        # Each preset row is optimize with the matching flags. table3 removes
+        # buffers itself; the others get the circuit removal made.
+        for name, path, flags in (("table3", circ, ["--remove-buffers"]), ("table1a", removed_path, []),
+                                  ("table1b", removed_path, ["--smin", "5"]),
+                                  ("table1c", removed_path, ["--priority", "period,slack,latency"])):
             io = ["--circuit", str(path), "--lib", str(lib_path), "--max-skip", "3"]
             report_path, sweep_path = tmp_path / f"{name}.report.json", tmp_path / f"{name}.sweep.json"
             assert main(["optimize", *io, *flags, "--out", str(report_path)]) == 0
             capsys.readouterr()
             assert main(["sweep", *io, "--configs", name, "--out", str(sweep_path)]) == 0
-            assert "UNSUPPORTED_SKIP" not in capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert "UNSUPPORTED_SKIP" not in err
             report = parse_report(report_path.read_text())
             row = json.loads(sweep_path.read_text())["results"][0]
-            row = row.get("phase_skipping", row)
+            if name == "table3":
+                # The JSON row carries no slack; the printed phase-skip row does.
+                [line] = [line for line in out.splitlines() if line.startswith("phase-skip ")]
+                assert line.split()[3] == f"{report['min_slack_ps']:.2f}"
+                row = row["phase_skipping"]
+            else:
+                assert row["min_slack_ps"] == pytest.approx(report["min_slack_ps"])
             assert row["frequency_ghz"] == pytest.approx(report["frequency_ghz"])
             assert row["latency_ps"] == pytest.approx(report["latency_ps"])
+
+    def test_presets_share_the_solves(self, workdir, monkeypatch, capsys):
+        # table3's baseline is table1a's run, and each of the two circuits
+        # gets its constraints built once.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=9, width=2, seed=8, chain_prob=0.9)
+        built, solves = [], []
+
+        def counting_build(circuit, *args):
+            built.append(sum(g.cell == "buffer" for g in circuit.gates))
+            return build_constraints(circuit, *args)
+
+        def counting_solve(*args):
+            solves.append(1)
+            return optimize_schedule(*args)
+
+        build_constraints, optimize_schedule = cli.build_constraints, cli.optimize_schedule
+        monkeypatch.setattr(cli, "build_constraints", counting_build)
+        monkeypatch.setattr(cli, "optimize_schedule", counting_solve)
+        assert main(["sweep", "--circuit", str(circ), "--lib", str(lib_path),
+                     "--configs", "table1a,table1b,table1c,table3"]) == 0
+        assert len(built) == 2 and built[0] > built[1]  # the parsed circuit, then the removed one
+        assert 4 <= len(solves) <= 5
+
+    def test_infeasible_table3_baseline_skips_removal(self, workdir, capsys):
+        # Two parallel row-0->1 connections whose delays differ by more than
+        # t_max leave no schedule; the buffer with two fanins would make
+        # removal fail, but removal never runs after an infeasible baseline.
+        tmp_path, lib_path = workdir
+        gates = (Gate("a", "majority3", 0, 0.0), Gate("b", "majority3", 0, 0.0),
+                 Gate("x", "majority3", 1, 1.0), Gate("y", "majority3", 1, 1.0),
+                 Gate("buf", "buffer", 2, 2.0), Gate("z", "majority3", 3, 3.0))
+        conns = (Connection("a", "x", 10.0, 5.0), Connection("b", "x", 10.0, 400.0),
+                 Connection("a", "y", 10.0, 30.0), Connection("x", "buf", 10.0, 30.0),
+                 Connection("y", "buf", 10.0, 30.0), Connection("buf", "z", 10.0, 30.0))
+        circ = tmp_path / "c.qc.json"
+        circ.write_text(serialize_circuit(Circuit("infeasible-twofanin", 4, gates, conns)))
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--remove-buffers"]) == 1
+        assert capsys.readouterr().err.startswith("[MALFORMED_CHAIN] ")
+        assert main(["optimize", *io]) == 2
+        capsys.readouterr()
+        assert main(["sweep", *io, "--configs", "table3"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].split() == ["table3", "infeasible", "-", "-", "-"]
+        assert "preset table3 failed: [INFEASIBLE] " in err and "MALFORMED_CHAIN" not in err
 
     @pytest.mark.parametrize("error", ["UNSUPPORTED_SKIP", "MALFORMED_CHAIN", "skipping-hop"])
     def test_table3_input_errors_exit_like_optimize(self, workdir, capsys, error):
