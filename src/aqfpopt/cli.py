@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+import threading
 import time
 from importlib import resources
 from typing import Optional
@@ -39,6 +40,7 @@ from aqfpopt.model import (
     Gate,
     OptimizationConfig,
     PwlDomainError,
+    Schedule,
     ValidationError,
     log,
     validate_circuit,
@@ -358,14 +360,85 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _decode_report(path):
+    """The manifest config and the schedule of the report file at ``path``,
+    the only parts ``verify`` reads; the rest of the document, one object
+    per connection, is freed on return."""
+    report = _read_input(path, parse_report)
+    return (report.get("manifest") or {}).get("config", {}), schedule_from_report(report)
+
+
+def _fork_report_decode(path):
+    """Start a child that runs ``_decode_report(path)`` and writes one JSON
+    line to a pipe: ``{"config": ..., "schedule": [...]}``, or
+    ``{"diagnostics": [...]}`` if the report is rejected. Returns the child's
+    pid and the pipe's read end, or None where no child can be forked.
+
+    JSON's ``NaN`` and ``Infinity`` tokens carry non-finite deltas. The
+    child leaves only by ``os._exit``, so it never unwinds into its caller.
+    A process that runs other threads is not forked: a lock one of them
+    holds would stay locked in the child.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    try:
+        os.close(rfd)
+        try:
+            config, sched = _decode_report(path)
+            message = {"config": config, "schedule": list(sched)}
+        except ValidationError as e:
+            message = {"diagnostics": e.diagnostics}
+        with open(wfd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(message) + "\n")
+    finally:
+        os._exit(0)
+
+
+def _reap_report_decode(child) -> Optional[dict]:
+    """The message the child of ``_fork_report_decode`` sent, read once it
+    has ended; None without a child or a whole message."""
+    if child is None:
+        return None
+    pid, rfd = child
+    try:
+        with open(rfd, "rb") as fh:
+            sent = fh.read()
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        return json.loads(sent)
+    except ValueError:
+        return None
+
+
 def cmd_verify(args) -> int:
-    circuit, lib = _load_inputs(args)
-    report = _read_input(args.schedule, parse_report)
-    # Only the schedule and the manifest config are read; the rest of the
-    # document, one object per connection, is freed before the STA.
-    manifest_cfg = (report.get("manifest") or {}).get("config", {})
-    sched = schedule_from_report(report)
-    del report
+    # The report decodes in a forked child, on another core, while this
+    # process reads and validates the circuit and library; their errors
+    # still come first. If the child sent nothing, the report is decoded here.
+    child = _fork_report_decode(args.schedule)
+    try:
+        circuit, lib = _load_inputs(args)
+    finally:
+        decoded = _reap_report_decode(child)
+    if decoded is None:
+        manifest_cfg, sched = _decode_report(args.schedule)
+    elif "diagnostics" in decoded:
+        raise ValidationError([Diagnostic(*d) for d in decoded["diagnostics"]])
+    else:
+        manifest_cfg, sched = decoded["config"], Schedule(*decoded["schedule"])
 
     if manifest_cfg.get("remove_buffers"):
         circuit, _ = remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
@@ -482,8 +555,10 @@ def cmd_sweep(args) -> int:
         results.append(
             {
                 "config": name,
-                "baseline": {"frequency_ghz": freq0, "latency_ps": base_sched.latency},
-                "phase_skipping": {"frequency_ghz": freq1, "latency_ps": ps_sched.latency},
+                "baseline": {"frequency_ghz": freq0, "latency_ps": base_sched.latency,
+                             "min_slack_ps": base_slacks.min_slack},
+                "phase_skipping": {"frequency_ghz": freq1, "latency_ps": ps_sched.latency,
+                                   "min_slack_ps": ps_slacks.min_slack},
                 "frequency_change_pct": dfreq,
                 "latency_change_pct": dlat,
                 "buffers_saved_pct": saved_pct,

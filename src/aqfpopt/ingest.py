@@ -51,8 +51,10 @@ def _is_finite(v) -> bool:
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INT = (_is_int, "an integer")
 _FINITE = (_is_finite, "a finite number")
-_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, (Connection, Gate, dict)) for e in v),
-            "a list of objects")
+_OBJECTS = (  # checked per distinct entry type, in one C-level pass over the entries
+    lambda v: isinstance(v, list) and all(issubclass(t, (Connection, Gate, dict)) for t in set(map(type, v))),
+    "a list of objects",
+)
 
 _CIRCUIT_TYPES = {
     "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
@@ -122,16 +124,20 @@ class ReportFormatError(ValidationError):
     pass
 
 
-def _load_document(source, exc_type, object_hook=None) -> dict:
+def _load_document(source, exc_type, pairs_hook=None) -> dict:
     """Decode ``source``: JSON text, a readable text file or a decoded dict.
 
-    A file is read and decoded here, so its text is freed on return. Each
-    decoded object, a dict document's too, is passed to ``object_hook``.
+    A file is read and decoded here, so its text is freed on return. The
+    key-value pairs of each decoded object, a dict document's too, are
+    passed to ``pairs_hook``; in JSON text a repeated key appears as often
+    as it is spelled.
     """
     if isinstance(source, dict):
-        return source if object_hook is None else _object(_mapped(source, object_hook))
+        if pairs_hook is None:
+            return source
+        return _object(_mapped(source, lambda v: pairs_hook(v.items()) if type(v) is dict else v))
     try:
-        doc = (json.load if hasattr(source, "read") else json.loads)(source, object_hook=object_hook)
+        doc = (json.load if hasattr(source, "read") else json.loads)(source, object_pairs_hook=pairs_hook)
     except json.JSONDecodeError as e:
         raise exc_type([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
     doc = _object(doc)  # the top-level object too may spell an entry
@@ -201,11 +207,12 @@ def parse_circuit(source) -> Circuit:
 
     The records are built inside the JSON decoder, so the decoded objects
     never pile up. The decoder makes a ``Gate`` or ``Connection`` of each
-    object that the record turns back into exactly: keys in field order
-    (``prop_ps`` absent or a float), string ids, an integer row and finite
-    floats. Any other entry, and a record found outside its own list, is
-    checked as that object against the type tables, which build a valid
-    entry's record or name what is wrong with it.
+    object that the record turns back into exactly: keys in field order,
+    each spelled once (``prop_ps`` absent or a float), string ids, an
+    integer row and finite floats. Any other entry, and a record found
+    outside its own list, is checked as that object against the type
+    tables, which build a valid entry's record or name what is wrong with
+    it. The entry lists are walked only if they hold such entries.
 
     Each distinct cell name and gate id is one object, shared by the
     endpoints naming that gate if ``gates`` precedes ``connections``.
@@ -214,19 +221,29 @@ def parse_circuit(source) -> Circuit:
     shared: dict[str, str] = {}
     new = tuple.__new__  # makes a record without a call to its Python-level __new__
 
-    def record(obj: dict):
-        keys = tuple(obj)
-        if keys == _CONN_KEYS or keys == _CONN_REQUIRED:
-            src, dst, length, prop = obj["src"], obj["dst"], obj["length_um"], obj.get("prop_ps")
-            if type(src) is str and type(dst) is str and type(length) is float and -fmax <= length <= fmax \
-                    and (type(prop) is float and -fmax <= prop <= fmax or len(keys) == 3):
-                return new(Connection, (shared.get(src, src), shared.get(dst, dst), length, prop))
-        elif keys == _GATE_KEYS:
-            gid, cell, row, offset = obj.values()
-            if type(gid) is str and type(cell) is str and type(row) is int and type(offset) is float \
-                    and -fmax <= offset <= fmax:
-                return new(Gate, (shared.setdefault(gid, gid), shared.setdefault(cell, cell), row, offset))
-        return obj
+    def record(pairs):
+        # A canonical entry costs one length test, one comparison of its
+        # keys, tuple unpacking and the type checks.
+        n = len(pairs)
+        if n == 4:
+            (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
+            keys = (k0, k1, k2, k3)
+            if keys == _CONN_KEYS:
+                if type(v0) is str and type(v1) is str and type(v2) is float and -fmax <= v2 <= fmax \
+                        and type(v3) is float and -fmax <= v3 <= fmax:
+                    return new(Connection, (shared.get(v0, v0), shared.get(v1, v1), v2, v3))
+            elif keys == _GATE_KEYS:
+                if type(v0) is str and type(v1) is str and type(v2) is int and type(v3) is float \
+                        and -fmax <= v3 <= fmax:
+                    return new(Gate, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, v3))
+        elif n == 3:
+            (k0, v0), (k1, v1), (k2, v2) = pairs
+            if (k0, k1, k2) == _CONN_REQUIRED and type(v0) is str and type(v1) is str \
+                    and type(v2) is float and -fmax <= v2 <= fmax:
+                return new(Connection, (shared.get(v0, v0), shared.get(v1, v1), v2, None))
+        # A repeated key keeps its last value at its first place, as in
+        # json.loads; such an entry goes through the type tables.
+        return dict(pairs)
 
     doc = _load_document(source, CircuitFormatError, record)
     errs: list[Diagnostic] = []
@@ -236,27 +253,32 @@ def parse_circuit(source) -> Circuit:
     if not _check_types(doc, _CIRCUIT_TYPES, "circuit", errs):
         raise CircuitFormatError(errs)
 
-    gates: list[Gate] = []
-    for i, entry in enumerate(doc.get("gates", [])):
-        if type(entry) is not Gate:
-            entry = _object(entry)
-            gid, cell = entry.get("id"), entry.get("cell")
-            if not _entry_ok(entry, _GATE_TYPES, _GATE_TYPES,
-                             gid if isinstance(gid, str) else f"gates[{i}]", errs):
-                continue
-            entry = Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), entry["row"],
-                         float(entry["clock_offset_ps"]))
-        gates.append(entry)
-    connections: list[Connection] = []
-    for i, entry in enumerate(doc.get("connections", [])):
-        if type(entry) is not Connection:
-            entry = _object(entry)
-            if not _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
-                continue
-            src, dst, prop = entry["src"], entry["dst"], entry.get("prop_ps")
-            entry = Connection(shared.get(src, src), shared.get(dst, dst), float(entry["length_um"]),
-                               None if prop is None else float(prop))
-        connections.append(entry)
+    # Lists of records alone, the common case, are taken as they are.
+    gates = doc.get("gates", [])
+    if set(map(type, gates)) - {Gate}:
+        gates = []
+        for i, entry in enumerate(doc["gates"]):
+            if type(entry) is not Gate:
+                entry = _object(entry)
+                gid, cell = entry.get("id"), entry.get("cell")
+                if not _entry_ok(entry, _GATE_TYPES, _GATE_TYPES,
+                                 gid if isinstance(gid, str) else f"gates[{i}]", errs):
+                    continue
+                entry = Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), entry["row"],
+                             float(entry["clock_offset_ps"]))
+            gates.append(entry)
+    connections = doc.get("connections", [])
+    if set(map(type, connections)) - {Connection}:
+        connections = []
+        for i, entry in enumerate(doc["connections"]):
+            if type(entry) is not Connection:
+                entry = _object(entry)
+                if not _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
+                    continue
+                src, dst, prop = entry["src"], entry["dst"], entry.get("prop_ps")
+                entry = Connection(shared.get(src, src), shared.get(dst, dst), float(entry["length_um"]),
+                                   None if prop is None else float(prop))
+            connections.append(entry)
     if errs:
         raise CircuitFormatError(errs)
     return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=gates, connections=connections)

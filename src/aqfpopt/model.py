@@ -332,57 +332,60 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     seen: set[str] = set()
     by_row: dict[int, float] = {}
-    for g in c.gates:
-        if g.id in seen:
-            out.append(Diagnostic("DUPLICATE_ID", g.id, "gate id appears more than once"))
-        seen.add(g.id)
-        if not 0 <= g.row < c.num_rows:
+    num_rows, cells = c.num_rows, lib.cells
+    for gid, cell, row, offset in c.gates:
+        if gid in seen:
+            out.append(Diagnostic("DUPLICATE_ID", gid, "gate id appears more than once"))
+        seen.add(gid)
+        if not 0 <= row < num_rows:
             out.append(
-                Diagnostic("ROW_OUT_OF_RANGE", g.id, f"row {g.row} outside 0..{c.num_rows - 1}")
+                Diagnostic("ROW_OUT_OF_RANGE", gid, f"row {row} outside 0..{num_rows - 1}")
             )
-        if g.cell not in lib.cells:
-            out.append(Diagnostic("UNKNOWN_CELL", g.id, f"cell type {g.cell!r} not in library"))
-        prev = by_row.get(g.row)
+        if cell not in cells:
+            out.append(Diagnostic("UNKNOWN_CELL", gid, f"cell type {cell!r} not in library"))
+        prev = by_row.get(row)
         if prev is None:
-            by_row[g.row] = g.clock_offset
+            by_row[row] = offset
             continue
-        if g.clock_offset < prev - 1e-12:
+        if offset < prev - 1e-12:
             log.warning(
                 "clock_offset of %s decreases along row %d (%.6g after %.6g)",
-                g.id,
-                g.row,
-                g.clock_offset,
+                gid,
+                row,
+                offset,
                 prev,
             )
-        by_row[g.row] = max(prev, g.clock_offset)
-    gates = c.gates_by_id
+        elif offset > prev:  # the row's running maximum
+            by_row[row] = offset
+    gate = c.gates_by_id.get
     l_max_drive = lib.l_max_drive
-    for conn in c.connections:
-        src = gates.get(conn.src)
-        dst = gates.get(conn.dst)
+    for src_id, dst_id, length, _ in c.connections:
+        src = gate(src_id)
+        dst = gate(dst_id)
         if src is None or dst is None:
-            for gid, gate in ((conn.src, src), (conn.dst, dst)):
-                if gate is None:
-                    out.append(Diagnostic("UNKNOWN_GATE", conn.key, f"endpoint {gid!r} is not a gate"))
+            for gid, g in ((src_id, src), (dst_id, dst)):
+                if g is None:
+                    message = f"endpoint {gid!r} is not a gate"
+                    out.append(Diagnostic("UNKNOWN_GATE", f"{src_id}->{dst_id}", message))
             continue
         if dst.row - src.row < 1:
             out.append(
                 Diagnostic(
                     "NONMONOTONE_ROW",
-                    conn.key,
-                    f"row({conn.dst})={dst.row} must exceed row({conn.src})={src.row}",
+                    f"{src_id}->{dst_id}",
+                    f"row({dst_id})={dst.row} must exceed row({src_id})={src.row}",
                 )
             )
-        if conn.length > l_max_drive:
+        if length > l_max_drive:
             out.append(
                 Diagnostic(
                     "LENGTH_EXCEEDS_DRIVE",
-                    conn.key,
-                    f"length {conn.length} um exceeds l_max_drive {lib.l_max_drive} um",
+                    f"{src_id}->{dst_id}",
+                    f"length {length} um exceeds l_max_drive {l_max_drive} um",
                 )
             )
-        if conn.length < 0:
-            out.append(Diagnostic("NEGATIVE_LENGTH", conn.key, "length must be >= 0"))
+        if length < 0:
+            out.append(Diagnostic("NEGATIVE_LENGTH", f"{src_id}->{dst_id}", "length must be >= 0"))
     return out
 
 

@@ -247,20 +247,23 @@ def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: Optimizati
     affine: dict[tuple[str, str], tuple] = {}
     setup: dict[tuple, tuple[float, TimingConstraint]] = {}
     hold: dict[tuple, tuple[float, TimingConstraint]] = {}
+    setup_of, hold_of = setup.get, hold.get
+    hold_mode = cfg.hold_mode
     for tc in tcs.constraints:
-        pair = tc.src_cell, tc.dst_cell
+        _, _, first, last, src_cell, dst_cell, base = tc
+        pair = src_cell, dst_cell
         forms = affine.get(pair)
         if forms is None:
-            forms = affine[pair] = (*seg.fs_affine(*pair), *seg.fh_affine(*pair, cfg.hold_mode))
+            forms = affine[pair] = (*seg.fs_affine(*pair), *seg.fh_affine(*pair, hold_mode))
         fs_slope, fs_intercept, fh_slope, fh_intercept = forms
-        rhs = tc.rhs + fs_intercept
-        key = (tc.first_row, tc.last_row, fs_slope)
-        cur = setup.get(key)
+        rhs = base + fs_intercept
+        key = (first, last, fs_slope)
+        cur = setup_of(key)
         if cur is None or rhs > cur[0]:
             setup[key] = (rhs, tc)
-        rhs = tc.rhs + fh_intercept
-        key = (tc.first_row, tc.last_row, fh_slope)
-        cur = hold.get(key)
+        rhs = base + fh_intercept
+        key = (first, last, fh_slope)
+        cur = hold_of(key)
         if cur is None or rhs < cur[0]:
             hold[key] = (rhs, tc)
     # No two rows share (first_row, last_row, kind, slope), so the sort

@@ -81,26 +81,26 @@ def build_constraints(
     gates = c.gates_by_id
     prop_per_um = lib.prop_per_um
     max_skip = math.inf if cfg.max_skip is None else cfg.max_skip
+    new = tuple.__new__  # makes a record without a call to its Python-level __new__
     constraints: list[TimingConstraint] = []
+    add = constraints.append
     errs: list[Diagnostic] = []
-    for conn in c.connections:
-        src = gates[conn.src]
-        dst = gates[conn.dst]
-        first, last = src.row, dst.row
+    for src, dst, length, prop in c.connections:
+        _, src_cell, first, src_offset = gates[src]
+        _, dst_cell, last, dst_offset = gates[dst]
         if last - first > max_skip:
             errs.append(
                 Diagnostic(
                     "UNSUPPORTED_SKIP",
-                    conn.key,
+                    f"{src}->{dst}",
                     f"row span {last - first} exceeds the supported maximum {cfg.max_skip}",
                 )
             )
             continue
-        prop = conn.prop
         if prop is None:
-            prop = conn.length * prop_per_um
-        rhs = prop - (dst.clock_offset - src.clock_offset)
-        constraints.append(TimingConstraint(conn.src, conn.dst, first, last, src.cell, dst.cell, rhs))
+            prop = length * prop_per_um
+        rhs = prop - (dst_offset - src_offset)
+        add(new(TimingConstraint, (src, dst, first, last, src_cell, dst_cell, rhs)))
     if errs:
         raise UnsupportedSkipError(errs)
     return TimingConstraintSet(constraints=tuple(constraints), num_rows=c.num_rows)
@@ -149,23 +149,23 @@ def sta_check(
         fns = lib.timing(name)
         window = period if hold_mode == "dlplace" else fns.rd(period)
         at_period[name] = (fns.c2q(period), fns.setup(period), fns.hold(period), window)
-    clock = {g.id: g.clock_offset + prefix[g.row] for g in c.gates}
+    clock = {gid: offset + prefix[row] for gid, _, row, offset in c.gates}
     gates = c.gates_by_id
     prop_per_um = lib.prop_per_um
+    new = tuple.__new__
     entries = []
+    add = entries.append
     min_slack = None
-    for conn in c.connections:
-        src, dst = conn.src, conn.dst
+    for src, dst, length, prop in c.connections:
         c2q, _, _, window = at_period[gates[src].cell]
         _, setup, hold, _ = at_period[gates[dst].cell]
-        prop = conn.prop
         if prop is None:
-            prop = conn.length * prop_per_um
+            prop = length * prop_per_um
         arrival = clock[src] + c2q + prop
         clk = clock[dst]
         setup_slack = (clk - setup) - arrival
         hold_slack = arrival + window - (clk + hold)
-        entries.append(ConnectionSlack(src, dst, setup_slack, hold_slack))
+        add(new(ConnectionSlack, (src, dst, setup_slack, hold_slack)))
         local = hold_slack if hold_slack < setup_slack else setup_slack
         if min_slack is None or local < min_slack:
             min_slack = local

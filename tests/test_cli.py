@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,75 @@ class TestOptimizeVerify:
         ]
 
 
+#: verify's outcome per report case: exit code, and a pattern for each of
+#: stdout and stderr. A circuit error is reported instead of a report error.
+VERIFY_CASES = {
+    "ok": (0, r"schedule verifies: min slack \S+ ps\n", ""),
+    "malformed-report": (1, "", r"\[PARSE_ERROR\] line 1: Expecting value\n"),
+    "missing-report": (1, "", r"\[IO_ERROR\] \S+: \[Errno 2\] [^\n]+\n"),
+    "bad-circuit-and-report": (1, "", r"\[PARSE_ERROR\] document: top level must be an object\n"),
+    "non-finite-deltas": (3, "", r"(\[STA_VIOLATION\] \S+: timing violation: [^\n]*(nan|inf)[^\n]*\n)+"),
+}
+
+
+class TestForkedReportDecode:
+    @staticmethod
+    @contextlib.contextmanager
+    def decoding(monkeypatch, mode):
+        """Arrange for verify to decode the report the way ``mode`` names; yields the forks made."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        if mode == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif mode == "child-sends-nothing":
+            parent, decode = os.getpid(), cli._decode_report
+            monkeypatch.setattr(cli, "_decode_report",
+                                lambda path: decode(path) if os.getpid() == parent else os._exit(0))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if mode == "other-thread-running":
+            thread.start()
+        try:
+            yield forks
+        finally:
+            release.set()
+            if thread.ident is not None:
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    def test_each_decode_path_gives_the_same_outcome(self, workdir, capsys, monkeypatch, case):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, seed=4, skip_prob=0.3)
+        report = tmp_path / "c.report.json"
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), "--out", str(report)]) == 0
+        if case in ("malformed-report", "bad-circuit-and-report"):
+            report.write_text('{"period_ps": ')
+        elif case == "missing-report":
+            report.unlink()
+        if case == "bad-circuit-and-report":
+            circ.write_text("[]")
+        elif case == "non-finite-deltas":
+            doc = json.loads(report.read_text())
+            doc["row_deltas_ps"][1:3] = [math.nan, math.inf]
+            report.write_text(json.dumps(doc))
+        code, out_pattern, err_pattern = VERIFY_CASES[case]
+        outcomes = []
+        for mode in ("forked", "child-sends-nothing", "no-fork", "other-thread-running"):
+            with monkeypatch.context() as m, self.decoding(m, mode) as forks:
+                capsys.readouterr()
+                outcomes.append((main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
+                                       "--schedule", str(report)]), *capsys.readouterr()))
+            assert len(forks) == (mode in ("forked", "child-sends-nothing")), mode
+            # verify has reaped its child: this process has none left.
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+        rc, out, err = outcomes[0]
+        assert rc == code and re.fullmatch(out_pattern, out) and re.fullmatch(err_pattern, err), outcomes[0]
+
+
 class TestFixtureCircuit:
     def test_two_row_fixture_reaches_10ghz(self, tmp_path, two_row_circuit, fixture_library, capsys):
         circ_path = tmp_path / "fix2row.qc.json"
@@ -394,7 +464,36 @@ def test_connection_free_circuit_has_no_slack(workdir, capsys):
     assert main(["sweep", *io, "--configs", "table1a,table3", "--out", str(sweep_path)]) == 0
     rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]}
     assert rows["table1a"][3] == rows["baseline"][3] == rows["phase-skip"][3] == "n/a"
-    assert json.loads(sweep_path.read_text())["results"][0]["min_slack_ps"] is None
+    table1a, table3 = json.loads(sweep_path.read_text())["results"]
+    runs = [table1a, table3["baseline"], table3["phase_skipping"]]
+    assert [run["min_slack_ps"] for run in runs] == [None] * 3
+
+
+#: optimize runs whose reports are pinned: gen settings, library fixture,
+#: optimize flags and the sha256 of the report written before its manifest.
+PINNED_REPORTS = {
+    "40x6": ({"rows": 40, "width": 6, "seed": 3}, "ref_lib", [],
+             "2e47193edaba2415d2537525819cc4492f4d2c69bdb62abb8ac67af8729deb77"),
+    "chains-remove-buffers": ({"rows": 40, "width": 6, "seed": 3, "chain_prob": 0.5}, "ref_lib",
+                              ["--remove-buffers"], "e44f19573f88354178686b858bbd0763f286bc251122372d7ac9bde20c2f455e"),
+    "skips-weighted-3seg": ({"rows": 40, "width": 6, "seed": 3, "skip_prob": 0.3}, "three_segment_library",
+                            ["--tau", "1"], "8eed6349d5b0b238ad2fa750df4bbdf8c9be0bc0bcef4f692f371965a93e7570"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_REPORTS))
+def test_optimize_report_bytes_are_pinned(request, tmp_path, run):
+    # The parse, constraint build, solve and STA keep the order of every
+    # float operation, so each report keeps its bytes; only the manifest,
+    # which holds run timings, may differ between runs.
+    gen_kw, lib_fixture, flags, digest = PINNED_REPORTS[run]
+    lib_path, report_path = tmp_path / "lib.qlib.json", tmp_path / "c.report.json"
+    lib_path.write_text(serialize_library(request.getfixturevalue(lib_fixture)))
+    circ = gen(tmp_path, lib_path, "c.qc.json", **gen_kw)
+    assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags,
+                 "--out", str(report_path)]) == 0
+    text = report_path.read_text()
+    assert hashlib.sha256(text[:text.rindex(', "manifest": ')].encode()).hexdigest() == digest
 
 
 class TestSweep:
@@ -420,7 +519,11 @@ class TestSweep:
         assert code == 0
         row = json.loads(out.read_text())["results"][0]
         assert row["buffers_saved_pct"] > 0
-        assert "baseline" in row and "phase_skipping" in row
+        # Each run's JSON object carries the slack its printed row shows.
+        printed = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+        for key, tag in (("baseline", "baseline"), ("phase_skipping", "phase-skip")):
+            assert sorted(row[key]) == ["frequency_ghz", "latency_ps", "min_slack_ps"]
+            assert f"{row[key]['min_slack_ps']:.2f}" == printed[tag][3]
 
     def test_max_skip_reaches_every_preset(self, workdir, ref_lib, capsys):
         # Removal with --max-skip 3 makes span-3 skips on this circuit, which
@@ -442,17 +545,12 @@ class TestSweep:
             assert main(["optimize", *io, *flags, "--out", str(report_path)]) == 0
             capsys.readouterr()
             assert main(["sweep", *io, "--configs", name, "--out", str(sweep_path)]) == 0
-            out, err = capsys.readouterr()
-            assert "UNSUPPORTED_SKIP" not in err
+            assert "UNSUPPORTED_SKIP" not in capsys.readouterr().err
             report = parse_report(report_path.read_text())
             row = json.loads(sweep_path.read_text())["results"][0]
             if name == "table3":
-                # The JSON row carries no slack; the printed phase-skip row does.
-                [line] = [line for line in out.splitlines() if line.startswith("phase-skip ")]
-                assert line.split()[3] == f"{report['min_slack_ps']:.2f}"
                 row = row["phase_skipping"]
-            else:
-                assert row["min_slack_ps"] == pytest.approx(report["min_slack_ps"])
+            assert row["min_slack_ps"] == pytest.approx(report["min_slack_ps"])
             assert row["frequency_ghz"] == pytest.approx(report["frequency_ghz"])
             assert row["latency_ps"] == pytest.approx(report["latency_ps"])
 

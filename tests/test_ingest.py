@@ -210,9 +210,48 @@ def test_inline_entry_check_agrees_with_type_tables(data):
             entry[data.draw(st.sampled_from(ENTRY_FIELDS[kind]))] = obj
         elif place not in ("gates", "connections", "entry"):
             doc[place] = obj
-    errs, gates, connections = table_path(doc)
     text = json.dumps(doc)
-    for source in (doc, text, io.StringIO(text)):
+    assert_parse_matches_tables(doc, (doc, text, io.StringIO(text)))
+    assert json.dumps(doc) == text  # a dict document is left as it was
+    # Repeated keys exist only in JSON text. An entry spells one of its keys
+    # again, before or after the first spelling, with another entry's value
+    # or a wrong one; json.loads keeps the last value at the first key's place.
+    spelled = dict(doc)
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
+        if not isinstance(doc.get(kind), list) or not doc[kind]:
+            continue
+        spelled[kind] = entries = list(spelled[kind])
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[i], (dict, Pairs)):
+            continue
+        entries[i] = pairs = Pairs(entries[i].items() if isinstance(entries[i], dict) else entries[i])
+        key = data.draw(st.sampled_from(ENTRY_FIELDS[kind]))
+        other = doc[kind][data.draw(st.integers(0, len(entries) - 1))]
+        value = data.draw(st.sampled_from([other.get(key) if isinstance(other, dict) else 1.5, "x", 7, None]))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (key, value))
+    text = json_text(spelled)
+    assert_parse_matches_tables(json.loads(text), (text, io.StringIO(text)))
+
+
+class Pairs(list):
+    """The (key, value) pairs of a JSON object, a key possibly more than once."""
+
+
+def json_text(v) -> str:
+    """JSON text of ``v``, each ``Pairs`` spelled as an object with its keys as listed."""
+    if isinstance(v, (Pairs, dict)):
+        pairs = v if isinstance(v, Pairs) else v.items()
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(x)}" for k, x in pairs) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(json_text, v)) + "]"
+    return json.dumps(v)
+
+
+def assert_parse_matches_tables(doc, sources):
+    """``parse_circuit`` of each source makes what ``table_path(doc)`` makes."""
+    errs, gates, connections = table_path(doc)
+    for source in sources:
         if errs:
             with pytest.raises(CircuitFormatError) as e:
                 parse_circuit(source)
@@ -222,7 +261,6 @@ def test_inline_entry_check_agrees_with_type_tables(data):
             # repr tells 1 from 1.0, so the field types must match too.
             assert repr(c.gates) == repr(gates)
             assert repr(c.connections) == repr(connections)
-    assert json.dumps(doc) == text  # a dict document is left as it was
 
 
 class TestParseLibrary:

@@ -88,3 +88,42 @@ def test_traced_run_records_constraint_and_sta_spans(tmp_path, ref_lib):
     for span in by_name["solver.lp_solve"]:
         rows = span["attrs"]["rows"]
         assert type(rows) is int and rows >= 0
+
+
+#: Runs traced_cli.py (argv[2:]) as its own script, and appends the pid of
+#: each process that writes a spans file to the log at argv[1].
+COUNT_SPAN_WRITES = """
+import json, os, runpy, sys
+log_path, sys.argv = sys.argv[1], sys.argv[2:]
+dump = json.dump
+
+def logged_dump(*args, **kwargs):
+    fd = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    os.write(fd, f"{os.getpid()}\\n".encode())
+    os.close(fd)
+    return dump(*args, **kwargs)
+
+json.dump = logged_dump
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_traced_verify_writes_its_spans_once(tmp_path, ref_lib):
+    # verify decodes the report in a forked child, which must leave without
+    # unwinding into traced_cli's own clean-up.
+    circuit = generate_circuit(rows=6, width=3, seed=5, skip_prob=0.3, lib=ref_lib)
+    names = ("c.qc.json", "ref.qlib.json", "c.report.json", "spans.json", "log")
+    paths = {name: tmp_path / name for name in names}
+    paths["c.qc.json"].write_text(serialize_circuit(circuit))
+    paths["ref.qlib.json"].write_text(serialize_library(ref_lib))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    io = ["--circuit", str(paths["c.qc.json"]), "--lib", str(paths["ref.qlib.json"])]
+    subprocess.run([sys.executable, "-m", "aqfpopt.cli", "optimize", *io, "--out", str(paths["c.report.json"])],
+                   env=env, check=True, capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", COUNT_SPAN_WRITES, str(paths["log"]),
+                           str(ROOT / "perfbench" / "traced_cli.py"), str(paths["spans.json"]),
+                           "verify", *io, "--schedule", str(paths["c.report.json"])],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(paths["log"].read_text().split()) == 1
+    assert json.loads(paths["spans.json"].read_text())["exit_code"] == 0
