@@ -51,16 +51,19 @@ def _is_finite(v) -> bool:
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INT = (_is_int, "an integer")
 _FINITE = (_is_finite, "a finite number")
-_OBJECTS = (  # checked per distinct entry type, in one C-level pass over the entries
-    lambda v: isinstance(v, list) and all(issubclass(t, (Connection, Gate, dict)) for t in set(map(type, v))),
-    "a list of objects",
-)
+_OBJECTS = (lambda v: isinstance(v, list) and set(map(type, v)) <= {dict}, "a list of objects")
 
 _CIRCUIT_TYPES = {
     "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "num_rows": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "gates": _OBJECTS,
     "connections": _OBJECTS,
+}
+# The same checks on a document decoded into records: each list holds records of its kind only.
+_CIRCUIT_RECORD_TYPES = {
+    **_CIRCUIT_TYPES,
+    "gates": (lambda v: type(v) is list and set(map(type, v)) <= {Gate}, "a list of gates"),
+    "connections": (lambda v: type(v) is list and set(map(type, v)) <= {Connection}, "a list of connections"),
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
 _GATE_TYPES = {"id": _STRING, "cell": _STRING, "row": _INT, "clock_offset_ps": _FINITE}
@@ -124,42 +127,20 @@ class ReportFormatError(ValidationError):
     pass
 
 
-def _load_document(source, exc_type, pairs_hook=None) -> dict:
-    """Decode ``source``: JSON text, a readable text file or a decoded dict.
+def _load_document(source, exc_type) -> dict:
+    """Decode ``source``, JSON text or a readable text file, to its top-level object.
 
-    A file is read and decoded here, so its text is freed on return. The
-    key-value pairs of each decoded object, a dict document's too, are
-    passed to ``pairs_hook``; in JSON text a repeated key appears as often
-    as it is spelled.
+    A file is read and decoded here, so its text is freed on return.
     """
-    if isinstance(source, dict):
-        if pairs_hook is None:
-            return source
-        return _object(_mapped(source, lambda v: pairs_hook(v.items()) if type(v) is dict else v))
     try:
-        doc = (json.load if hasattr(source, "read") else json.loads)(source, object_pairs_hook=pairs_hook)
+        doc = (json.load if hasattr(source, "read") else json.loads)(source)
     except json.JSONDecodeError as e:
         raise exc_type([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
-    doc = _object(doc)  # the top-level object too may spell an entry
+    except (ValueError, RecursionError) as e:  # an integer of over 4300 digits, or nesting too deep
+        raise exc_type([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
     if not isinstance(doc, dict):
         raise exc_type([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
     return doc
-
-
-def _mapped(v, f):
-    """``v`` with ``f`` applied to each object and record in it, innermost first and in document order."""
-    if type(v) is list:
-        return [_mapped(x, f) for x in v]
-    if type(v) is dict:
-        v = {key: _mapped(x, f) for key, x in v.items()}
-    return f(v) if type(v) in (dict, Gate, Connection) else v
-
-
-def _object(v):
-    """The object that a record was decoded from; any other value as it is."""
-    if type(v) is Gate or type(v) is Connection:
-        return dict(zip(_GATE_KEYS if type(v) is Gate else _CONN_KEYS, v if v[-1] is not None else v[:3]))
-    return v
 
 
 def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
@@ -169,8 +150,7 @@ def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
 
 def _check_version(doc: dict, entity: str, errs: list) -> None:
     if doc.get("format_version") != FORMAT_VERSION:
-        got = _mapped(doc.get("format_version"), _object)  # as decoded, without records
-        message = f"expected format_version {FORMAT_VERSION}, got {got!r}"
+        message = f"expected format_version {FORMAT_VERSION}, got {doc.get('format_version')!r}"
         errs.append(Diagnostic("BAD_FORMAT_VERSION", entity, message))
 
 
@@ -189,14 +169,22 @@ def _check_missing(doc: dict, required, entity: str, errs: list) -> bool:
     return not missing
 
 
-def _entry_ok(entry: dict, types: dict, required, entity: str, errs: list) -> bool:
+def _check_entry(entry: dict, types: dict, required, entity: str, errs: list) -> None:
     """Check one gate or connection entry against its type table."""
     _check_keys(entry, types, entity, errs)
-    return _check_missing(entry, required, entity, errs) and _check_types(entry, types, entity, errs)
+    if _check_missing(entry, required, entity, errs):
+        _check_types(entry, types, entity, errs)
+
+
+def _check_circuit_header(doc: dict, types: dict, errs: list) -> bool:
+    _check_version(doc, "circuit", errs)
+    _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
+    _check_missing(doc, ("name", "num_rows"), "circuit", errs)
+    return _check_types(doc, types, "circuit", errs)
 
 
 def parse_circuit(source) -> Circuit:
-    """Parse a circuit document (JSON text, a readable text file or a decoded dict).
+    """Parse a circuit document (JSON text or a readable text file).
 
     This pass checks the shape only: keys, JSON types (string ids, cells and
     endpoints, integer rows, lists of objects) and finite numbers. It raises
@@ -206,13 +194,15 @@ def parse_circuit(source) -> Circuit:
     increasing along every connection, and drivable lengths.
 
     The records are built inside the JSON decoder, so the decoded objects
-    never pile up. The decoder makes a ``Gate`` or ``Connection`` of each
-    object that the record turns back into exactly: keys in field order,
-    each spelled once (``prop_ps`` absent or a float), string ids, an
-    integer row and finite floats. Any other entry, and a record found
-    outside its own list, is checked as that object against the type
-    tables, which build a valid entry's record or name what is wrong with
-    it. The entry lists are walked only if they hold such entries.
+    never pile up. The decoder makes a ``Gate`` or ``Connection`` of every
+    object that the type tables accept as one, whatever its key order, with
+    integers where floats go, a ``null`` ``prop_ps`` or a repeated key (the
+    last value counts, as in ``json.loads``). Entries spelled as ``gen``
+    writes them take a shorter test. A record is valid only in its own
+    list, and anywhere else fails a check of the document; so a document
+    that passes those checks with records alone in its lists is the
+    circuit. Any other document is decoded again without records, and the
+    type tables name what is wrong with it.
 
     Each distinct cell name and gate id is one object, shared by the
     endpoints naming that gate if ``gates`` precedes ``connections``.
@@ -222,8 +212,8 @@ def parse_circuit(source) -> Circuit:
     new = tuple.__new__  # makes a record without a call to its Python-level __new__
 
     def record(pairs):
-        # A canonical entry costs one length test, one comparison of its
-        # keys, tuple unpacking and the type checks.
+        # An entry as gen spells it costs one length test, one comparison of
+        # its keys, tuple unpacking and the type checks.
         n = len(pairs)
         if n == 4:
             (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
@@ -241,47 +231,42 @@ def parse_circuit(source) -> Circuit:
             if (k0, k1, k2) == _CONN_REQUIRED and type(v0) is str and type(v1) is str \
                     and type(v2) is float and -fmax <= v2 <= fmax:
                 return new(Connection, (shared.get(v0, v0), shared.get(v1, v1), v2, None))
-        # A repeated key keeps its last value at its first place, as in
-        # json.loads; such an entry goes through the type tables.
-        return dict(pairs)
+        # A repeated key keeps its last value at its first place, as in json.loads.
+        obj = dict(pairs)
+        errs: list[Diagnostic] = []
+        if "id" in obj:  # no valid connection has an id
+            _check_entry(obj, _GATE_TYPES, _GATE_TYPES, "", errs)
+            if not errs:
+                gid, cell = obj["id"], obj["cell"]
+                return Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), obj["row"],
+                            float(obj["clock_offset_ps"]))
+        else:
+            _check_entry(obj, _CONN_TYPES, _CONN_REQUIRED, "", errs)
+            if not errs:
+                src, dst, prop = obj["src"], obj["dst"], obj.get("prop_ps")
+                return Connection(shared.get(src, src), shared.get(dst, dst), float(obj["length_um"]),
+                                  None if prop is None else float(prop))
+        return obj
 
-    doc = _load_document(source, CircuitFormatError, record)
+    text = source.read() if hasattr(source, "read") else source
+    try:
+        doc = json.loads(text, object_pairs_hook=record)
+    except (ValueError, RecursionError):
+        doc = None  # named by the second decode below
     errs: list[Diagnostic] = []
-    _check_version(doc, "circuit", errs)
-    _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
-    _check_missing(doc, ("name", "num_rows"), "circuit", errs)
-    if not _check_types(doc, _CIRCUIT_TYPES, "circuit", errs):
-        raise CircuitFormatError(errs)
+    if type(doc) is dict and _check_circuit_header(doc, _CIRCUIT_RECORD_TYPES, errs) and not errs:
+        return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=doc.get("gates", ()),
+                       connections=doc.get("connections", ()))
 
-    # Lists of records alone, the common case, are taken as they are.
-    gates = doc.get("gates", [])
-    if set(map(type, gates)) - {Gate}:
-        gates = []
-        for i, entry in enumerate(doc["gates"]):
-            if type(entry) is not Gate:
-                entry = _object(entry)
-                gid, cell = entry.get("id"), entry.get("cell")
-                if not _entry_ok(entry, _GATE_TYPES, _GATE_TYPES,
-                                 gid if isinstance(gid, str) else f"gates[{i}]", errs):
-                    continue
-                entry = Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), entry["row"],
-                             float(entry["clock_offset_ps"]))
-            gates.append(entry)
-    connections = doc.get("connections", [])
-    if set(map(type, connections)) - {Connection}:
-        connections = []
-        for i, entry in enumerate(doc["connections"]):
-            if type(entry) is not Connection:
-                entry = _object(entry)
-                if not _entry_ok(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs):
-                    continue
-                src, dst, prop = entry["src"], entry["dst"], entry.get("prop_ps")
-                entry = Connection(shared.get(src, src), shared.get(dst, dst), float(entry["length_um"]),
-                                   None if prop is None else float(prop))
-            connections.append(entry)
-    if errs:
-        raise CircuitFormatError(errs)
-    return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=gates, connections=connections)
+    doc = _load_document(text, CircuitFormatError)
+    errs = []
+    if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
+        for i, entry in enumerate(doc.get("gates", [])):
+            gid = entry.get("id")
+            _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs)
+        for i, entry in enumerate(doc.get("connections", [])):
+            _check_entry(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs)
+    raise CircuitFormatError(errs)
 
 
 def _field_tokens(records) -> list[list[str]]:

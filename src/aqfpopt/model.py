@@ -440,6 +440,8 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
             errs.append(Diagnostic("INVALID_CONFIG", "config", "numeric settings must be finite"))
         if self.s_min > self.s_max:
             errs.append(Diagnostic("INVALID_CONFIG", "s_min", "s_min must be <= s_max"))
+        if None not in (self.t_min_override, self.t_max_override) and self.t_min_override > self.t_max_override:
+            errs.append(Diagnostic("INVALID_CONFIG", "t_min_override", "t_min_override must be <= t_max_override"))
         if min(self.tau, self.sigma, self.lam) < 0:
             errs.append(Diagnostic("INVALID_CONFIG", "weights", "weights must be >= 0"))
         if self.tau == self.sigma == self.lam == 0:

@@ -110,9 +110,12 @@ def _run_simplex(tab: list[list[float]], basis: list[int]) -> None:
         cand = [i for i in range(m) if col[i] > PIVOT_TOL]
         if not cand:
             raise SolverBreakdown(f"largest pivot {max(col):.3e} in column {enter} is below {PIVOT_TOL}")
-        ratios = [tab[i][-1] / col[i] for i in cand]
-        best = min(ratios)
-        tied = [i for i, r in zip(cand, ratios) if r <= best + 1e-12]
+        # Overflowed weights leave inf or NaN entries; such a row is no pivot candidate.
+        ratios = [(r, i) for i in cand if abs(r := tab[i][-1] / col[i]) < math.inf]
+        if not ratios:
+            raise SolverBreakdown(f"no finite ratio in column {enter}: the tableau overflowed")
+        best = min(ratios)[0]
+        tied = [i for r, i in ratios if r <= best + 1e-12]
         leave = min(tied, key=basis.__getitem__)  # Bland tie-break
         _pivot(tab, leave, enter)
         basis[leave] = enter
@@ -166,6 +169,11 @@ def lp_solve(master: Master) -> tuple[float, float, float]:
         err = c.t * t + c.s * s + c.l * l - c.rhs
         if err > FEAS_TOL:
             raise SolverBreakdown(f"optimal basis violates a master row by {err:.3e}")
+    for j, (lo, hi) in enumerate(master.bounds):
+        if not lo - FIX_TOL <= point[j] <= hi + FIX_TOL:  # NaN too
+            raise SolverBreakdown(f"optimal basis leaves the bounds [{lo}, {hi}] of column {j} at {point[j]!r}")
+    # Within FIX_TOL, back into the box: a period past the last breakpoint has no timing.
+    t, s, l = (min(hi, max(lo, x)) for x, (lo, hi) in zip(point, master.bounds))
     return t, s, l
 
 

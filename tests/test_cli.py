@@ -672,6 +672,15 @@ class TestUsage:
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flag]) == 1
         assert "[INVALID_CONFIG]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--smin", "9", "--smax", "5"], ["--tmin", "300", "--tmax", "250"]])
+    def test_crossed_bounds_rejected(self, workdir, capsys, flags):
+        # An empty slack or period range is a bad setting, not an infeasible circuit.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json")
+        capsys.readouterr()
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags]) == 1
+        assert re.findall(r"^\[(\w+)\]", capsys.readouterr().err, re.M) == ["INVALID_CONFIG"]
+
     def test_missing_subcommand_args(self):
         assert main(["optimize"]) == 1
 
@@ -792,17 +801,37 @@ def test_import_leaves_numpy_unloaded(workdir):
 JUNK = st.sampled_from([NAN, math.inf, -math.inf, "x", None, True, [], {}, 5, -1, 0, 1.7])
 
 # Solver settings for the fuzzed optimize: one of the six lexicographic
-# orders, or weighted mode with one to three finite non-negative weights.
+# orders, or weighted mode with one to three finite non-negative weights,
+# some large enough to overflow the simplex tableau.
 PRIORITY_FLAGS = st.sampled_from(list(itertools.permutations(("period", "latency", "slack"))))
 WEIGHT_FLAGS = st.lists(
     st.tuples(st.sampled_from(["--tau", "--sigma", "--lambda"]),
-              st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)),
+              st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False) | st.sampled_from([1e10, 1e300, 1e307])),
     min_size=1, max_size=3, unique_by=lambda flag: flag[0],
 )
 SOLVER_FLAGS = st.one_of(
     PRIORITY_FLAGS.map(lambda order: ["--priority", ",".join(order)]),
     WEIGHT_FLAGS.map(lambda flags: [x for name, value in flags for x in (name, repr(value))]),
 )
+
+
+@pytest.mark.parametrize("weights,code", [(["--tau", "1", "--sigma", "1e307"], 2), (["--sigma", "1e10"], 0)],
+                         ids=["overflow", "past-last-breakpoint"])
+def test_extreme_weights_end_in_a_diagnostic_or_a_verified_schedule(workdir, capsys, weights, code):
+    # A weight of 1e307 overflows the simplex tableau. At 1e10 the solved
+    # period lands a rounding error past the library's last breakpoint,
+    # where no timing is defined, so the STA could not evaluate it.
+    tmp_path, lib_path = workdir
+    circ = gen(tmp_path, lib_path, "c.qc.json", rows=4, width=2, seed=3, chain_prob=0.5, skip_prob=0.5)
+    report = tmp_path / "c.report.json"
+    io = ["--circuit", str(circ), "--lib", str(lib_path)]
+    capsys.readouterr()
+    assert main(["optimize", *io, *weights, "--out", str(report)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert re.findall(r"^\[(\w+)\]", err, re.M) == ["SOLVER_BREAKDOWN"], err
+    else:
+        assert main(["verify", *io, "--schedule", str(report)]) == 0
 
 
 def paths_of(doc, prefix=()):

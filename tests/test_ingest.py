@@ -25,7 +25,7 @@ from aqfpopt.ingest import (
     serialize_report,
 )
 from aqfpopt.bufferopt import ChainRemoval, RemovalPlan
-from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, Schedule
+from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, Schedule, ValidationError
 from aqfpopt.timing import ConnectionSlack, SlackReport
 
 from oracles import circuit_json_reference, report_json_reference
@@ -82,14 +82,14 @@ class TestParseCircuit:
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["gates"][0]["colour"] = "blue"
         with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
+            parse_circuit(json.dumps(doc))
         assert "UNKNOWN_KEY" in codes(e)
 
     def test_format_version_required(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["format_version"] = 99
         with pytest.raises(CircuitFormatError) as e:
-            parse_circuit(doc)
+            parse_circuit(json.dumps(doc))
         assert "BAD_FORMAT_VERSION" in codes(e)
 
     def test_malformed_json_reports_line(self):
@@ -106,7 +106,7 @@ class TestParseCircuit:
     def test_explicit_prop_survives(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["connections"][0]["prop_ps"] = 7.25
-        c = parse_circuit(doc)
+        c = parse_circuit(json.dumps(doc))
         assert c.connections[0].prop == 7.25
 
 
@@ -171,7 +171,7 @@ PLACES = ("gates", "connections", "name", "format_version", "colour", "entry", "
 def test_inline_entry_check_agrees_with_type_tables(data):
     # The decoder's records, and the type tables' diagnostics for everything
     # else, must be what the tables alone make of the document, whether it
-    # comes as a dict, as JSON text or as an open file.
+    # comes as JSON text or as an open file.
     doc = parser_seed_doc()
     for _ in range(data.draw(st.integers(0, 3))):
         kind = data.draw(st.sampled_from(sorted(ENTRY_FIELDS)))
@@ -211,8 +211,7 @@ def test_inline_entry_check_agrees_with_type_tables(data):
         elif place not in ("gates", "connections", "entry"):
             doc[place] = obj
     text = json.dumps(doc)
-    assert_parse_matches_tables(doc, (doc, text, io.StringIO(text)))
-    assert json.dumps(doc) == text  # a dict document is left as it was
+    assert_parse_matches_tables(doc, (text, io.StringIO(text)))
     # Repeated keys exist only in JSON text. An entry spells one of its keys
     # again, before or after the first spelling, with another entry's value
     # or a wrong one; json.loads keeps the last value at the first key's place.
@@ -263,6 +262,17 @@ def assert_parse_matches_tables(doc, sources):
             assert repr(c.connections) == repr(connections)
 
 
+@pytest.mark.parametrize("parse", [parse_circuit, parse_library, parse_report])
+@pytest.mark.parametrize("text", ['{"format_version": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+                         ids=["long-integer", "deep-nesting"])
+def test_text_the_decoder_cannot_hold_is_a_parse_error(parse, text):
+    # Both are valid JSON that json.loads rejects with a ValueError or a
+    # RecursionError rather than a JSONDecodeError.
+    with pytest.raises(ValidationError) as e:
+        parse(text)
+    assert [(d.code, d.entity) for d in e.value.diagnostics] == [("PARSE_ERROR", "document")]
+
+
 class TestParseLibrary:
     def test_reference_fixture_anchor(self, ref_lib):
         assert ref_lib.timing("buffer").rd(200.0) == pytest.approx(72.0, abs=1e-12)
@@ -271,7 +281,7 @@ class TestParseLibrary:
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"]["buffer"]["rd"] = [[0.3, 6.0]]
         with pytest.raises(LibraryFormatError) as e:
-            parse_library(doc)
+            parse_library(json.dumps(doc))
         assert "ARITY_MISMATCH" in codes(e)
 
     def test_shared_breakpoints_required(self, ref_lib):
@@ -281,28 +291,28 @@ class TestParseLibrary:
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"]["buffer"]["rd"] = [[0.3, 6.0], [0.33, 3.0], [0.36, 0.0]]
         with pytest.raises(LibraryFormatError) as e:
-            parse_library(doc)
+            parse_library(json.dumps(doc))
         assert "ARITY_MISMATCH" in codes(e)
 
     def test_empty_cells(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"] = {}
         with pytest.raises(LibraryFormatError) as e:
-            parse_library(doc)
+            parse_library(json.dumps(doc))
         assert "EMPTY_LIBRARY" in codes(e)
 
     def test_unknown_key(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["vendor"] = "acme"
         with pytest.raises(LibraryFormatError) as e:
-            parse_library(doc)
+            parse_library(json.dumps(doc))
         assert "UNKNOWN_KEY" in codes(e)
 
     def test_interconnect_sanity_enforced(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["l_buffer_um"] = 500.0
         with pytest.raises(LibraryFormatError) as e:
-            parse_library(doc)
+            parse_library(json.dumps(doc))
         assert "INVALID_INTERCONNECT" in codes(e)
 
 
@@ -440,13 +450,26 @@ def test_report_writer_memory_does_not_grow_with_connections():
     assert _writer_peak_bytes(8 * B) <= 1.25 * _writer_peak_bytes(2 * B)
 
 
-@pytest.mark.parametrize("adversarial", [False, True])
-def test_parse_memory_stays_near_the_records(adversarial):
+def sorted_spelling(text: str) -> str:
+    """The same circuit with sorted keys and integer clock offsets, so no entry
+    is spelled as the writer spells it and ``connections`` come first."""
+    doc = json.loads(text)
+    for gate in doc["gates"]:
+        gate["clock_offset_ps"] = round(gate["clock_offset_ps"])
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("adversarial,sort_keys", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["False", "True", "sorted-False", "sorted-True"])
+def test_parse_memory_stays_near_the_records(adversarial, sort_keys):
     # The text is made before tracing starts, so the peak leaves it out. The
-    # decoder turns each entry into its record at once, so the peak is the
-    # records plus a little; holding every decoded object until the records
-    # are built, as a separate pass must, reads about 2.4 to 2.9 times them.
+    # decoder turns each entry into its record at once, however it is
+    # spelled, so the peak is the records plus a little; holding every
+    # decoded object until the records are built, as a separate pass must,
+    # reads about 2.4 to 2.9 times them.
     text = serialize_circuit(generate_circuit(rows=100, width=10, seed=1, adversarial=adversarial))
+    if sort_keys:
+        text = sorted_spelling(text)
     tracemalloc.start()
     try:
         circuit = parse_circuit(text)

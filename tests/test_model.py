@@ -179,6 +179,12 @@ class TestConfig:
         with pytest.raises(ValidationError):  # a copy is checked too
             OptimizationConfig(s_max=5.0)._replace(s_min=10.0)
 
+    def test_period_overrides_checked(self):
+        with pytest.raises(ValidationError) as e:
+            OptimizationConfig(t_min_override=300.0, t_max_override=250.0)
+        assert [(d.code, d.entity) for d in e.value.diagnostics] == [("INVALID_CONFIG", "t_min_override")]
+        assert OptimizationConfig(t_min_override=250.0, t_max_override=250.0).t_max_override == 250.0
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             OptimizationConfig(tau=0.0, sigma=0.0, lam=0.0)

@@ -491,6 +491,7 @@ BREAKDOWNS = [
     ("pivot-limit", solver, "PIVOT_LIMIT", 0, "two_row", (), "more than 0 pivots"),
     ("post-check", solver, "FEAS_TOL", -1.0, "two_row", ("--priority", "slack,period,latency"),
      "violates a master row"),
+    ("bounds", solver, "FIX_TOL", -1.0, "two_row", (), "leaves the bounds"),
     ("sweeps", solver._ConstraintGraph, "_parent_cycles", lambda self, parent: [], "wide_spread", (),
      "did not settle"),
 ]
