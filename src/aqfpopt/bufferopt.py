@@ -4,20 +4,20 @@ Each maximal single-fanin/single-fanout run of buffer cells forms a chain,
 kept as its routed hops. Removing the buffers strictly between two chain
 nodes merges the hops between them into one connection, whose length is
 the hops' sum plus one intrinsic buffer length per eliminated buffer. A
-merge is legal when that length stays within the library drive limit and,
-optionally, when the merged connection does not skip more rows than the
-scheduler is asked to support; an original hop is always legal. Per chain,
-a walk jumps from each kept node to the furthest node one merged connection
-may reach. Both limits only get easier as a span gets shorter, so no choice
-of kept nodes reaches further than the walk's after the same number of
-jumps: the walk keeps the fewest nodes, and among those optima it removes
-the earliest buffers. Chains are independent, so per-chain optima add up to
-the global optimum.
+merge is legal when that length stays within the library drive limit and
+the merged connection skips no more rows than the scheduler is asked to
+support; an original hop is always legal. Per chain, a walk jumps from
+each kept node to the furthest node one merged connection may reach. Both
+limits only get easier as a span gets shorter, so no choice of kept nodes
+reaches further than the walk's after the same number of jumps: the walk
+keeps the fewest nodes, and among those optima it removes the earliest
+buffers. Chains are independent, so per-chain optima add up to the global
+optimum.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from aqfpopt.model import (
     BUFFER_CELL,
@@ -28,10 +28,6 @@ from aqfpopt.model import (
     ValidationError,
     log,
 )
-
-
-class MalformedChainError(ValidationError):
-    pass
 
 
 class ChainRemoval(NamedTuple):
@@ -70,7 +66,7 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
     chainable: set[str] = set()
     for gid, ins in fanin.items():
         if len(ins) != 1:
-            raise MalformedChainError(
+            raise ValidationError(
                 [Diagnostic("MALFORMED_CHAIN", gid, f"buffer has {len(ins)} fanins, expected exactly 1")]
             )
         if len(fanout[gid]) != 1:
@@ -90,14 +86,13 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
 
 
 def solve_chain(
-    hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: Optional[int]
+    hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int
 ) -> list[int]:
     """Kept node indices of the optimal removal on one chain.
 
     Node k is ``hops[0].src`` for k = 0 and ``hops[k - 1].dst`` otherwise;
     ``rows[k]`` is its row. ``max_skip`` caps the row span of a merged
-    connection (None disables the cap). The result starts at 0 and ends at
-    ``len(hops)``.
+    connection. The result starts at 0 and ends at ``len(hops)``.
     """
     # Each span is summed afresh, as remove_buffers sums the connection it
     # writes, so the drive test and the written length agree to the bit.
@@ -107,9 +102,8 @@ def solve_chain(
     i = 0
     while i < last:
         j = i + 1  # the original hop is always allowed
-        while j < last and sum(lengths[i:j + 1]) + (j - i) * lib.l_buffer <= lib.l_max_drive and (
-            max_skip is None or rows[j + 1] - rows[i] <= max_skip
-        ):
+        while j < last and sum(lengths[i:j + 1]) + (j - i) * lib.l_buffer <= lib.l_max_drive \
+                and rows[j + 1] - rows[i] <= max_skip:
             j += 1
         kept.append(j)
         i = j
@@ -117,7 +111,7 @@ def solve_chain(
 
 
 def remove_buffers(
-    c: Circuit, lib: CellLibrary, max_skip: Optional[int] = 2
+    c: Circuit, lib: CellLibrary, max_skip: int = 2
 ) -> tuple[Circuit, RemovalPlan]:
     """Rewrite the circuit with the globally optimal buffer removal applied.
 
@@ -128,7 +122,7 @@ def remove_buffers(
     summed with one buffer-length worth of wire delay per eliminated buffer.
     Connections that touch no removed buffer are carried over unchanged, and
     the merged connections follow them in chain order. ``max_skip`` caps the
-    row span a merged connection may cover (None disables the cap).
+    row span a merged connection may cover.
     """
     chains = extract_chains(c)
     if not chains:

@@ -360,19 +360,20 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _decode_report(path):
-    """The manifest config and the schedule of the report file at ``path``,
-    the only parts ``verify`` reads; the rest of the document, one object
-    per connection, is freed on return."""
+def _decode_report(path) -> dict:
+    """The parts of the report file at ``path`` that ``verify`` reads: the
+    manifest config, the schedule, and the frequency and STA slack it claims.
+    The rest of the document, one object per connection, is freed on return."""
     report = _read_input(path, parse_report)
-    return (report.get("manifest") or {}).get("config", {}), schedule_from_report(report)
+    return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": list(schedule_from_report(report)),
+            "frequency_ghz": report["frequency_ghz"], "min_slack_ps": report["min_slack_ps"]}
 
 
 def _fork_report_decode(path):
-    """Start a child that runs ``_decode_report(path)`` and writes one JSON
-    line to a pipe: ``{"config": ..., "schedule": [...]}``, or
-    ``{"diagnostics": [...]}`` if the report is rejected. Returns the child's
-    pid and the pipe's read end, or None where no child can be forked.
+    """Start a child that runs ``_decode_report(path)`` and writes its result
+    to a pipe as one JSON line, or ``{"diagnostics": [...]}`` if the report
+    is rejected. Returns the child's pid and the pipe's read end, or None
+    where no child can be forked.
 
     JSON's ``NaN`` and ``Infinity`` tokens carry non-finite deltas. The
     child leaves only by ``os._exit``, so it never unwinds into its caller.
@@ -397,8 +398,7 @@ def _fork_report_decode(path):
     try:
         os.close(rfd)
         try:
-            config, sched = _decode_report(path)
-            message = {"config": config, "schedule": list(sched)}
+            message = _decode_report(path)
         except ValidationError as e:
             message = {"diagnostics": e.diagnostics}
         with open(wfd, "w", encoding="utf-8") as fh:
@@ -424,6 +424,23 @@ def _reap_report_decode(child) -> Optional[dict]:
         return None
 
 
+def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float]) -> list[Diagnostic]:
+    """The report's figures that disagree with its schedule or with ``sta_min``, the STA's minimum."""
+    latency, frequency, claimed = sum(sched.row_deltas), 1000.0 / sched.period, claims["min_slack_ps"]
+    sta = "none, the circuit has no connections" if sta_min is None else f"{sta_min:.6g} ps"
+    rules = (  # field, whether it agrees, what the report says against what is found
+        ("latency_ps", abs(sched.latency - latency) <= 1e-6,
+         f"{sched.latency:.6g} ps, the row deltas sum to {latency:.6g} ps"),
+        ("frequency_ghz", abs(claims["frequency_ghz"] - frequency) <= 1e-9 * frequency,
+         f"{claims['frequency_ghz']:.6g} GHz, the period gives {frequency:.6g} GHz"),
+        ("min_slack_ps", claimed == sta_min if None in (claimed, sta_min) else abs(claimed - sta_min) <= 1e-6,
+         f"{'null' if claimed is None else f'{claimed:.6g} ps'}, the STA finds {sta}"),
+        ("slack_ps", sta_min is None or sched.slack <= sta_min + 1e-6,
+         f"{sched.slack:.6g} ps, above the STA minimum of {sta}"),
+    )
+    return [Diagnostic("REPORT_MISMATCH", field, f"report says {said}") for field, agrees, said in rules if not agrees]
+
+
 def cmd_verify(args) -> int:
     # The report decodes in a forked child, on another core, while this
     # process reads and validates the circuit and library; their errors
@@ -434,11 +451,10 @@ def cmd_verify(args) -> int:
     finally:
         decoded = _reap_report_decode(child)
     if decoded is None:
-        manifest_cfg, sched = _decode_report(args.schedule)
+        decoded = _decode_report(args.schedule)
     elif "diagnostics" in decoded:
         raise ValidationError([Diagnostic(*d) for d in decoded["diagnostics"]])
-    else:
-        manifest_cfg, sched = decoded["config"], Schedule(*decoded["schedule"])
+    manifest_cfg, sched = decoded["config"], Schedule(*decoded["schedule"])
 
     if manifest_cfg.get("remove_buffers"):
         circuit, _ = remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
@@ -463,6 +479,9 @@ def cmd_verify(args) -> int:
     ]
     if failing:
         return _fail(failing, EXIT_VERIFY)
+    mismatches = _report_mismatches(decoded, sched, slacks.min_slack)
+    if mismatches:
+        return _fail(mismatches, EXIT_VERIFY)
     ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
     print(f"schedule verifies: min slack {ms}")
     return EXIT_OK
@@ -486,7 +505,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _preset_config(name: str, max_skip: Optional[int]) -> OptimizationConfig:
+def _preset_config(name: str, max_skip: int) -> OptimizationConfig:
     base = OptimizationConfig(priority_mode="lexicographic", max_skip=max_skip)
     if name == "table1b":
         return base._replace(s_min=5.0)

@@ -51,6 +51,8 @@ def _is_finite(v) -> bool:
 _STRING = (lambda v: isinstance(v, str), "a string")
 _INT = (_is_int, "an integer")
 _FINITE = (_is_finite, "a finite number")
+_FINITE_OR_NULL = (lambda v: v is None or _is_finite(v), "a finite number or null")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _OBJECTS = (lambda v: isinstance(v, list) and set(map(type, v)) <= {dict}, "a list of objects")
 
 _CIRCUIT_TYPES = {
@@ -71,7 +73,7 @@ _CONN_TYPES = {
     "src": _STRING,
     "dst": _STRING,
     "length_um": _FINITE,
-    "prop_ps": (lambda v: v is None or _is_finite(v), "a finite number or null"),
+    "prop_ps": _FINITE_OR_NULL,
 }
 _CONN_REQUIRED = ("src", "dst", "length_um")
 _GATE_KEYS = ("id", "cell", "row", "clock_offset_ps")  # the file keys of each record field
@@ -91,9 +93,11 @@ _CELL_FUNCTIONS = ("c2q", "setup", "hold", "rd")
 # The report fields ``verify`` reads. Row deltas may be non-finite: the STA
 # counts every connection such a delta touches as failing.
 _REPORT_TYPES = {
-    "period_ps": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "frequency_ghz": _POSITIVE,
+    "period_ps": _POSITIVE,
     "latency_ps": _FINITE,
     "slack_ps": _FINITE,
+    "min_slack_ps": _FINITE_OR_NULL,
     "segment_index": _INT,
     "row_deltas_ps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
     "manifest": (lambda v: v is None or isinstance(v, dict), "an object or null"),
@@ -105,8 +109,6 @@ _REPORT_CONFIG_TYPES = {
 }
 _REPORT_KEYS = {
     "format_version",
-    "frequency_ghz",
-    "min_slack_ps",
     "buffers_total",
     "buffers_removed",
     "connections",
@@ -115,19 +117,7 @@ _REPORT_KEYS = {
 }
 
 
-class CircuitFormatError(ValidationError):
-    pass
-
-
-class LibraryFormatError(ValidationError):
-    pass
-
-
-class ReportFormatError(ValidationError):
-    pass
-
-
-def _load_document(source, exc_type) -> dict:
+def _load_document(source) -> dict:
     """Decode ``source``, JSON text or a readable text file, to its top-level object.
 
     A file is read and decoded here, so its text is freed on return.
@@ -135,11 +125,11 @@ def _load_document(source, exc_type) -> dict:
     try:
         doc = (json.load if hasattr(source, "read") else json.loads)(source)
     except json.JSONDecodeError as e:
-        raise exc_type([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
+        raise ValidationError([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
     except (ValueError, RecursionError) as e:  # an integer of over 4300 digits, or nesting too deep
-        raise exc_type([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
+        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
     if not isinstance(doc, dict):
-        raise exc_type([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
+        raise ValidationError([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
     return doc
 
 
@@ -188,7 +178,7 @@ def parse_circuit(source) -> Circuit:
 
     This pass checks the shape only: keys, JSON types (string ids, cells and
     endpoints, integer rows, lists of objects) and finite numbers. It raises
-    :class:`CircuitFormatError` with one diagnostic per finding. What the
+    :class:`ValidationError` with one diagnostic per finding. What the
     content means is checked by ``validate_circuit``, which every command
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
@@ -204,8 +194,8 @@ def parse_circuit(source) -> Circuit:
     circuit. Any other document is decoded again without records, and the
     type tables name what is wrong with it.
 
-    Each distinct cell name and gate id is one object, shared by the
-    endpoints naming that gate if ``gates`` precedes ``connections``.
+    Each distinct cell name and gate id is one string object, shared by the
+    gate and the endpoints naming it, whichever list comes first.
     """
     fmax = sys.float_info.max
     shared: dict[str, str] = {}
@@ -221,7 +211,7 @@ def parse_circuit(source) -> Circuit:
             if keys == _CONN_KEYS:
                 if type(v0) is str and type(v1) is str and type(v2) is float and -fmax <= v2 <= fmax \
                         and type(v3) is float and -fmax <= v3 <= fmax:
-                    return new(Connection, (shared.get(v0, v0), shared.get(v1, v1), v2, v3))
+                    return new(Connection, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, v3))
             elif keys == _GATE_KEYS:
                 if type(v0) is str and type(v1) is str and type(v2) is int and type(v3) is float \
                         and -fmax <= v3 <= fmax:
@@ -230,7 +220,7 @@ def parse_circuit(source) -> Circuit:
             (k0, v0), (k1, v1), (k2, v2) = pairs
             if (k0, k1, k2) == _CONN_REQUIRED and type(v0) is str and type(v1) is str \
                     and type(v2) is float and -fmax <= v2 <= fmax:
-                return new(Connection, (shared.get(v0, v0), shared.get(v1, v1), v2, None))
+                return new(Connection, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, None))
         # A repeated key keeps its last value at its first place, as in json.loads.
         obj = dict(pairs)
         errs: list[Diagnostic] = []
@@ -244,7 +234,7 @@ def parse_circuit(source) -> Circuit:
             _check_entry(obj, _CONN_TYPES, _CONN_REQUIRED, "", errs)
             if not errs:
                 src, dst, prop = obj["src"], obj["dst"], obj.get("prop_ps")
-                return Connection(shared.get(src, src), shared.get(dst, dst), float(obj["length_um"]),
+                return Connection(shared.setdefault(src, src), shared.setdefault(dst, dst), float(obj["length_um"]),
                                   None if prop is None else float(prop))
         return obj
 
@@ -258,7 +248,7 @@ def parse_circuit(source) -> Circuit:
         return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=doc.get("gates", ()),
                        connections=doc.get("connections", ()))
 
-    doc = _load_document(text, CircuitFormatError)
+    doc = _load_document(text)
     errs = []
     if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
         for i, entry in enumerate(doc.get("gates", [])):
@@ -266,7 +256,7 @@ def parse_circuit(source) -> Circuit:
             _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs)
         for i, entry in enumerate(doc.get("connections", [])):
             _check_entry(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs)
-    raise CircuitFormatError(errs)
+    raise ValidationError(errs)
 
 
 def _field_tokens(records) -> list[list[str]]:
@@ -337,13 +327,14 @@ def parse_library(source) -> CellLibrary:
 
     The parse checks the shape: keys, JSON types and finite numbers, and one
     list of ``[slope, intercept]`` pairs per cell function, which
-    ``PiecewiseLinear`` checks against the breakpoints. Shape errors raise
-    :class:`LibraryFormatError`. ``validate_library`` then checks the
-    content; its errors raise :class:`LibraryFormatError` as well, and its
+    ``PiecewiseLinear`` checks against the breakpoints. The breakpoint grid
+    is checked once, not once per cell function. Shape errors raise
+    :class:`ValidationError`. ``validate_library`` then checks the
+    content; its errors raise :class:`ValidationError` as well, and its
     warnings (reset delay reaching the period, segment discontinuities) are
     logged once here, so callers need not re-run it.
     """
-    doc = _load_document(source, LibraryFormatError)
+    doc = _load_document(source)
     errs: list[Diagnostic] = []
     _check_version(doc, "library", errs)
     _check_keys(doc, _LIBRARY_KEYS, "library", errs)
@@ -351,8 +342,11 @@ def parse_library(source) -> CellLibrary:
         _check_missing(doc, _LIBRARY_KEYS, "library", errs)
         and _check_types(doc, _LIBRARY_TYPES, "library", errs)
     ):
-        raise LibraryFormatError(errs)
+        raise ValidationError(errs)
     breakpoints = tuple(float(b) for b in doc["breakpoints_ps"])
+    # The grid alone first, so each of its faults is named once, not once per cell function.
+    if _parse_pwl([[0.0, 0.0]] * (len(breakpoints) - 1), breakpoints, "breakpoints_ps", errs) is None:
+        raise ValidationError(errs)
     cells: dict[str, CellTiming] = {}
     for name, entry in doc["cells"].items():
         if not isinstance(entry, dict):
@@ -368,7 +362,7 @@ def parse_library(source) -> CellLibrary:
         if all(v is not None for v in fns.values()):
             cells[name] = CellTiming(**fns)
     if errs:
-        raise LibraryFormatError(errs)
+        raise ValidationError(errs)
     lib = CellLibrary(
         cells=cells,
         breakpoints=breakpoints,
@@ -382,7 +376,7 @@ def parse_library(source) -> CellLibrary:
     diags = validate_library(lib)
     hard = [d for d in diags if d.severity == "error"]
     if hard:
-        raise LibraryFormatError(hard)
+        raise ValidationError(hard)
     for d in diags:
         log.warning("%s", d)
     return lib
@@ -411,7 +405,7 @@ def serialize_library(lib: CellLibrary) -> str:
 
 def emit_report(
     schedule: Schedule,
-    slacks=None,
+    slacks,
     stats=None,
     manifest: Optional[dict] = None,
     verbose: bool = False,
@@ -419,10 +413,10 @@ def emit_report(
     """Assemble the report document for a feasible schedule.
 
     ``slacks`` is the :class:`aqfpopt.timing.SlackReport` of the final
-    schedule (or None for a connection-free circuit); ``stats`` the
-    buffer-removal plan, if removal ran. The document's ``connections`` are
-    the STA's ``ConnectionSlack`` records; ``serialize_report`` writes each
-    as a ``src``/``dst``/``setup_slack_ps``/``hold_slack_ps`` object.
+    schedule; ``stats`` the buffer-removal plan, if removal ran. The
+    document's ``connections`` are the STA's ``ConnectionSlack`` records;
+    ``serialize_report`` writes each as a
+    ``src``/``dst``/``setup_slack_ps``/``hold_slack_ps`` object.
     """
     period = schedule.period
     doc: dict[str, Any] = {
@@ -431,12 +425,12 @@ def emit_report(
         "period_ps": period,
         "latency_ps": schedule.latency,
         "slack_ps": schedule.slack,
-        "min_slack_ps": None if slacks is None else slacks.min_slack,
+        "min_slack_ps": slacks.min_slack,
         "segment_index": schedule.segment_index,
         "row_deltas_ps": list(schedule.row_deltas),
         "buffers_total": 0 if stats is None else stats.buffers_total,
         "buffers_removed": 0 if stats is None else stats.buffers_removed,
-        "connections": [] if slacks is None else list(slacks.entries),
+        "connections": list(slacks.entries),
     }
     if verbose and stats is not None:
         doc["chains"] = [
@@ -484,12 +478,13 @@ def serialize_report(report: dict, out) -> None:
 def parse_report(source) -> dict:
     """Parse a report document and check the shape of what ``verify`` reads.
 
-    The period, latency and slack must be finite numbers, the period also
-    positive; ``segment_index`` an integer; ``row_deltas_ps`` a list of
+    The frequency, period, latency and slack must be finite numbers, the
+    frequency and period also positive, and the STA slack a finite number or
+    null; ``segment_index`` an integer; ``row_deltas_ps`` a list of
     numbers. The manifest's ``config`` entries that ``verify`` re-applies
     (``remove_buffers``, ``max_skip``, ``hold_mode``) are type-checked too.
     """
-    doc = _load_document(source, ReportFormatError)
+    doc = _load_document(source)
     errs: list[Diagnostic] = []
     _check_version(doc, "report", errs)
     _check_keys(doc, _REPORT_KEYS, "report", errs)
@@ -503,7 +498,7 @@ def parse_report(source) -> dict:
         else:
             errs.append(Diagnostic("PARSE_ERROR", "manifest", "config must be an object"))
     if errs:
-        raise ReportFormatError(errs)
+        raise ValidationError(errs)
     return doc
 
 

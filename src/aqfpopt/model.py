@@ -219,6 +219,7 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
         )
     if lib.max_frequency <= 0:
         out.append(Diagnostic("INVALID_PERIOD_RANGE", "library", "max_frequency must be > 0"))
+    shared = False
     for name, cell in sorted(lib.cells.items()):
         for fname, fn in cell.functions().items():
             ent = f"{name}.{fname}"
@@ -231,14 +232,7 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
                     )
                 )
                 continue
-            if not (fn.t_lo < lib.t_min and fn.t_hi >= lib.t_max):
-                out.append(
-                    Diagnostic(
-                        "BREAKPOINT_SPAN",
-                        ent,
-                        f"breakpoints ({fn.t_lo}, {fn.t_hi}] do not cover [{lib.t_min}, {lib.t_max}]",
-                    )
-                )
+            shared = True
             for k in range(1, len(fn.breakpoints) - 1):
                 jump = fn.jump_at(k)
                 if jump:
@@ -250,6 +244,11 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
                             severity="warning",
                         )
                     )
+    # The span belongs to the grid, so it is checked once for every function sharing it.
+    bps = lib.breakpoints
+    if shared and not (bps[0] < lib.t_min and bps[-1] >= lib.t_max):
+        out.append(Diagnostic("BREAKPOINT_SPAN", "library",
+                              f"breakpoints ({bps[0]}, {bps[-1]}] do not cover [{lib.t_min}, {lib.t_max}]"))
     # Reset delay must stay below the period over [t_min, t_max]. rd(t) - t is
     # affine on each segment, so its maximum sits at an end of the segment's
     # clipped interval; at an open lower breakpoint the affine value there is
@@ -298,10 +297,6 @@ class Connection(NamedTuple):
     dst: str
     length: float  # um, routed pin-to-pin wire length
     prop: Optional[float] = None  # ps, extracted delay; None = length-derived
-
-    @property
-    def key(self) -> str:
-        return f"{self.src}->{self.dst}"
 
 
 class _CircuitFields(NamedTuple):
@@ -418,7 +413,7 @@ class _OptimizationConfigFields(NamedTuple):
     priority_mode: str = "lexicographic"  # or "weighted"
     priority: tuple[str, ...] = ("period", "latency", "slack")
     delta_max: float = 10000.0  # ps, upper bound per row delta, keeps LPs bounded
-    max_skip: Optional[int] = 2  # largest supported connection row span
+    max_skip: int = 2  # largest supported connection row span
 
 
 class OptimizationConfig(_Checked, _OptimizationConfigFields):
@@ -462,8 +457,8 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
             )
         if self.delta_max <= 0:
             errs.append(Diagnostic("INVALID_CONFIG", "delta_max", "delta_max must be > 0"))
-        if self.max_skip is not None and self.max_skip < 1:
-            errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be >= 1 or None"))
+        if not (type(self.max_skip) is int and self.max_skip >= 1):
+            errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
         if errs:
             raise ValidationError(errs)
         return self

@@ -27,10 +27,6 @@ from aqfpopt.model import (
 STA_MARGIN = -1e-6
 
 
-class UnsupportedSkipError(ValidationError):
-    pass
-
-
 class TimingConstraint(NamedTuple):
     """The setup and the hold inequality of one connection.
 
@@ -80,7 +76,7 @@ def build_constraints(
     """
     gates = c.gates_by_id
     prop_per_um = lib.prop_per_um
-    max_skip = math.inf if cfg.max_skip is None else cfg.max_skip
+    max_skip = cfg.max_skip
     new = tuple.__new__  # makes a record without a call to its Python-level __new__
     constraints: list[TimingConstraint] = []
     add = constraints.append
@@ -102,7 +98,7 @@ def build_constraints(
         rhs = prop - (dst_offset - src_offset)
         add(new(TimingConstraint, (src, dst, first, last, src_cell, dst_cell, rhs)))
     if errs:
-        raise UnsupportedSkipError(errs)
+        raise ValidationError(errs)
     return TimingConstraintSet(constraints=tuple(constraints), num_rows=c.num_rows)
 
 

@@ -11,6 +11,9 @@ from aqfpopt.model import (
 )
 from aqfpopt.solver import SegmentRestriction
 
+#: A row-span cap that no test circuit reaches, so the cap never binds.
+NO_CAP = 10**6
+
 BP2 = (0.0, 100.0, 300.0)
 BP3 = (0.0, 100.0, 200.0, 300.0)
 

@@ -8,7 +8,7 @@ import contextlib
 import random
 import time
 
-from conftest import make_library, reformulated_residuals
+from conftest import NO_CAP, make_library, reformulated_residuals
 from oracles import chain_brute_force, grid_min_period, min_latency_at
 from aqfpopt.bufferopt import extract_chains, remove_buffers, solve_chain
 from aqfpopt.cli import generate_circuit, main
@@ -53,7 +53,7 @@ def test_criterion_1_chain_optimality(fixture_library):
                 l_max_drive=rng.uniform(110.0, 400.0),
             )
             rows = list(range(len(hops) + 1))
-            removed = len(rows) - len(solve_chain(hops, rows, lib, None))
+            removed = len(rows) - len(solve_chain(hops, rows, lib, NO_CAP))
             expected, _ = chain_brute_force([h.length for h in hops], lib)
             assert removed == expected
         elapsed = time.perf_counter() - start
@@ -83,7 +83,7 @@ def test_criterion_2_decomposition(ref_lib):
 def test_criterion_3_reformulation_correctness(ref_lib):
     with criterion(3, "STA slacks equal constraint residuals at S=0 to 1e-9 ps (200 triples)"):
         rng = random.Random(3)
-        cfg = OptimizationConfig(max_skip=None)
+        cfg = OptimizationConfig(max_skip=NO_CAP)
         for trial in range(200):
             c = generate_circuit(
                 rows=rng.randint(2, 9),
@@ -168,8 +168,9 @@ def test_criterion_6_reference_anchor(ref_lib):
     with criterion(6, "reference library: rd(200 ps) = 72 ps and 5.0 GHz at 200 ps"):
         assert ref_lib.timing("buffer").rd(200.0) == 72.0
         from aqfpopt.ingest import emit_report
+        from aqfpopt.timing import SlackReport
 
-        report = emit_report(Schedule(period=200.0, row_deltas=(), slack=0.0, latency=0.0), None, None)
+        report = emit_report(Schedule(period=200.0, row_deltas=(), slack=0.0, latency=0.0), SlackReport((), None))
         assert report["frequency_ghz"] == 5.0
 
 

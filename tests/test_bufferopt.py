@@ -6,17 +6,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_library
+from conftest import NO_CAP, make_library
 from oracles import chain_brute_force
 from aqfpopt.bufferopt import (
-    MalformedChainError,
     extract_chains,
     remove_buffers,
     solve_chain,
 )
 from aqfpopt.cli import generate_circuit
 from aqfpopt.ingest import serialize_circuit
-from aqfpopt.model import Circuit, Connection, Gate, OptimizationConfig, validate_circuit
+from aqfpopt.model import Circuit, Connection, Gate, OptimizationConfig, ValidationError, validate_circuit
 from aqfpopt.timing import build_constraints
 
 
@@ -47,13 +46,13 @@ class TestMergedLength:
     """Lengths and delays of the connections that ``remove_buffers`` merges."""
 
     def test_two_buffer_span(self, lib):
-        rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0, 30.0]), lib, max_skip=None)
+        rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0, 30.0]), lib, max_skip=NO_CAP)
         (merged,) = rewritten.connections
         assert merged.length == pytest.approx(110.0)
 
     def test_zero_removed(self, lib):
         c = pipeline_with_chain([30.0, 30.0, 30.0])
-        rewritten, plan = remove_buffers(c, make_library(lib.cells, l_max_drive=60.0), max_skip=None)
+        rewritten, plan = remove_buffers(c, make_library(lib.cells, l_max_drive=60.0), max_skip=NO_CAP)
         assert rewritten == c
         assert plan.chains[0].kept_nodes == (0, 1, 2, 3)
 
@@ -75,7 +74,7 @@ class TestMergedLength:
         rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
         c = pipeline_with_chain(segments, props[:len(segments)], rows)
         hops = c.connections
-        rewritten, plan = remove_buffers(c, rlib, max_skip=max_skip)
+        rewritten, plan = remove_buffers(c, rlib, max_skip=NO_CAP if max_skip is None else max_skip)
         (chain,) = plan.chains
         kept = chain.kept_nodes
         merged = [k for k in rewritten.connections if k not in hops]
@@ -95,28 +94,28 @@ class TestMergedLength:
 
 class TestSolveChain:
     def test_full_removal_when_drivable(self, lib):
-        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], lib, None) == [0, 3]
+        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], lib, NO_CAP) == [0, 3]
 
     def test_tight_drive_keeps_later_buffer(self, lib):
         tight = make_library(lib.cells, l_max_drive=80.0)
         # removes b1, keeps b2
-        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], tight, None) == [0, 2, 3]
+        assert solve_chain(chain_of([30.0, 30.0, 30.0]), [0, 1, 2, 3], tight, NO_CAP) == [0, 2, 3]
 
     def test_empty_chain(self, lib):
-        assert solve_chain(chain_of([30.0]), [0, 1], lib, None) == [0, 1]
+        assert solve_chain(chain_of([30.0]), [0, 1], lib, NO_CAP) == [0, 1]
 
     def test_row_span_cap_limits_removal(self, lib):
         hops = chain_of([20.0, 20.0, 20.0])
         rows = [0, 1, 2, 3]
         assert solve_chain(hops, rows, lib, 2) == [0, 2, 3]  # both at once would span 3 rows
-        assert solve_chain(hops, rows, lib, None) == [0, 3]
+        assert solve_chain(hops, rows, lib, NO_CAP) == [0, 3]
         # A hop that itself skips too far stays, for the constraint build to report.
         assert solve_chain(chain_of([10.0, 10.0]), [0, 3, 4], lib, 2) == [0, 1, 2]
 
     def test_edges_require_drivability(self, lib):
         tight = make_library(lib.cells, l_max_drive=80.0)
         hops = chain_of([30.0, 30.0, 30.0])
-        kept = solve_chain(hops, [0, 1, 2, 3], tight, None)
+        kept = solve_chain(hops, [0, 1, 2, 3], tight, NO_CAP)
         for a, b in zip(kept, kept[1:]):
             assert sum(h.length for h in hops[a:b]) + (b - a - 1) * tight.l_buffer <= 80.0
 
@@ -132,7 +131,7 @@ class TestSolveChain:
         rlib = make_library(lib.cells, l_buffer=l_buffer, l_max_drive=l_max)
         segments = [min(s, l_max) for s in segments]
         rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
-        kept = solve_chain(chain_of(segments), rows, rlib, max_skip)
+        kept = solve_chain(chain_of(segments), rows, rlib, NO_CAP if max_skip is None else max_skip)
         count, removed_ids = chain_brute_force(segments, rlib, node_rows=rows, max_skip=max_skip)
         assert len(segments) + 1 - len(kept) == count
         assert tuple(k for k in range(len(segments) + 1) if k not in set(removed_ids)) == tuple(kept)
@@ -198,8 +197,9 @@ class TestExtractChains:
             gates=(Gate("b", "buffer", 0, 0.0), Gate("t", "majority3", 1, 1.0)),
             connections=(Connection("b", "t", 10.0),),
         )
-        with pytest.raises(MalformedChainError):
+        with pytest.raises(ValidationError) as e:
             extract_chains(c)
+        assert [(d.code, d.entity) for d in e.value.diagnostics] == [("MALFORMED_CHAIN", "b")]
 
     def test_high_fanout_buffer_excluded(self, lib, capsys):
         gates = (
@@ -313,7 +313,7 @@ class TestRemoveBuffers:
             segments = [rng.uniform(5.0, 60.0) for _ in range(rng.randint(1, 7))]
             hops, rows = chain_of(segments), list(range(len(segments) + 1))
             removed = [
-                len(segments) + 1 - len(solve_chain(hops, rows, make_library(lib.cells, l_max_drive=lmax), None))
+                len(segments) + 1 - len(solve_chain(hops, rows, make_library(lib.cells, l_max_drive=lmax), NO_CAP))
                 for lmax in (65.0, 90.0, 120.0, 200.0)
             ]
             assert removed == sorted(removed)

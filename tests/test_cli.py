@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aqfpopt import cli
+from aqfpopt import cli, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
@@ -124,6 +124,31 @@ def test_gen_arguments_end_in_a_diagnostic(capsys, rows, width, chain_prob, skip
     assert sorted(re.findall(r"^\[INVALID_CONFIG\] (\w+): \S", err, re.M)) == bad
     if not bad:
         parse_circuit(out)
+
+
+#: Edits to an optimize report (field -> new value from the report) and the
+#: fields verify then names in REPORT_MISMATCH lines, in order. Each figure
+#: is checked to its tolerance: latency and both slacks to 1e-6 ps, the
+#: frequency to a relative 1e-9.
+REPORT_EDITS = {
+    "falsified": ({"latency_ps": lambda r: 1, "slack_ps": lambda r: 40, "min_slack_ps": lambda r: 30,
+                   "frequency_ghz": lambda r: 99}, ["latency_ps", "frequency_ghz", "min_slack_ps", "slack_ps"]),
+    "latency-off": ({"latency_ps": lambda r: r["latency_ps"] + 2e-6}, ["latency_ps"]),
+    "latency-within": ({"latency_ps": lambda r: r["latency_ps"] - 5e-7}, []),
+    "frequency-off": ({"frequency_ghz": lambda r: r["frequency_ghz"] * (1 + 3e-9)}, ["frequency_ghz"]),
+    "frequency-within": ({"frequency_ghz": lambda r: r["frequency_ghz"] * (1 - 3e-10)}, []),
+    "min-slack-null": ({"min_slack_ps": lambda r: None}, ["min_slack_ps"]),
+    "min-slack-off": ({"min_slack_ps": lambda r: r["min_slack_ps"] - 2e-6}, ["min_slack_ps"]),
+    "min-slack-within": ({"min_slack_ps": lambda r: r["min_slack_ps"] + 5e-7}, []),
+    "slack-above-sta": ({"slack_ps": lambda r: r["min_slack_ps"] + 2e-6}, ["slack_ps"]),
+    "slack-below-sta": ({"slack_ps": lambda r: r["min_slack_ps"] - 5.0}, []),
+}
+MISMATCH_TEXT = {
+    "latency_ps": r"\S+ ps, the row deltas sum to \S+ ps",
+    "frequency_ghz": r"\S+ GHz, the period gives \S+ GHz",
+    "min_slack_ps": r"(null|\S+ ps), the STA finds \S+ ps",
+    "slack_ps": r"\S+ ps, above the STA minimum of \S+ ps",
+}
 
 
 class TestOptimizeVerify:
@@ -322,6 +347,85 @@ class TestOptimizeVerify:
         assert main(["verify", *io, "--schedule", str(report_path)]) == 1
         assert capsys.readouterr().err == "[PARSE_ERROR] manifest.config: max_skip must be an integer >= 1\n"
 
+    def test_verbose_prints_each_connection(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", seed=4, skip_prob=0.3)
+        report_path = tmp_path / "c.report.json"
+        capsys.readouterr()
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), "--verbose",
+                     "--out", str(report_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        connections = json.loads(report_path.read_text())["connections"]
+        assert len(connections) > 5
+        assert lines[-len(connections):] == [
+            f"{e['src']} -> {e['dst']}: setup {e['setup_slack_ps']:.4g} ps, hold {e['hold_slack_ps']:.4g} ps"
+            for e in connections
+        ]
+
+    def test_schedule_failing_sta_exits_2(self, workdir, capsys, monkeypatch):
+        # A margin no slack reaches makes the STA reject the solved schedule.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", seed=4, skip_prob=0.3)
+        monkeypatch.setattr(timing, "STA_MARGIN", 1e9)
+        capsys.readouterr()
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path)]) == 2
+        assert re.fullmatch(r"schedule fails STA: min slack \S+ ps\n", capsys.readouterr().err)
+
+    def test_period_past_the_last_breakpoint_fails_verify(self, workdir, capsys):
+        # Within FIX_TOL of t_max the range check passes, but no cell
+        # function is defined there, so the STA cannot evaluate it.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", seed=4)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["period_ps"] = 300.0000005
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 3
+        assert capsys.readouterr().err == (
+            "[PERIOD_OUT_OF_RANGE] schedule: t=300.0000005 outside the valid interval (0.0, 300.0]\n"
+        )
+
+    @pytest.mark.parametrize("case", sorted(REPORT_EDITS))
+    def test_report_figures_must_match_the_schedule(self, workdir, capsys, case):
+        edits, fields = REPORT_EDITS[case]
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=3, seed=4, skip_prob=0.3)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["min_slack_ps"] is not None
+        report.update({field: edit(report) for field, edit in edits.items()})
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["verify", *io, "--schedule", str(report_path)])
+        out, err = capsys.readouterr()
+        assert code == (3 if fields else 0), err
+        assert [line.split(":")[0] for line in err.splitlines()] == [f"[REPORT_MISMATCH] {f}" for f in fields]
+        for line, field in zip(err.splitlines(), fields):
+            assert re.fullmatch(rf"\[REPORT_MISMATCH\] {field}: report says {MISMATCH_TEXT[field]}", line), line
+        assert out == "" if fields else out.startswith("schedule verifies: ")
+
+    def test_connection_free_report_claims_no_sta_slack(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=1, width=2)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["connections"] == [] and report["min_slack_ps"] is None
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 0
+        report["min_slack_ps"] = 0.0
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 3
+        assert capsys.readouterr().err == (
+            "[REPORT_MISMATCH] min_slack_ps: report says 0 ps, the STA finds none, the circuit has no connections\n"
+        )
+
     @pytest.mark.parametrize("gen_kw,flags", [({}, []), ({"skip_prob": 0.4}, []),
                                               ({"chain_prob": 0.8}, ["--remove-buffers"])])
     def test_entry_and_list_order_leave_the_schedule(self, workdir, gen_kw, flags):
@@ -358,6 +462,7 @@ VERIFY_CASES = {
     "missing-report": (1, "", r"\[IO_ERROR\] \S+: \[Errno 2\] [^\n]+\n"),
     "bad-circuit-and-report": (1, "", r"\[PARSE_ERROR\] document: top level must be an object\n"),
     "non-finite-deltas": (3, "", r"(\[STA_VIOLATION\] \S+: timing violation: [^\n]*(nan|inf)[^\n]*\n)+"),
+    "falsified-figures": (3, "", r"(\[REPORT_MISMATCH\] [a-z_]+: report says [^\n]+\n){4}"),
 }
 
 
@@ -402,6 +507,10 @@ class TestForkedReportDecode:
         elif case == "non-finite-deltas":
             doc = json.loads(report.read_text())
             doc["row_deltas_ps"][1:3] = [math.nan, math.inf]
+            report.write_text(json.dumps(doc))
+        elif case == "falsified-figures":
+            doc = json.loads(report.read_text())
+            doc.update(latency_ps=1, slack_ps=40, min_slack_ps=30, frequency_ghz=99)
             report.write_text(json.dumps(doc))
         code, out_pattern, err_pattern = VERIFY_CASES[case]
         outcomes = []
@@ -730,6 +839,10 @@ MALFORMED = [
     ("report", ("period_ps",), "x", 1),
     ("report", ("row_deltas_ps",), 5, 1),
     ("report", ("row_deltas_ps", 0), NAN, 3),
+    ("report", ("frequency_ghz",), 0, 1),
+    ("report", ("frequency_ghz",), "x", 1),
+    ("report", ("min_slack_ps",), "x", 1),
+    ("report", ("min_slack_ps",), math.inf, 1),
 ]
 
 

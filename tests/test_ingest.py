@@ -11,9 +11,6 @@ from hypothesis import Phase, given, settings, strategies as st
 from aqfpopt import ingest
 from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import (
-    CircuitFormatError,
-    LibraryFormatError,
-    ReportFormatError,
     emit_report,
     parse_circuit,
     parse_library,
@@ -81,19 +78,19 @@ class TestParseCircuit:
     def test_unknown_key_rejected(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["gates"][0]["colour"] = "blue"
-        with pytest.raises(CircuitFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_circuit(json.dumps(doc))
         assert "UNKNOWN_KEY" in codes(e)
 
     def test_format_version_required(self):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
         doc["format_version"] = 99
-        with pytest.raises(CircuitFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_circuit(json.dumps(doc))
         assert "BAD_FORMAT_VERSION" in codes(e)
 
     def test_malformed_json_reports_line(self):
-        with pytest.raises(CircuitFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_circuit("{\n  broken\n}")
         assert "PARSE_ERROR" in codes(e)
 
@@ -252,7 +249,7 @@ def assert_parse_matches_tables(doc, sources):
     errs, gates, connections = table_path(doc)
     for source in sources:
         if errs:
-            with pytest.raises(CircuitFormatError) as e:
+            with pytest.raises(ValidationError) as e:
                 parse_circuit(source)
             assert e.value.diagnostics == errs
         else:
@@ -280,7 +277,7 @@ class TestParseLibrary:
     def test_arity_mismatch(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"]["buffer"]["rd"] = [[0.3, 6.0]]
-        with pytest.raises(LibraryFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_library(json.dumps(doc))
         assert "ARITY_MISMATCH" in codes(e)
 
@@ -290,28 +287,47 @@ class TestParseLibrary:
         # are the observable failure of a cell diverging from the shared grid.
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"]["buffer"]["rd"] = [[0.3, 6.0], [0.33, 3.0], [0.36, 0.0]]
-        with pytest.raises(LibraryFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_library(json.dumps(doc))
         assert "ARITY_MISMATCH" in codes(e)
 
     def test_empty_cells(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["cells"] = {}
-        with pytest.raises(LibraryFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_library(json.dumps(doc))
         assert "EMPTY_LIBRARY" in codes(e)
 
     def test_unknown_key(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["vendor"] = "acme"
-        with pytest.raises(LibraryFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_library(json.dumps(doc))
         assert "UNKNOWN_KEY" in codes(e)
+
+    @pytest.mark.parametrize("breakpoints,line", [
+        ([0.0, 300.0, 100.0], "[NONMONOTONE_BREAKPOINTS] breakpoints_ps: breakpoints must be strictly increasing"),
+        ([-1.0, 100.0, 300.0], "[NEGATIVE_BREAKPOINT] breakpoints_ps: first breakpoint must be >= 0"),
+        ([5.0], "[ARITY_MISMATCH] breakpoints_ps: need at least two breakpoints"),
+        ([0.0, 100.0, 250.0], "[BREAKPOINT_SPAN] library: breakpoints (0.0, 250.0] do not cover [200.0, 300.0]"),
+    ], ids=["non-increasing", "negative", "single", "short-span"])
+    def test_each_grid_fault_is_named_once(self, ref_lib, tmp_path, capsys, breakpoints, line):
+        # The grid is the library's, so a fault in it gets one line, not one
+        # per cell function (5 cells x 4 functions in the reference library).
+        doc = json.loads(serialize_library(ref_lib))
+        doc["breakpoints_ps"] = breakpoints
+        lib_path = tmp_path / "bad.qlib.json"
+        lib_path.write_text(json.dumps(doc))
+        circ = tmp_path / "c.qc.json"
+        circ.write_text(json.dumps(MINIMAL_CIRCUIT))
+        capsys.readouterr()
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path)]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
     def test_interconnect_sanity_enforced(self, ref_lib):
         doc = json.loads(serialize_library(ref_lib))
         doc["l_buffer_um"] = 500.0
-        with pytest.raises(LibraryFormatError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_library(json.dumps(doc))
         assert "INVALID_INTERCONNECT" in codes(e)
 
@@ -419,9 +435,9 @@ ODD_MANIFESTS = st.none() | st.dictionaries(ODD_TEXT, st.none() | ODD_FLOATS | O
     verbose=st.booleans(),
 )
 def test_report_writer_matches_compact_json(count, pool, sched, min_slack, no_sta, stats, manifest, verbose):
-    # A connection-free circuit has no STA at all; the writer sees None.
+    # A connection-free circuit has no STA minimum.
     entries = tuple(itertools.islice(itertools.cycle(pool), count))
-    slacks = None if count == 0 and no_sta else SlackReport(entries, min_slack)
+    slacks = SlackReport((), None) if count == 0 and no_sta else SlackReport(entries, min_slack)
     report = emit_report(sched, slacks, stats, manifest=manifest, verbose=verbose)
     assert written_report(report) == report_json_reference(sched, slacks, stats, manifest, verbose)
 
@@ -459,6 +475,17 @@ def sorted_spelling(text: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def traced_parse(text: str):
+    """The circuit parsed from ``text``, with the bytes it retains and the peak while parsing."""
+    tracemalloc.start()
+    try:
+        circuit = parse_circuit(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return circuit, retained, peak
+
+
 @pytest.mark.parametrize("adversarial,sort_keys", [(False, False), (True, False), (False, True), (True, True)],
                          ids=["False", "True", "sorted-False", "sorted-True"])
 def test_parse_memory_stays_near_the_records(adversarial, sort_keys):
@@ -468,43 +495,41 @@ def test_parse_memory_stays_near_the_records(adversarial, sort_keys):
     # decoded object until the records are built, as a separate pass must,
     # reads about 2.4 to 2.9 times them.
     text = serialize_circuit(generate_circuit(rows=100, width=10, seed=1, adversarial=adversarial))
-    if sort_keys:
-        text = sorted_spelling(text)
-    tracemalloc.start()
-    try:
-        circuit = parse_circuit(text)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    circuit, retained, peak = traced_parse(sorted_spelling(text) if sort_keys else text)
     assert len(circuit.connections) > 1000
     assert peak <= 1.5 * retained
+    if sort_keys:
+        # Endpoints share the gates' id strings though connections come
+        # first; a copy per endpoint retains about 1.4 times as much.
+        assert retained <= 1.05 * traced_parse(text)[1]
 
 
 class TestEmitReport:
     def test_frequency_from_period(self):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0)
-        report = emit_report(sched, None, None)
+        report = emit_report(sched, SlackReport((), None))
         assert report["frequency_ghz"] == pytest.approx(5.0, abs=0)
 
     def test_empty_circuit_schedule(self):
         sched = Schedule(period=100.0, row_deltas=(), slack=0.0, latency=0.0)
-        report = emit_report(sched, None, None)
+        report = emit_report(sched, SlackReport((), None))
         assert report["latency_ps"] == 0.0
         assert report["min_slack_ps"] is None
         assert report["connections"] == []
 
     def test_table_renders_all_fields(self):
         sched = Schedule(period=100.0, row_deltas=(18.0,), slack=0.0, latency=18.0)
-        table = render_report_table(emit_report(sched, None, None))
+        table = render_report_table(emit_report(sched, SlackReport((), None)))
         assert "10 GHz" in table
         assert "latency" in table
 
     def test_schedule_survives_report(self):
         sched = Schedule(period=250.0, row_deltas=(1.5, 2.5), slack=3.0, latency=4.0, segment_index=2)
-        report = emit_report(sched, None, None)
+        report = emit_report(sched, SlackReport((), None))
         again = schedule_from_report(report)
         assert again == sched
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ReportFormatError):
+        with pytest.raises(ValidationError) as e:
             parse_report(json.dumps({"format_version": 1}))
+        assert codes(e) == {"PARSE_ERROR"}

@@ -185,6 +185,12 @@ class TestConfig:
         assert [(d.code, d.entity) for d in e.value.diagnostics] == [("INVALID_CONFIG", "t_min_override")]
         assert OptimizationConfig(t_min_override=250.0, t_max_override=250.0).t_max_override == 250.0
 
+    @pytest.mark.parametrize("max_skip", [None, "x", 0, 2.0, True])
+    def test_max_skip_must_be_an_integer(self, max_skip):
+        with pytest.raises(ValidationError) as e:
+            OptimizationConfig(max_skip=max_skip)
+        assert [str(d) for d in e.value.diagnostics] == ["[INVALID_CONFIG] max_skip: max_skip must be an integer >= 1"]
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             OptimizationConfig(tau=0.0, sigma=0.0, lam=0.0)

@@ -389,7 +389,7 @@ class TestDifferenceSolver:
         tcs = build_constraints(c, fixture_library, cfg)
         with pytest.raises(InfeasibleScheduleError) as e:
             optimize_schedule(tcs, fixture_library, cfg)
-        keys = {conn.key for conn in c.connections}
+        keys = {f"{conn.src}->{conn.dst}" for conn in c.connections}
         assert all(d.code == "INFEASIBLE" for d in e.value.diagnostics)
         assert any(d.entity.split(":", 1)[-1] in keys for d in e.value.diagnostics)
 
@@ -409,7 +409,8 @@ class TestDifferenceSolver:
         with pytest.raises(InfeasibleScheduleError) as e:
             optimize_schedule(tcs, fixture_library, cfg)
         named = {d.entity for d in e.value.diagnostics}
-        assert named == {f"setup:{setup_pair[0].key}", f"hold:{hold_pair[0].key}"}
+        s, h = setup_pair[0], hold_pair[0]
+        assert named == {f"setup:{s.src}->{s.dst}", f"hold:{h.src}->{h.dst}"}
 
 
 def two_cycle_circuit():

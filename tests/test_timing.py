@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import reformulated_residuals
+from conftest import NO_CAP, reformulated_residuals
 from aqfpopt.cli import generate_circuit
 from aqfpopt.model import (
     Circuit,
@@ -12,11 +12,11 @@ from aqfpopt.model import (
     OptimizationConfig,
     PwlDomainError,
     Schedule,
+    ValidationError,
 )
 from aqfpopt.solver import SegmentRestriction
 from aqfpopt.timing import (
     ConnectionSlack,
-    UnsupportedSkipError,
     build_constraints,
     sta_check,
 )
@@ -86,11 +86,11 @@ class TestBuildConstraints:
             gates=(Gate("a", "majority3", 0, 0.0), Gate("d", "majority3", 3, 3.0)),
             connections=(Connection("a", "d", 9.0),),
         )
-        with pytest.raises(UnsupportedSkipError) as e:
+        with pytest.raises(ValidationError) as e:
             build_constraints(c, fixture_library, OptimizationConfig(max_skip=2))
         assert e.value.diagnostics[0].code == "UNSUPPORTED_SKIP"
         assert e.value.diagnostics[0].entity == "a->d"
-        tcs = build_constraints(c, fixture_library, OptimizationConfig(max_skip=None))
+        tcs = build_constraints(c, fixture_library, OptimizationConfig(max_skip=NO_CAP))
         assert [(tc.first_row, tc.last_row) for tc in tcs.constraints] == [(0, 3)]
 
 
@@ -144,7 +144,7 @@ class TestReformulationEquivalence:
         sched = Schedule(
             period=period, row_deltas=tuple(deltas), slack=0.0, latency=sum(deltas)
         )
-        tcs = build_constraints(circuit, lib, OptimizationConfig(max_skip=None))
+        tcs = build_constraints(circuit, lib, OptimizationConfig(max_skip=NO_CAP))
         residuals = reformulated_residuals(tcs, lib, period, deltas, hold_mode)
         rep = sta_check(circuit, lib, sched, hold_mode)
         assert len(residuals) == 2 * len(circuit.connections)
