@@ -8,7 +8,9 @@ variable (error, warn, info, debug) controls diagnostic verbosity.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import importlib.util
 import json
 import os
 import random
@@ -16,10 +18,9 @@ import sys
 import threading
 import time
 from importlib import resources
-from typing import Optional
+from typing import NoReturn, Optional
 
-from aqfpopt import __version__
-from aqfpopt.bufferopt import RemovalPlan, remove_buffers
+from aqfpopt import __version__, timing
 from aqfpopt.ingest import (
     emit_report,
     parse_circuit,
@@ -32,12 +33,14 @@ from aqfpopt.ingest import (
 )
 from aqfpopt.model import (
     BUFFER_CELL,
+    FIX_TOL,
     LOG_LEVELS,
     CellLibrary,
     Circuit,
     Connection,
     Diagnostic,
     Gate,
+    InfeasibleScheduleError,
     OptimizationConfig,
     PwlDomainError,
     Schedule,
@@ -45,8 +48,38 @@ from aqfpopt.model import (
     log,
     validate_circuit,
 )
-from aqfpopt.solver import FIX_TOL, InfeasibleScheduleError, optimize_schedule
-from aqfpopt.timing import build_constraints, sta_check
+
+
+def _lazy_import(name: str):
+    """Module ``name``, registered in ``sys.modules`` without running its code:
+    the first attribute looked up on it runs the code. A command that never
+    calls into the module never compiles it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+# Only optimize and sweep solve, and only removal runs bufferopt. Calls go
+# through the module, as ``solver.optimize_schedule``, so a function swapped
+# in on the module after this import is the one called.
+solver = _lazy_import("aqfpopt.solver")
+bufferopt = _lazy_import("aqfpopt.bufferopt")
+
+
+def _load_now(*modules) -> None:
+    """Run the code of each lazy module now; None entries are skipped. A
+    command that needs a module does this before it reads its inputs, so the
+    compile's transient memory is freed before the parsed circuit is built,
+    not stacked on top of it."""
+    for module in modules:
+        if module is not None:
+            vars(module)  # any attribute lookup runs a lazy module's code
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -292,21 +325,21 @@ def _schedule(held, lib, configs, remove, timings):
     into ``timings``. The constraint set is dropped before the STA.
     """
     circuit = held.pop()
-    plan: Optional[RemovalPlan] = None
+    plan = None
     if remove:
         t0 = time.perf_counter()
-        circuit, plan = remove_buffers(circuit, lib, max_skip=configs[0].max_skip)
+        circuit, plan = bufferopt.remove_buffers(circuit, lib, max_skip=configs[0].max_skip)
         timings["buffer_removal"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tcs = build_constraints(circuit, lib, configs[0])  # reads only max_skip
+    tcs = timing.build_constraints(circuit, lib, configs[0])  # reads only max_skip
     timings["constraints"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     solved = []
     for cfg in configs:
         try:
-            solved.append(optimize_schedule(tcs, lib, cfg))
+            solved.append(solver.optimize_schedule(tcs, lib, cfg))
         except InfeasibleScheduleError as e:
             solved.append(e)
     timings["solve"] = time.perf_counter() - t0
@@ -314,7 +347,7 @@ def _schedule(held, lib, configs, remove, timings):
 
     t0 = time.perf_counter()
     outcomes = [
-        s if isinstance(s, InfeasibleScheduleError) else (s, sta_check(circuit, lib, s, cfg.hold_mode))
+        s if isinstance(s, InfeasibleScheduleError) else (s, timing.sta_check(circuit, lib, s, cfg.hold_mode))
         for s, cfg in zip(solved, configs)
     ]
     timings["verify"] = time.perf_counter() - t0
@@ -326,6 +359,7 @@ def _schedule(held, lib, configs, remove, timings):
 
 
 def cmd_optimize(args) -> int:
+    _load_now(solver, bufferopt if args.remove_buffers else None)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     circuit, lib = _load_inputs(args)
@@ -457,7 +491,7 @@ def cmd_verify(args) -> int:
     manifest_cfg, sched = decoded["config"], Schedule(*decoded["schedule"])
 
     if manifest_cfg.get("remove_buffers"):
-        circuit, _ = remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
+        circuit, _ = bufferopt.remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
         log.info("re-applied buffer removal recorded in the report manifest")
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
@@ -468,7 +502,7 @@ def cmd_verify(args) -> int:
         return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", message)], EXIT_VERIFY)
     hold_mode = manifest_cfg.get("hold_mode", args.hold_mode)
     try:
-        slacks = sta_check(circuit, lib, sched, hold_mode)
+        slacks = timing.sta_check(circuit, lib, sched, hold_mode)
     except PwlDomainError as e:
         return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
     failing = [
@@ -529,6 +563,7 @@ def cmd_sweep(args) -> int:
         print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
         return EXIT_INPUT
     configs = {name: _preset_config(name, args.max_skip) for name in names}
+    _load_now(solver, bufferopt if "table3" in names else None)
     circuit, lib = _load_inputs(args)
     # Each distinct config is solved once on the parsed circuit; table3's
     # baseline is table1a's run, paired with one run after buffer removal.
@@ -686,5 +721,45 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _stdout_closed() -> int:
+    """The exit code once the reader of stdout has closed the pipe. Whatever
+    stdout still holds goes to the null device; the diagnostic goes to stderr
+    unless that pipe is closed too."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    try:
+        return _fail([Diagnostic("IO_ERROR", "stdout", "the reader closed the pipe")])
+    except BrokenPipeError:
+        os.dup2(null, sys.stderr.fileno())
+        return EXIT_INPUT
+    finally:
+        os.close(null)
+
+
+def run() -> NoReturn:
+    """Run ``main`` as a process and end it without interpreter teardown.
+
+    This is the ``aqfpopt`` console script and ``python -m aqfpopt.cli``.
+    After ``main`` returns, the ``atexit`` handlers run and stdout and stderr
+    are flushed, as at a normal exit; then ``os._exit`` skips the teardown,
+    which frees every object one by one. A closed stdout pipe ends in an
+    ``IO_ERROR`` diagnostic and exit 1, without a traceback.
+    """
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -85,6 +85,14 @@ class ValidationError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
+class InfeasibleScheduleError(ValidationError):
+    """No schedule meets the constraints, or the solver broke down numerically."""
+
+
+#: Tolerance used when a lexicographic stage fixes its criterion.
+FIX_TOL = 1e-6
+
+
 class _PiecewiseLinearFields(NamedTuple):
     breakpoints: tuple[float, ...]
     segments: tuple[tuple[float, float], ...]
@@ -416,6 +424,21 @@ class _OptimizationConfigFields(NamedTuple):
     max_skip: int = 2  # largest supported connection row span
 
 
+_CONFIG_NUMBERS = ("tau", "sigma", "lam", "s_min", "s_max", "delta_max")
+_CONFIG_OVERRIDES = ("t_min_override", "t_max_override")  # numbers, or None when unset
+
+
+def _finite(value) -> Optional[bool]:
+    """Whether ``value`` is finite as a float, or None where ``math`` takes it
+    for no real number: a string, None or a list."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+    except TypeError:
+        return None
+
+
 class OptimizationConfig(_Checked, _OptimizationConfigFields):
     """User-facing knobs of the schedule optimization.
 
@@ -428,10 +451,41 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        mistyped = [name for name in _CONFIG_NUMBERS if _finite(getattr(self, name)) is None]
+        mistyped += [name for name in _CONFIG_OVERRIDES if getattr(self, name) is not None
+                     and _finite(getattr(self, name)) is None]
+        errs = [Diagnostic("INVALID_CONFIG", name, f"{name} must be a real number") for name in mistyped]
+        if not mistyped:  # the numbers compare only when all of them are numbers
+            errs += self._number_errors()
+        if self.hold_mode not in ("reset-delay", "dlplace"):
+            errs.append(Diagnostic("INVALID_CONFIG", "hold_mode", f"unknown mode {self.hold_mode!r}"))
+        if self.priority_mode not in ("weighted", "lexicographic"):
+            errs.append(
+                Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}")
+            )
+        try:
+            priority_ok = sorted(self.priority) == ["latency", "period", "slack"]
+        except TypeError:  # None, a number, or names mixed with other types
+            priority_ok = False
+        if not priority_ok:
+            errs.append(
+                Diagnostic(
+                    "INVALID_CONFIG",
+                    "priority",
+                    "priority must order period, latency and slack exactly once each",
+                )
+            )
+        if not (type(self.max_skip) is int and self.max_skip >= 1):
+            errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
+        if errs:
+            raise ValidationError(errs)
+        return self
+
+    def _number_errors(self) -> list[Diagnostic]:
+        """The diagnostics of the numeric fields, once each is a real number or an unset override."""
         errs = []
-        numbers = (self.tau, self.sigma, self.lam, self.s_min, self.s_max, self.delta_max,
-                   self.t_min_override, self.t_max_override)
-        if not all(v is None or math.isfinite(v) for v in numbers):
+        numbers = [getattr(self, name) for name in _CONFIG_NUMBERS + _CONFIG_OVERRIDES]
+        if not all(v is None or _finite(v) for v in numbers):
             errs.append(Diagnostic("INVALID_CONFIG", "config", "numeric settings must be finite"))
         if self.s_min > self.s_max:
             errs.append(Diagnostic("INVALID_CONFIG", "s_min", "s_min must be <= s_max"))
@@ -441,27 +495,9 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
             errs.append(Diagnostic("INVALID_CONFIG", "weights", "weights must be >= 0"))
         if self.tau == self.sigma == self.lam == 0:
             errs.append(Diagnostic("INVALID_CONFIG", "weights", "weights must not all be zero"))
-        if self.hold_mode not in ("reset-delay", "dlplace"):
-            errs.append(Diagnostic("INVALID_CONFIG", "hold_mode", f"unknown mode {self.hold_mode!r}"))
-        if self.priority_mode not in ("weighted", "lexicographic"):
-            errs.append(
-                Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}")
-            )
-        if sorted(self.priority) != ["latency", "period", "slack"]:
-            errs.append(
-                Diagnostic(
-                    "INVALID_CONFIG",
-                    "priority",
-                    "priority must order period, latency and slack exactly once each",
-                )
-            )
         if self.delta_max <= 0:
             errs.append(Diagnostic("INVALID_CONFIG", "delta_max", "delta_max must be > 0"))
-        if not (type(self.max_skip) is int and self.max_skip >= 1):
-            errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
-        if errs:
-            raise ValidationError(errs)
-        return self
+        return errs
 
     def period_bounds(self, lib: CellLibrary) -> tuple[float, float]:
         lo = lib.period_lo if self.t_min_override is None else max(self.t_min_override, lib.period_lo)

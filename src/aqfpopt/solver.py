@@ -27,12 +27,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
+# FIX_TOL and InfeasibleScheduleError live in model, so that checking a
+# stored schedule never loads this module; they stay importable from here.
 from aqfpopt.model import (
+    FIX_TOL,
     CellLibrary,
     Diagnostic,
+    InfeasibleScheduleError,
     OptimizationConfig,
     Schedule,
-    ValidationError,
     log,
 )
 from aqfpopt.timing import TimingConstraint, TimingConstraintSet
@@ -45,16 +48,9 @@ PIVOT_TOL = 1e-11
 #: Pivots one simplex run may take before declaring breakdown.
 PIVOT_LIMIT = 10000
 
-#: Tolerance used when a lexicographic stage fixes its criterion.
-FIX_TOL = 1e-6
-
 
 class SolverBreakdown(RuntimeError):
     """A numerical failure that leaves one segment unsolved."""
-
-
-class InfeasibleScheduleError(ValidationError):
-    pass
 
 
 class Cut(NamedTuple):
@@ -468,10 +464,15 @@ _STAGE_VECTORS = {"period": (1.0, 0.0, 0.0), "latency": (0.0, 0.0, 1.0), "slack"
 
 def _stages(cfg: OptimizationConfig) -> list[tuple[float, float, float]]:
     """Stage objectives over (T, S, L) in solve order: the weighted vector and
-    then period, latency and slack in weighted mode, ``cfg.priority`` otherwise."""
+    then period, latency and slack in weighted mode, ``cfg.priority`` otherwise.
+
+    The weighted vector is divided by its largest weight, which keeps the
+    argmin: the stage-fix row then holds coefficients of at most 1, as the
+    simplex tolerances assume, however large the weights are."""
     if cfg.priority_mode == "lexicographic":
         return [_STAGE_VECTORS[name] for name in cfg.priority]
-    weighted = (cfg.tau, -cfg.sigma, cfg.lam)
+    scale = max(cfg.tau, cfg.sigma, cfg.lam)
+    weighted = (cfg.tau / scale, -cfg.sigma / scale, cfg.lam / scale)
     return [weighted] + [_STAGE_VECTORS[name] for name in ("period", "latency", "slack")]
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aqfpopt import cli, timing
+from aqfpopt import cli, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
@@ -316,16 +316,18 @@ class TestOptimizeVerify:
         del parsed, removed
         seen = {}
 
-        def spy(name, fn):
+        def spy(module, name):
+            fn = getattr(module, name)
+
             def wrapped(*args, **kwargs):
                 objs = gc.get_objects()
                 seen[name] = (sum(type(o) is TimingConstraintSet for o in objs),
                               [len(o.gates) for o in objs if type(o) is Circuit and o.name == circuit_name])
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(cli, name, wrapped)
+            monkeypatch.setattr(module, name, wrapped)
 
-        spy("sta_check", cli.sta_check)
-        spy("emit_report", cli.emit_report)
+        spy(timing, "sta_check")
+        spy(cli, "emit_report")
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags]) == 0
         assert seen["sta_check"] == (0, [gates])
         assert seen["emit_report"] == (0, [])
@@ -678,9 +680,9 @@ class TestSweep:
             solves.append(1)
             return optimize_schedule(*args)
 
-        build_constraints, optimize_schedule = cli.build_constraints, cli.optimize_schedule
-        monkeypatch.setattr(cli, "build_constraints", counting_build)
-        monkeypatch.setattr(cli, "optimize_schedule", counting_solve)
+        build_constraints, optimize_schedule = timing.build_constraints, solver.optimize_schedule
+        monkeypatch.setattr(timing, "build_constraints", counting_build)
+        monkeypatch.setattr(solver, "optimize_schedule", counting_solve)
         assert main(["sweep", "--circuit", str(circ), "--lib", str(lib_path),
                      "--configs", "table1a,table1b,table1c,table3"]) == 0
         assert len(built) == 2 and built[0] > built[1]  # the parsed circuit, then the removed one
@@ -909,6 +911,120 @@ def test_import_leaves_numpy_unloaded(workdir):
     )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def process_env(**changes):
+    """Environment of a CLI child process: the package on PYTHONPATH, stdout
+    block-buffered as without ``-u``, then ``changes``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(changes)
+    return env
+
+
+def run_module(*argv, **env):
+    """``python -m aqfpopt.cli`` with ``argv``, to its end."""
+    return subprocess.run([sys.executable, "-m", "aqfpopt.cli", *map(str, argv)], env=process_env(**env),
+                          capture_output=True, text=True)
+
+
+#: Runs main() on argv[1:] in process, then prints its exit code and which
+#: of the lazily imported modules have run their code, as one JSON line.
+LOADED_AFTER = """
+import importlib.util, json, sys
+from aqfpopt.cli import main
+code = main(sys.argv[1:])
+lazy = ("aqfpopt.solver", "aqfpopt.bufferopt")
+print(json.dumps([code, [m for m in lazy if type(sys.modules[m]) is not importlib.util._LazyModule]]))
+"""
+
+
+class TestProcess:
+    """The CLI as a process: which modules a command compiles, and how the
+    process ends."""
+
+    @staticmethod
+    def loaded_after(*argv):
+        proc = subprocess.run([sys.executable, "-c", LOADED_AFTER, *map(str, argv)],
+                              env=process_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize("remove", [False, True])
+    def test_verify_leaves_the_solver_unloaded(self, workdir, remove):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=2, seed=4, chain_prob=0.9)
+        report = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report), *["--remove-buffers"] * remove]) == 0
+        # Only a report made with removal has verify load bufferopt.
+        assert self.loaded_after("verify", *io, "--schedule", report) == (0, ["aqfpopt.bufferopt"] * remove)
+
+    def test_gen_loads_neither_solver_nor_removal(self, tmp_path):
+        assert self.loaded_after("gen", "--rows", 3, "--width", 2, "--out", tmp_path / "c.qc.json") == (0, [])
+
+    @pytest.mark.parametrize("flags,loaded", [([], ["aqfpopt.solver"]),
+                                              (["--remove-buffers"], ["aqfpopt.solver", "aqfpopt.bufferopt"])])
+    def test_optimize_loads_what_it_runs_before_reading_inputs(self, tmp_path, flags, loaded):
+        # The modules are loaded before the parse, so even a missing circuit
+        # file finds them loaded.
+        argv = ["optimize", "--circuit", tmp_path / "missing.qc.json", "--lib", tmp_path / "missing.qlib.json"]
+        assert self.loaded_after(*argv, *flags) == (1, loaded)
+
+    def test_module_run_keeps_exit_codes_and_output(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=3, seed=3)
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        # Two connections into x whose delays differ by more than t_max.
+        gates = (Gate("a", "majority3", 0, 0.0), Gate("b", "majority3", 0, 0.0), Gate("x", "majority3", 1, 1.0))
+        conns = (Connection("a", "x", 10.0, 5.0), Connection("b", "x", 10.0, 400.0))
+        infeasible = tmp_path / "infeasible.qc.json"
+        infeasible.write_text(serialize_circuit(Circuit("infeasible", 2, gates, conns)))
+        report, falsified = tmp_path / "c.report.json", tmp_path / "falsified.report.json"
+        assert main(["optimize", *io, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["min_slack_ps"] += 1.0
+        falsified.write_text(json.dumps(doc))
+        cases = [
+            (["gen", "--rows", "300", "--width", "20"], 0),  # far more than a pipe holds
+            (["optimize", *io, "--verbose"], 0),
+            (["optimize", *io, "--priority", "period"], 1),
+            (["optimize", "--circuit", str(infeasible), "--lib", str(lib_path)], 2),
+            (["verify", *io, "--schedule", str(falsified)], 3),
+        ]
+        capsys.readouterr()
+        for argv, code in cases:
+            assert main(argv) == code
+            expected = capsys.readouterr()
+            proc = run_module(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err), argv
+
+    def test_atexit_handlers_still_run(self, tmp_path):
+        (tmp_path / "sitecustomize.py").write_text("import atexit\natexit.register(print, 'atexit handler ran')\n")
+        proc = run_module("gen", "--rows", 2, "--width", 2, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]))
+        assert proc.returncode == 0, proc.stderr
+        text, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+        assert last == "atexit handler ran"
+        assert parse_circuit(text).num_rows == 2
+
+    def test_closed_stdout_pipe_ends_in_a_diagnostic(self):
+        proc = subprocess.Popen([sys.executable, "-m", "aqfpopt.cli", "gen", "--rows", "300", "--width", "20"],
+                                env=process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "[IO_ERROR] stdout: the reader closed the pipe\n"
+
+    def test_console_script_is_the_runner(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, name = scripts["aqfpopt"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+
 # Values swapped in by the fuzzer: wrong JSON types, non-finite numbers and
 # numbers of the wrong sign or kind.
 JUNK = st.sampled_from([NAN, math.inf, -math.inf, "x", None, True, [], {}, 5, -1, 0, 1.7])
@@ -928,23 +1044,42 @@ SOLVER_FLAGS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("weights,code", [(["--tau", "1", "--sigma", "1e307"], 2), (["--sigma", "1e10"], 0)],
+@pytest.mark.parametrize("weights", [["--tau", "1", "--sigma", "1e307"], ["--sigma", "1e10"]],
                          ids=["overflow", "past-last-breakpoint"])
-def test_extreme_weights_end_in_a_diagnostic_or_a_verified_schedule(workdir, capsys, weights, code):
-    # A weight of 1e307 overflows the simplex tableau. At 1e10 the solved
+def test_extreme_weights_end_in_a_diagnostic_or_a_verified_schedule(workdir, weights):
+    # A weight of 1e307 would overflow the simplex tableau if the weighted
+    # objective were not divided by its largest weight. At 1e10 the solved
     # period lands a rounding error past the library's last breakpoint,
     # where no timing is defined, so the STA could not evaluate it.
     tmp_path, lib_path = workdir
     circ = gen(tmp_path, lib_path, "c.qc.json", rows=4, width=2, seed=3, chain_prob=0.5, skip_prob=0.5)
     report = tmp_path / "c.report.json"
     io = ["--circuit", str(circ), "--lib", str(lib_path)]
-    capsys.readouterr()
-    assert main(["optimize", *io, *weights, "--out", str(report)]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert re.findall(r"^\[(\w+)\]", err, re.M) == ["SOLVER_BREAKDOWN"], err
-    else:
+    assert main(["optimize", *io, *weights, "--out", str(report)]) == 0
+    assert main(["verify", *io, "--schedule", str(report)]) == 0
+
+
+@pytest.mark.parametrize("rows,width,seed,weights", [(4, 2, 3, {"--sigma": 1e300}),
+                                                     (20, 4, 1, {"--tau": 1.0, "--sigma": 1e10})],
+                         ids=["sigma-1e300", "sigma-1e10"])
+def test_large_weights_solve_as_their_scaled_copy(workdir, rows, width, seed, weights):
+    # These weights broke the solver down before the weighted objective was
+    # divided by its largest weight. Dividing them all by it first must give
+    # the same schedule.
+    tmp_path, lib_path = workdir
+    circ = gen(tmp_path, lib_path, "c.qc.json", rows=rows, width=width, seed=seed)
+    io = ["--circuit", str(circ), "--lib", str(lib_path)]
+    full = dict({"--tau": 1.0, "--sigma": 1e-8, "--lambda": 1e-4}, **weights)  # the CLI's defaults
+    largest = max(full.values())
+    schedules = []
+    for name, flags in (("large", full), ("scaled", {flag: w / largest for flag, w in full.items()})):
+        report = tmp_path / f"{name}.report.json"
+        argv = [x for flag, w in flags.items() for x in (flag, repr(w))]
+        assert main(["optimize", *io, *argv, "--out", str(report)]) == 0
         assert main(["verify", *io, "--schedule", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        schedules.append({key: doc[key] for key in ("period_ps", "row_deltas_ps", "slack_ps", "latency_ps")})
+    assert schedules[0] == schedules[1]
 
 
 def paths_of(doc, prefix=()):

@@ -191,6 +191,20 @@ class TestConfig:
             OptimizationConfig(max_skip=max_skip)
         assert [str(d) for d in e.value.diagnostics] == ["[INVALID_CONFIG] max_skip: max_skip must be an integer >= 1"]
 
+    @pytest.mark.parametrize("field,value", [("tau", "x"), ("sigma", [1.0]), ("lam", 1j), ("s_min", None),
+                                             ("s_max", "50"), ("delta_max", None), ("t_min_override", "250"),
+                                             ("t_max_override", {})])
+    def test_mistyped_number_rejected(self, field, value):
+        with pytest.raises(ValidationError) as e:
+            OptimizationConfig(**{field: value})
+        assert [str(d) for d in e.value.diagnostics] == [f"[INVALID_CONFIG] {field}: {field} must be a real number"]
+
+    @pytest.mark.parametrize("priority", [None, 3, ("period", 1, "slack"), ("latency", "period", None)])
+    def test_mistyped_priority_rejected(self, priority):
+        with pytest.raises(ValidationError) as e:
+            OptimizationConfig(priority=priority)
+        assert [(d.code, d.entity) for d in e.value.diagnostics] == [("INVALID_CONFIG", "priority")]
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             OptimizationConfig(tau=0.0, sigma=0.0, lam=0.0)

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import BP2, const_fn, make_library
 from oracles import grid_min_period, min_latency_at, segment_lp_oracle
-from aqfpopt import cli, solver
+from aqfpopt import solver
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import generate_circuit, main
 from aqfpopt.ingest import serialize_circuit, serialize_library
@@ -591,7 +591,7 @@ class TestExplore:
                 raise e.value
             return real(tcs, lib, cfg)
 
-        monkeypatch.setattr(cli, "optimize_schedule", fails_with_min_slack)
+        monkeypatch.setattr(solver, "optimize_schedule", fails_with_min_slack)
         out = tmp_path / "sweep.json"
         assert main(["sweep", *cli_inputs(tmp_path, two_row_circuit, fixture_library),
                      "--configs", "table1b,table1a", "--out", str(out)]) == 0
