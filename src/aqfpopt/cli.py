@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-import threading
 import time
 from importlib import resources
 from typing import NoReturn, Optional
@@ -399,63 +398,8 @@ def _decode_report(path) -> dict:
     manifest config, the schedule, and the frequency and STA slack it claims.
     The rest of the document, one object per connection, is freed on return."""
     report = _read_input(path, parse_report)
-    return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": list(schedule_from_report(report)),
+    return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
             "frequency_ghz": report["frequency_ghz"], "min_slack_ps": report["min_slack_ps"]}
-
-
-def _fork_report_decode(path):
-    """Start a child that runs ``_decode_report(path)`` and writes its result
-    to a pipe as one JSON line, or ``{"diagnostics": [...]}`` if the report
-    is rejected. Returns the child's pid and the pipe's read end, or None
-    where no child can be forked.
-
-    JSON's ``NaN`` and ``Infinity`` tokens carry non-finite deltas. The
-    child leaves only by ``os._exit``, so it never unwinds into its caller.
-    A process that runs other threads is not forked: a lock one of them
-    holds would stay locked in the child.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    try:
-        os.close(rfd)
-        try:
-            message = _decode_report(path)
-        except ValidationError as e:
-            message = {"diagnostics": e.diagnostics}
-        with open(wfd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(message) + "\n")
-    finally:
-        os._exit(0)
-
-
-def _reap_report_decode(child) -> Optional[dict]:
-    """The message the child of ``_fork_report_decode`` sent, read once it
-    has ended; None without a child or a whole message."""
-    if child is None:
-        return None
-    pid, rfd = child
-    try:
-        with open(rfd, "rb") as fh:
-            sent = fh.read()
-    finally:
-        os.waitpid(pid, 0)
-    try:
-        return json.loads(sent)
-    except ValueError:
-        return None
 
 
 def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float]) -> list[Diagnostic]:
@@ -476,19 +420,10 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float]) 
 
 
 def cmd_verify(args) -> int:
-    # The report decodes in a forked child, on another core, while this
-    # process reads and validates the circuit and library; their errors
-    # still come first. If the child sent nothing, the report is decoded here.
-    child = _fork_report_decode(args.schedule)
-    try:
-        circuit, lib = _load_inputs(args)
-    finally:
-        decoded = _reap_report_decode(child)
-    if decoded is None:
-        decoded = _decode_report(args.schedule)
-    elif "diagnostics" in decoded:
-        raise ValidationError([Diagnostic(*d) for d in decoded["diagnostics"]])
-    manifest_cfg, sched = decoded["config"], Schedule(*decoded["schedule"])
+    # Circuit and library errors are reported before report errors.
+    circuit, lib = _load_inputs(args)
+    decoded = _decode_report(args.schedule)
+    manifest_cfg, sched = decoded["config"], decoded["schedule"]
 
     if manifest_cfg.get("remove_buffers"):
         circuit, _ = bufferopt.remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
@@ -535,7 +470,12 @@ def cmd_gen(args) -> int:
     if args.out and args.out != "-":
         _write_output(args.out, lambda fh: fh.write(text))
     else:
-        sys.stdout.write(text)
+        # Under -u the byte stream is the raw file: a write cut short by a closed
+        # pipe takes part of the bytes, and the text layer would drop the rest.
+        sys.stdout.flush()
+        out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[out.write(data):]
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ import random
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -468,66 +467,31 @@ VERIFY_CASES = {
 }
 
 
-class TestForkedReportDecode:
-    @staticmethod
-    @contextlib.contextmanager
-    def decoding(monkeypatch, mode):
-        """Arrange for verify to decode the report the way ``mode`` names; yields the forks made."""
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        if mode == "no-fork":
-            monkeypatch.delattr(os, "fork")
-        elif mode == "child-sends-nothing":
-            parent, decode = os.getpid(), cli._decode_report
-            monkeypatch.setattr(cli, "_decode_report",
-                                lambda path: decode(path) if os.getpid() == parent else os._exit(0))
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        if mode == "other-thread-running":
-            thread.start()
-        try:
-            yield forks
-        finally:
-            release.set()
-            if thread.ident is not None:
-                thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
-    def test_each_decode_path_gives_the_same_outcome(self, workdir, capsys, monkeypatch, case):
-        tmp_path, lib_path = workdir
-        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, seed=4, skip_prob=0.3)
-        report = tmp_path / "c.report.json"
-        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), "--out", str(report)]) == 0
-        if case in ("malformed-report", "bad-circuit-and-report"):
-            report.write_text('{"period_ps": ')
-        elif case == "missing-report":
-            report.unlink()
-        if case == "bad-circuit-and-report":
-            circ.write_text("[]")
-        elif case == "non-finite-deltas":
-            doc = json.loads(report.read_text())
-            doc["row_deltas_ps"][1:3] = [math.nan, math.inf]
-            report.write_text(json.dumps(doc))
-        elif case == "falsified-figures":
-            doc = json.loads(report.read_text())
-            doc.update(latency_ps=1, slack_ps=40, min_slack_ps=30, frequency_ghz=99)
-            report.write_text(json.dumps(doc))
-        code, out_pattern, err_pattern = VERIFY_CASES[case]
-        outcomes = []
-        for mode in ("forked", "child-sends-nothing", "no-fork", "other-thread-running"):
-            with monkeypatch.context() as m, self.decoding(m, mode) as forks:
-                capsys.readouterr()
-                outcomes.append((main(["verify", "--circuit", str(circ), "--lib", str(lib_path),
-                                       "--schedule", str(report)]), *capsys.readouterr()))
-            assert len(forks) == (mode in ("forked", "child-sends-nothing")), mode
-            # verify has reaped its child: this process has none left.
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-        assert all(outcome == outcomes[0] for outcome in outcomes)
-        rc, out, err = outcomes[0]
-        assert rc == code and re.fullmatch(out_pattern, out) and re.fullmatch(err_pattern, err), outcomes[0]
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_gives_each_report_case_its_outcome(workdir, capsys, case):
+    tmp_path, lib_path = workdir
+    circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, seed=4, skip_prob=0.3)
+    report = tmp_path / "c.report.json"
+    assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), "--out", str(report)]) == 0
+    if case in ("malformed-report", "bad-circuit-and-report"):
+        report.write_text('{"period_ps": ')
+    elif case == "missing-report":
+        report.unlink()
+    if case == "bad-circuit-and-report":
+        circ.write_text("[]")
+    elif case == "non-finite-deltas":
+        doc = json.loads(report.read_text())
+        doc["row_deltas_ps"][1:3] = [math.nan, math.inf]
+        report.write_text(json.dumps(doc))
+    elif case == "falsified-figures":
+        doc = json.loads(report.read_text())
+        doc.update(latency_ps=1, slack_ps=40, min_slack_ps=30, frequency_ghz=99)
+        report.write_text(json.dumps(doc))
+    code, out_pattern, err_pattern = VERIFY_CASES[case]
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", str(circ), "--lib", str(lib_path), "--schedule", str(report)])
+    out, err = capsys.readouterr()
+    assert rc == code and re.fullmatch(out_pattern, out) and re.fullmatch(err_pattern, err), (rc, out, err)
 
 
 class TestFixtureCircuit:
@@ -999,6 +963,8 @@ class TestProcess:
             expected = capsys.readouterr()
             proc = run_module(*argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err), argv
+            if argv[0] == "gen":  # unbuffered, gen writes to the raw file
+                assert run_module(*argv, PYTHONUNBUFFERED="1").stdout == expected.out
 
     def test_atexit_handlers_still_run(self, tmp_path):
         (tmp_path / "sitecustomize.py").write_text("import atexit\natexit.register(print, 'atexit handler ran')\n")
@@ -1009,14 +975,16 @@ class TestProcess:
         assert parse_circuit(text).num_rows == 2
 
     def test_closed_stdout_pipe_ends_in_a_diagnostic(self):
-        proc = subprocess.Popen([sys.executable, "-m", "aqfpopt.cli", "gen", "--rows", "300", "--width", "20"],
-                                env=process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.read(10)
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
-        assert err == "[IO_ERROR] stdout: the reader closed the pipe\n"
+        # Unbuffered, stdout's byte stream is the raw file, whose write takes
+        # only part of the bytes once the reader closes the pipe.
+        for changes in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.Popen([sys.executable, "-m", "aqfpopt.cli", "gen", "--rows", "300", "--width", "20"],
+                                    env=process_env(**changes), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (1, "[IO_ERROR] stdout: the reader closed the pipe\n"), changes
 
     def test_console_script_is_the_runner(self):
         tomllib = pytest.importorskip("tomllib")

@@ -109,8 +109,8 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 
 
 def test_traced_verify_writes_its_spans_once(tmp_path, ref_lib):
-    # verify decodes the report in a forked child, which must leave without
-    # unwinding into traced_cli's own clean-up.
+    # The spans file is written once, by the one process, and the report's
+    # decode is among its spans.
     circuit = generate_circuit(rows=6, width=3, seed=5, skip_prob=0.3, lib=ref_lib)
     names = ("c.qc.json", "ref.qlib.json", "c.report.json", "spans.json", "log")
     paths = {name: tmp_path / name for name in names}
@@ -126,4 +126,7 @@ def test_traced_verify_writes_its_spans_once(tmp_path, ref_lib):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(paths["log"].read_text().split()) == 1
-    assert json.loads(paths["spans.json"].read_text())["exit_code"] == 0
+    traced = json.loads(paths["spans.json"].read_text())
+    assert traced["exit_code"] == 0
+    (decode,) = [span for span in traced["spans"] if span["name"] == "ingest.parse_report"]
+    assert decode["end"] > decode["start"]
