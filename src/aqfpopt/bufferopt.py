@@ -85,6 +85,11 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
     return chains
 
 
+def merged_length(span: tuple[Connection, ...], lib: CellLibrary) -> float:
+    """Length of the connection that replaces the hops of ``span``: their sum plus a buffer length per buffer."""
+    return sum(h.length for h in span) + (len(span) - 1) * lib.l_buffer
+
+
 def solve_chain(
     hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int
 ) -> list[int]:
@@ -94,15 +99,12 @@ def solve_chain(
     ``rows[k]`` is its row. ``max_skip`` caps the row span of a merged
     connection. The result starts at 0 and ends at ``len(hops)``.
     """
-    # Each span is summed afresh, as remove_buffers sums the connection it
-    # writes, so the drive test and the written length agree to the bit.
-    lengths = [h.length for h in hops]
     last = len(hops)
     kept = [0]
     i = 0
     while i < last:
         j = i + 1  # the original hop is always allowed
-        while j < last and sum(lengths[i:j + 1]) + (j - i) * lib.l_buffer <= lib.l_max_drive \
+        while j < last and merged_length(hops[i:j + 1], lib) <= lib.l_max_drive \
                 and rows[j + 1] - rows[i] <= max_skip:
             j += 1
         kept.append(j)
@@ -140,7 +142,7 @@ def remove_buffers(
             if b == a + 1:
                 continue  # original hop survives untouched
             span = hops[a:b]
-            length = sum(h.length for h in span) + (b - a - 1) * lib.l_buffer
+            length = merged_length(span, lib)
             if all(h.prop is not None for h in span):
                 prop = sum(h.prop for h in span) + (b - a - 1) * lib.l_buffer * lib.prop_per_um
             else:

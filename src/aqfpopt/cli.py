@@ -33,6 +33,7 @@ from aqfpopt.ingest import (
 from aqfpopt.model import (
     BUFFER_CELL,
     FIX_TOL,
+    HOLD_MODES,
     LOG_LEVELS,
     CellLibrary,
     Circuit,
@@ -85,10 +86,12 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-#: Built-in sweep presets. table1a/1b/1c are single optimizer configurations
-#: at different priorities; table3 pairs a baseline run against a
-#: buffer-removal run and reports the relative change.
-PRESETS = ("table1a", "table1b", "table1c", "table3")
+#: Built-in sweep presets, each the config fields it sets over the defaults.
+#: table1a/1b/1c are single optimizer configurations at different priorities;
+#: table3 pairs a baseline run of table1a's config against a buffer-removal
+#: run and reports the relative change.
+PRESETS = {"table1a": {}, "table1b": {"s_min": 5.0}, "table1c": {"priority": ("period", "slack", "latency")},
+           "table3": {}}
 
 
 def reference_library() -> CellLibrary:
@@ -277,34 +280,19 @@ def _parse_priority(text: str) -> tuple[str, ...]:
     return parts
 
 
-def _config_from_args(args) -> OptimizationConfig:
-    weighted = any(getattr(args, name) is not None for name in ("tau", "sigma", "lam"))
-    return OptimizationConfig(
-        tau=args.tau if args.tau is not None else 1.0,
-        sigma=args.sigma if args.sigma is not None else 1e-8,
-        lam=args.lam if args.lam is not None else 1e-4,
-        s_min=args.smin,
-        s_max=args.smax,
-        t_min_override=args.tmin,
-        t_max_override=args.tmax,
-        hold_mode=args.hold_mode,
-        priority_mode="weighted" if weighted else "lexicographic",
-        priority=args.priority,
-        max_skip=args.max_skip,
-    )
-
-
-def _config_echo(cfg: OptimizationConfig, remove_buffers_flag: bool) -> dict:
-    doc = cfg._asdict()
-    doc["priority"] = list(cfg.priority)
-    doc["remove_buffers"] = remove_buffers_flag
-    return doc
+def _config_from_args(args, **preset) -> OptimizationConfig:
+    """The config of the solver flags given, over ``preset`` and the field defaults.
+    A flag left out is no attribute of ``args``; a weight given selects weighted mode."""
+    given = {name: value for name, value in vars(args).items() if name in OptimizationConfig._fields}
+    if given.keys() & {"tau", "sigma", "lam"}:
+        given["priority_mode"] = "weighted"
+    return OptimizationConfig(**{**preset, **given})
 
 
 def _manifest(args, cfg, remove_flag, timings, summary) -> dict:
     return {
         "inputs": {"circuit": str(args.circuit), "lib": str(args.lib)},
-        "config": _config_echo(cfg, remove_flag),
+        "config": {**cfg._asdict(), "priority": list(cfg.priority), "remove_buffers": remove_flag},
         "tool_version": __version__,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "summary": summary,
@@ -426,7 +414,8 @@ def cmd_verify(args) -> int:
     manifest_cfg, sched = decoded["config"], decoded["schedule"]
 
     if manifest_cfg.get("remove_buffers"):
-        circuit, _ = bufferopt.remove_buffers(circuit, lib, max_skip=manifest_cfg.get("max_skip", 2))
+        max_skip = manifest_cfg.get("max_skip", OptimizationConfig._field_defaults["max_skip"])
+        circuit, _ = bufferopt.remove_buffers(circuit, lib, max_skip=max_skip)
         log.info("re-applied buffer removal recorded in the report manifest")
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
@@ -469,6 +458,8 @@ def cmd_gen(args) -> int:
     text = serialize_circuit(circuit)
     if args.out and args.out != "-":
         _write_output(args.out, lambda fh: fh.write(text))
+    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
     else:
         # Under -u the byte stream is the raw file: a write cut short by a closed
         # pipe takes part of the bytes, and the text layer would drop the rest.
@@ -479,18 +470,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _preset_config(name: str, max_skip: int) -> OptimizationConfig:
-    base = OptimizationConfig(priority_mode="lexicographic", max_skip=max_skip)
-    if name == "table1b":
-        return base._replace(s_min=5.0)
-    if name == "table1c":
-        return base._replace(priority=("period", "slack", "latency"))
-    return base  # table1a, and table3, which runs table1a's config
+def _figures(sched, slacks) -> dict:
+    """One run's row of ``sweep``, as printed and as written to ``--out``."""
+    return {"frequency_ghz": 1000.0 / sched.period, "latency_ps": sched.latency, "min_slack_ps": slacks.min_slack}
 
 
-def _sweep_line(tag: str, sched, slacks, saved: str) -> str:
-    ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.2f}"
-    return f"{tag:<14} {1000.0 / sched.period:>11.3f} {sched.latency:>13.2f} {ms:>15} {saved:>14}"
+def _sweep_line(tag: str, figures: dict, saved: str) -> str:
+    ms = "n/a" if figures["min_slack_ps"] is None else f"{figures['min_slack_ps']:.2f}"
+    return f"{tag:<14} {figures['frequency_ghz']:>11.3f} {figures['latency_ps']:>13.2f} {ms:>15} {saved:>14}"
 
 
 def cmd_sweep(args) -> int:
@@ -502,7 +489,7 @@ def cmd_sweep(args) -> int:
     if unknown:
         print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
         return EXIT_INPUT
-    configs = {name: _preset_config(name, args.max_skip) for name in names}
+    configs = {name: _config_from_args(args, **PRESETS[name]) for name in names}
     _load_now(solver, bufferopt if "table3" in names else None)
     circuit, lib = _load_inputs(args)
     # Each distinct config is solved once on the parsed circuit; table3's
@@ -528,36 +515,21 @@ def cmd_sweep(args) -> int:
             lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
             results.append({"config": name, "error": [str(d) for d in err.diagnostics]})
             continue
+        figures = [_figures(*run) for run in runs]
         if name != "table3":
-            [(sched, slacks)] = runs
-            lines.append(_sweep_line(name, sched, slacks, "-"))
-            results.append({"config": name, "frequency_ghz": 1000.0 / sched.period,
-                            "latency_ps": sched.latency, "min_slack_ps": slacks.min_slack})
+            lines.append(_sweep_line(name, figures[0], "-"))
+            results.append({"config": name, **figures[0]})
             continue
-        (base_sched, base_slacks), (ps_sched, ps_slacks) = runs
+        base, skip = figures
         saved_pct = 100.0 * plan.buffers_removed / plan.buffers_total if plan.buffers_total else 0.0
-        freq0, freq1 = 1000.0 / base_sched.period, 1000.0 / ps_sched.period
-        dfreq = 100.0 * (freq1 - freq0) / freq0
-        dlat = (
-            100.0 * (ps_sched.latency - base_sched.latency) / base_sched.latency
-            if base_sched.latency
-            else 0.0
-        )
-        lines.append(_sweep_line("baseline", base_sched, base_slacks, "-"))
-        lines.append(_sweep_line("phase-skip", ps_sched, ps_slacks, f"{saved_pct:.1f}%"))
+        freq0, lat0 = base["frequency_ghz"], base["latency_ps"]
+        dfreq = 100.0 * (skip["frequency_ghz"] - freq0) / freq0
+        dlat = 100.0 * (skip["latency_ps"] - lat0) / lat0 if lat0 else 0.0
+        lines.append(_sweep_line("baseline", base, "-"))
+        lines.append(_sweep_line("phase-skip", skip, f"{saved_pct:.1f}%"))
         lines.append(f"{'change':<14} {dfreq:>10.1f}% {dlat:>12.1f}% {'':>15} {saved_pct:>13.1f}%")
-        results.append(
-            {
-                "config": name,
-                "baseline": {"frequency_ghz": freq0, "latency_ps": base_sched.latency,
-                             "min_slack_ps": base_slacks.min_slack},
-                "phase_skipping": {"frequency_ghz": freq1, "latency_ps": ps_sched.latency,
-                                   "min_slack_ps": ps_slacks.min_slack},
-                "frequency_change_pct": dfreq,
-                "latency_change_pct": dlat,
-                "buffers_saved_pct": saved_pct,
-            }
-        )
+        results.append({"config": name, "baseline": base, "phase_skipping": skip, "frequency_change_pct": dfreq,
+                        "latency_change_pct": dlat, "buffers_saved_pct": saved_pct})
 
     print("\n".join(lines))
     if args.out:
@@ -571,20 +543,22 @@ def cmd_sweep(args) -> int:
 
 
 def _add_common_solver_flags(sp) -> None:
-    sp.add_argument("--priority", type=_parse_priority, default=("period", "latency", "slack"),
+    """Each flag sets its config field and has no default: a flag left out leaves the field's."""
+    unset = argparse.SUPPRESS
+    sp.add_argument("--priority", type=_parse_priority, default=unset,
                     help="lexicographic criterion order, e.g. period,latency,slack")
-    sp.add_argument("--tau", type=float, default=None, help="period weight (enables weighted mode)")
-    sp.add_argument("--sigma", type=float, default=None, help="slack weight (enables weighted mode)")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help="latency weight (enables weighted mode)")
-    sp.add_argument("--smin", type=float, default=0.0, help="minimum slack in ps")
-    sp.add_argument("--smax", type=float, default=50.0, help="maximum rewarded slack in ps")
-    sp.add_argument("--tmin", type=float, default=None, help="period lower bound override in ps")
-    sp.add_argument("--tmax", type=float, default=None, help="period upper bound override in ps")
-    sp.add_argument("--hold-mode", choices=("reset-delay", "dlplace"), default="reset-delay",
+    sp.add_argument("--tau", type=float, default=unset, help="period weight (enables weighted mode)")
+    sp.add_argument("--sigma", type=float, default=unset, help="slack weight (enables weighted mode)")
+    sp.add_argument("--lambda", dest="lam", type=float, default=unset, help="latency weight (enables weighted mode)")
+    sp.add_argument("--smin", dest="s_min", type=float, default=unset, help="minimum slack in ps")
+    sp.add_argument("--smax", dest="s_max", type=float, default=unset, help="maximum rewarded slack in ps")
+    sp.add_argument("--tmin", dest="t_min_override", type=float, default=unset,
+                    help="period lower bound override in ps")
+    sp.add_argument("--tmax", dest="t_max_override", type=float, default=unset,
+                    help="period upper bound override in ps")
+    sp.add_argument("--hold-mode", choices=HOLD_MODES, default=unset,
                     help="hold window model: true reset delay, or the full period")
-    sp.add_argument("--max-skip", type=int, default=2,
-                    help="largest row span a connection may cover")
+    sp.add_argument("--max-skip", type=int, default=unset, help="largest row span a connection may cover")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--lib", required=True)
     sp.add_argument("--schedule", required=True, help="report file produced by optimize")
-    sp.add_argument("--hold-mode", choices=("reset-delay", "dlplace"), default="reset-delay",
+    sp.add_argument("--hold-mode", choices=HOLD_MODES, default=OptimizationConfig._field_defaults["hold_mode"],
                     help="hold model when the report manifest does not record one")
     sp.set_defaults(func=cmd_verify)
 
@@ -633,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lib", required=True)
     sp.add_argument("--configs", required=True,
                     help=f"comma-separated presets from: {', '.join(PRESETS)}")
-    sp.add_argument("--max-skip", type=int, default=2)
+    sp.add_argument("--max-skip", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--out", default=None, help="write the comparison JSON here")
     sp.set_defaults(func=cmd_sweep)
     return parser

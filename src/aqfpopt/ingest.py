@@ -17,6 +17,7 @@ import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
+    HOLD_MODES,
     CellLibrary,
     CellTiming,
     Circuit,
@@ -75,9 +76,9 @@ _CONN_TYPES = {
     "length_um": _FINITE,
     "prop_ps": _FINITE_OR_NULL,
 }
-_CONN_REQUIRED = ("src", "dst", "length_um")
-_GATE_KEYS = ("id", "cell", "row", "clock_offset_ps")  # the file keys of each record field
-_CONN_KEYS = ("src", "dst", "length_um", "prop_ps")
+_GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each record field, in field order
+_CONN_KEYS = tuple(_CONN_TYPES)  # of which a key whose value may be null may be left out
+_CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not _FINITE_OR_NULL)
 _LIBRARY_TYPES = {
     "l_max_drive_um": _FINITE,
     "l_buffer_um": _FINITE,
@@ -105,7 +106,7 @@ _REPORT_TYPES = {
 _REPORT_CONFIG_TYPES = {
     "remove_buffers": (lambda v: isinstance(v, bool), "a boolean"),
     "max_skip": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "hold_mode": (lambda v: v in ("reset-delay", "dlplace"), "reset-delay or dlplace"),
+    "hold_mode": (lambda v: v in HOLD_MODES, " or ".join(HOLD_MODES)),
 }
 _REPORT_KEYS = {
     "format_version",

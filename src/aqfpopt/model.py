@@ -55,6 +55,7 @@ class _Checked:
 
 
 BUFFER_CELL = "buffer"
+HOLD_MODES = ("reset-delay", "dlplace")  # hold windows: the cell's true reset delay, or the full period
 
 #: Absolute tolerance (ps) above which adjacent piecewise-linear segments are
 #: reported as discontinuous. Discontinuous libraries are legal but suspicious.
@@ -417,7 +418,7 @@ class _OptimizationConfigFields(NamedTuple):
     s_max: float = 50.0
     t_min_override: Optional[float] = None
     t_max_override: Optional[float] = None
-    hold_mode: str = "reset-delay"  # or "dlplace"
+    hold_mode: str = "reset-delay"  # one of HOLD_MODES
     priority_mode: str = "lexicographic"  # or "weighted"
     priority: tuple[str, ...] = ("period", "latency", "slack")
     delta_max: float = 10000.0  # ps, upper bound per row delta, keeps LPs bounded
@@ -457,7 +458,7 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
         errs = [Diagnostic("INVALID_CONFIG", name, f"{name} must be a real number") for name in mistyped]
         if not mistyped:  # the numbers compare only when all of them are numbers
             errs += self._number_errors()
-        if self.hold_mode not in ("reset-delay", "dlplace"):
+        if self.hold_mode not in HOLD_MODES:
             errs.append(Diagnostic("INVALID_CONFIG", "hold_mode", f"unknown mode {self.hold_mode!r}"))
         if self.priority_mode not in ("weighted", "lexicographic"):
             errs.append(

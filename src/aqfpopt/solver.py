@@ -25,6 +25,7 @@ segment. A numerical failure ends only its own segment, as a breakdown.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 # FIX_TOL and InfeasibleScheduleError live in model, so that checking a
@@ -598,17 +599,11 @@ def optimize_schedule(
         if not _lex_le(best.stage_values, cand.stage_values):
             best = cand
 
-    period = best.period
-    seg_index = best.segment.index
-    # A period landing exactly on the segment's open lower breakpoint belongs
-    # to the segment below; relabel so the reported segment owns the period.
-    bps = lib.breakpoints
-    if seg_index > 0 and period <= bps[seg_index] and best.segment.t_lo == bps[seg_index]:
-        seg_index -= 1
+    # The segment that owns the period, by PiecewiseLinear.segment_of's rule: a breakpoint is its lower segment's.
     return Schedule(
-        period=period,
+        period=best.period,
         row_deltas=best.deltas,
         slack=best.slack,
         latency=sum(best.deltas),
-        segment_index=seg_index,
+        segment_index=max(0, bisect_left(lib.breakpoints, best.period) - 1),
     )

@@ -20,7 +20,15 @@ from aqfpopt import cli, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
-from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, ValidationError, validate_circuit
+from aqfpopt.model import (
+    Circuit,
+    Connection,
+    Diagnostic,
+    Gate,
+    OptimizationConfig,
+    ValidationError,
+    validate_circuit,
+)
 from aqfpopt.solver import FIX_TOL
 from aqfpopt.timing import TimingConstraintSet
 
@@ -80,6 +88,14 @@ class TestGen:
                      "--skip-prob", "0.3"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "aaca567828b9309e7925b9a4b8130294a19e7ae63e05181d892f95d772267b72"
+
+    def test_text_only_stdout(self, tmp_path):
+        # A stream without a byte buffer, as a caller of main may install, gets the same text.
+        argv = ["gen", "--rows", "3", "--width", "2"]
+        assert main([*argv, "--out", str(tmp_path / "c.qc.json")]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == (tmp_path / "c.qc.json").read_text()
 
     def test_generator_soundness_over_100_seeds(self, ref_lib):
         from aqfpopt.cli import generate_circuit
@@ -569,6 +585,51 @@ def test_optimize_report_bytes_are_pinned(request, tmp_path, run):
                  "--out", str(report_path)]) == 0
     text = report_path.read_text()
     assert hashlib.sha256(text[:text.rindex(', "manifest": ')].encode()).hexdigest() == digest
+
+
+class TestConfigDefaults:
+    """Every solver flag left out takes its ``OptimizationConfig`` field default."""
+
+    @staticmethod
+    def manifest_config(workdir, *flags):
+        tmp_path, lib_path = workdir
+        circ, report_path = gen(tmp_path, lib_path, "c.qc.json"), tmp_path / "c.report.json"
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags,
+                     "--out", str(report_path)]) == 0
+        return json.loads(report_path.read_text())["manifest"]["config"]
+
+    @staticmethod
+    def echo(cfg, remove_buffers=False):
+        return {**cfg._asdict(), "priority": list(cfg.priority), "remove_buffers": remove_buffers}
+
+    def test_no_flags_give_the_field_defaults(self, workdir, capsys):
+        assert self.manifest_config(workdir) == self.echo(OptimizationConfig())
+
+    def test_one_weight_selects_weighted_mode(self, workdir, capsys):
+        config = self.manifest_config(workdir, "--tau", "1", "--remove-buffers")
+        assert config == self.echo(OptimizationConfig(priority_mode="weighted"), remove_buffers=True)
+
+    def test_each_flag_sets_its_field(self, workdir, capsys):
+        flags = ["--priority", "slack,period,latency", "--lambda", "2", "--smin", "1", "--smax", "9",
+                 "--tmin", "150", "--tmax", "290", "--hold-mode", "dlplace", "--max-skip", "3"]
+        cfg = OptimizationConfig(priority=("slack", "period", "latency"), lam=2.0, priority_mode="weighted",
+                                 s_min=1.0, s_max=9.0, t_min_override=150.0, t_max_override=290.0,
+                                 hold_mode="dlplace", max_skip=3)
+        assert self.manifest_config(workdir, *flags) == self.echo(cfg)
+
+    def test_preset_rows_equal_optimize_with_their_flags(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=8, width=3, seed=5, skip_prob=0.4)
+        io_flags = ["--circuit", str(circ), "--lib", str(lib_path)]
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", *io_flags, "--configs", "table1a,table1b,table1c", "--out", str(out)]) == 0
+        rows = {row.pop("config"): row for row in json.loads(out.read_text())["results"]}
+        for name, flags in (("table1a", []), ("table1b", ["--smin", "5"]),
+                            ("table1c", ["--priority", "period,slack,latency"])):
+            report_path = tmp_path / f"{name}.report.json"
+            assert main(["optimize", *io_flags, *flags, "--out", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            assert rows[name] == {key: report[key] for key in ("frequency_ghz", "latency_ps", "min_slack_ps")}
 
 
 class TestSweep:

@@ -538,6 +538,32 @@ class TestSolverBreakdown:
         assert [o.status for o in details["outcomes"]] == ["optimal", "breakdown"]
         assert sched.period == pytest.approx(100.0)
 
+    def test_period_on_a_breakpoint_is_the_lower_segments(self, monkeypatch, two_row_circuit,
+                                                          three_segment_library):
+        # Segment 1 shrinks to the one period 200 and breaks down; segment 2
+        # then solves at 200, a period the piecewise evaluation gives to segment 1.
+        real = solver._solve_segment
+
+        def fails_in_segment_1(edges, num_deltas, seg, cfg):
+            if seg.index == 1:
+                raise SolverBreakdown("forced")
+            return real(edges, num_deltas, seg, cfg)
+
+        monkeypatch.setattr(solver, "_solve_segment", fails_in_segment_1)
+        lib, cfg, details = three_segment_library, OptimizationConfig(t_min_override=200.0), {}
+        sched = optimize_schedule(build_constraints(two_row_circuit, lib, cfg), lib, cfg, details=details)
+        assert [(o.segment.index, o.status) for o in details["outcomes"]] == [(1, "breakdown"), (2, "optimal")]
+        assert sched.period == 200.0
+        assert sched.segment_index == 1 == lib.timing("majority3").rd.segment_of(sched.period)
+
+    def test_segment_left_empty_by_its_nudge_is_pruned(self, two_row_circuit, fixture_library):
+        # rd jumps at 100 ps, so segment 1 gives up its lower breakpoint, the only period allowed.
+        cfg, details = OptimizationConfig(t_min_override=100.0, t_max_override=100.0), {}
+        sched = optimize_schedule(build_constraints(two_row_circuit, fixture_library, cfg), fixture_library, cfg,
+                                  details=details)
+        assert [o.status for o in details["outcomes"]] == ["optimal", "pruned"]
+        assert (sched.period, sched.segment_index) == (100.0, 0)
+
 
 class TestExplore:
     """One circuit's constraints solved under several configurations, as
