@@ -25,6 +25,7 @@ from aqfpopt.model import (
     Circuit,
     Connection,
     Diagnostic,
+    OptimizationConfig,
     ValidationError,
     log,
 )
@@ -113,7 +114,7 @@ def solve_chain(
 
 
 def remove_buffers(
-    c: Circuit, lib: CellLibrary, max_skip: int = 2
+    c: Circuit, lib: CellLibrary, max_skip: int = OptimizationConfig._field_defaults["max_skip"]
 ) -> tuple[Circuit, RemovalPlan]:
     """Rewrite the circuit with the globally optimal buffer removal applied.
 

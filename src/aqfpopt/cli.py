@@ -46,6 +46,7 @@ from aqfpopt.model import (
     Schedule,
     ValidationError,
     log,
+    segment_owning,
     validate_circuit,
 )
 
@@ -272,12 +273,12 @@ def _write_output(path, write) -> None:
 
 
 def _parse_priority(text: str) -> tuple[str, ...]:
+    """The criteria of ``text`` in order, if the config takes them as its priority."""
     parts = tuple(p.strip() for p in text.split(","))
-    if sorted(parts) != ["latency", "period", "slack"]:
-        raise argparse.ArgumentTypeError(
-            "--priority must list period, latency and slack exactly once each"
-        )
-    return parts
+    try:
+        return OptimizationConfig(priority=parts).priority
+    except ValidationError:  # argparse prints this message alone
+        raise argparse.ArgumentTypeError("--priority must list period, latency and slack exactly once each")
 
 
 def _config_from_args(args, **preset) -> OptimizationConfig:
@@ -381,19 +382,27 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+_CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
+
+
 def _decode_report(path) -> dict:
-    """The parts of the report file at ``path`` that ``verify`` reads: the
-    manifest config, the schedule, and the frequency and STA slack it claims.
-    The rest of the document, one object per connection, is freed on return."""
+    """The parts of the report file at ``path`` that ``verify`` reads: the manifest
+    config, the schedule and the ``_CLAIMS`` figures. The rest of the document,
+    one object per connection, is freed on return."""
     report = _read_input(path, parse_report)
     return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
-            "frequency_ghz": report["frequency_ghz"], "min_slack_ps": report["min_slack_ps"]}
+            **{key: report[key] for key in _CLAIMS}}
 
 
-def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float]) -> list[Diagnostic]:
-    """The report's figures that disagree with its schedule or with ``sta_min``, the STA's minimum."""
+def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], lib: CellLibrary,
+                       plan) -> list[Diagnostic]:
+    """The report's figures that disagree with its schedule, with ``sta_min``,
+    the STA's minimum, or with ``plan``, the re-applied removal (None without removal)."""
     latency, frequency, claimed = sum(sched.row_deltas), 1000.0 / sched.period, claims["min_slack_ps"]
     sta = "none, the circuit has no connections" if sta_min is None else f"{sta_min:.6g} ps"
+    owner = segment_owning(lib.breakpoints, sched.period)
+    counts = (plan.buffers_total, plan.buffers_removed) if plan else (0, 0)
+    removal = "the re-applied removal gives" if plan else "without removal it is"
     rules = (  # field, whether it agrees, what the report says against what is found
         ("latency_ps", abs(sched.latency - latency) <= 1e-6,
          f"{sched.latency:.6g} ps, the row deltas sum to {latency:.6g} ps"),
@@ -403,6 +412,8 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float]) 
          f"{'null' if claimed is None else f'{claimed:.6g} ps'}, the STA finds {sta}"),
         ("slack_ps", sta_min is None or sched.slack <= sta_min + 1e-6,
          f"{sched.slack:.6g} ps, above the STA minimum of {sta}"),
+        ("segment_index", sched.segment_index == owner, f"{sched.segment_index}, the period lies in segment {owner}"),
+        *((field, claims[field] == n, f"{claims[field]}, {removal} {n}") for field, n in zip(_CLAIMS[2:], counts)),
     )
     return [Diagnostic("REPORT_MISMATCH", field, f"report says {said}") for field, agrees, said in rules if not agrees]
 
@@ -412,21 +423,22 @@ def cmd_verify(args) -> int:
     circuit, lib = _load_inputs(args)
     decoded = _decode_report(args.schedule)
     manifest_cfg, sched = decoded["config"], decoded["schedule"]
+    # The settings the report records; one it leaves out takes its field default.
+    cfg = OptimizationConfig(**{k: manifest_cfg[k] for k in ("max_skip", "hold_mode") if k in manifest_cfg})
 
+    plan = None
     if manifest_cfg.get("remove_buffers"):
-        max_skip = manifest_cfg.get("max_skip", OptimizationConfig._field_defaults["max_skip"])
-        circuit, _ = bufferopt.remove_buffers(circuit, lib, max_skip=max_skip)
+        circuit, plan = bufferopt.remove_buffers(circuit, lib, max_skip=cfg.max_skip)
         log.info("re-applied buffer removal recorded in the report manifest")
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
         return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
-    if not lib.period_lo - FIX_TOL <= sched.period <= lib.t_max + FIX_TOL:
-        message = (f"period {sched.period:.6g} ps outside the library range "
-                   f"[{lib.period_lo:.6g}, {lib.t_max:.6g}] ps")
+    lo, hi = cfg.period_bounds(lib)
+    if not lo - FIX_TOL <= sched.period <= hi + FIX_TOL:
+        message = f"period {sched.period:.6g} ps outside the library range [{lo:.6g}, {hi:.6g}] ps"
         return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", message)], EXIT_VERIFY)
-    hold_mode = manifest_cfg.get("hold_mode", args.hold_mode)
     try:
-        slacks = timing.sta_check(circuit, lib, sched, hold_mode)
+        slacks = timing.sta_check(circuit, lib, sched, cfg.hold_mode)
     except PwlDomainError as e:
         return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
     failing = [
@@ -437,7 +449,7 @@ def cmd_verify(args) -> int:
     ]
     if failing:
         return _fail(failing, EXIT_VERIFY)
-    mismatches = _report_mismatches(decoded, sched, slacks.min_slack)
+    mismatches = _report_mismatches(decoded, sched, slacks.min_slack, lib, plan)
     if mismatches:
         return _fail(mismatches, EXIT_VERIFY)
     ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
@@ -584,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--lib", required=True)
     sp.add_argument("--schedule", required=True, help="report file produced by optimize")
-    sp.add_argument("--hold-mode", choices=HOLD_MODES, default=OptimizationConfig._field_defaults["hold_mode"],
-                    help="hold model when the report manifest does not record one")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("gen", help="emit a synthetic benchmark circuit")

@@ -17,7 +17,6 @@ import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
-    HOLD_MODES,
     CellLibrary,
     CellTiming,
     Circuit,
@@ -54,6 +53,7 @@ _INT = (_is_int, "an integer")
 _FINITE = (_is_finite, "a finite number")
 _FINITE_OR_NULL = (lambda v: v is None or _is_finite(v), "a finite number or null")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 _OBJECTS = (lambda v: isinstance(v, list) and set(map(type, v)) <= {dict}, "a list of objects")
 
 _CIRCUIT_TYPES = {
@@ -100,22 +100,13 @@ _REPORT_TYPES = {
     "slack_ps": _FINITE,
     "min_slack_ps": _FINITE_OR_NULL,
     "segment_index": _INT,
+    "buffers_total": _COUNT,
+    "buffers_removed": _COUNT,
     "row_deltas_ps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
     "manifest": (lambda v: v is None or isinstance(v, dict), "an object or null"),
 }
-_REPORT_CONFIG_TYPES = {
-    "remove_buffers": (lambda v: isinstance(v, bool), "a boolean"),
-    "max_skip": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "hold_mode": (lambda v: v in HOLD_MODES, " or ".join(HOLD_MODES)),
-}
-_REPORT_KEYS = {
-    "format_version",
-    "buffers_total",
-    "buffers_removed",
-    "connections",
-    "chains",
-    *_REPORT_TYPES,
-}
+_REPORT_CONFIG_TYPES = {"remove_buffers": (lambda v: isinstance(v, bool), "a boolean")}
+_REPORT_KEYS = {"format_version", "connections", "chains", *_REPORT_TYPES}
 
 
 def _load_document(source) -> dict:
@@ -481,9 +472,10 @@ def parse_report(source) -> dict:
 
     The frequency, period, latency and slack must be finite numbers, the
     frequency and period also positive, and the STA slack a finite number or
-    null; ``segment_index`` an integer; ``row_deltas_ps`` a list of
-    numbers. The manifest's ``config`` entries that ``verify`` re-applies
-    (``remove_buffers``, ``max_skip``, ``hold_mode``) are type-checked too.
+    null; ``segment_index`` an integer, the buffer counts integers >= 0;
+    ``row_deltas_ps`` a list of numbers. The manifest's ``config`` must be
+    an object, with a boolean ``remove_buffers`` if it has one; ``verify``
+    checks its ``max_skip`` and ``hold_mode`` as an ``OptimizationConfig``.
     """
     doc = _load_document(source)
     errs: list[Diagnostic] = []

@@ -56,10 +56,16 @@ class _Checked:
 
 BUFFER_CELL = "buffer"
 HOLD_MODES = ("reset-delay", "dlplace")  # hold windows: the cell's true reset delay, or the full period
+CRITERIA = ("period", "latency", "slack")  # what a schedule is judged by, in the default priority
 
 #: Absolute tolerance (ps) above which adjacent piecewise-linear segments are
 #: reported as discontinuous. Discontinuous libraries are legal but suspicious.
 CONTINUITY_TOL = 1e-9
+
+
+def segment_owning(breakpoints, t: float) -> int:
+    """Index of the breakpoint interval owning ``t``: a breakpoint is its lower segment's."""
+    return max(0, bisect_left(breakpoints, t) - 1)
 
 
 class PwlDomainError(ValueError):
@@ -145,7 +151,7 @@ class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
             raise PwlDomainError(
                 f"t={t!r} outside the valid interval ({self.t_lo}, {self.t_hi}]"
             )
-        return max(0, bisect_left(self.breakpoints, t) - 1)
+        return segment_owning(self.breakpoints, t)
 
     def __call__(self, t: float) -> float:
         slope, intercept = self.segments[self.segment_of(t)]
@@ -420,12 +426,11 @@ class _OptimizationConfigFields(NamedTuple):
     t_max_override: Optional[float] = None
     hold_mode: str = "reset-delay"  # one of HOLD_MODES
     priority_mode: str = "lexicographic"  # or "weighted"
-    priority: tuple[str, ...] = ("period", "latency", "slack")
-    delta_max: float = 10000.0  # ps, upper bound per row delta, keeps LPs bounded
+    priority: tuple[str, ...] = CRITERIA
     max_skip: int = 2  # largest supported connection row span
 
 
-_CONFIG_NUMBERS = ("tau", "sigma", "lam", "s_min", "s_max", "delta_max")
+_CONFIG_NUMBERS = ("tau", "sigma", "lam", "s_min", "s_max")
 _CONFIG_OVERRIDES = ("t_min_override", "t_max_override")  # numbers, or None when unset
 
 
@@ -465,7 +470,7 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
                 Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}")
             )
         try:
-            priority_ok = sorted(self.priority) == ["latency", "period", "slack"]
+            priority_ok = sorted(self.priority) == sorted(CRITERIA)
         except TypeError:  # None, a number, or names mixed with other types
             priority_ok = False
         if not priority_ok:
@@ -496,8 +501,6 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
             errs.append(Diagnostic("INVALID_CONFIG", "weights", "weights must be >= 0"))
         if self.tau == self.sigma == self.lam == 0:
             errs.append(Diagnostic("INVALID_CONFIG", "weights", "weights must not all be zero"))
-        if self.delta_max <= 0:
-            errs.append(Diagnostic("INVALID_CONFIG", "delta_max", "delta_max must be > 0"))
         return errs
 
     def period_bounds(self, lib: CellLibrary) -> tuple[float, float]:

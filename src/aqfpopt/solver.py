@@ -25,12 +25,12 @@ segment. A numerical failure ends only its own segment, as a breakdown.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 # FIX_TOL and InfeasibleScheduleError live in model, so that checking a
 # stored schedule never loads this module; they stay importable from here.
 from aqfpopt.model import (
+    CRITERIA,
     FIX_TOL,
     CellLibrary,
     Diagnostic,
@@ -38,6 +38,7 @@ from aqfpopt.model import (
     OptimizationConfig,
     Schedule,
     log,
+    segment_owning,
 )
 from aqfpopt.timing import TimingConstraint, TimingConstraintSet
 
@@ -48,6 +49,8 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-11
 #: Pivots one simplex run may take before declaring breakdown.
 PIVOT_LIMIT = 10000
+#: Upper bound on each row delta (ps); it keeps every master LP bounded.
+DELTA_MAX = 10000.0
 
 
 class SolverBreakdown(RuntimeError):
@@ -300,12 +303,12 @@ class _ConstraintGraph:
     positive weight.
     """
 
-    def __init__(self, edges, num_nodes: int, delta_max: float):
+    def __init__(self, edges, num_nodes: int):
         self.n = num_nodes
         self.edges: list[tuple[int, int, float, float, float, Optional[str]]] = []
         for r in range(num_nodes - 1):
             self.edges.append((r, r + 1, 0.0, 0.0, 0.0, None))
-            self.edges.append((r + 1, r, 0.0, 0.0, -delta_max, None))
+            self.edges.append((r + 1, r, 0.0, 0.0, -DELTA_MAX, None))
         self.edges += edges
         self.up: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         self.down: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
@@ -474,7 +477,7 @@ def _stages(cfg: OptimizationConfig) -> list[tuple[float, float, float]]:
         return [_STAGE_VECTORS[name] for name in cfg.priority]
     scale = max(cfg.tau, cfg.sigma, cfg.lam)
     weighted = (cfg.tau / scale, -cfg.sigma / scale, cfg.lam / scale)
-    return [weighted] + [_STAGE_VECTORS[name] for name in ("period", "latency", "slack")]
+    return [weighted] + [_STAGE_VECTORS[name] for name in CRITERIA]
 
 
 class SegmentOutcome(NamedTuple):
@@ -497,8 +500,8 @@ def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: Optimiz
     the first stage can end with a certificate. The row increments are the
     final longest-path distance differences.
     """
-    g = _ConstraintGraph(edges, num_deltas + 1, cfg.delta_max)
-    master = Master(((seg.t_lo, seg.t_hi), (cfg.s_min, cfg.s_max), (0.0, num_deltas * cfg.delta_max)))
+    g = _ConstraintGraph(edges, num_deltas + 1)
+    master = Master(((seg.t_lo, seg.t_hi), (cfg.s_min, cfg.s_max), (0.0, num_deltas * DELTA_MAX)))
     cuts: set = set()
     stage_values = []
     for vec in _stages(cfg):
@@ -509,7 +512,7 @@ def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: Optimiz
         value = sum(a * x for a, x in zip(vec, point))
         stage_values.append(value)
         master.constraints.append(Cut(*vec, value + FIX_TOL))
-    deltas = tuple(min(cfg.delta_max, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas))
+    deltas = tuple(min(DELTA_MAX, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas))
     return SegmentOutcome(seg, "optimal", tuple(stage_values), period=point[0], slack=point[1], deltas=deltas)
 
 
@@ -599,11 +602,10 @@ def optimize_schedule(
         if not _lex_le(best.stage_values, cand.stage_values):
             best = cand
 
-    # The segment that owns the period, by PiecewiseLinear.segment_of's rule: a breakpoint is its lower segment's.
     return Schedule(
         period=best.period,
         row_deltas=best.deltas,
         slack=best.slack,
         latency=sum(best.deltas),
-        segment_index=max(0, bisect_left(lib.breakpoints, best.period) - 1),
+        segment_index=segment_owning(lib.breakpoints, best.period),
     )

@@ -123,7 +123,7 @@ class SlackReport(NamedTuple):
 
 
 def sta_check(
-    c: Circuit, lib: CellLibrary, sched: Schedule, hold_mode: str = "reset-delay"
+    c: Circuit, lib: CellLibrary, sched: Schedule, hold_mode: str = OptimizationConfig._field_defaults["hold_mode"]
 ) -> SlackReport:
     """Static timing check of a concrete schedule against the raw inequalities.
 

@@ -178,6 +178,7 @@ def segment_lp_oracle(
     k: int,
     t_lo: float,
     t_hi: float,
+    delta_max: float,
     fix_tol: float = 1e-6,
 ) -> tuple[str, tuple[float, ...]]:
     """Status and stage values of segment k's full LP, solved stage by stage.
@@ -218,7 +219,7 @@ def segment_lp_oracle(
     a_eq = np.zeros((1, nd + 3))
     a_eq[0, :nd] = -1.0
     a_eq[0, il] = 1.0
-    bounds = [(0.0, cfg.delta_max)] * nd + [(t_lo, t_hi), (cfg.s_min, cfg.s_max), (0.0, None)]
+    bounds = [(0.0, delta_max)] * nd + [(t_lo, t_hi), (cfg.s_min, cfg.s_max), (0.0, None)]
 
     def vector(coefs):
         c = np.zeros(nd + 3)

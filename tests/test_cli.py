@@ -362,7 +362,64 @@ class TestOptimizeVerify:
         report_path.write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["verify", *io, "--schedule", str(report_path)]) == 1
-        assert capsys.readouterr().err == "[PARSE_ERROR] manifest.config: max_skip must be an integer >= 1\n"
+        assert capsys.readouterr().err == "[INVALID_CONFIG] max_skip: max_skip must be an integer >= 1\n"
+
+    @staticmethod
+    def verify_edited(workdir, capsys, edit, flags=("--remove-buffers",)):
+        """Exit code, stdout and stderr of verify on the removal-run report of a
+        6x3 chain circuit (6 buffers, 4 removed at max_skip 2) after ``edit(report)``."""
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=3, seed=4, chain_prob=0.9)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, *flags, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        edit(report)
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["verify", *io, "--schedule", str(report_path)])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("hold_mode", ["fast", None])
+    def test_manifest_hold_mode_is_checked_as_a_config(self, workdir, capsys, hold_mode):
+        code, out, err = self.verify_edited(workdir, capsys,
+                                            lambda r: r["manifest"]["config"].update(hold_mode=hold_mode))
+        assert (code, out, err) == (1, "", f"[INVALID_CONFIG] hold_mode: unknown mode {hold_mode!r}\n")
+
+    def test_manifest_without_settings_verifies_under_the_defaults(self, workdir, capsys):
+        def drop(report):
+            config = report["manifest"]["config"]
+            assert (config.pop("max_skip"), config.pop("hold_mode")) == (2, "reset-delay")
+
+        code, out, err = self.verify_edited(workdir, capsys, drop)
+        assert (code, err) == (0, "")
+        assert out.startswith("schedule verifies: ")
+
+    def test_verify_takes_no_hold_mode_flag(self, workdir, capsys):
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", seed=4)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path), "--hold-mode", "dlplace"]) == 1
+        assert "unrecognized arguments: --hold-mode dlplace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,flags,found", [
+        ("segment_index", 0, ["--remove-buffers"], "the period lies in segment 1"),
+        ("buffers_total", 99, ["--remove-buffers"], "the re-applied removal gives 6"),
+        ("buffers_removed", 98, ["--remove-buffers"], "the re-applied removal gives 4"),
+        ("buffers_total", 6, [], "without removal it is 0"),
+        ("buffers_removed", 4, [], "without removal it is 0"),
+    ])
+    def test_removal_and_segment_figures_must_match(self, workdir, capsys, field, value, flags, found):
+        def falsify(report):
+            assert report[field] != value
+            report[field] = value
+
+        code, out, err = self.verify_edited(workdir, capsys, falsify, flags)
+        assert (code, out) == (3, "")
+        assert err == f"[REPORT_MISMATCH] {field}: report says {value}, {found}\n"
 
     def test_verbose_prints_each_connection(self, workdir, capsys):
         tmp_path, lib_path = workdir

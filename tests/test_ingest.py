@@ -533,3 +533,12 @@ class TestEmitReport:
         with pytest.raises(ValidationError) as e:
             parse_report(json.dumps({"format_version": 1}))
         assert codes(e) == {"PARSE_ERROR"}
+
+    @pytest.mark.parametrize("field", ["buffers_total", "buffers_removed"])
+    @pytest.mark.parametrize("value", ["lots", -1, True, 2.5, None])
+    def test_buffer_counts_are_counts(self, field, value):
+        sched = Schedule(period=250.0, row_deltas=(1.5,), slack=3.0, latency=1.5)
+        report = {**emit_report(sched, SlackReport((), None)), "connections": [], field: value}
+        with pytest.raises(ValidationError) as e:
+            parse_report(json.dumps(report))
+        assert [str(d) for d in e.value.diagnostics] == [f"[PARSE_ERROR] report: {field} must be an integer >= 0"]

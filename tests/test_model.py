@@ -192,7 +192,7 @@ class TestConfig:
         assert [str(d) for d in e.value.diagnostics] == ["[INVALID_CONFIG] max_skip: max_skip must be an integer >= 1"]
 
     @pytest.mark.parametrize("field,value", [("tau", "x"), ("sigma", [1.0]), ("lam", 1j), ("s_min", None),
-                                             ("s_max", "50"), ("delta_max", None), ("t_min_override", "250"),
+                                             ("s_max", "50"), ("lam", None), ("t_min_override", "250"),
                                              ("t_max_override", {})])
     def test_mistyped_number_rejected(self, field, value):
         with pytest.raises(ValidationError) as e:

@@ -350,16 +350,15 @@ class TestDifferenceSolver:
                 yield removed
 
     @pytest.mark.parametrize("lib_name", ["ref_lib", "three_segment_library", "fixture_library"])
-    def test_matches_staged_lp(self, lib_name, request):
+    def test_matches_staged_lp(self, lib_name, request, monkeypatch):
         lib = request.getfixturevalue(lib_name)
         rng = random.Random(31)
         compared = 0
         for c in self.circuits(lib, rng, 3):
             for settings in SOLVER_CONFIGS:
                 for s_min, s_max, delta_max in ((0, 50, 1e4), (1, 8, 1e4), (5, 5, 1e4), (0, 50, 80)):
-                    cfg = OptimizationConfig(
-                        s_min=s_min, s_max=s_max, delta_max=delta_max, **settings
-                    )
+                    monkeypatch.setattr(solver, "DELTA_MAX", delta_max)  # 80 ps binds
+                    cfg = OptimizationConfig(s_min=s_min, s_max=s_max, **settings)
                     tcs = build_constraints(c, lib, cfg)
                     details = {}
                     try:
@@ -370,7 +369,7 @@ class TestDifferenceSolver:
                         if out.status == "pruned":
                             continue
                         seg = out.segment
-                        status, values = segment_lp_oracle(c, lib, cfg, seg.index, seg.t_lo, seg.t_hi)
+                        status, values = segment_lp_oracle(c, lib, cfg, seg.index, seg.t_lo, seg.t_hi, delta_max)
                         assert out.status == status
                         assert out.stage_values == pytest.approx(values, abs=1e-5)
                         compared += 1
@@ -462,10 +461,11 @@ class TestInfeasibleReport:
         assert main(["optimize", *cli_inputs(tmp_path, c, fixture_library)]) == 2
         assert reported_excess(capsys.readouterr().err) == pytest.approx(weight(300.0), rel=1e-5)
 
-    def test_two_cycle_excess_is_where_the_weights_cross(self):
+    def test_two_cycle_excess_is_where_the_weights_cross(self, monkeypatch):
         c, lib = two_cycle_circuit(), sloped_setup_library()
         t = lib.timing("majority3")
-        cfg = OptimizationConfig(delta_max=72.0)
+        cfg, delta_max = OptimizationConfig(), 72.0
+        monkeypatch.setattr(solver, "DELTA_MAX", delta_max)
 
         delay = c.connections[1].prop
 
@@ -473,7 +473,7 @@ class TestInfeasibleReport:
             return t.c2q(p) + t.setup(p) + delay - (t.c2q(p) + t.rd(p) - t.hold(p))
 
         def rising(p):  # setup a2->b2 against delta_max
-            return t.c2q(p) + t.setup(p) + delay - cfg.delta_max
+            return t.c2q(p) + t.setup(p) + delay - delta_max
 
         # Both are affine on (100, 300]; the least largest weight is where they cross.
         p1, p2 = 150.0, 250.0
