@@ -20,14 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from aqfpopt.model import (
-    BUFFER_CELL,
-    CellLibrary,
-    Circuit,
-    Connection,
-    Diagnostic,
-    OptimizationConfig,
-    ValidationError,
-    log,
+    BUFFER_CELL, CellLibrary, Circuit, Connection, Diagnostic, OptimizationConfig, ValidationError, log
 )
 
 
@@ -54,15 +47,15 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
     diagnostic. A buffer without exactly one fanin is malformed and raises,
     since no consistent chain can contain it.
     """
-    fanin: dict[str, list[Connection]] = {g.id: [] for g in c.gates if g.cell == BUFFER_CELL}
-    fanout: dict[str, list[Connection]] = {gid: [] for gid in fanin}
-    for k in c.connections:
-        ins = fanin.get(k.dst)
+    fanin: dict[str, list[int]] = {gid: [] for gid, cell in zip(c.gates.id, c.gates.cell) if cell == BUFFER_CELL}
+    fanout: dict[str, list[int]] = {gid: [] for gid in fanin}
+    for i, (src, dst) in enumerate(zip(c.connections.src, c.connections.dst)):
+        ins = fanin.get(dst)
         if ins is not None:
-            ins.append(k)
-        outs = fanout.get(k.src)
+            ins.append(i)
+        outs = fanout.get(src)
         if outs is not None:
-            outs.append(k)
+            outs.append(i)
 
     chainable: set[str] = set()
     for gid, ins in fanin.items():
@@ -76,12 +69,13 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
         chainable.add(gid)
 
     chains: list[tuple[Connection, ...]] = []
+    hop = c.connections.__getitem__
     for gid in fanin:
-        if gid not in chainable or fanin[gid][0].src in chainable:
+        if gid not in chainable or c.connections.src[fanin[gid][0]] in chainable:
             continue  # not chainable, or the interior of a run handled from its head
-        hops = [fanin[gid][0]]
+        hops = [hop(fanin[gid][0])]
         while hops[-1].dst in chainable:
-            hops.append(fanout[hops[-1].dst][0])
+            hops.append(hop(fanout[hops[-1].dst][0]))
         chains.append(tuple(hops))
     return chains
 
@@ -91,9 +85,7 @@ def merged_length(span: tuple[Connection, ...], lib: CellLibrary) -> float:
     return sum(h.length for h in span) + (len(span) - 1) * lib.l_buffer
 
 
-def solve_chain(
-    hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int
-) -> list[int]:
+def solve_chain(hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int) -> list[int]:
     """Kept node indices of the optimal removal on one chain.
 
     Node k is ``hops[0].src`` for k = 0 and ``hops[k - 1].dst`` otherwise;
@@ -131,13 +123,13 @@ def remove_buffers(
     if not chains:
         return c, RemovalPlan(chains=(), buffers_total=0, buffers_removed=0)
 
-    gates = c.gates_by_id
+    index, rows = c.gate_index, c.gates.row
     removed: set[str] = set()
     merged: list[Connection] = []
     results: list[ChainRemoval] = []
     for hops in chains:
         nodes = (hops[0].src, *(h.dst for h in hops))
-        kept = solve_chain(hops, [gates[g].row for g in nodes], lib, max_skip)
+        kept = solve_chain(hops, [rows[index[g]] for g in nodes], lib, max_skip)
         removed_ids: list[str] = []
         for a, b in zip(kept, kept[1:]):
             if b == a + 1:
@@ -153,12 +145,13 @@ def remove_buffers(
         removed.update(removed_ids)
         results.append(ChainRemoval(nodes[0], nodes[-1], tuple(kept), tuple(removed_ids)))
 
+    k = c.connections
     rewritten = Circuit(
         name=c.name,
         num_rows=c.num_rows,
-        gates=tuple(g for g in c.gates if g.id not in removed),
-        connections=tuple(k for k in c.connections if k.src not in removed and k.dst not in removed)
-        + tuple(merged),
+        gates=c.gates.take([i for i, gid in enumerate(c.gates.id) if gid not in removed]),
+        connections=k.take([i for i, (src, dst) in enumerate(zip(k.src, k.dst))
+                            if src not in removed and dst not in removed], merged),
     )
     plan = RemovalPlan(
         chains=tuple(results),

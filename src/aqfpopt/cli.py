@@ -12,6 +12,7 @@ import atexit
 import gc
 import importlib.util
 import json
+import operator
 import os
 import random
 import sys
@@ -21,33 +22,13 @@ from typing import NoReturn, Optional
 
 from aqfpopt import __version__, timing
 from aqfpopt.ingest import (
-    emit_report,
-    parse_circuit,
-    parse_library,
-    parse_report,
-    render_report_table,
-    schedule_from_report,
-    serialize_circuit,
-    serialize_report,
+    emit_report, parse_circuit, parse_library, parse_report, render_report_table, report_connections,
+    schedule_from_report, serialize_circuit, serialize_report
 )
 from aqfpopt.model import (
-    BUFFER_CELL,
-    FIX_TOL,
-    HOLD_MODES,
-    LOG_LEVELS,
-    CellLibrary,
-    Circuit,
-    Connection,
-    Diagnostic,
-    Gate,
-    InfeasibleScheduleError,
-    OptimizationConfig,
-    PwlDomainError,
-    Schedule,
-    ValidationError,
-    log,
-    segment_owning,
-    validate_circuit,
+    BUFFER_CELL, FIX_TOL, HOLD_MODES, LOG_LEVELS, CellLibrary, Circuit, Connection, Diagnostic, Gate,
+    InfeasibleScheduleError, OptimizationConfig, PwlDomainError, Schedule, ValidationError, log,
+    segment_owning, validate_circuit
 )
 
 
@@ -331,7 +312,7 @@ def _schedule(held, lib, configs, remove, timings):
         except InfeasibleScheduleError as e:
             solved.append(e)
     timings["solve"] = time.perf_counter() - t0
-    del tcs  # the STA reads the circuit, not the constraint records
+    del tcs  # the STA reads the circuit, not the constraint columns
 
     t0 = time.perf_counter()
     outcomes = [
@@ -353,7 +334,7 @@ def cmd_optimize(args) -> int:
     circuit, lib = _load_inputs(args)
     timings["parse"] = time.perf_counter() - t0
     cfg = _config_from_args(args)
-    # The report is written from the STA records, so the pipeline gets the
+    # The report is written from the STA columns, so the pipeline gets the
     # only reference to the circuit.
     held = [circuit]
     del circuit
@@ -374,24 +355,72 @@ def cmd_optimize(args) -> int:
         _write_output(args.out, lambda fh: serialize_report(report, fh))
     print(render_report_table(report))
     if args.verbose:
-        for e in report["connections"]:
-            print(f"{e.src} -> {e.dst}: setup {e.setup_slack:.4g} ps, hold {e.hold_slack:.4g} ps")
-    if not slacks.passing():
+        for src, dst, setup, hold in zip(*slacks.entries.columns()):
+            print(f"{src} -> {dst}: setup {setup:.4g} ps, hold {hold:.4g} ps")
+    if slacks.failing():
         print(f"schedule fails STA: min slack {slacks.min_slack:.6g} ps", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 _CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
+#: Allowed distance (ps) of a report's connection slack from the STA's.
+SLACK_TOL = 1e-6
 
 
 def _decode_report(path) -> dict:
     """The parts of the report file at ``path`` that ``verify`` reads: the manifest
-    config, the schedule and the ``_CLAIMS`` figures. The rest of the document,
-    one object per connection, is freed on return."""
+    config, the schedule, the ``_CLAIMS`` figures and the connections as columns.
+    The rest of the document, one object per connection, is freed on return."""
     report = _read_input(path, parse_report)
     return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
+            "connections": report_connections(report),
             **{key: report[key] for key in _CLAIMS}}
+
+
+def _manifest_config(recorded: dict) -> OptimizationConfig:
+    """The config of every setting a report's manifest records; one it leaves out takes its field default."""
+    given = {key: value for key, value in recorded.items() if key in OptimizationConfig._fields}
+    if isinstance(given.get("priority"), list):
+        given["priority"] = tuple(given["priority"])
+    return OptimizationConfig(**given)
+
+
+def _out_of_bounds(sched: Schedule, cfg: OptimizationConfig, lib: CellLibrary) -> list[Diagnostic]:
+    """One diagnostic per bound of ``cfg`` that the schedule's period or slack passes by more than FIX_TOL."""
+    lo, hi = cfg.period_bounds(lib)
+    bounds = (("PERIOD_OUT_OF_RANGE", "period", sched.period, lo, -1, "below the lower period bound"),
+              ("PERIOD_OUT_OF_RANGE", "period", sched.period, hi, 1, "above the upper period bound"),
+              ("SLACK_OUT_OF_RANGE", "slack", sched.slack, cfg.s_min, -1, "below s_min"),
+              ("SLACK_OUT_OF_RANGE", "slack", sched.slack, cfg.s_max, 1, "above s_max"))
+    return [Diagnostic(code, "schedule", f"{name} {value:.6g} ps {side} {bound:.6g} ps")
+            for code, name, value, bound, sign, side in bounds if sign * (value - bound) > FIX_TOL]
+
+
+def _connection_mismatch(claimed: list, found) -> list[Diagnostic]:
+    """A REPORT_MISMATCH unless the report's connections, as ``report_connections`` columns,
+    are the STA's ``found`` in order, each slack within ``SLACK_TOL``."""
+    src, dst, setup, hold = claimed
+    if src == found.src and dst == found.dst and setup == found.setup_slack and hold == found.hold_slack:
+        return []  # a report optimize wrote holds this very STA, equal to the bit
+
+    def close(a, b):
+        return map(SLACK_TOL.__ge__, map(abs, map(operator.sub, a, b)))
+
+    same = operator.and_
+    agree = list(map(same, map(same, map(operator.eq, src, found.src), map(operator.eq, dst, found.dst)),
+                     map(same, close(setup, found.setup_slack), close(hold, found.hold_slack))))
+    differ = agree.count(False) + abs(len(src) - len(found))
+    if not differ:
+        return []
+    i = agree.index(False) if False in agree else len(agree)
+
+    def entry(columns):
+        a, b, s, h = columns
+        return f"{a[i]}->{b[i]}, setup {s[i]!r} ps, hold {h[i]!r} ps" if i < len(a) else "no connection"
+
+    return [Diagnostic("REPORT_MISMATCH", "connections", f"report says {differ} of {len(src)} connections differ, "
+                       f"first connections[{i}]: {entry(claimed)}, the STA finds {entry(found.columns())}")]
 
 
 def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], lib: CellLibrary,
@@ -423,8 +452,7 @@ def cmd_verify(args) -> int:
     circuit, lib = _load_inputs(args)
     decoded = _decode_report(args.schedule)
     manifest_cfg, sched = decoded["config"], decoded["schedule"]
-    # The settings the report records; one it leaves out takes its field default.
-    cfg = OptimizationConfig(**{k: manifest_cfg[k] for k in ("max_skip", "hold_mode") if k in manifest_cfg})
+    cfg = _manifest_config(manifest_cfg)
 
     plan = None
     if manifest_cfg.get("remove_buffers"):
@@ -433,23 +461,23 @@ def cmd_verify(args) -> int:
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
         return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
-    lo, hi = cfg.period_bounds(lib)
-    if not lo - FIX_TOL <= sched.period <= hi + FIX_TOL:
-        message = f"period {sched.period:.6g} ps outside the library range [{lo:.6g}, {hi:.6g}] ps"
-        return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", message)], EXIT_VERIFY)
+    outside = _out_of_bounds(sched, cfg, lib)
+    if outside:
+        return _fail(outside, EXIT_VERIFY)
     try:
         slacks = timing.sta_check(circuit, lib, sched, cfg.hold_mode)
     except PwlDomainError as e:
         return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
+    t = slacks.entries
     failing = [
-        Diagnostic("STA_VIOLATION", f"{e.src}->{e.dst}",
-                   f"timing violation: setup {e.setup_slack:.6g} ps, hold {e.hold_slack:.6g} ps")
-        for e in slacks.entries
-        if not e.passing()
+        Diagnostic("STA_VIOLATION", f"{t.src[i]}->{t.dst[i]}",
+                   f"timing violation: setup {t.setup_slack[i]:.6g} ps, hold {t.hold_slack[i]:.6g} ps")
+        for i in slacks.failing()
     ]
     if failing:
         return _fail(failing, EXIT_VERIFY)
     mismatches = _report_mismatches(decoded, sched, slacks.min_slack, lib, plan)
+    mismatches += _connection_mismatch(decoded["connections"], t)
     if mismatches:
         return _fail(mismatches, EXIT_VERIFY)
     ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
@@ -602,12 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows", type=int, required=True)
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--chain-prob", type=float, default=0.0,
-                    help="per-row probability of inserting a buffer chain")
+    sp.add_argument("--chain-prob", type=float, default=0.0, help="per-row probability of inserting a buffer chain")
     sp.add_argument("--skip-prob", type=float, default=0.0,
                     help="per-row probability of a phase-skipping connection")
-    sp.add_argument("--adversarial", action="store_true",
-                    help="disable the schedulability guarantee")
+    sp.add_argument("--adversarial", action="store_true", help="disable the schedulability guarantee")
     sp.add_argument("--lib", default=None, help="library whose envelope the generator targets")
     sp.add_argument("--out", default="-", help="output path, or - for stdout")
     sp.set_defaults(func=cmd_gen)
@@ -615,8 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="compare optimizer configurations on one circuit")
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--lib", required=True)
-    sp.add_argument("--configs", required=True,
-                    help=f"comma-separated presets from: {', '.join(PRESETS)}")
+    sp.add_argument("--configs", required=True, help=f"comma-separated presets from: {', '.join(PRESETS)}")
     sp.add_argument("--max-skip", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--out", default=None, help="write the comparison JSON here")
     sp.set_defaults(func=cmd_sweep)

@@ -13,21 +13,14 @@ numbers. What the content means is checked by ``validate_circuit`` and
 from __future__ import annotations
 
 import json
+import math
+import operator
 import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
-    CellLibrary,
-    CellTiming,
-    Circuit,
-    Connection,
-    Diagnostic,
-    Gate,
-    PiecewiseLinear,
-    Schedule,
-    ValidationError,
-    log,
-    validate_library,
+    CellLibrary, CellTiming, Circuit, Connection, ConnectionTable, Diagnostic, Gate, GateTable,
+    PiecewiseLinear, Schedule, ValidationError, log, validate_library
 )
 
 FORMAT_VERSION = 1
@@ -62,21 +55,16 @@ _CIRCUIT_TYPES = {
     "gates": _OBJECTS,
     "connections": _OBJECTS,
 }
-# The same checks on a document decoded into records: each list holds records of its kind only.
-_CIRCUIT_RECORD_TYPES = {
+# The same checks on a document decoded into columns: each list holds its own kind's marker only.
+_CIRCUIT_MARKER_TYPES = {
     **_CIRCUIT_TYPES,
-    "gates": (lambda v: type(v) is list and set(map(type, v)) <= {Gate}, "a list of gates"),
-    "connections": (lambda v: type(v) is list and set(map(type, v)) <= {Connection}, "a list of connections"),
+    "gates": (lambda v: type(v) is list and v.count(Gate) == len(v), "a list of gates"),
+    "connections": (lambda v: type(v) is list and v.count(Connection) == len(v), "a list of connections"),
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
 _GATE_TYPES = {"id": _STRING, "cell": _STRING, "row": _INT, "clock_offset_ps": _FINITE}
-_CONN_TYPES = {
-    "src": _STRING,
-    "dst": _STRING,
-    "length_um": _FINITE,
-    "prop_ps": _FINITE_OR_NULL,
-}
-_GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each record field, in field order
+_CONN_TYPES = {"src": _STRING, "dst": _STRING, "length_um": _FINITE, "prop_ps": _FINITE_OR_NULL}
+_GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each column, in column order
 _CONN_KEYS = tuple(_CONN_TYPES)  # of which a key whose value may be null may be left out
 _CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not _FINITE_OR_NULL)
 _LIBRARY_TYPES = {
@@ -91,6 +79,8 @@ _LIBRARY_TYPES = {
 }
 _LIBRARY_KEYS = {"format_version", *_LIBRARY_TYPES}
 _CELL_FUNCTIONS = ("c2q", "setup", "hold", "rd")
+#: The fields of each report connection, in the order the writer puts them.
+_SLACK_KEYS = ("src", "dst", "setup_slack_ps", "hold_slack_ps")
 # The report fields ``verify`` reads. Row deltas may be non-finite: the STA
 # counts every connection such a delta touches as failing.
 _REPORT_TYPES = {
@@ -104,9 +94,10 @@ _REPORT_TYPES = {
     "buffers_removed": _COUNT,
     "row_deltas_ps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
     "manifest": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "connections": _OBJECTS,
 }
 _REPORT_CONFIG_TYPES = {"remove_buffers": (lambda v: isinstance(v, bool), "a boolean")}
-_REPORT_KEYS = {"format_version", "connections", "chains", *_REPORT_TYPES}
+_REPORT_KEYS = {"format_version", "chains", *_REPORT_TYPES}
 
 
 def _load_document(source) -> dict:
@@ -165,8 +156,36 @@ def _check_circuit_header(doc: dict, types: dict, errs: list) -> bool:
     return _check_types(doc, types, "circuit", errs)
 
 
+def _typed_columns(gates: tuple[list, ...], conns: tuple[list, ...]) -> bool:
+    """Whether decoded gate and connection columns hold string ids, cells and
+    endpoints, integer rows and finite numbers, ``prop`` also None. Integers
+    in a number column become floats, and equal rows one int object."""
+    ids, cells, rows, offsets = gates
+    src, dst, lengths, props = conns
+    if not (set(map(type, ids)) | set(map(type, cells)) | set(map(type, src)) | set(map(type, dst)) <= {str}
+            and set(map(type, rows)) <= {int}):
+        return False
+    share = {}.setdefault
+    rows[:] = map(share, rows, rows)
+    return _finite_numbers(offsets) and _finite_numbers(lengths) and _finite_numbers(props, {float, int, type(None)})
+
+
+def _finite_numbers(column: list, types=frozenset((float, int))) -> bool:
+    """Whether every value of ``column`` is a finite number, or of one of
+    ``types`` otherwise; its integers become floats."""
+    found = set(map(type, column))
+    if not found <= types:
+        return False
+    if int in found:
+        try:
+            column[:] = [v if v is None else float(v) for v in column]
+        except OverflowError:  # an int past the float range
+            return False
+    return all(map(math.isfinite, filter(None, column)))  # filter drops None and zeros, which pass
+
+
 def parse_circuit(source) -> Circuit:
-    """Parse a circuit document (JSON text or a readable text file).
+    """Parse a circuit document (JSON text or a readable text file) into columns.
 
     This pass checks the shape only: keys, JSON types (string ids, cells and
     endpoints, integer rows, lists of objects) and finite numbers. It raises
@@ -175,71 +194,74 @@ def parse_circuit(source) -> Circuit:
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
 
-    The records are built inside the JSON decoder, so the decoded objects
-    never pile up. The decoder makes a ``Gate`` or ``Connection`` of every
-    object that the type tables accept as one, whatever its key order, with
-    integers where floats go, a ``null`` ``prop_ps`` or a repeated key (the
-    last value counts, as in ``json.loads``). Entries spelled as ``gen``
-    writes them take a shorter test. A record is valid only in its own
-    list, and anywhere else fails a check of the document; so a document
-    that passes those checks with records alone in its lists is the
-    circuit. Any other document is decoded again without records, and the
-    type tables name what is wrong with it.
+    The circuit's columns are filled inside the JSON decoder, so no object
+    per entry piles up. Every object with exactly a gate's keys, or a
+    connection's keys with or without ``prop_ps``, puts its values into the
+    gate or connection columns, whatever its key order (a repeated key keeps
+    its last value, as in ``json.loads``), and decodes to the marker
+    ``Gate`` or ``Connection``. After the decode each column gets one type
+    and finiteness check, and integers in a number column become floats. A
+    marker is valid only in its own list, and anywhere else fails a check of
+    the document; so a document whose checks pass with markers alone in its
+    lists, one per row of its columns, is the circuit. Any other document is
+    decoded again without markers, and the type tables name what is wrong
+    with it.
 
     Each distinct cell name and gate id is one string object, shared by the
     gate and the endpoints naming it, whichever list comes first.
     """
-    fmax = sys.float_info.max
-    shared: dict[str, str] = {}
-    new = tuple.__new__  # makes a record without a call to its Python-level __new__
+    share = {}.setdefault
+    gates: tuple[list, ...] = ([], [], [], [])
+    conns: tuple[list, ...] = ([], [], [], [])
+    add_id, add_cell, add_row, add_offset = (column.append for column in gates)
+    add_src, add_dst, add_length, add_prop = (column.append for column in conns)
 
-    def record(pairs):
+    def entry(pairs):
         # An entry as gen spells it costs one length test, one comparison of
-        # its keys, tuple unpacking and the type checks.
-        n = len(pairs)
-        if n == 4:
+        # its keys and tuple unpacking.
+        if len(pairs) == 4:
             (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
             keys = (k0, k1, k2, k3)
             if keys == _CONN_KEYS:
-                if type(v0) is str and type(v1) is str and type(v2) is float and -fmax <= v2 <= fmax \
-                        and type(v3) is float and -fmax <= v3 <= fmax:
-                    return new(Connection, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, v3))
-            elif keys == _GATE_KEYS:
-                if type(v0) is str and type(v1) is str and type(v2) is int and type(v3) is float \
-                        and -fmax <= v3 <= fmax:
-                    return new(Gate, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, v3))
-        elif n == 3:
-            (k0, v0), (k1, v1), (k2, v2) = pairs
-            if (k0, k1, k2) == _CONN_REQUIRED and type(v0) is str and type(v1) is str \
-                    and type(v2) is float and -fmax <= v2 <= fmax:
-                return new(Connection, (shared.setdefault(v0, v0), shared.setdefault(v1, v1), v2, None))
-        # A repeated key keeps its last value at its first place, as in json.loads.
-        obj = dict(pairs)
-        errs: list[Diagnostic] = []
-        if "id" in obj:  # no valid connection has an id
-            _check_entry(obj, _GATE_TYPES, _GATE_TYPES, "", errs)
-            if not errs:
-                gid, cell = obj["id"], obj["cell"]
-                return Gate(shared.setdefault(gid, gid), shared.setdefault(cell, cell), obj["row"],
-                            float(obj["clock_offset_ps"]))
-        else:
-            _check_entry(obj, _CONN_TYPES, _CONN_REQUIRED, "", errs)
-            if not errs:
-                src, dst, prop = obj["src"], obj["dst"], obj.get("prop_ps")
-                return Connection(shared.setdefault(src, src), shared.setdefault(dst, dst), float(obj["length_um"]),
-                                  None if prop is None else float(prop))
+                add_src(share(v0, v0))
+                add_dst(share(v1, v1))
+                add_length(v2)
+                add_prop(v3)
+                return Connection
+            if keys == _GATE_KEYS:
+                add_id(share(v0, v0))
+                add_cell(share(v1, v1))
+                add_row(v2)
+                add_offset(v3)
+                return Gate
+        obj = dict(pairs)  # a repeated key keeps its last value at its first place
+        if obj.keys() == _GATE_TYPES.keys():
+            gid, cell = obj["id"], obj["cell"]
+            add_id(share(gid, gid))
+            add_cell(share(cell, cell))
+            add_row(obj["row"])
+            add_offset(obj["clock_offset_ps"])
+            return Gate
+        if obj.keys() == _CONN_TYPES.keys() or obj.keys() == set(_CONN_REQUIRED):
+            src, dst = obj["src"], obj["dst"]
+            add_src(share(src, src))
+            add_dst(share(dst, dst))
+            add_length(obj["length_um"])
+            add_prop(obj.get("prop_ps"))
+            return Connection
         return obj
 
     text = source.read() if hasattr(source, "read") else source
     try:
-        doc = json.loads(text, object_pairs_hook=record)
-    except (ValueError, RecursionError):
+        doc = json.loads(text, object_pairs_hook=entry)
+    except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable id, cell or endpoint
         doc = None  # named by the second decode below
     errs: list[Diagnostic] = []
-    if type(doc) is dict and _check_circuit_header(doc, _CIRCUIT_RECORD_TYPES, errs) and not errs:
-        return Circuit(name=doc["name"], num_rows=doc["num_rows"], gates=doc.get("gates", ()),
-                       connections=doc.get("connections", ()))
-
+    if type(doc) is dict and _check_circuit_header(doc, _CIRCUIT_MARKER_TYPES, errs) and not errs \
+            and len(doc.get("gates", ())) == len(gates[0]) and len(doc.get("connections", ())) == len(conns[0]) \
+            and _typed_columns(gates, conns):
+        return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
+    del gates, conns
     doc = _load_document(text)
     errs = []
     if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
@@ -251,14 +273,14 @@ def parse_circuit(source) -> Circuit:
     raise ValidationError(errs)
 
 
-def _field_tokens(records) -> list[list[str]]:
-    """The JSON token of every field value of ``records``, one list per field.
+def _field_tokens(columns) -> list[list[str]]:
+    """The JSON token of every value of each of ``columns``, one list per column.
 
-    Each field column takes one call to the C encoder, with a newline between
+    Each column takes one call to the C encoder, with a newline between
     items. ``ensure_ascii`` escapes every newline inside a string, so each
     newline in the output separates two tokens.
     """
-    return [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in zip(*records)]
+    return [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns if column]
 
 
 def _indented_list(key: str, items: list[str]) -> str:
@@ -277,7 +299,7 @@ def serialize_circuit(c: Circuit) -> str:
     gates = [
         f'    {{\n      "id": {gid},\n      "cell": {cell},\n      "row": {row},\n'
         f'      "clock_offset_ps": {offset}\n    }}'
-        for gid, cell, row, offset in zip(*_field_tokens(c.gates))
+        for gid, cell, row, offset in zip(*_field_tokens(c.gates.columns()))
     ]
     connections = [
         # A connection without an extracted delay has no prop_ps key.
@@ -285,7 +307,7 @@ def serialize_circuit(c: Circuit) -> str:
         if prop == "null"
         else f'    {{\n      "src": {src},\n      "dst": {dst},\n      "length_um": {length},\n'
         f'      "prop_ps": {prop}\n    }}'
-        for src, dst, length, prop in zip(*_field_tokens(c.connections))
+        for src, dst, length, prop in zip(*_field_tokens(c.connections.columns()))
     ]
     return "".join((
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "name": {json.dumps(c.name)},\n',
@@ -308,9 +330,7 @@ def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
     try:
         return PiecewiseLinear(breakpoints, tuple((s, i) for s, i in entry))
     except ValidationError as e:
-        errs.extend(
-            Diagnostic(d.code, entity, d.message, d.severity) for d in e.diagnostics
-        )
+        errs.extend(Diagnostic(d.code, entity, d.message, d.severity) for d in e.diagnostics)
         return None
 
 
@@ -347,10 +367,7 @@ def parse_library(source) -> CellLibrary:
         _check_keys(entry, _CELL_FUNCTIONS, name, errs)
         if not _check_missing(entry, _CELL_FUNCTIONS, name, errs):
             continue
-        fns = {
-            fname: _parse_pwl(entry[fname], breakpoints, f"{name}.{fname}", errs)
-            for fname in _CELL_FUNCTIONS
-        }
+        fns = {fname: _parse_pwl(entry[fname], breakpoints, f"{name}.{fname}", errs) for fname in _CELL_FUNCTIONS}
         if all(v is not None for v in fns.values()):
             cells[name] = CellTiming(**fns)
     if errs:
@@ -406,8 +423,8 @@ def emit_report(
 
     ``slacks`` is the :class:`aqfpopt.timing.SlackReport` of the final
     schedule; ``stats`` the buffer-removal plan, if removal ran. The
-    document's ``connections`` are the STA's ``ConnectionSlack`` records;
-    ``serialize_report`` writes each as a
+    document's ``connections`` are the STA's slack columns;
+    ``serialize_report`` writes each of their rows as a
     ``src``/``dst``/``setup_slack_ps``/``hold_slack_ps`` object.
     """
     period = schedule.period
@@ -422,7 +439,7 @@ def emit_report(
         "row_deltas_ps": list(schedule.row_deltas),
         "buffers_total": 0 if stats is None else stats.buffers_total,
         "buffers_removed": 0 if stats is None else stats.buffers_removed,
-        "connections": list(slacks.entries),
+        "connections": slacks.entries,
     }
     if verbose and stats is not None:
         doc["chains"] = [
@@ -446,16 +463,17 @@ def serialize_report(report: dict, out) -> None:
     """Write the report document to the text stream ``out``.
 
     The bytes equal ``json.dumps(doc)`` and a newline, where ``doc`` holds
-    one object per connection; but neither those objects nor a string of
-    the whole report is ever built. The connections are encoded in batches
-    of ``REPORT_BATCH``, one C encoder call per field column, as in
-    ``serialize_circuit``. No indent, since reports run to megabytes.
+    one object per row of the ``connections`` columns; but neither those
+    objects nor a string of the whole report is ever built. The connections
+    are encoded in batches of ``REPORT_BATCH``, one C encoder call per
+    column, as in ``serialize_circuit``. No indent, since reports run to
+    megabytes.
     """
     head = {key: value for key, value in report.items() if key not in ("connections", "chains", "manifest")}
     out.write(json.dumps(head)[:-1] + ', "connections": [')
     connections = report["connections"]
     for start in range(0, len(connections), REPORT_BATCH):
-        tokens = _field_tokens(connections[start:start + REPORT_BATCH])
+        tokens = _field_tokens(column[start:start + REPORT_BATCH] for column in connections.columns())
         out.write((", " if start else "") + ", ".join(
             f'{{"src": {src}, "dst": {dst}, "setup_slack_ps": {setup}, "hold_slack_ps": {hold}}}'
             for src, dst, setup, hold in zip(*tokens)
@@ -473,9 +491,10 @@ def parse_report(source) -> dict:
     The frequency, period, latency and slack must be finite numbers, the
     frequency and period also positive, and the STA slack a finite number or
     null; ``segment_index`` an integer, the buffer counts integers >= 0;
-    ``row_deltas_ps`` a list of numbers. The manifest's ``config`` must be
-    an object, with a boolean ``remove_buffers`` if it has one; ``verify``
-    checks its ``max_skip`` and ``hold_mode`` as an ``OptimizationConfig``.
+    ``row_deltas_ps`` a list of numbers; ``connections`` a list of objects,
+    whose fields ``report_connections`` checks. The manifest's
+    ``config`` must be an object, with a boolean ``remove_buffers`` if it has
+    one; ``verify`` checks its other settings as an ``OptimizationConfig``.
     """
     doc = _load_document(source)
     errs: list[Diagnostic] = []
@@ -493,6 +512,21 @@ def parse_report(source) -> dict:
     if errs:
         raise ValidationError(errs)
     return doc
+
+
+def report_connections(report: dict) -> list[list]:
+    """The parsed report's connections as four columns, ``src``, ``dst``,
+    ``setup_slack_ps`` and ``hold_slack_ps``: strings, then numbers."""
+    try:
+        columns = [list(map(operator.itemgetter(key), report["connections"])) for key in _SLACK_KEYS]
+    except KeyError as e:
+        raise ValidationError([Diagnostic("PARSE_ERROR", "connections", f"an entry has no {e.args[0]!r}")]) from e
+    src, dst, setup, hold = columns
+    numbers = set(map(type, setup)) | set(map(type, hold))  # the writer's are all floats; an int must fit one
+    if not (set(map(type, src)) | set(map(type, dst)) <= {str} and numbers <= {float, int}
+            and (int not in numbers or all(map(_is_number, setup + hold)))):
+        raise ValidationError([Diagnostic("PARSE_ERROR", "connections", "src and dst must be strings, slacks numbers")])
+    return columns
 
 
 def schedule_from_report(report: dict) -> Schedule:

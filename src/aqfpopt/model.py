@@ -1,9 +1,10 @@
 """Domain types shared across the toolkit.
 
-All types are immutable after construction, so they can be shared freely
-across threads. Every record is a named tuple, cheap to build and to
-import. A record that coerces or checks its fields does so in ``__new__``,
-and its copies made with ``_replace`` pass through the same checks. Units
+Every record is a named tuple, cheap to build and to import, and is not
+changed after construction. A circuit holds its gates and connections as
+column tables (:class:`Table`), which the package never changes either. A
+record that coerces or checks its fields does so in ``__new__``, and its
+copies made with ``_replace`` pass through the same checks. Units
 are fixed throughout the package: times in ps, lengths in um, frequencies
 in GHz (frequency = 1000 / period_ps).
 """
@@ -124,15 +125,11 @@ class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
         if len(bps) < 2:
             errs.append(Diagnostic("ARITY_MISMATCH", "pwl", "need at least two breakpoints"))
         elif len(segs) != len(bps) - 1:
-            errs.append(
-                Diagnostic("ARITY_MISMATCH", "pwl", f"{len(segs)} segments for {len(bps)} breakpoints")
-            )
+            errs.append(Diagnostic("ARITY_MISMATCH", "pwl", f"{len(segs)} segments for {len(bps)} breakpoints"))
         if bps and bps[0] < 0:
             errs.append(Diagnostic("NEGATIVE_BREAKPOINT", "pwl", "first breakpoint must be >= 0"))
         if any(a >= b for a, b in zip(bps, bps[1:])):
-            errs.append(
-                Diagnostic("NONMONOTONE_BREAKPOINTS", "pwl", "breakpoints must be strictly increasing")
-            )
+            errs.append(Diagnostic("NONMONOTONE_BREAKPOINTS", "pwl", "breakpoints must be strictly increasing"))
         if errs:
             raise ValidationError(errs)
         return super().__new__(cls, bps, segs)
@@ -148,9 +145,7 @@ class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
     def segment_of(self, t: float) -> int:
         """Index of the segment owning ``t`` (lower segment owns breakpoints)."""
         if not self.t_lo < t <= self.t_hi:
-            raise PwlDomainError(
-                f"t={t!r} outside the valid interval ({self.t_lo}, {self.t_hi}]"
-            )
+            raise PwlDomainError(f"t={t!r} outside the valid interval ({self.t_lo}, {self.t_hi}]")
         return segment_owning(self.breakpoints, t)
 
     def __call__(self, t: float) -> float:
@@ -217,21 +212,13 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
         out.append(Diagnostic("EMPTY_LIBRARY", "library", "library defines no cells"))
         return out
     if not (lib.l_max_drive > lib.l_buffer > 0):
-        out.append(
-            Diagnostic(
-                "INVALID_INTERCONNECT",
-                "library",
-                f"need l_max_drive > l_buffer > 0, got {lib.l_max_drive} / {lib.l_buffer}",
-            )
-        )
+        out.append(Diagnostic("INVALID_INTERCONNECT", "library",
+                              f"need l_max_drive > l_buffer > 0, got {lib.l_max_drive} / {lib.l_buffer}"))
     if lib.prop_per_um <= 0:
         out.append(Diagnostic("INVALID_INTERCONNECT", "library", "prop_per_um must be > 0"))
     if not (0 < lib.t_min < lib.t_max):
-        out.append(
-            Diagnostic(
-                "INVALID_PERIOD_RANGE", "library", f"need 0 < t_min < t_max, got {lib.t_min}..{lib.t_max}"
-            )
-        )
+        message = f"need 0 < t_min < t_max, got {lib.t_min}..{lib.t_max}"
+        out.append(Diagnostic("INVALID_PERIOD_RANGE", "library", message))
     if lib.max_frequency <= 0:
         out.append(Diagnostic("INVALID_PERIOD_RANGE", "library", "max_frequency must be > 0"))
     shared = False
@@ -239,26 +226,15 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
         for fname, fn in cell.functions().items():
             ent = f"{name}.{fname}"
             if fn.breakpoints != lib.breakpoints:
-                out.append(
-                    Diagnostic(
-                        "SHARED_BREAKPOINTS_REQUIRED",
-                        ent,
-                        "all cell functions must share the library breakpoints",
-                    )
-                )
+                message = "all cell functions must share the library breakpoints"
+                out.append(Diagnostic("SHARED_BREAKPOINTS_REQUIRED", ent, message))
                 continue
             shared = True
             for k in range(1, len(fn.breakpoints) - 1):
                 jump = fn.jump_at(k)
                 if jump:
-                    out.append(
-                        Diagnostic(
-                            "PWL_DISCONTINUITY",
-                            ent,
-                            f"jump of {jump:.6g} ps at breakpoint {fn.breakpoints[k]} ps",
-                            severity="warning",
-                        )
-                    )
+                    message = f"jump of {jump:.6g} ps at breakpoint {fn.breakpoints[k]} ps"
+                    out.append(Diagnostic("PWL_DISCONTINUITY", ent, message, severity="warning"))
     # The span belongs to the grid, so it is checked once for every function sharing it.
     bps = lib.breakpoints
     if shared and not (bps[0] < lib.t_min and bps[-1] >= lib.t_max):
@@ -279,20 +255,15 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
                 continue
             excess, t = max(((a - 1.0) * t + b, t) for t in (lo, hi))
             if excess >= 0.0:
-                out.append(
-                    Diagnostic(
-                        "RESET_EXCEEDS_PERIOD",
-                        f"{name}.rd",
-                        f"rd(t) - t reaches {excess:.6g} ps at t = {t:.6g} ps on segment {k}",
-                        severity="warning",
-                    )
-                )
+                message = f"rd(t) - t reaches {excess:.6g} ps at t = {t:.6g} ps on segment {k}"
+                out.append(Diagnostic("RESET_EXCEEDS_PERIOD", f"{name}.rd", message, severity="warning"))
                 break
     return out
 
 
 class Gate(NamedTuple):
-    """A clocked cell instance placed in a row of the pipeline.
+    """A clocked cell instance placed in a row of the pipeline: one row of
+    a :class:`GateTable`.
 
     ``clock_offset`` is the cumulative base clock propagation delay from the
     chip clock input to this gate's tap, excluding every optimizable
@@ -306,7 +277,8 @@ class Gate(NamedTuple):
 
 
 class Connection(NamedTuple):
-    """A routed data connection between two gates in increasing rows."""
+    """A routed data connection between two gates in increasing rows: one
+    row of a :class:`ConnectionTable`."""
 
     src: str
     dst: str
@@ -314,23 +286,91 @@ class Connection(NamedTuple):
     prop: Optional[float] = None  # ps, extracted delay; None = length-derived
 
 
+class Table:
+    """Equal-length columns, one list per field of the named tuple type
+    ``record``, each an attribute under its field's name. A subclass names
+    its record type: ``class GateTable(Table, record=Gate)``.
+
+    A table also reads as a sequence of ``record`` rows, each built when it
+    is asked for; the package itself reads the columns.
+    """
+
+    record: type
+
+    def __init_subclass__(cls, record):
+        cls.record = record
+
+    def __init__(self, *columns):
+        for name, column in zip(self.record._fields, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, rows):
+        """``rows`` itself if it is such a table, else the table of the ``record`` rows in ``rows``."""
+        if isinstance(rows, cls):
+            return rows
+        return cls(*(list(map(list, zip(*rows))) or [[] for _ in cls.record._fields]))
+
+    def columns(self) -> list:
+        return [getattr(self, name) for name in self.record._fields]
+
+    def take(self, keep, extra=()) -> "Table":
+        """The table of the rows at the indices ``keep``, followed by the records ``extra``."""
+        return type(self)(*([col[i] for i in keep] + [row[f] for row in extra] for f, col in enumerate(self.columns())))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.record._fields[0]))
+
+    def __getitem__(self, i: int):
+        return self.record._make([col[i] for col in self.columns()])
+
+    def __iter__(self):
+        return map(self.record._make, zip(*self.columns()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.columns() == other.columns()
+
+
+class GateTable(Table, record=Gate):
+    pass
+
+
+class ConnectionTable(Table, record=Connection):
+    pass
+
+
 class _CircuitFields(NamedTuple):
     name: str
     num_rows: int
-    gates: tuple[Gate, ...]
-    connections: tuple[Connection, ...]
+    gates: GateTable
+    connections: ConnectionTable
 
 
 class Circuit(_Checked, _CircuitFields):
-    """A netlist. Unlike the other records it has an instance ``__dict__``,
-    which caches the gate index on first use."""
+    """A netlist held as columns, with no record per gate or connection.
+
+    ``gates`` has the columns ``id``, ``cell``, ``row`` and
+    ``clock_offset``; ``connections`` has ``src``, ``dst``, ``length`` and
+    ``prop``, where a ``prop`` may be None. Either may be given as
+    :class:`Gate` or :class:`Connection` records, which become columns. Unlike
+    the other records a circuit has an instance ``__dict__``, which caches the
+    gate index and the connections' endpoints on first use.
+    """
 
     def __new__(cls, name, num_rows, gates, connections):
-        return super().__new__(cls, name, num_rows, tuple(gates), tuple(connections))
+        return super().__new__(cls, name, num_rows, GateTable.of(gates), ConnectionTable.of(connections))
 
     @cached_property
-    def gates_by_id(self) -> dict[str, Gate]:
-        return {g.id: g for g in self.gates}
+    def gate_index(self) -> dict[str, int]:
+        """The position of each gate id in the gate columns; the first one of a repeated id."""
+        n = len(self.gates)
+        return dict(zip(reversed(self.gates.id), range(n - 1, -1, -1)))  # the first position is written last
+
+    @cached_property
+    def endpoints(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
+        """The gate index of each connection's source, and of its sink; None for an id that names no gate."""
+        index = self.gate_index.get
+        return list(map(index, self.connections.src)), list(map(index, self.connections.dst))
 
 
 def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
@@ -338,19 +378,18 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
 
     Non-fatal observations (a clock tap order decreasing along a row) are
     logged rather than returned, so the empty-list contract stays sharp.
+    Each connection's endpoints are resolved to gate indices here, once, and
+    the later passes read them from ``c.endpoints``.
     """
     out: list[Diagnostic] = []
-    seen: set[str] = set()
     by_row: dict[int, float] = {}
-    num_rows, cells = c.num_rows, lib.cells
-    for gid, cell, row, offset in c.gates:
-        if gid in seen:
+    num_rows, cells, index = c.num_rows, lib.cells, c.gate_index
+    g = c.gates
+    for i, (gid, cell, row, offset) in enumerate(zip(g.id, g.cell, g.row, g.clock_offset)):
+        if index[gid] != i:  # an earlier gate has this id
             out.append(Diagnostic("DUPLICATE_ID", gid, "gate id appears more than once"))
-        seen.add(gid)
         if not 0 <= row < num_rows:
-            out.append(
-                Diagnostic("ROW_OUT_OF_RANGE", gid, f"row {row} outside 0..{num_rows - 1}")
-            )
+            out.append(Diagnostic("ROW_OUT_OF_RANGE", gid, f"row {row} outside 0..{num_rows - 1}"))
         if cell not in cells:
             out.append(Diagnostic("UNKNOWN_CELL", gid, f"cell type {cell!r} not in library"))
         prev = by_row.get(row)
@@ -358,44 +397,28 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
             by_row[row] = offset
             continue
         if offset < prev - 1e-12:
-            log.warning(
-                "clock_offset of %s decreases along row %d (%.6g after %.6g)",
-                gid,
-                row,
-                offset,
-                prev,
-            )
+            log.warning("clock_offset of %s decreases along row %d (%.6g after %.6g)", gid, row, offset, prev)
         elif offset > prev:  # the row's running maximum
             by_row[row] = offset
-    gate = c.gates_by_id.get
+    rows = g.row
     l_max_drive = lib.l_max_drive
-    for src_id, dst_id, length, _ in c.connections:
-        src = gate(src_id)
-        dst = gate(dst_id)
+    k = c.connections
+    for src, dst, src_id, dst_id, length in zip(*c.endpoints, k.src, k.dst, k.length):
         if src is None or dst is None:
-            for gid, g in ((src_id, src), (dst_id, dst)):
-                if g is None:
+            for gid, i in ((src_id, src), (dst_id, dst)):
+                if i is None:
                     message = f"endpoint {gid!r} is not a gate"
                     out.append(Diagnostic("UNKNOWN_GATE", f"{src_id}->{dst_id}", message))
             continue
-        if dst.row - src.row < 1:
-            out.append(
-                Diagnostic(
-                    "NONMONOTONE_ROW",
-                    f"{src_id}->{dst_id}",
-                    f"row({dst_id})={dst.row} must exceed row({src_id})={src.row}",
-                )
-            )
+        key = f"{src_id}->{dst_id}"
+        if rows[dst] - rows[src] < 1:
+            message = f"row({dst_id})={rows[dst]} must exceed row({src_id})={rows[src]}"
+            out.append(Diagnostic("NONMONOTONE_ROW", key, message))
         if length > l_max_drive:
-            out.append(
-                Diagnostic(
-                    "LENGTH_EXCEEDS_DRIVE",
-                    f"{src_id}->{dst_id}",
-                    f"length {length} um exceeds l_max_drive {l_max_drive} um",
-                )
-            )
+            message = f"length {length} um exceeds l_max_drive {l_max_drive} um"
+            out.append(Diagnostic("LENGTH_EXCEEDS_DRIVE", key, message))
         if length < 0:
-            out.append(Diagnostic("NEGATIVE_LENGTH", f"{src_id}->{dst_id}", "length must be >= 0"))
+            out.append(Diagnostic("NEGATIVE_LENGTH", key, "length must be >= 0"))
     return out
 
 
@@ -466,21 +489,14 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
         if self.hold_mode not in HOLD_MODES:
             errs.append(Diagnostic("INVALID_CONFIG", "hold_mode", f"unknown mode {self.hold_mode!r}"))
         if self.priority_mode not in ("weighted", "lexicographic"):
-            errs.append(
-                Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}")
-            )
+            errs.append(Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}"))
         try:
             priority_ok = sorted(self.priority) == sorted(CRITERIA)
         except TypeError:  # None, a number, or names mixed with other types
             priority_ok = False
         if not priority_ok:
-            errs.append(
-                Diagnostic(
-                    "INVALID_CONFIG",
-                    "priority",
-                    "priority must order period, latency and slack exactly once each",
-                )
-            )
+            message = "priority must order period, latency and slack exactly once each"
+            errs.append(Diagnostic("INVALID_CONFIG", "priority", message))
         if not (type(self.max_skip) is int and self.max_skip >= 1):
             errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
         if errs:

@@ -30,17 +30,10 @@ from typing import NamedTuple, Optional
 # FIX_TOL and InfeasibleScheduleError live in model, so that checking a
 # stored schedule never loads this module; they stay importable from here.
 from aqfpopt.model import (
-    CRITERIA,
-    FIX_TOL,
-    CellLibrary,
-    Diagnostic,
-    InfeasibleScheduleError,
-    OptimizationConfig,
-    Schedule,
-    log,
-    segment_owning,
+    CRITERIA, FIX_TOL, CellLibrary, Diagnostic, InfeasibleScheduleError, OptimizationConfig, Schedule, log,
+    segment_owning
 )
-from aqfpopt.timing import TimingConstraint, TimingConstraintSet
+from aqfpopt.timing import TimingConstraintSet
 
 #: Simplex tolerances (ps scale): row feasibility, reduced-cost optimality
 #: and the smallest pivot magnitude accepted before declaring breakdown.
@@ -215,7 +208,7 @@ class SegmentRestriction(NamedTuple):
 
 def _discontinuous_at(tcs: TimingConstraintSet, lib: CellLibrary, k: int) -> bool:
     """Whether a timing function of a cell in use jumps at breakpoint k."""
-    cells = {tc.src_cell for tc in tcs.constraints} | {tc.dst_cell for tc in tcs.constraints}
+    cells = {*tcs.constraints.src_cell, *tcs.constraints.dst_cell}
     return any(fn.jump_at(k) for cell in cells for fn in lib.timing(cell).functions().values())
 
 
@@ -253,12 +246,13 @@ def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: Optimizati
     kind and slope.
     """
     affine: dict[tuple[str, str], tuple] = {}
-    setup: dict[tuple, tuple[float, TimingConstraint]] = {}
-    hold: dict[tuple, tuple[float, TimingConstraint]] = {}
+    setup: dict[tuple, tuple[float, int]] = {}  # the rhs and the connection index of each binding row
+    hold: dict[tuple, tuple[float, int]] = {}
     setup_of, hold_of = setup.get, hold.get
     hold_mode = cfg.hold_mode
-    for tc in tcs.constraints:
-        _, _, first, last, src_cell, dst_cell, base = tc
+    t = tcs.constraints
+    for i, (first, last, src_cell, dst_cell, base) in enumerate(zip(t.first_row, t.last_row, t.src_cell,
+                                                                     t.dst_cell, t.rhs)):
         pair = src_cell, dst_cell
         forms = affine.get(pair)
         if forms is None:
@@ -268,18 +262,18 @@ def _collapse(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: Optimizati
         key = (first, last, fs_slope)
         cur = setup_of(key)
         if cur is None or rhs > cur[0]:
-            setup[key] = (rhs, tc)
+            setup[key] = (rhs, i)
         rhs = base + fh_intercept
         key = (first, last, fh_slope)
         cur = hold_of(key)
         if cur is None or rhs < cur[0]:
-            hold[key] = (rhs, tc)
+            hold[key] = (rhs, i)
     # No two rows share (first_row, last_row, kind, slope), so the sort
     # never compares further fields.
     rows = sorted(
-        (first, last, kind, slope, rhs, f"{kind}:{tc.key}")
+        (first, last, kind, slope, rhs, f"{kind}:{t.src[i]}->{t.dst[i]}")
         for kind, best in (("setup", setup), ("hold", hold))
-        for (first, last, slope), (rhs, tc) in best.items()
+        for (first, last, slope), (rhs, i) in best.items()
     )
     return [(m, k, a, 1.0, c, tag) if kind == "setup" else (k, m, -a, 1.0, -c, tag)
             for m, k, kind, a, c, tag in rows]
@@ -520,11 +514,7 @@ def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: Optimiz
 # Public solver entry points
 
 
-def _solve_outcome(
-    tcs: TimingConstraintSet,
-    seg: SegmentRestriction,
-    cfg: OptimizationConfig,
-) -> SegmentOutcome:
+def _solve_outcome(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig) -> SegmentOutcome:
     # A segment owns its upper breakpoint only. When a timing function jumps
     # at the shared lower breakpoint, claiming it with this segment's affine
     # values would disagree with the piecewise evaluation, so the interval is
@@ -574,9 +564,7 @@ def optimize_schedule(
     segs = segment_restrictions(lib, cfg)
     if not segs:
         lo, hi = cfg.period_bounds(lib)
-        raise InfeasibleScheduleError(
-            [Diagnostic("INFEASIBLE", "period", f"no segment intersects [{lo}, {hi}]")]
-        )
+        raise InfeasibleScheduleError([Diagnostic("INFEASIBLE", "period", f"no segment intersects [{lo}, {hi}]")])
     outcomes = [_solve_outcome(tcs, seg, cfg) for seg in segs]
     if details is not None:
         details["segments_solved"] = len(outcomes)

@@ -5,32 +5,27 @@ linear constraints over the row increments, the period, the uniform slack
 and the latency. ``sta_check`` evaluates the raw inequalities directly on a
 concrete schedule and never touches the reformulation, which makes it an
 independent correctness oracle: for every connection the STA setup slack
-equals lhs - rhs of the setup row of its record at S = 0, and the hold
-slack equals rhs - lhs of the hold row.
+equals lhs - rhs of its setup row at S = 0, and the hold slack equals
+rhs - lhs of its hold row. Both hold their output as columns, one per field.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Optional
 
-from aqfpopt.model import (
-    CellLibrary,
-    Circuit,
-    Diagnostic,
-    OptimizationConfig,
-    Schedule,
-    ValidationError,
-)
+from aqfpopt.model import CellLibrary, Circuit, Diagnostic, OptimizationConfig, Schedule, Table, ValidationError
 
 #: Slack (ps) below which the STA counts a connection as failing.
 STA_MARGIN = -1e-6
 
 
 class TimingConstraint(NamedTuple):
-    """The setup and the hold inequality of one connection.
+    """The setup and the hold inequality of one connection: one row of a
+    :class:`ConstraintTable`.
 
-    Both read off the same record. With ``D`` the sum of the row increments
+    Both read off the same row. With ``D`` the sum of the row increments
     ``delta[first_row] .. delta[last_row - 1]``, the setup row is
     ``D - FS - S >= rhs`` and the hold row ``D - FH + S <= rhs``. The
     frequency-dependent terms FS (c2q of the source plus setup of the sink)
@@ -48,15 +43,15 @@ class TimingConstraint(NamedTuple):
     dst_cell: str
     rhs: float  # propagation delay minus the base clock-arrival difference
 
-    @property
-    def key(self) -> str:
-        return f"{self.src}->{self.dst}"
+
+class ConstraintTable(Table, record=TimingConstraint):
+    pass
 
 
 class TimingConstraintSet(NamedTuple):
-    """The linear system over (delta_0.., T, S, L), one record per connection."""
+    """The linear system over (delta_0.., T, S, L), one constraint row per connection."""
 
-    constraints: tuple[TimingConstraint, ...]
+    constraints: ConstraintTable
     num_rows: int
 
     @property
@@ -64,62 +59,70 @@ class TimingConstraintSet(NamedTuple):
         return self.num_rows - 1
 
 
-def build_constraints(
-    c: Circuit, lib: CellLibrary, cfg: OptimizationConfig
-) -> TimingConstraintSet:
-    """Emit one record per connection, carrying its setup and its hold row.
+def _delays(c: Circuit, lib: CellLibrary):
+    """Each connection's propagation delay in turn: its extracted delay, else its length's."""
+    prop_per_um = lib.prop_per_um
+    k = c.connections
+    return (length * prop_per_um if prop is None else prop for length, prop in zip(k.length, k.prop))
+
+
+def build_constraints(c: Circuit, lib: CellLibrary, cfg: OptimizationConfig) -> TimingConstraintSet:
+    """Emit one constraint row per connection, carrying its setup and its hold row.
 
     A connection from row m to row n contributes the increments
     delta_m .. delta_{n-1} with coefficient +1; spans beyond ``cfg.max_skip``
     are rejected since the clock schedule was never characterized for them.
     The circuit must have passed ``validate_circuit``.
     """
-    gates = c.gates_by_id
-    prop_per_um = lib.prop_per_um
-    max_skip = cfg.max_skip
-    new = tuple.__new__  # makes a record without a call to its Python-level __new__
-    constraints: list[TimingConstraint] = []
-    add = constraints.append
-    errs: list[Diagnostic] = []
-    for src, dst, length, prop in c.connections:
-        _, src_cell, first, src_offset = gates[src]
-        _, dst_cell, last, dst_offset = gates[dst]
-        if last - first > max_skip:
-            errs.append(
-                Diagnostic(
-                    "UNSUPPORTED_SKIP",
-                    f"{src}->{dst}",
-                    f"row span {last - first} exceeds the supported maximum {cfg.max_skip}",
-                )
-            )
-            continue
-        if prop is None:
-            prop = length * prop_per_um
-        rhs = prop - (dst_offset - src_offset)
-        add(new(TimingConstraint, (src, dst, first, last, src_cell, dst_cell, rhs)))
-    if errs:
-        raise ValidationError(errs)
-    return TimingConstraintSet(constraints=tuple(constraints), num_rows=c.num_rows)
+    src, dst = c.endpoints
+    g, k = c.gates, c.connections
+    first, last = list(map(g.row.__getitem__, src)), list(map(g.row.__getitem__, dst))
+    too_long = [i for i, span in enumerate(map(operator.sub, last, first)) if span > cfg.max_skip]
+    if too_long:
+        raise ValidationError([
+            Diagnostic("UNSUPPORTED_SKIP", f"{k.src[i]}->{k.dst[i]}",
+                       f"row span {last[i] - first[i]} exceeds the supported maximum {cfg.max_skip}")
+            for i in too_long
+        ])
+    offsets = g.clock_offset
+    rhs = [prop - (offsets[j] - offsets[i]) for prop, i, j in zip(_delays(c, lib), src, dst)]
+    cells = g.cell.__getitem__
+    table = ConstraintTable(k.src, k.dst, first, last, list(map(cells, src)), list(map(cells, dst)), rhs)
+    return TimingConstraintSet(constraints=table, num_rows=c.num_rows)
 
 
 class ConnectionSlack(NamedTuple):
+    """The STA slacks of one connection: one row of a :class:`SlackTable`."""
+
     src: str
     dst: str
     setup_slack: float
     hold_slack: float
 
-    def passing(self) -> bool:
-        """Both slacks are finite and at least ``STA_MARGIN``."""
-        # A NaN fails both comparisons, +-Infinity one of them.
-        return STA_MARGIN <= self.setup_slack < math.inf and STA_MARGIN <= self.hold_slack < math.inf
+
+class SlackTable(Table, record=ConnectionSlack):
+    pass
 
 
-class SlackReport(NamedTuple):
-    entries: tuple[ConnectionSlack, ...]
+class _SlackReportFields(NamedTuple):
+    entries: SlackTable
     min_slack: Optional[float]
 
-    def passing(self) -> bool:
-        return all(e.passing() for e in self.entries)
+
+class SlackReport(_SlackReportFields):
+    """The STA of a schedule: one row of ``entries`` per connection, in
+    circuit order. ``entries`` may be given as ``ConnectionSlack`` records."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries, min_slack):
+        return super().__new__(cls, SlackTable.of(entries), min_slack)
+
+    def failing(self) -> list[int]:
+        """The index of every connection whose slacks are not both finite and at least ``STA_MARGIN``."""
+        # A NaN fails both comparisons, +-Infinity one of them.
+        return [i for i, (setup, hold) in enumerate(zip(self.entries.setup_slack, self.entries.hold_slack))
+                if not (STA_MARGIN <= setup < math.inf and STA_MARGIN <= hold < math.inf)]
 
 
 def sta_check(
@@ -129,40 +132,36 @@ def sta_check(
 
     Clock arrival at a gate is its base offset plus every row increment
     before its row. Each cell's timing functions are evaluated once at the
-    period and each gate's arrival is resolved once; the connections then
-    only add their propagation delay. The computation reads the circuit,
-    the library and the schedule alone and deliberately bypasses the
-    reformulated constraint system.
+    period and each gate's clock, launch and capture edges are resolved
+    once; the connections then only add their propagation delay. The
+    computation reads the circuit, the library and the schedule alone and
+    deliberately bypasses the reformulated constraint system.
     """
-    if not c.connections:
+    k = c.connections
+    if not len(k):
         return SlackReport(entries=(), min_slack=None)
     period = sched.period
     prefix = [0.0] * (c.num_rows + 1)
     for r, d in enumerate(sched.row_deltas):
         prefix[r + 1] = prefix[r] + d
-    at_period = {}
-    for name in dict.fromkeys(g.cell for g in c.gates):
+    c2q, setup, hold, window = {}, {}, {}, {}  # each cell's value at the period
+    for name in dict.fromkeys(c.gates.cell):
         fns = lib.timing(name)
-        window = period if hold_mode == "dlplace" else fns.rd(period)
-        at_period[name] = (fns.c2q(period), fns.setup(period), fns.hold(period), window)
-    clock = {gid: offset + prefix[row] for gid, _, row, offset in c.gates}
-    gates = c.gates_by_id
-    prop_per_um = lib.prop_per_um
-    new = tuple.__new__
-    entries = []
-    add = entries.append
-    min_slack = None
-    for src, dst, length, prop in c.connections:
-        c2q, _, _, window = at_period[gates[src].cell]
-        _, setup, hold, _ = at_period[gates[dst].cell]
-        if prop is None:
-            prop = length * prop_per_um
-        arrival = clock[src] + c2q + prop
-        clk = clock[dst]
-        setup_slack = (clk - setup) - arrival
-        hold_slack = arrival + window - (clk + hold)
-        add(new(ConnectionSlack, (src, dst, setup_slack, hold_slack)))
-        local = hold_slack if hold_slack < setup_slack else setup_slack
-        if min_slack is None or local < min_slack:
-            min_slack = local
-    return SlackReport(entries=tuple(entries), min_slack=min_slack)
+        c2q[name], setup[name], hold[name] = fns.c2q(period), fns.setup(period), fns.hold(period)
+        window[name] = period if hold_mode == "dlplace" else fns.rd(period)
+    g = c.gates
+    clock = list(map(operator.add, g.clock_offset, map(prefix.__getitem__, g.row)))
+
+    def at_gate(op, value):
+        """``op(clock, value of the cell)`` of each gate, looked up by gate index."""
+        return list(map(op, clock, map(value.__getitem__, g.cell))).__getitem__
+
+    src, dst = c.endpoints
+    arrival = list(map(operator.add, map(at_gate(operator.add, c2q), src), _delays(c, lib)))
+    setup_slack = list(map(operator.sub, map(at_gate(operator.sub, setup), dst), arrival))
+    windows = map(window.__getitem__, map(g.cell.__getitem__, src))
+    hold_slack = list(map(operator.sub, map(operator.add, arrival, windows), map(at_gate(operator.add, hold), dst)))
+    # min(setup, hold) is hold only when hold < setup, and min over the
+    # connections keeps the first of equals, NaN included.
+    min_slack = min(map(min, setup_slack, hold_slack))
+    return SlackReport(SlackTable(k.src, k.dst, setup_slack, hold_slack), min_slack)

@@ -73,9 +73,9 @@ def test_criterion_2_decomposition(ref_lib):
             )
             _, plan = remove_buffers(c, ref_lib, max_skip=2)
             total = 0
-            gates = c.gates_by_id
+            row = dict(zip(c.gates.id, c.gates.row))
             for hops in extract_chains(c):
-                rows = [gates[hops[0].src].row] + [gates[h.dst].row for h in hops]
+                rows = [row[hops[0].src]] + [row[h.dst] for h in hops]
                 total += len(rows) - len(solve_chain(hops, rows, ref_lib, 2))
             assert plan.buffers_removed == total
 

@@ -73,7 +73,7 @@ class TestMergedLength:
         rlib = make_library(lib.cells, l_max_drive=l_max)
         rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
         c = pipeline_with_chain(segments, props[:len(segments)], rows)
-        hops = c.connections
+        hops = tuple(c.connections)
         rewritten, plan = remove_buffers(c, rlib, max_skip=NO_CAP if max_skip is None else max_skip)
         (chain,) = plan.chains
         kept = chain.kept_nodes
@@ -165,7 +165,7 @@ class TestExtractChains:
     def test_single_chain(self, lib):
         c = pipeline_with_chain([30.0, 30.0, 30.0])
         chains = extract_chains(c)
-        assert chains == [c.connections]
+        assert chains == [tuple(c.connections)]
         assert tuple(h.dst for h in chains[0][:-1]) == ("b1", "b2")
 
     def test_no_buffers(self, two_row_circuit):
@@ -298,9 +298,9 @@ class TestRemoveBuffers:
             )
             rewritten, plan = remove_buffers(c, ref_lib, max_skip=2)
             total = 0
-            gates = c.gates_by_id
+            row = dict(zip(c.gates.id, c.gates.row))
             for hops in extract_chains(c):
-                rows = [gates[hops[0].src].row] + [gates[h.dst].row for h in hops]
+                rows = [row[hops[0].src]] + [row[h.dst] for h in hops]
                 total += chain_brute_force([h.length for h in hops], ref_lib, node_rows=rows, max_skip=2)[0]
             assert plan.buffers_removed == total
             assert validate_circuit(rewritten, ref_lib) == []

@@ -156,7 +156,7 @@ REPORT_EDITS = {
     "min-slack-off": ({"min_slack_ps": lambda r: r["min_slack_ps"] - 2e-6}, ["min_slack_ps"]),
     "min-slack-within": ({"min_slack_ps": lambda r: r["min_slack_ps"] + 5e-7}, []),
     "slack-above-sta": ({"slack_ps": lambda r: r["min_slack_ps"] + 2e-6}, ["slack_ps"]),
-    "slack-below-sta": ({"slack_ps": lambda r: r["min_slack_ps"] - 5.0}, []),
+    "slack-below-sta": ({"slack_ps": lambda r: r["min_slack_ps"] - 5e-7}, []),
 }
 MISMATCH_TEXT = {
     "latency_ps": r"\S+ ps, the row deltas sum to \S+ ps",
@@ -394,6 +394,70 @@ class TestOptimizeVerify:
         code, out, err = self.verify_edited(workdir, capsys, drop)
         assert (code, err) == (0, "")
         assert out.startswith("schedule verifies: ")
+
+    @pytest.mark.parametrize("settings,code,lines", [
+        ({"t_min_override": 250, "s_min": 20, "s_max": 30}, 3,
+         [r"\[PERIOD_OUT_OF_RANGE\] schedule: period 200 ps below the lower period bound 250 ps",
+          r"\[SLACK_OUT_OF_RANGE\] schedule: slack \S+ ps below s_min 20 ps"]),
+        ({"t_max_override": 150}, 3,
+         [r"\[PERIOD_OUT_OF_RANGE\] schedule: period 200 ps above the upper period bound 150 ps"]),
+        ({"s_min": -10, "s_max": -5}, 3, [r"\[SLACK_OUT_OF_RANGE\] schedule: slack \S+ ps above s_max -5 ps"]),
+        ({"priority": ["slack", "latency", "period"], "tau": 2}, 0, []),
+        ({"priority": ["period", "period", "slack"]}, 1,
+         [r"\[INVALID_CONFIG\] priority: priority must order period, latency and slack exactly once each"]),
+        ({"s_min": 20, "s_max": 10}, 1, [r"\[INVALID_CONFIG\] s_min: s_min must be <= s_max"]),
+    ], ids=["floor-and-slack-window", "ceiling", "slack-ceiling", "other-settings", "bad-priority", "bad-window"])
+    def test_every_recorded_setting_bounds_the_schedule(self, workdir, capsys, settings, code, lines):
+        # A 12x3 circuit solved at 200 ps with a slack near 0, its manifest
+        # edited to settings that optimize would have solved differently.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=12, width=3, seed=2)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["period_ps"] == 200.0 and abs(report["slack_ps"]) < 1e-6
+        report["manifest"]["config"].update(settings)
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", *io, "--schedule", str(report_path)]) == code
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == len(lines)
+        for line, pattern in zip(err.splitlines(), lines):
+            assert re.fullmatch(pattern, line), line
+        assert out.startswith("schedule verifies: ") if code == 0 else out == ""
+
+    @pytest.mark.parametrize("case", ["slack-and-name", "within-tolerance", "dropped", "swapped"])
+    def test_report_connections_must_be_the_stas(self, workdir, capsys, case):
+        n = []
+
+        def edit(report):
+            conns = report["connections"]
+            n.append(len(conns))
+            if case == "slack-and-name":
+                conns[0]["setup_slack_ps"] = -5
+                conns[1]["src"] = "renamed"
+            elif case == "within-tolerance":
+                conns[0]["setup_slack_ps"] += 9e-7
+                conns[-1]["hold_slack_ps"] -= 9e-7
+            elif case == "dropped":
+                conns.pop()
+            else:
+                conns[2], conns[3] = conns[3], conns[2]
+
+        code, out, err = self.verify_edited(workdir, capsys, edit)
+        if case == "within-tolerance":
+            assert (code, err) == (0, "") and out.startswith("schedule verifies: ")
+            return
+        differ, count, first = {"slack-and-name": (2, n[0], 0), "dropped": (1, n[0] - 1, n[0] - 1),
+                                "swapped": (2, n[0], 2)}[case]
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"[REPORT_MISMATCH] connections: report says {differ} of {count} connections differ, "
+                               f"first connections[{first}]: ")
+        assert (f"connections[{first}]: no connection, the STA finds " in line) == (case == "dropped")
+        if case == "slack-and-name":
+            assert ", setup -5 ps, " in line
 
     def test_verify_takes_no_hold_mode_flag(self, workdir, capsys):
         tmp_path, lib_path = workdir
@@ -927,6 +991,10 @@ MALFORMED = [
     ("report", ("frequency_ghz",), "x", 1),
     ("report", ("min_slack_ps",), "x", 1),
     ("report", ("min_slack_ps",), math.inf, 1),
+    ("report", ("connections",), 5, 1),
+    ("report", ("connections", 0, "src"), None, 1),
+    ("report", ("connections", 0, "setup_slack_ps"), "x", 1),
+    ("report", ("manifest", "config", "priority"), "period", 1),
 ]
 
 
@@ -1236,6 +1304,58 @@ def checker_failures(circ, lib_path, report_path, remove_buffers):
     spec = {"mode": "lexicographic", "remove_buffers": remove_buffers, "s_min": 0.0, "s_max": 50.0, "max_skip": 2}
     texts = [Path(path).read_text() for path in (circ, lib_path, report_path)]
     return perfbench_checker().check_report(*texts, spec)[0]
+
+
+def respellings(text: str) -> dict[str, str]:
+    """The circuit document ``text`` in other valid spellings than the writer's, each of the same circuit."""
+    doc = json.loads(text)
+
+    def entries(respell):
+        return {**doc, "gates": list(map(respell, doc["gates"])), "connections": list(map(respell, doc["connections"]))}
+
+    def obj(pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+
+    # Each entry spells its first key twice: a wrong value, then at its place the right one.
+    repeated = [obj([(next(iter(e)), 0), *e.items()]) for e in doc["gates"] + doc["connections"]]
+    gates, connections = repeated[:len(doc["gates"])], repeated[len(doc["gates"]):]
+    head = {key: doc[key] for key in ("format_version", "name", "num_rows")}
+    return {
+        "keys-reversed": json.dumps(entries(lambda e: dict(reversed(e.items())))),
+        "integers": json.dumps(entries(lambda e: {k: int(v) if type(v) is float and v.is_integer() else v
+                                                  for k, v in e.items()})),
+        "null-prop": json.dumps({**doc, "connections": [{"prop_ps": None, **e} for e in doc["connections"]]}),
+        "connections-first": json.dumps({"connections": doc["connections"], **doc}),
+        "repeated-key": json.dumps(head)[:-1] + ', "gates": [' + ", ".join(gates) + '], "connections": ['
+                        + ", ".join(connections) + "]}",
+    }
+
+
+def test_respelled_circuits_give_the_same_report(workdir):
+    # A generated circuit in which every third connection has no extracted
+    # delay (its length gives the delay) and the first row's clock offsets
+    # are 0, so that integers and null delays can spell some of its values.
+    tmp_path, lib_path = workdir
+    doc = json.loads(serialize_circuit(cli.generate_circuit(rows=12, width=4, seed=17, skip_prob=0.3)))
+    for conn in doc["connections"][::3]:
+        conn["length_um"] = float(math.floor(conn.pop("prop_ps")))  # the reference library's 1 ps/um
+    for gate in doc["gates"]:
+        gate["clock_offset_ps"] = 0.0 if gate["row"] == 0 else gate["clock_offset_ps"]
+    texts = {"writer": serialize_circuit(parse_circuit(json.dumps(doc)))}
+    texts.update(respellings(texts["writer"]))
+    reports = {}
+    for name, text in texts.items():
+        circ, report_path = tmp_path / f"{name}.qc.json", tmp_path / f"{name}.report.json"
+        circ.write_text(text)
+        assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), "--out", str(report_path)]) == 0
+        report = report_path.read_text()
+        reports[name] = report[:report.index(', "manifest": ')]
+        # perfbench/checker.py reads a present prop_ps as a number, so it gets
+        # the writer's spelling, without the key, of the null-delay circuit.
+        read = tmp_path / "writer.qc.json" if name == "null-prop" else circ
+        assert checker_failures(read, lib_path, report_path, remove_buffers=False) == [], name
+    assert len(set(texts.values())) == len(texts)
+    assert all(report == reports["writer"] for report in reports.values())
 
 
 CHECKED_RUNS = {
