@@ -9,14 +9,36 @@ schedule solver (:mod:`aqfpopt.solver`), and a command-line front end
 """
 
 from aqfpopt.model import (
-    CellLibrary, CellTiming, Circuit, Connection, Diagnostic, Gate, OptimizationConfig, PiecewiseLinear,
-    PwlDomainError, Schedule, ValidationError, validate_circuit, validate_library
+    CellLibrary,
+    CellTiming,
+    Circuit,
+    Connection,
+    Diagnostic,
+    Gate,
+    OptimizationConfig,
+    PiecewiseLinear,
+    PwlDomainError,
+    Schedule,
+    ValidationError,
+    validate_circuit,
+    validate_library,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellLibrary", "CellTiming", "Circuit", "Connection", "Diagnostic", "Gate", "OptimizationConfig",
-    "PiecewiseLinear", "PwlDomainError", "Schedule", "ValidationError", "validate_circuit", "validate_library",
-    "__version__"
+    "CellLibrary",
+    "CellTiming",
+    "Circuit",
+    "Connection",
+    "Diagnostic",
+    "Gate",
+    "OptimizationConfig",
+    "PiecewiseLinear",
+    "PwlDomainError",
+    "Schedule",
+    "ValidationError",
+    "validate_circuit",
+    "validate_library",
+    "__version__",
 ]

@@ -20,7 +20,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from aqfpopt.model import (
-    BUFFER_CELL, CellLibrary, Circuit, Connection, Diagnostic, OptimizationConfig, ValidationError, log
+    BUFFER_CELL,
+    CellLibrary,
+    Circuit,
+    Connection,
+    Diagnostic,
+    OptimizationConfig,
+    ValidationError,
+    log,
 )
 
 
@@ -69,7 +76,7 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
         chainable.add(gid)
 
     chains: list[tuple[Connection, ...]] = []
-    hop = c.connections.__getitem__
+    hop = c.connections.at
     for gid in fanin:
         if gid not in chainable or c.connections.src[fanin[gid][0]] in chainable:
             continue  # not chainable, or the interior of a run handled from its head
@@ -85,7 +92,9 @@ def merged_length(span: tuple[Connection, ...], lib: CellLibrary) -> float:
     return sum(h.length for h in span) + (len(span) - 1) * lib.l_buffer
 
 
-def solve_chain(hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int) -> list[int]:
+def solve_chain(
+    hops: tuple[Connection, ...], rows: list[int], lib: CellLibrary, max_skip: int
+) -> list[int]:
     """Kept node indices of the optimal removal on one chain.
 
     Node k is ``hops[0].src`` for k = 0 and ``hops[k - 1].dst`` otherwise;

@@ -22,13 +22,34 @@ from typing import NoReturn, Optional
 
 from aqfpopt import __version__, timing
 from aqfpopt.ingest import (
-    emit_report, parse_circuit, parse_library, parse_report, render_report_table, report_connections,
-    schedule_from_report, serialize_circuit, serialize_report
+    emit_report,
+    parse_circuit,
+    parse_library,
+    parse_report,
+    render_report_table,
+    report_connections,
+    schedule_from_report,
+    serialize_circuit,
+    serialize_report,
 )
 from aqfpopt.model import (
-    BUFFER_CELL, FIX_TOL, HOLD_MODES, LOG_LEVELS, CellLibrary, Circuit, Connection, Diagnostic, Gate,
-    InfeasibleScheduleError, OptimizationConfig, PwlDomainError, Schedule, ValidationError, log,
-    segment_owning, validate_circuit
+    BUFFER_CELL,
+    FIX_TOL,
+    HOLD_MODES,
+    LOG_LEVELS,
+    CellLibrary,
+    Circuit,
+    Connection,
+    Diagnostic,
+    Gate,
+    InfeasibleScheduleError,
+    OptimizationConfig,
+    PwlDomainError,
+    Schedule,
+    ValidationError,
+    log,
+    segment_owning,
+    validate_circuit,
 )
 
 
@@ -364,8 +385,6 @@ def cmd_optimize(args) -> int:
 
 
 _CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
-#: Allowed distance (ps) of a report's connection slack from the STA's.
-SLACK_TOL = 1e-6
 
 
 def _decode_report(path) -> dict:
@@ -399,13 +418,11 @@ def _out_of_bounds(sched: Schedule, cfg: OptimizationConfig, lib: CellLibrary) -
 
 def _connection_mismatch(claimed: list, found) -> list[Diagnostic]:
     """A REPORT_MISMATCH unless the report's connections, as ``report_connections`` columns,
-    are the STA's ``found`` in order, each slack within ``SLACK_TOL``."""
+    are the STA's ``found`` in order, each slack within ``FIX_TOL``."""
     src, dst, setup, hold = claimed
-    if src == found.src and dst == found.dst and setup == found.setup_slack and hold == found.hold_slack:
-        return []  # a report optimize wrote holds this very STA, equal to the bit
 
     def close(a, b):
-        return map(SLACK_TOL.__ge__, map(abs, map(operator.sub, a, b)))
+        return map(FIX_TOL.__ge__, map(abs, map(operator.sub, a, b)))
 
     same = operator.and_
     agree = list(map(same, map(same, map(operator.eq, src, found.src), map(operator.eq, dst, found.dst)),
@@ -630,10 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows", type=int, required=True)
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--chain-prob", type=float, default=0.0, help="per-row probability of inserting a buffer chain")
+    sp.add_argument("--chain-prob", type=float, default=0.0,
+                    help="per-row probability of inserting a buffer chain")
     sp.add_argument("--skip-prob", type=float, default=0.0,
                     help="per-row probability of a phase-skipping connection")
-    sp.add_argument("--adversarial", action="store_true", help="disable the schedulability guarantee")
+    sp.add_argument("--adversarial", action="store_true",
+                    help="disable the schedulability guarantee")
     sp.add_argument("--lib", default=None, help="library whose envelope the generator targets")
     sp.add_argument("--out", default="-", help="output path, or - for stdout")
     sp.set_defaults(func=cmd_gen)
@@ -641,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="compare optimizer configurations on one circuit")
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--lib", required=True)
-    sp.add_argument("--configs", required=True, help=f"comma-separated presets from: {', '.join(PRESETS)}")
+    sp.add_argument("--configs", required=True,
+                    help=f"comma-separated presets from: {', '.join(PRESETS)}")
     sp.add_argument("--max-skip", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--out", default=None, help="write the comparison JSON here")
     sp.set_defaults(func=cmd_sweep)

@@ -19,8 +19,19 @@ import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
-    CellLibrary, CellTiming, Circuit, Connection, ConnectionTable, Diagnostic, Gate, GateTable,
-    PiecewiseLinear, Schedule, ValidationError, log, validate_library
+    CellLibrary,
+    CellTiming,
+    Circuit,
+    Connection,
+    ConnectionTable,
+    Diagnostic,
+    Gate,
+    GateTable,
+    PiecewiseLinear,
+    Schedule,
+    ValidationError,
+    log,
+    validate_library,
 )
 
 FORMAT_VERSION = 1
@@ -63,7 +74,12 @@ _CIRCUIT_MARKER_TYPES = {
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
 _GATE_TYPES = {"id": _STRING, "cell": _STRING, "row": _INT, "clock_offset_ps": _FINITE}
-_CONN_TYPES = {"src": _STRING, "dst": _STRING, "length_um": _FINITE, "prop_ps": _FINITE_OR_NULL}
+_CONN_TYPES = {
+    "src": _STRING,
+    "dst": _STRING,
+    "length_um": _FINITE,
+    "prop_ps": _FINITE_OR_NULL,
+}
 _GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each column, in column order
 _CONN_KEYS = tuple(_CONN_TYPES)  # of which a key whose value may be null may be left out
 _CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not _FINITE_OR_NULL)
@@ -205,7 +221,9 @@ def parse_circuit(source) -> Circuit:
     the document; so a document whose checks pass with markers alone in its
     lists, one per row of its columns, is the circuit. Any other document is
     decoded again without markers, and the type tables name what is wrong
-    with it.
+    with it. If they find nothing, a repeated key dropped an entry that had
+    already filled a row, and the columns are filled again from the entries
+    the document keeps.
 
     Each distinct cell name and gate id is one string object, shared by the
     gate and the endpoints naming it, whichever list comes first.
@@ -216,7 +234,7 @@ def parse_circuit(source) -> Circuit:
     add_id, add_cell, add_row, add_offset = (column.append for column in gates)
     add_src, add_dst, add_length, add_prop = (column.append for column in conns)
 
-    def entry(pairs):
+    def fill(pairs):
         # An entry as gen spells it costs one length test, one comparison of
         # its keys and tuple unpacking.
         if len(pairs) == 4:
@@ -253,7 +271,7 @@ def parse_circuit(source) -> Circuit:
 
     text = source.read() if hasattr(source, "read") else source
     try:
-        doc = json.loads(text, object_pairs_hook=entry)
+        doc = json.loads(text, object_pairs_hook=fill)
     except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable id, cell or endpoint
         doc = None  # named by the second decode below
     errs: list[Diagnostic] = []
@@ -261,7 +279,8 @@ def parse_circuit(source) -> Circuit:
             and len(doc.get("gates", ())) == len(gates[0]) and len(doc.get("connections", ())) == len(conns[0]) \
             and _typed_columns(gates, conns):
         return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
-    del gates, conns
+    for column in (*gates, *conns):
+        column.clear()
     doc = _load_document(text)
     errs = []
     if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
@@ -270,7 +289,12 @@ def parse_circuit(source) -> Circuit:
             _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs)
         for i, entry in enumerate(doc.get("connections", [])):
             _check_entry(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs)
-    raise ValidationError(errs)
+    if errs:
+        raise ValidationError(errs)
+    for obj in (*doc.get("gates", ()), *doc.get("connections", ())):
+        fill(list(obj.items()))
+    _typed_columns(gates, conns)  # converts only: the type tables passed every value
+    return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
 
 
 def _field_tokens(columns) -> list[list[str]]:
@@ -330,7 +354,9 @@ def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
     try:
         return PiecewiseLinear(breakpoints, tuple((s, i) for s, i in entry))
     except ValidationError as e:
-        errs.extend(Diagnostic(d.code, entity, d.message, d.severity) for d in e.diagnostics)
+        errs.extend(
+            Diagnostic(d.code, entity, d.message, d.severity) for d in e.diagnostics
+        )
         return None
 
 
@@ -367,7 +393,10 @@ def parse_library(source) -> CellLibrary:
         _check_keys(entry, _CELL_FUNCTIONS, name, errs)
         if not _check_missing(entry, _CELL_FUNCTIONS, name, errs):
             continue
-        fns = {fname: _parse_pwl(entry[fname], breakpoints, f"{name}.{fname}", errs) for fname in _CELL_FUNCTIONS}
+        fns = {
+            fname: _parse_pwl(entry[fname], breakpoints, f"{name}.{fname}", errs)
+            for fname in _CELL_FUNCTIONS
+        }
         if all(v is not None for v in fns.values()):
             cells[name] = CellTiming(**fns)
     if errs:

@@ -125,11 +125,15 @@ class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
         if len(bps) < 2:
             errs.append(Diagnostic("ARITY_MISMATCH", "pwl", "need at least two breakpoints"))
         elif len(segs) != len(bps) - 1:
-            errs.append(Diagnostic("ARITY_MISMATCH", "pwl", f"{len(segs)} segments for {len(bps)} breakpoints"))
+            errs.append(
+                Diagnostic("ARITY_MISMATCH", "pwl", f"{len(segs)} segments for {len(bps)} breakpoints")
+            )
         if bps and bps[0] < 0:
             errs.append(Diagnostic("NEGATIVE_BREAKPOINT", "pwl", "first breakpoint must be >= 0"))
         if any(a >= b for a, b in zip(bps, bps[1:])):
-            errs.append(Diagnostic("NONMONOTONE_BREAKPOINTS", "pwl", "breakpoints must be strictly increasing"))
+            errs.append(
+                Diagnostic("NONMONOTONE_BREAKPOINTS", "pwl", "breakpoints must be strictly increasing")
+            )
         if errs:
             raise ValidationError(errs)
         return super().__new__(cls, bps, segs)
@@ -145,7 +149,9 @@ class PiecewiseLinear(_Checked, _PiecewiseLinearFields):
     def segment_of(self, t: float) -> int:
         """Index of the segment owning ``t`` (lower segment owns breakpoints)."""
         if not self.t_lo < t <= self.t_hi:
-            raise PwlDomainError(f"t={t!r} outside the valid interval ({self.t_lo}, {self.t_hi}]")
+            raise PwlDomainError(
+                f"t={t!r} outside the valid interval ({self.t_lo}, {self.t_hi}]"
+            )
         return segment_owning(self.breakpoints, t)
 
     def __call__(self, t: float) -> float:
@@ -212,13 +218,21 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
         out.append(Diagnostic("EMPTY_LIBRARY", "library", "library defines no cells"))
         return out
     if not (lib.l_max_drive > lib.l_buffer > 0):
-        out.append(Diagnostic("INVALID_INTERCONNECT", "library",
-                              f"need l_max_drive > l_buffer > 0, got {lib.l_max_drive} / {lib.l_buffer}"))
+        out.append(
+            Diagnostic(
+                "INVALID_INTERCONNECT",
+                "library",
+                f"need l_max_drive > l_buffer > 0, got {lib.l_max_drive} / {lib.l_buffer}",
+            )
+        )
     if lib.prop_per_um <= 0:
         out.append(Diagnostic("INVALID_INTERCONNECT", "library", "prop_per_um must be > 0"))
     if not (0 < lib.t_min < lib.t_max):
-        message = f"need 0 < t_min < t_max, got {lib.t_min}..{lib.t_max}"
-        out.append(Diagnostic("INVALID_PERIOD_RANGE", "library", message))
+        out.append(
+            Diagnostic(
+                "INVALID_PERIOD_RANGE", "library", f"need 0 < t_min < t_max, got {lib.t_min}..{lib.t_max}"
+            )
+        )
     if lib.max_frequency <= 0:
         out.append(Diagnostic("INVALID_PERIOD_RANGE", "library", "max_frequency must be > 0"))
     shared = False
@@ -226,15 +240,26 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
         for fname, fn in cell.functions().items():
             ent = f"{name}.{fname}"
             if fn.breakpoints != lib.breakpoints:
-                message = "all cell functions must share the library breakpoints"
-                out.append(Diagnostic("SHARED_BREAKPOINTS_REQUIRED", ent, message))
+                out.append(
+                    Diagnostic(
+                        "SHARED_BREAKPOINTS_REQUIRED",
+                        ent,
+                        "all cell functions must share the library breakpoints",
+                    )
+                )
                 continue
             shared = True
             for k in range(1, len(fn.breakpoints) - 1):
                 jump = fn.jump_at(k)
                 if jump:
-                    message = f"jump of {jump:.6g} ps at breakpoint {fn.breakpoints[k]} ps"
-                    out.append(Diagnostic("PWL_DISCONTINUITY", ent, message, severity="warning"))
+                    out.append(
+                        Diagnostic(
+                            "PWL_DISCONTINUITY",
+                            ent,
+                            f"jump of {jump:.6g} ps at breakpoint {fn.breakpoints[k]} ps",
+                            severity="warning",
+                        )
+                    )
     # The span belongs to the grid, so it is checked once for every function sharing it.
     bps = lib.breakpoints
     if shared and not (bps[0] < lib.t_min and bps[-1] >= lib.t_max):
@@ -255,8 +280,14 @@ def validate_library(lib: CellLibrary) -> list[Diagnostic]:
                 continue
             excess, t = max(((a - 1.0) * t + b, t) for t in (lo, hi))
             if excess >= 0.0:
-                message = f"rd(t) - t reaches {excess:.6g} ps at t = {t:.6g} ps on segment {k}"
-                out.append(Diagnostic("RESET_EXCEEDS_PERIOD", f"{name}.rd", message, severity="warning"))
+                out.append(
+                    Diagnostic(
+                        "RESET_EXCEEDS_PERIOD",
+                        f"{name}.rd",
+                        f"rd(t) - t reaches {excess:.6g} ps at t = {t:.6g} ps on segment {k}",
+                        severity="warning",
+                    )
+                )
                 break
     return out
 
@@ -291,8 +322,7 @@ class Table:
     ``record``, each an attribute under its field's name. A subclass names
     its record type: ``class GateTable(Table, record=Gate)``.
 
-    A table also reads as a sequence of ``record`` rows, each built when it
-    is asked for; the package itself reads the columns.
+    The package reads the columns; ``at`` builds the record of one row.
     """
 
     record: type
@@ -321,14 +351,9 @@ class Table:
     def __len__(self) -> int:
         return len(getattr(self, self.record._fields[0]))
 
-    def __getitem__(self, i: int):
+    def at(self, i: int):
+        """The ``record`` of row ``i``."""
         return self.record._make([col[i] for col in self.columns()])
-
-    def __iter__(self):
-        return map(self.record._make, zip(*self.columns()))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.columns() == other.columns()
 
 
 class GateTable(Table, record=Gate):
@@ -389,7 +414,9 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
         if index[gid] != i:  # an earlier gate has this id
             out.append(Diagnostic("DUPLICATE_ID", gid, "gate id appears more than once"))
         if not 0 <= row < num_rows:
-            out.append(Diagnostic("ROW_OUT_OF_RANGE", gid, f"row {row} outside 0..{num_rows - 1}"))
+            out.append(
+                Diagnostic("ROW_OUT_OF_RANGE", gid, f"row {row} outside 0..{num_rows - 1}")
+            )
         if cell not in cells:
             out.append(Diagnostic("UNKNOWN_CELL", gid, f"cell type {cell!r} not in library"))
         prev = by_row.get(row)
@@ -397,7 +424,13 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
             by_row[row] = offset
             continue
         if offset < prev - 1e-12:
-            log.warning("clock_offset of %s decreases along row %d (%.6g after %.6g)", gid, row, offset, prev)
+            log.warning(
+                "clock_offset of %s decreases along row %d (%.6g after %.6g)",
+                gid,
+                row,
+                offset,
+                prev,
+            )
         elif offset > prev:  # the row's running maximum
             by_row[row] = offset
     rows = g.row
@@ -410,15 +443,24 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
                     message = f"endpoint {gid!r} is not a gate"
                     out.append(Diagnostic("UNKNOWN_GATE", f"{src_id}->{dst_id}", message))
             continue
-        key = f"{src_id}->{dst_id}"
         if rows[dst] - rows[src] < 1:
-            message = f"row({dst_id})={rows[dst]} must exceed row({src_id})={rows[src]}"
-            out.append(Diagnostic("NONMONOTONE_ROW", key, message))
+            out.append(
+                Diagnostic(
+                    "NONMONOTONE_ROW",
+                    f"{src_id}->{dst_id}",
+                    f"row({dst_id})={rows[dst]} must exceed row({src_id})={rows[src]}",
+                )
+            )
         if length > l_max_drive:
-            message = f"length {length} um exceeds l_max_drive {l_max_drive} um"
-            out.append(Diagnostic("LENGTH_EXCEEDS_DRIVE", key, message))
+            out.append(
+                Diagnostic(
+                    "LENGTH_EXCEEDS_DRIVE",
+                    f"{src_id}->{dst_id}",
+                    f"length {length} um exceeds l_max_drive {l_max_drive} um",
+                )
+            )
         if length < 0:
-            out.append(Diagnostic("NEGATIVE_LENGTH", key, "length must be >= 0"))
+            out.append(Diagnostic("NEGATIVE_LENGTH", f"{src_id}->{dst_id}", "length must be >= 0"))
     return out
 
 
@@ -489,14 +531,21 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
         if self.hold_mode not in HOLD_MODES:
             errs.append(Diagnostic("INVALID_CONFIG", "hold_mode", f"unknown mode {self.hold_mode!r}"))
         if self.priority_mode not in ("weighted", "lexicographic"):
-            errs.append(Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}"))
+            errs.append(
+                Diagnostic("INVALID_CONFIG", "priority_mode", f"unknown mode {self.priority_mode!r}")
+            )
         try:
             priority_ok = sorted(self.priority) == sorted(CRITERIA)
         except TypeError:  # None, a number, or names mixed with other types
             priority_ok = False
         if not priority_ok:
-            message = "priority must order period, latency and slack exactly once each"
-            errs.append(Diagnostic("INVALID_CONFIG", "priority", message))
+            errs.append(
+                Diagnostic(
+                    "INVALID_CONFIG",
+                    "priority",
+                    "priority must order period, latency and slack exactly once each",
+                )
+            )
         if not (type(self.max_skip) is int and self.max_skip >= 1):
             errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
         if errs:

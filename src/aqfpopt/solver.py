@@ -30,8 +30,15 @@ from typing import NamedTuple, Optional
 # FIX_TOL and InfeasibleScheduleError live in model, so that checking a
 # stored schedule never loads this module; they stay importable from here.
 from aqfpopt.model import (
-    CRITERIA, FIX_TOL, CellLibrary, Diagnostic, InfeasibleScheduleError, OptimizationConfig, Schedule, log,
-    segment_owning
+    CRITERIA,
+    FIX_TOL,
+    CellLibrary,
+    Diagnostic,
+    InfeasibleScheduleError,
+    OptimizationConfig,
+    Schedule,
+    log,
+    segment_owning,
 )
 from aqfpopt.timing import TimingConstraintSet
 
@@ -514,7 +521,11 @@ def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: Optimiz
 # Public solver entry points
 
 
-def _solve_outcome(tcs: TimingConstraintSet, seg: SegmentRestriction, cfg: OptimizationConfig) -> SegmentOutcome:
+def _solve_outcome(
+    tcs: TimingConstraintSet,
+    seg: SegmentRestriction,
+    cfg: OptimizationConfig,
+) -> SegmentOutcome:
     # A segment owns its upper breakpoint only. When a timing function jumps
     # at the shared lower breakpoint, claiming it with this segment's affine
     # values would disagree with the piecewise evaluation, so the interval is
@@ -564,7 +575,9 @@ def optimize_schedule(
     segs = segment_restrictions(lib, cfg)
     if not segs:
         lo, hi = cfg.period_bounds(lib)
-        raise InfeasibleScheduleError([Diagnostic("INFEASIBLE", "period", f"no segment intersects [{lo}, {hi}]")])
+        raise InfeasibleScheduleError(
+            [Diagnostic("INFEASIBLE", "period", f"no segment intersects [{lo}, {hi}]")]
+        )
     outcomes = [_solve_outcome(tcs, seg, cfg) for seg in segs]
     if details is not None:
         details["segments_solved"] = len(outcomes)

@@ -15,7 +15,15 @@ import math
 import operator
 from typing import NamedTuple, Optional
 
-from aqfpopt.model import CellLibrary, Circuit, Diagnostic, OptimizationConfig, Schedule, Table, ValidationError
+from aqfpopt.model import (
+    CellLibrary,
+    Circuit,
+    Diagnostic,
+    OptimizationConfig,
+    Schedule,
+    Table,
+    ValidationError,
+)
 
 #: Slack (ps) below which the STA counts a connection as failing.
 STA_MARGIN = -1e-6
@@ -66,7 +74,9 @@ def _delays(c: Circuit, lib: CellLibrary):
     return (length * prop_per_um if prop is None else prop for length, prop in zip(k.length, k.prop))
 
 
-def build_constraints(c: Circuit, lib: CellLibrary, cfg: OptimizationConfig) -> TimingConstraintSet:
+def build_constraints(
+    c: Circuit, lib: CellLibrary, cfg: OptimizationConfig
+) -> TimingConstraintSet:
     """Emit one constraint row per connection, carrying its setup and its hold row.
 
     A connection from row m to row n contributes the increments
@@ -104,19 +114,11 @@ class SlackTable(Table, record=ConnectionSlack):
     pass
 
 
-class _SlackReportFields(NamedTuple):
+class SlackReport(NamedTuple):
+    """The STA of a schedule: one row of ``entries`` per connection, in circuit order."""
+
     entries: SlackTable
     min_slack: Optional[float]
-
-
-class SlackReport(_SlackReportFields):
-    """The STA of a schedule: one row of ``entries`` per connection, in
-    circuit order. ``entries`` may be given as ``ConnectionSlack`` records."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries, min_slack):
-        return super().__new__(cls, SlackTable.of(entries), min_slack)
 
     def failing(self) -> list[int]:
         """The index of every connection whose slacks are not both finite and at least ``STA_MARGIN``."""
@@ -139,7 +141,7 @@ def sta_check(
     """
     k = c.connections
     if not len(k):
-        return SlackReport(entries=(), min_slack=None)
+        return SlackReport(entries=SlackTable([], [], [], []), min_slack=None)
     period = sched.period
     prefix = [0.0] * (c.num_rows + 1)
     for r, d in enumerate(sched.row_deltas):

@@ -14,6 +14,16 @@ from aqfpopt.solver import SegmentRestriction
 #: A row-span cap that no test circuit reaches, so the cap never binds.
 NO_CAP = 10**6
 
+
+def records(table) -> list:
+    """The records of a column table, one per row, for tests that read it entry by entry."""
+    return [table.at(i) for i in range(len(table))]
+
+
+def circuit_columns(c: Circuit) -> tuple:
+    """A circuit's name, row count and columns, to compare two circuits by value."""
+    return c.name, c.num_rows, c.gates.columns(), c.connections.columns()
+
 BP2 = (0.0, 100.0, 300.0)
 BP3 = (0.0, 100.0, 200.0, 300.0)
 
@@ -47,7 +57,7 @@ def reformulated_residuals(tcs, lib, period, deltas, hold_mode):
     k = next(iter(lib.cells.values())).c2q.segment_of(period)
     seg = SegmentRestriction(index=k, t_lo=period, t_hi=period, lib=lib)
     out = {}
-    for tc in tcs.constraints:
+    for tc in records(tcs.constraints):
         dsum = sum(deltas[tc.first_row:tc.last_row])
         a, b = seg.fs_affine(tc.src_cell, tc.dst_cell)
         out[(tc.src, tc.dst, "setup")] = dsum - (a * period + b) - tc.rhs

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from aqfpopt.model import CellLibrary, Circuit, Connection, Gate, OptimizationConfig
+from conftest import records
 
 
 def chain_brute_force(
@@ -108,8 +109,8 @@ def schedule_feasibility_grid(
     for r in range(rows - 1):
         edges.append((r, r + 1, zero))
         edges.append((r + 1, r, np.full(nt, -delta_max)))
-    gates = {g.id: g for g in circuit.gates}
-    for conn in circuit.connections:
+    gates = {g.id: g for g in records(circuit.gates)}
+    for conn in records(circuit.connections):
         src, dst = gates[conn.src], gates[conn.dst]
         x = _raw_rhs(conn, src, dst, lib)
         fs = _pwl_grid(lib.timing(src.cell).c2q, grid) + _pwl_grid(lib.timing(dst.cell).setup, grid)
@@ -199,8 +200,8 @@ def segment_lp_oracle(
     nd = circuit.num_rows - 1
     it, is_, il = nd, nd + 1, nd + 2
     a_ub, b_ub = [], []
-    gates = {g.id: g for g in circuit.gates}
-    for conn in circuit.connections:
+    gates = {g.id: g for g in records(circuit.gates)}
+    for conn in records(circuit.connections):
         src, dst = gates[conn.src], gates[conn.dst]
         x = _raw_rhs(conn, src, dst, lib)
         ts, td = lib.timing(src.cell), lib.timing(dst.cell)
@@ -255,12 +256,12 @@ def circuit_json_reference(c: Circuit) -> str:
         "num_rows": c.num_rows,
         "gates": [
             {"id": g.id, "cell": g.cell, "row": g.row, "clock_offset_ps": g.clock_offset}
-            for g in c.gates
+            for g in records(c.gates)
         ],
         "connections": [
             {"src": k.src, "dst": k.dst, "length_um": k.length}
             | ({} if k.prop is None else {"prop_ps": k.prop})
-            for k in c.connections
+            for k in records(c.connections)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -286,7 +287,7 @@ def report_json_reference(schedule, slacks=None, stats=None, manifest=None, verb
         "buffers_removed": 0 if stats is None else stats.buffers_removed,
         "connections": [
             {"src": e.src, "dst": e.dst, "setup_slack_ps": e.setup_slack, "hold_slack_ps": e.hold_slack}
-            for e in ([] if slacks is None else slacks.entries)
+            for e in ([] if slacks is None else records(slacks.entries))
         ],
     }
     if verbose and stats is not None:

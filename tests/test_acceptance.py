@@ -8,7 +8,7 @@ import contextlib
 import random
 import time
 
-from conftest import NO_CAP, make_library, reformulated_residuals
+from conftest import NO_CAP, make_library, records, reformulated_residuals
 from oracles import chain_brute_force, grid_min_period, min_latency_at
 from aqfpopt.bufferopt import extract_chains, remove_buffers, solve_chain
 from aqfpopt.cli import generate_circuit, main
@@ -100,7 +100,7 @@ def test_criterion_3_reformulation_correctness(ref_lib):
             tcs = build_constraints(c, ref_lib, cfg)
             residuals = reformulated_residuals(tcs, ref_lib, period, deltas, mode)
             rep = sta_check(c, ref_lib, sched, mode)
-            for e in rep.entries:
+            for e in records(rep.entries):
                 assert abs(residuals[(e.src, e.dst, "setup")] - e.setup_slack) <= 1e-9
                 assert abs(residuals[(e.src, e.dst, "hold")] - e.hold_slack) <= 1e-9
 
@@ -168,9 +168,9 @@ def test_criterion_6_reference_anchor(ref_lib):
     with criterion(6, "reference library: rd(200 ps) = 72 ps and 5.0 GHz at 200 ps"):
         assert ref_lib.timing("buffer").rd(200.0) == 72.0
         from aqfpopt.ingest import emit_report
-        from aqfpopt.timing import SlackReport
+        from aqfpopt.timing import SlackReport, SlackTable
 
-        report = emit_report(Schedule(period=200.0, row_deltas=(), slack=0.0, latency=0.0), SlackReport((), None))
+        report = emit_report(Schedule(period=200.0, row_deltas=(), slack=0.0, latency=0.0), SlackReport(SlackTable([], [], [], []), None))
         assert report["frequency_ghz"] == 5.0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import NO_CAP, make_library
+from conftest import NO_CAP, circuit_columns, make_library, records
 from oracles import chain_brute_force
 from aqfpopt.bufferopt import (
     extract_chains,
@@ -47,18 +47,18 @@ class TestMergedLength:
 
     def test_two_buffer_span(self, lib):
         rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0, 30.0]), lib, max_skip=NO_CAP)
-        (merged,) = rewritten.connections
+        (merged,) = records(rewritten.connections)
         assert merged.length == pytest.approx(110.0)
 
     def test_zero_removed(self, lib):
         c = pipeline_with_chain([30.0, 30.0, 30.0])
         rewritten, plan = remove_buffers(c, make_library(lib.cells, l_max_drive=60.0), max_skip=NO_CAP)
-        assert rewritten == c
+        assert circuit_columns(rewritten) == circuit_columns(c)
         assert plan.chains[0].kept_nodes == (0, 1, 2, 3)
 
     def test_single_buffer_case(self, lib):
         rewritten, _ = remove_buffers(pipeline_with_chain([30.0, 30.0]), lib)
-        (merged,) = rewritten.connections
+        (merged,) = records(rewritten.connections)
         assert merged.length == pytest.approx(70.0)
 
     @given(
@@ -73,11 +73,11 @@ class TestMergedLength:
         rlib = make_library(lib.cells, l_max_drive=l_max)
         rows = [sum(steps[:k]) for k in range(len(segments) + 1)]
         c = pipeline_with_chain(segments, props[:len(segments)], rows)
-        hops = tuple(c.connections)
+        hops = tuple(records(c.connections))
         rewritten, plan = remove_buffers(c, rlib, max_skip=NO_CAP if max_skip is None else max_skip)
         (chain,) = plan.chains
         kept = chain.kept_nodes
-        merged = [k for k in rewritten.connections if k not in hops]
+        merged = [k for k in records(rewritten.connections) if k not in hops]
         spans = [(a, b) for a, b in zip(kept, kept[1:]) if b > a + 1]
         assert len(merged) == len(spans)
         for conn, (a, b) in zip(merged, spans):
@@ -165,7 +165,7 @@ class TestExtractChains:
     def test_single_chain(self, lib):
         c = pipeline_with_chain([30.0, 30.0, 30.0])
         chains = extract_chains(c)
-        assert chains == [tuple(c.connections)]
+        assert chains == [tuple(records(c.connections))]
         assert tuple(h.dst for h in chains[0][:-1]) == ("b1", "b2")
 
     def test_no_buffers(self, two_row_circuit):
@@ -234,7 +234,7 @@ class TestRemoveBuffers:
         assert plan.buffers_total == 3
         assert plan.buffers_removed == 3
         assert plan.buffers_removed == sum(len(r.removed_gate_ids) for r in plan.chains)
-        assert all(g.cell != "buffer" for g in rewritten.gates)
+        assert "buffer" not in rewritten.gates.cell
         assert validate_circuit(rewritten, lib) == []
 
     def test_no_chains_identity(self, two_row_circuit, lib):
@@ -258,7 +258,7 @@ class TestRemoveBuffers:
             connections=chain_conns,
         )
         rewritten, plan = remove_buffers(c, lib)
-        (merged,) = rewritten.connections
+        (merged,) = records(rewritten.connections)
         assert merged.length == pytest.approx(70.0)
         # explicit extracted delays add up, plus wire delay across the buffer
         assert merged.prop == pytest.approx(3.5 + 4.5 + lib.l_buffer * lib.prop_per_um)
@@ -279,11 +279,11 @@ class TestRemoveBuffers:
             connections=chain_conns,
         )
         rewritten, _ = remove_buffers(c, lib)
-        (merged,) = rewritten.connections
+        (merged,) = records(rewritten.connections)
         # No extracted delay: the constraint build derives it from the merged
         # length, less the 2 ps base clock difference.
         assert merged.prop is None
-        (tc,) = build_constraints(rewritten, lib, OptimizationConfig()).constraints
+        (tc,) = records(build_constraints(rewritten, lib, OptimizationConfig()).constraints)
         assert tc.rhs == pytest.approx(70.0 * lib.prop_per_um - 2.0)
 
     def test_randomized_decomposition_and_safety(self, ref_lib):
@@ -304,8 +304,7 @@ class TestRemoveBuffers:
                 total += chain_brute_force([h.length for h in hops], ref_lib, node_rows=rows, max_skip=2)[0]
             assert plan.buffers_removed == total
             assert validate_circuit(rewritten, ref_lib) == []
-            for conn in rewritten.connections:
-                assert conn.length <= ref_lib.l_max_drive + 1e-9
+            assert all(length <= ref_lib.l_max_drive + 1e-9 for length in rewritten.connections.length)
 
     def test_monotone_in_drive_length(self, lib):
         rng = random.Random(3)
@@ -323,7 +322,7 @@ class TestRemoveBuffers:
         once, plan1 = remove_buffers(c, ref_lib, max_skip=2)
         twice, plan2 = remove_buffers(once, ref_lib, max_skip=2)
         assert plan2.buffers_removed == 0
-        assert twice == once
+        assert circuit_columns(twice) == circuit_columns(once)
 
     def test_output_is_pinned(self, ref_lib):
         c = generate_circuit(rows=60, width=5, seed=7, chain_prob=0.8, skip_prob=0.3, lib=ref_lib)

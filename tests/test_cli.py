@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import records
 from aqfpopt import cli, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
@@ -156,7 +157,9 @@ REPORT_EDITS = {
     "min-slack-off": ({"min_slack_ps": lambda r: r["min_slack_ps"] - 2e-6}, ["min_slack_ps"]),
     "min-slack-within": ({"min_slack_ps": lambda r: r["min_slack_ps"] + 5e-7}, []),
     "slack-above-sta": ({"slack_ps": lambda r: r["min_slack_ps"] + 2e-6}, ["slack_ps"]),
-    "slack-below-sta": ({"slack_ps": lambda r: r["min_slack_ps"] - 5e-7}, []),
+    "slack-below-sta": ({"slack_ps": lambda r: r["min_slack_ps"] - 5.0,
+                         "manifest": lambda r: {**r["manifest"], "config": {**r["manifest"]["config"], "s_min": -10.0}}},
+                        []),
 }
 MISMATCH_TEXT = {
     "latency_ps": r"\S+ ps, the row deltas sum to \S+ ps",
@@ -579,7 +582,7 @@ class TestOptimizeVerify:
         shuffled.write_text(json.dumps({"format_version": 1, "connections": doc["connections"],
                                         "gates": doc["gates"], "name": doc["name"], "num_rows": doc["num_rows"]}))
         a, b = (parse_circuit(path.read_text()) for path in (circ, shuffled))
-        assert set(a.gates) == set(b.gates) and set(a.connections) == set(b.connections)
+        assert set(records(a.gates)) == set(records(b.gates)) and set(records(a.connections)) == set(records(b.connections))
         reports = []
         for path in (circ, shuffled):
             out = path.with_suffix(".report.json")
@@ -788,8 +791,8 @@ class TestSweep:
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", rows=9, width=2, seed=8, chain_prob=0.9)
         removed, _ = remove_buffers(parse_circuit(circ.read_text()), ref_lib, max_skip=3)
-        row = {g.id: g.row for g in removed.gates}
-        assert max(row[k.dst] - row[k.src] for k in removed.connections) == 3
+        row = dict(zip(removed.gates.id, removed.gates.row))
+        assert max(row[dst] - row[src] for src, dst in zip(removed.connections.src, removed.connections.dst)) == 3
         removed_path = tmp_path / "removed.qc.json"
         removed_path.write_text(serialize_circuit(removed))
         # Each preset row is optimize with the matching flags. table3 removes
@@ -819,7 +822,7 @@ class TestSweep:
         built, solves = [], []
 
         def counting_build(circuit, *args):
-            built.append(sum(g.cell == "buffer" for g in circuit.gates))
+            built.append(circuit.gates.cell.count("buffer"))
             return build_constraints(circuit, *args)
 
         def counting_solve(*args):
@@ -1320,6 +1323,8 @@ def respellings(text: str) -> dict[str, str]:
     repeated = [obj([(next(iter(e)), 0), *e.items()]) for e in doc["gates"] + doc["connections"]]
     gates, connections = repeated[:len(doc["gates"])], repeated[len(doc["gates"]):]
     head = {key: doc[key] for key in ("format_version", "name", "num_rows")}
+    # The first gate spells its id twice: another gate's whole object, then its own id.
+    object_id = obj([("id", doc["gates"][1]), *doc["gates"][0].items()])
     return {
         "keys-reversed": json.dumps(entries(lambda e: dict(reversed(e.items())))),
         "integers": json.dumps(entries(lambda e: {k: int(v) if type(v) is float and v.is_integer() else v
@@ -1328,6 +1333,8 @@ def respellings(text: str) -> dict[str, str]:
         "connections-first": json.dumps({"connections": doc["connections"], **doc}),
         "repeated-key": json.dumps(head)[:-1] + ', "gates": [' + ", ".join(gates) + '], "connections": ['
                         + ", ".join(connections) + "]}",
+        "repeated-list": '{"gates": ' + json.dumps(doc["gates"][:2]) + ", " + json.dumps(doc)[1:],
+        "object-then-id": json.dumps(doc).replace(json.dumps(doc["gates"][0]), object_id, 1),
     }
 
 

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conftest import records
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import generate_circuit
 from aqfpopt.model import Circuit, OptimizationConfig
@@ -47,7 +48,7 @@ def test_shifting_every_clock_offset_leaves_period_latency_and_slack(request, li
         c = generate_circuit(lib=lib, **kw)
         base = solve(c, lib, config)
         for shift in (-40.0, 250.0):
-            shifted = c._replace(gates=[g._replace(clock_offset=g.clock_offset + shift) for g in c.gates])
+            shifted = c._replace(gates=[g._replace(clock_offset=g.clock_offset + shift) for g in records(c.gates)])
             got = solve(shifted, lib, config)
             assert (got.period, got.latency, got.slack) == pytest.approx(
                 (base.period, base.latency, base.slack), abs=FIX_TOL), (kw, shift)
@@ -55,11 +56,11 @@ def test_shifting_every_clock_offset_leaves_period_latency_and_slack(request, li
 
 def renamed(c: Circuit, seed: int) -> Circuit:
     """``c`` with every gate id replaced, in an order unrelated to the old ids'."""
-    ids = [g.id for g in c.gates]
+    ids = list(c.gates.id)
     random.Random(seed).shuffle(ids)
     names = {gid: f"n{k}" for k, gid in enumerate(ids)}
-    return Circuit(c.name, c.num_rows, [g._replace(id=names[g.id]) for g in c.gates],
-                   [x._replace(src=names[x.src], dst=names[x.dst]) for x in c.connections])
+    return Circuit(c.name, c.num_rows, [g._replace(id=names[g.id]) for g in records(c.gates)],
+                   [x._replace(src=names[x.src], dst=names[x.dst]) for x in records(c.connections)])
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BP3, const_fn, make_library
+from conftest import BP3, const_fn, make_library, records
 from aqfpopt.model import (
     CellTiming,
     Circuit,
@@ -155,7 +155,7 @@ class TestValidateCircuit:
 
     def test_clean_circuit_has_topological_row_order(self, two_row_circuit, fixture_library):
         assert validate_circuit(two_row_circuit, fixture_library) == []
-        a, b = two_row_circuit.gates
+        a, b = records(two_row_circuit.gates)
         for rows in ((1, 1), (1, 0)):
             c = Circuit(
                 name="x",

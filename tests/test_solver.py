@@ -247,7 +247,7 @@ class TestOptimizeSchedule:
             k = sched.segment_index
             seg = SegmentRestriction(index=k, t_lo=0.0, t_hi=0.0, lib=lib)
             t = sched.period
-            cells = {g.cell for g in c.gates}
+            cells = set(c.gates.cell)
             for src in cells:
                 for dst in cells:
                     s, d = lib.timing(src), lib.timing(dst)
@@ -388,7 +388,7 @@ class TestDifferenceSolver:
         tcs = build_constraints(c, fixture_library, cfg)
         with pytest.raises(InfeasibleScheduleError) as e:
             optimize_schedule(tcs, fixture_library, cfg)
-        keys = {f"{conn.src}->{conn.dst}" for conn in c.connections}
+        keys = {f"{src}->{dst}" for src, dst in zip(c.connections.src, c.connections.dst)}
         assert all(d.code == "INFEASIBLE" for d in e.value.diagnostics)
         assert any(d.entity.split(":", 1)[-1] in keys for d in e.value.diagnostics)
 
@@ -456,7 +456,7 @@ class TestInfeasibleReport:
         # c2q + setup + 110 - (c2q + rd - hold + 0). rd grows with the period,
         # so the least weight over the library's range is at its top.
         def weight(p):
-            return t.c2q(p) + t.setup(p) + c.connections[1].prop - (t.c2q(p) + t.rd(p) - t.hold(p))
+            return t.c2q(p) + t.setup(p) + c.connections.prop[1] - (t.c2q(p) + t.rd(p) - t.hold(p))
 
         assert main(["optimize", *cli_inputs(tmp_path, c, fixture_library)]) == 2
         assert reported_excess(capsys.readouterr().err) == pytest.approx(weight(300.0), rel=1e-5)
@@ -467,7 +467,7 @@ class TestInfeasibleReport:
         cfg, delta_max = OptimizationConfig(), 72.0
         monkeypatch.setattr(solver, "DELTA_MAX", delta_max)
 
-        delay = c.connections[1].prop
+        delay = c.connections.prop[1]
 
         def falling(p):  # setup a2->b2 and hold a1->b1
             return t.c2q(p) + t.setup(p) + delay - (t.c2q(p) + t.rd(p) - t.hold(p))

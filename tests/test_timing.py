@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import NO_CAP, reformulated_residuals
+from conftest import NO_CAP, records, reformulated_residuals
 from aqfpopt.cli import generate_circuit
 from aqfpopt.model import (
     Circuit,
@@ -16,8 +16,8 @@ from aqfpopt.model import (
 )
 from aqfpopt.solver import SegmentRestriction
 from aqfpopt.timing import (
-    ConnectionSlack,
     SlackReport,
+    SlackTable,
     build_constraints,
     sta_check,
 )
@@ -52,20 +52,20 @@ class TestDeltaClk:
             gates=(Gate("a", "majority3", 0, src_off), Gate("b", "majority3", 1, dst_off)),
             connections=(Connection("a", "b", 1.0),),
         )
-        (tc,) = build_constraints(c, fixture_library, OptimizationConfig()).constraints
+        (tc,) = records(build_constraints(c, fixture_library, OptimizationConfig()).constraints)
         assert tc.rhs == 1.0 * fixture_library.prop_per_um - expected
 
 
 class TestBuildConstraints:
     def test_adjacent_row_shape(self, two_row_circuit, fixture_library):
         tcs = build_constraints(two_row_circuit, fixture_library, OptimizationConfig())
-        (tc,) = tcs.constraints
+        (tc,) = records(tcs.constraints)
         assert (tc.src, tc.dst, tc.first_row, tc.last_row) == ("a", "b", 0, 1)
         assert tc.rhs == pytest.approx(3.0)  # prop 5 - clock difference 2
 
     def test_fixture_values_via_pseudo_variables(self, two_row_circuit, fixture_library):
         tcs = build_constraints(two_row_circuit, fixture_library, OptimizationConfig())
-        (tc,) = tcs.constraints
+        (tc,) = records(tcs.constraints)
         assert (tc.src_cell, tc.dst_cell) == ("majority3", "majority3")
         # combined terms on the fixture at 200 ps (segment 1): F_S = 15, F_H = 5 + rd(T)
         seg = SegmentRestriction(index=1, t_lo=100.0, t_hi=300.0, lib=fixture_library)
@@ -76,7 +76,7 @@ class TestBuildConstraints:
 
     def test_skip_connection_references_both_deltas(self, fixture_library):
         tcs = build_constraints(three_row_skip_circuit(), fixture_library, OptimizationConfig())
-        rows = {tc.dst: (tc.first_row, tc.last_row) for tc in tcs.constraints}
+        rows = {tc.dst: (tc.first_row, tc.last_row) for tc in records(tcs.constraints)}
         assert rows == {"b": (0, 1), "c": (0, 2)}
 
     def test_span_cap_enforced(self, fixture_library):
@@ -91,14 +91,14 @@ class TestBuildConstraints:
         assert e.value.diagnostics[0].code == "UNSUPPORTED_SKIP"
         assert e.value.diagnostics[0].entity == "a->d"
         tcs = build_constraints(c, fixture_library, OptimizationConfig(max_skip=NO_CAP))
-        assert [(tc.first_row, tc.last_row) for tc in tcs.constraints] == [(0, 3)]
+        assert [(tc.first_row, tc.last_row) for tc in records(tcs.constraints)] == [(0, 3)]
 
 
 class TestStaCheck:
     def test_fixture_slacks_at_200ps(self, two_row_circuit, fixture_library):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0)
         rep = sta_check(two_row_circuit, fixture_library, sched)
-        (entry,) = rep.entries
+        (entry,) = records(rep.entries)
         assert entry.setup_slack == pytest.approx(0.0, abs=1e-12)
         assert entry.hold_slack == pytest.approx(62.0, abs=1e-12)
         assert rep.min_slack == pytest.approx(0.0, abs=1e-12)
@@ -106,12 +106,12 @@ class TestStaCheck:
     def test_setup_violation_detected(self, two_row_circuit, fixture_library):
         sched = Schedule(period=200.0, row_deltas=(17.0,), slack=0.0, latency=17.0)
         rep = sta_check(two_row_circuit, fixture_library, sched)
-        assert rep.entries[0].setup_slack == pytest.approx(-1.0)
+        assert rep.entries.setup_slack[0] == pytest.approx(-1.0)
         assert rep.failing() == [0]
 
     @pytest.mark.parametrize("setup,hold", [(math.nan, 5.0), (5.0, math.nan), (math.inf, math.inf)])
     def test_non_finite_slack_fails(self, setup, hold):
-        assert SlackReport([ConnectionSlack("a", "b", setup, hold)], None).failing() == [0]
+        assert SlackReport(SlackTable(["a"], ["b"], [setup], [hold]), None).failing() == [0]
 
     def test_no_connections_min_slack_none(self, fixture_library):
         c = Circuit(name="e", num_rows=1, gates=(Gate("a", "majority3", 0, 0.0),), connections=())
@@ -132,7 +132,7 @@ class TestStaCheck:
     def test_dlplace_mode_uses_period_as_window(self, two_row_circuit, fixture_library):
         sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0)
         rep = sta_check(two_row_circuit, fixture_library, sched, hold_mode="dlplace")
-        assert rep.entries[0].hold_slack == pytest.approx(62.0 + (200.0 - 72.0))
+        assert rep.entries.hold_slack[0] == pytest.approx(62.0 + (200.0 - 72.0))
 
 
 class TestReformulationEquivalence:
@@ -147,7 +147,7 @@ class TestReformulationEquivalence:
         residuals = reformulated_residuals(tcs, lib, period, deltas, hold_mode)
         rep = sta_check(circuit, lib, sched, hold_mode)
         assert len(residuals) == 2 * len(circuit.connections)
-        for entry in rep.entries:
+        for entry in records(rep.entries):
             assert residuals[(entry.src, entry.dst, "setup")] == pytest.approx(
                 entry.setup_slack, abs=1e-9
             )
@@ -172,7 +172,7 @@ class TestReformulationEquivalence:
                     adversarial=adversarial,
                     lib=lib,
                 )
-                assert all((conn.prop is None) == adversarial for conn in circuit.connections)
+                assert all((conn.prop is None) == adversarial for conn in records(circuit.connections))
                 for mode in ("reset-delay", "dlplace"):
                     self.equivalence_case(circuit, lib, rng, mode)
 
@@ -183,7 +183,7 @@ class TestReformulationEquivalence:
             gates=(Gate("a", "majority3", 0, 5.0), Gate("b", "majority3", 1, 3.0)),
             connections=(Connection("a", "b", 5.0, prop=5.0),),
         )
-        (tc,) = build_constraints(c, fixture_library, OptimizationConfig()).constraints
+        (tc,) = records(build_constraints(c, fixture_library, OptimizationConfig()).constraints)
         assert tc.rhs == pytest.approx(7.0)  # 5 - (-2)
 
 
@@ -215,6 +215,6 @@ class TestDlplaceRelaxation:
             )
             reset = sta_check(circuit, ref_lib, sched, "reset-delay")
             relaxed = sta_check(circuit, ref_lib, sched, "dlplace")
-            for a, b in zip(reset.entries, relaxed.entries):
+            for a, b in zip(records(reset.entries), records(relaxed.entries)):
                 assert b.hold_slack >= a.hold_slack - 1e-12
                 assert b.setup_slack == pytest.approx(a.setup_slack, abs=1e-12)
