@@ -450,13 +450,13 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], 
     counts = (plan.buffers_total, plan.buffers_removed) if plan else (0, 0)
     removal = "the re-applied removal gives" if plan else "without removal it is"
     rules = (  # field, whether it agrees, what the report says against what is found
-        ("latency_ps", abs(sched.latency - latency) <= 1e-6,
+        ("latency_ps", abs(sched.latency - latency) <= FIX_TOL,
          f"{sched.latency:.6g} ps, the row deltas sum to {latency:.6g} ps"),
         ("frequency_ghz", abs(claims["frequency_ghz"] - frequency) <= 1e-9 * frequency,
          f"{claims['frequency_ghz']:.6g} GHz, the period gives {frequency:.6g} GHz"),
-        ("min_slack_ps", claimed == sta_min if None in (claimed, sta_min) else abs(claimed - sta_min) <= 1e-6,
+        ("min_slack_ps", claimed == sta_min if None in (claimed, sta_min) else abs(claimed - sta_min) <= FIX_TOL,
          f"{'null' if claimed is None else f'{claimed:.6g} ps'}, the STA finds {sta}"),
-        ("slack_ps", sta_min is None or sched.slack <= sta_min + 1e-6,
+        ("slack_ps", sta_min is None or sched.slack <= sta_min + FIX_TOL,
          f"{sched.slack:.6g} ps, above the STA minimum of {sta}"),
         ("segment_index", sched.segment_index == owner, f"{sched.segment_index}, the period lies in segment {owner}"),
         *((field, claims[field] == n, f"{claims[field]}, {removal} {n}") for field, n in zip(_CLAIMS[2:], counts)),

@@ -5,20 +5,24 @@ Circuit files use the ``.qc.json`` suffix, libraries ``.qlib.json`` and
 reports ``.report.json`` by convention. Unknown keys are rejected so typos
 fail loudly instead of silently dropping timing data.
 
-The parsers check the shape of a document: its keys, JSON types and finite
-numbers. What the content means is checked by ``validate_circuit`` and
-``validate_library`` in :mod:`aqfpopt.model`.
+The parsers check the shape of a document: its keys, and each field against
+its rule in :mod:`aqfpopt.model`, the decoded columns of a circuit whole and
+any other value as a list of one. What the content means is checked by
+``validate_circuit`` and ``validate_library``, there too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
-import sys
 from typing import Any, Optional
 
 from aqfpopt.model import (
+    FINITE,
+    FINITE_OR_NULL,
+    INTEGER,
+    REAL,
+    STRING,
     CellLibrary,
     CellTiming,
     Circuit,
@@ -28,6 +32,7 @@ from aqfpopt.model import (
     Gate,
     GateTable,
     PiecewiseLinear,
+    Rule,
     Schedule,
     ValidationError,
     log,
@@ -37,82 +42,70 @@ from aqfpopt.model import (
 FORMAT_VERSION = 1
 
 
-def _is_int(v) -> bool:
-    return type(v) is int  # a JSON true or false decodes to a bool
+def _list_of(holds, text: str) -> Rule:
+    """The rule of a field whose value is a list that passes ``holds`` as a whole."""
+    return Rule(lambda values: all(type(v) is list and holds(v) for v in values), text)
 
 
-def _is_number(v) -> bool:
-    """A JSON number that converts to a float; NaN and +-Infinity included."""
-    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
-
-
-def _is_finite(v) -> bool:
-    # False for NaN, +-Infinity and integers too large for a float.
-    return (type(v) is float or type(v) is int) and abs(v) <= sys.float_info.max
-
-
-# Expected type of each field: a predicate and how a diagnostic names it.
-_STRING = (lambda v: isinstance(v, str), "a string")
-_INT = (_is_int, "an integer")
-_FINITE = (_is_finite, "a finite number")
-_FINITE_OR_NULL = (lambda v: v is None or _is_finite(v), "a finite number or null")
-_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a finite number > 0")
-_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-_OBJECTS = (lambda v: isinstance(v, list) and set(map(type, v)) <= {dict}, "a list of objects")
+# The rule of each field. A field that is not a column is checked as a list of one.
+_POSITIVE = Rule(lambda v: FINITE.holds(v) and min(v) > 0, "a finite number > 0")
+_COUNT = Rule(lambda v: INTEGER.holds(v) and min(v) >= 0, "an integer >= 0")
+_OBJECT = Rule(lambda v: set(map(type, v)) <= {dict}, "an object")
+_OBJECTS = _list_of(_OBJECT.holds, "a list of objects")
 
 _CIRCUIT_TYPES = {
-    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "num_rows": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "name": Rule(lambda v: STRING.holds(v) and "" not in v, "a non-empty string"),
+    "num_rows": Rule(lambda v: INTEGER.holds(v) and min(v) >= 1, "a positive integer"),
     "gates": _OBJECTS,
     "connections": _OBJECTS,
 }
 # The same checks on a document decoded into columns: each list holds its own kind's marker only.
 _CIRCUIT_MARKER_TYPES = {
     **_CIRCUIT_TYPES,
-    "gates": (lambda v: type(v) is list and v.count(Gate) == len(v), "a list of gates"),
-    "connections": (lambda v: type(v) is list and v.count(Connection) == len(v), "a list of connections"),
+    "gates": _list_of(lambda v: v.count(Gate) == len(v), "a list of gates"),
+    "connections": _list_of(lambda v: v.count(Connection) == len(v), "a list of connections"),
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
-_GATE_TYPES = {"id": _STRING, "cell": _STRING, "row": _INT, "clock_offset_ps": _FINITE}
+_GATE_TYPES = {"id": STRING, "cell": STRING, "row": INTEGER, "clock_offset_ps": FINITE}
 _CONN_TYPES = {
-    "src": _STRING,
-    "dst": _STRING,
-    "length_um": _FINITE,
-    "prop_ps": _FINITE_OR_NULL,
+    "src": STRING,
+    "dst": STRING,
+    "length_um": FINITE,
+    "prop_ps": FINITE_OR_NULL,
 }
 _GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each column, in column order
 _CONN_KEYS = tuple(_CONN_TYPES)  # of which a key whose value may be null may be left out
-_CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not _FINITE_OR_NULL)
+_CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not FINITE_OR_NULL)
 _LIBRARY_TYPES = {
-    "l_max_drive_um": _FINITE,
-    "l_buffer_um": _FINITE,
-    "prop_ps_per_um": _FINITE,
-    "max_frequency_ghz": _FINITE,
-    "t_min_ps": _FINITE,
-    "t_max_ps": _FINITE,
-    "breakpoints_ps": (lambda v: isinstance(v, list) and all(map(_is_finite, v)), "a list of finite numbers"),
-    "cells": (lambda v: isinstance(v, dict), "an object"),
+    "l_max_drive_um": FINITE,
+    "l_buffer_um": FINITE,
+    "prop_ps_per_um": FINITE,
+    "max_frequency_ghz": FINITE,
+    "t_min_ps": FINITE,
+    "t_max_ps": FINITE,
+    "breakpoints_ps": _list_of(FINITE.holds, "a list of finite numbers"),
+    "cells": _OBJECT,
 }
 _LIBRARY_KEYS = {"format_version", *_LIBRARY_TYPES}
 _CELL_FUNCTIONS = ("c2q", "setup", "hold", "rd")
 #: The fields of each report connection, in the order the writer puts them.
-_SLACK_KEYS = ("src", "dst", "setup_slack_ps", "hold_slack_ps")
+_SLACK_TYPES = {"src": STRING, "dst": STRING, "setup_slack_ps": REAL, "hold_slack_ps": REAL}
 # The report fields ``verify`` reads. Row deltas may be non-finite: the STA
 # counts every connection such a delta touches as failing.
 _REPORT_TYPES = {
     "frequency_ghz": _POSITIVE,
     "period_ps": _POSITIVE,
-    "latency_ps": _FINITE,
-    "slack_ps": _FINITE,
-    "min_slack_ps": _FINITE_OR_NULL,
-    "segment_index": _INT,
+    "latency_ps": FINITE,
+    "slack_ps": FINITE,
+    "min_slack_ps": FINITE_OR_NULL,
+    "segment_index": INTEGER,
     "buffers_total": _COUNT,
     "buffers_removed": _COUNT,
-    "row_deltas_ps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    "manifest": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "row_deltas_ps": _list_of(REAL.holds, "a list of numbers"),
+    "manifest": Rule(lambda v: set(map(type, v)) <= {dict, type(None)}, "an object or null"),
     "connections": _OBJECTS,
 }
-_REPORT_CONFIG_TYPES = {"remove_buffers": (lambda v: isinstance(v, bool), "a boolean")}
+_REPORT_CONFIG_TYPES = {"remove_buffers": Rule(lambda v: set(map(type, v)) <= {bool}, "a boolean")}
 _REPORT_KEYS = {"format_version", "chains", *_REPORT_TYPES}
 
 
@@ -144,10 +137,10 @@ def _check_version(doc: dict, entity: str, errs: list) -> None:
 
 
 def _check_types(doc: dict, types: dict, entity: str, errs: list) -> bool:
-    """Report each present field of ``doc`` whose value fails its type."""
-    bad = [key for key, (ok, _) in types.items() if key in doc and not ok(doc[key])]
+    """Report each present field of ``doc`` whose value fails its rule."""
+    bad = [key for key, rule in types.items() if key in doc and not rule.holds([doc[key]])]
     for key in bad:
-        errs.append(Diagnostic("PARSE_ERROR", entity, f"{key} must be {types[key][1]}"))
+        errs.append(Diagnostic("PARSE_ERROR", entity, f"{key} must be {types[key].text}"))
     return not bad
 
 
@@ -173,40 +166,28 @@ def _check_circuit_header(doc: dict, types: dict, errs: list) -> bool:
 
 
 def _typed_columns(gates: tuple[list, ...], conns: tuple[list, ...]) -> bool:
-    """Whether decoded gate and connection columns hold string ids, cells and
-    endpoints, integer rows and finite numbers, ``prop`` also None. Integers
-    in a number column become floats, and equal rows one int object."""
-    ids, cells, rows, offsets = gates
-    src, dst, lengths, props = conns
-    if not (set(map(type, ids)) | set(map(type, cells)) | set(map(type, src)) | set(map(type, dst)) <= {str}
-            and set(map(type, rows)) <= {int}):
+    """Whether decoded gate and connection columns pass the rules of their
+    fields, each rule applied to a whole column. Integers in a number column
+    become floats, and equal rows one int object."""
+    rules = (*_GATE_TYPES.values(), *_CONN_TYPES.values())
+    if not all(rule.holds(column) for rule, column in zip(rules, (*gates, *conns))):
         return False
+    rows = gates[2]
     share = {}.setdefault
     rows[:] = map(share, rows, rows)
-    return _finite_numbers(offsets) and _finite_numbers(lengths) and _finite_numbers(props, {float, int, type(None)})
-
-
-def _finite_numbers(column: list, types=frozenset((float, int))) -> bool:
-    """Whether every value of ``column`` is a finite number, or of one of
-    ``types`` otherwise; its integers become floats."""
-    found = set(map(type, column))
-    if not found <= types:
-        return False
-    if int in found:
-        try:
+    for column in (gates[3], *conns[2:]):  # clock_offset, length and prop
+        if int in set(map(type, column)):  # only in a respelled circuit: gen writes floats
             column[:] = [v if v is None else float(v) for v in column]
-        except OverflowError:  # an int past the float range
-            return False
-    return all(map(math.isfinite, filter(None, column)))  # filter drops None and zeros, which pass
+    return True
 
 
 def parse_circuit(source) -> Circuit:
     """Parse a circuit document (JSON text or a readable text file) into columns.
 
-    This pass checks the shape only: keys, JSON types (string ids, cells and
-    endpoints, integer rows, lists of objects) and finite numbers. It raises
-    :class:`ValidationError` with one diagnostic per finding. What the
-    content means is checked by ``validate_circuit``, which every command
+    This pass checks the shape only: keys and the rule of each field (string
+    ids, cells and endpoints, integer rows, finite numbers, lists of objects).
+    It raises :class:`ValidationError` with one diagnostic per finding. What
+    the content means is checked by ``validate_circuit``, which every command
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
 
@@ -215,15 +196,15 @@ def parse_circuit(source) -> Circuit:
     connection's keys with or without ``prop_ps``, puts its values into the
     gate or connection columns, whatever its key order (a repeated key keeps
     its last value, as in ``json.loads``), and decodes to the marker
-    ``Gate`` or ``Connection``. After the decode each column gets one type
-    and finiteness check, and integers in a number column become floats. A
-    marker is valid only in its own list, and anywhere else fails a check of
-    the document; so a document whose checks pass with markers alone in its
+    ``Gate`` or ``Connection``. After the decode each field's rule checks its
+    whole column, and integers in a number column become floats. A marker is
+    valid only in its own list, and anywhere else fails a check of the
+    document; so a document whose checks pass with markers alone in its
     lists, one per row of its columns, is the circuit. Any other document is
-    decoded again without markers, and the type tables name what is wrong
-    with it. If they find nothing, a repeated key dropped an entry that had
-    already filled a row, and the columns are filled again from the entries
-    the document keeps.
+    decoded again without markers, and the same rules, given each entry's
+    values as lists of one, name what is wrong with it. If they find nothing,
+    a repeated key dropped an entry that had already filled a row, and the
+    columns are filled again from the entries the document keeps.
 
     Each distinct cell name and gate id is one string object, shared by the
     gate and the endpoints naming it, whichever list comes first.
@@ -286,14 +267,14 @@ def parse_circuit(source) -> Circuit:
     if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
         for i, entry in enumerate(doc.get("gates", [])):
             gid = entry.get("id")
-            _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if isinstance(gid, str) else f"gates[{i}]", errs)
+            _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if STRING.holds([gid]) else f"gates[{i}]", errs)
         for i, entry in enumerate(doc.get("connections", [])):
             _check_entry(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs)
     if errs:
         raise ValidationError(errs)
     for obj in (*doc.get("gates", ()), *doc.get("connections", ())):
         fill(list(obj.items()))
-    _typed_columns(gates, conns)  # converts only: the type tables passed every value
+    _typed_columns(gates, conns)  # converts only: the rules passed every value
     return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
 
 
@@ -345,7 +326,7 @@ def serialize_circuit(c: Circuit) -> str:
 
 def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
     if not isinstance(entry, list) or not all(
-        isinstance(seg, list) and len(seg) == 2 and all(map(_is_finite, seg)) for seg in entry
+        isinstance(seg, list) and len(seg) == 2 and FINITE.holds(seg) for seg in entry
     ):
         errs.append(
             Diagnostic("PARSE_ERROR", entity, "expected a list of [slope, intercept] pairs of finite numbers")
@@ -532,12 +513,8 @@ def parse_report(source) -> dict:
     _check_missing(doc, _REPORT_KEYS - {"chains", "manifest"}, "report", errs)
     _check_types(doc, _REPORT_TYPES, "report", errs)
     manifest = doc.get("manifest")
-    if isinstance(manifest, dict):
-        config = manifest.get("config", {})
-        if isinstance(config, dict):
-            _check_types(config, _REPORT_CONFIG_TYPES, "manifest.config", errs)
-        else:
-            errs.append(Diagnostic("PARSE_ERROR", "manifest", "config must be an object"))
+    if isinstance(manifest, dict) and _check_types(manifest, {"config": _OBJECT}, "manifest", errs):
+        _check_types(manifest.get("config", {}), _REPORT_CONFIG_TYPES, "manifest.config", errs)
     if errs:
         raise ValidationError(errs)
     return doc
@@ -545,16 +522,19 @@ def parse_report(source) -> dict:
 
 def report_connections(report: dict) -> list[list]:
     """The parsed report's connections as four columns, ``src``, ``dst``,
-    ``setup_slack_ps`` and ``hold_slack_ps``: strings, then numbers."""
+    ``setup_slack_ps`` and ``hold_slack_ps``: strings, then real numbers."""
+    connections = report["connections"]
     try:
-        columns = [list(map(operator.itemgetter(key), report["connections"])) for key in _SLACK_KEYS]
+        columns = [list(map(operator.itemgetter(key), connections)) for key in _SLACK_TYPES]
     except KeyError as e:
         raise ValidationError([Diagnostic("PARSE_ERROR", "connections", f"an entry has no {e.args[0]!r}")]) from e
-    src, dst, setup, hold = columns
-    numbers = set(map(type, setup)) | set(map(type, hold))  # the writer's are all floats; an int must fit one
-    if not (set(map(type, src)) | set(map(type, dst)) <= {str} and numbers <= {float, int}
-            and (int not in numbers or all(map(_is_number, setup + hold)))):
+    if not all(rule.holds(column) for rule, column in zip(_SLACK_TYPES.values(), columns)):
         raise ValidationError([Diagnostic("PARSE_ERROR", "connections", "src and dst must be strings, slacks numbers")])
+    if not set(map(len, connections)) <= {len(_SLACK_TYPES)}:  # an entry has a key beyond these
+        errs: list[Diagnostic] = []
+        for i, entry in enumerate(connections):
+            _check_keys(entry, _SLACK_TYPES, f"connections[{i}]", errs)
+        raise ValidationError(errs)
     return columns
 
 

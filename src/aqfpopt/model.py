@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import cached_property
-from typing import NamedTuple, Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 #: ``QPRO_LOG`` values and the least severity each one lets through.
 LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
@@ -481,6 +481,35 @@ class Schedule(_Checked, _ScheduleFields):
         return super().__new__(cls, period, tuple(float(d) for d in row_deltas), *args, **kwargs)
 
 
+class Rule(NamedTuple):
+    """An input field's rule: ``holds`` tells whether every value of a list passes, ``text`` names it."""
+
+    holds: Callable[[list], bool]
+    text: str
+
+
+def _reals(values: list, kinds=frozenset((float, int))) -> bool:
+    """Whether each value is of one of ``kinds``, each int one that a float can hold."""
+    found = set(map(type, values))  # a JSON true or false decodes to a bool, which is no number
+    if int in found and found <= kinds:
+        try:
+            list(map(float, filter(None, values)))
+        except OverflowError:  # an int past the float range
+            return False
+    return found <= kinds
+
+
+def _finite_reals(values: list, kinds=frozenset((float, int))) -> bool:
+    return _reals(values, kinds) and all(map(math.isfinite, filter(None, values)))  # filter drops None and zeros
+
+
+STRING = Rule(lambda values: set(map(type, values)) <= {str}, "a string")
+INTEGER = Rule(lambda values: set(map(type, values)) <= {int}, "an integer")
+REAL = Rule(_reals, "a real number")
+FINITE = Rule(_finite_reals, "a finite number")
+FINITE_OR_NULL = Rule(partial(_finite_reals, kinds=frozenset((float, int, type(None)))), "a finite number or null")
+
+
 class _OptimizationConfigFields(NamedTuple):
     tau: float = 1.0
     sigma: float = 1e-8
@@ -499,17 +528,6 @@ _CONFIG_NUMBERS = ("tau", "sigma", "lam", "s_min", "s_max")
 _CONFIG_OVERRIDES = ("t_min_override", "t_max_override")  # numbers, or None when unset
 
 
-def _finite(value) -> Optional[bool]:
-    """Whether ``value`` is finite as a float, or None where ``math`` takes it
-    for no real number: a string, None or a list."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-    except TypeError:
-        return None
-
-
 class OptimizationConfig(_Checked, _OptimizationConfigFields):
     """User-facing knobs of the schedule optimization.
 
@@ -522,10 +540,10 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        mistyped = [name for name in _CONFIG_NUMBERS if _finite(getattr(self, name)) is None]
+        mistyped = [name for name in _CONFIG_NUMBERS if not REAL.holds([getattr(self, name)])]
         mistyped += [name for name in _CONFIG_OVERRIDES if getattr(self, name) is not None
-                     and _finite(getattr(self, name)) is None]
-        errs = [Diagnostic("INVALID_CONFIG", name, f"{name} must be a real number") for name in mistyped]
+                     and not REAL.holds([getattr(self, name)])]
+        errs = [Diagnostic("INVALID_CONFIG", name, f"{name} must be {REAL.text}") for name in mistyped]
         if not mistyped:  # the numbers compare only when all of them are numbers
             errs += self._number_errors()
         if self.hold_mode not in HOLD_MODES:
@@ -546,7 +564,7 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
                     "priority must order period, latency and slack exactly once each",
                 )
             )
-        if not (type(self.max_skip) is int and self.max_skip >= 1):
+        if not (INTEGER.holds([self.max_skip]) and self.max_skip >= 1):
             errs.append(Diagnostic("INVALID_CONFIG", "max_skip", "max_skip must be an integer >= 1"))
         if errs:
             raise ValidationError(errs)
@@ -556,7 +574,7 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
         """The diagnostics of the numeric fields, once each is a real number or an unset override."""
         errs = []
         numbers = [getattr(self, name) for name in _CONFIG_NUMBERS + _CONFIG_OVERRIDES]
-        if not all(v is None or _finite(v) for v in numbers):
+        if not FINITE_OR_NULL.holds(numbers):
             errs.append(Diagnostic("INVALID_CONFIG", "config", "numeric settings must be finite"))
         if self.s_min > self.s_max:
             errs.append(Diagnostic("INVALID_CONFIG", "s_min", "s_min must be <= s_max"))

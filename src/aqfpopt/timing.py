@@ -16,6 +16,7 @@ import operator
 from typing import NamedTuple, Optional
 
 from aqfpopt.model import (
+    FIX_TOL,
     CellLibrary,
     Circuit,
     Diagnostic,
@@ -26,7 +27,7 @@ from aqfpopt.model import (
 )
 
 #: Slack (ps) below which the STA counts a connection as failing.
-STA_MARGIN = -1e-6
+STA_MARGIN = -FIX_TOL
 
 
 class TimingConstraint(NamedTuple):

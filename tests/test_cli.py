@@ -389,6 +389,16 @@ class TestOptimizeVerify:
                                             lambda r: r["manifest"]["config"].update(hold_mode=hold_mode))
         assert (code, out, err) == (1, "", f"[INVALID_CONFIG] hold_mode: unknown mode {hold_mode!r}\n")
 
+    @pytest.mark.parametrize("edit,line", [
+        (lambda r: r["manifest"]["config"].update(s_min=True), "[INVALID_CONFIG] s_min: s_min must be a real number"),
+        (lambda r: r["connections"][0].update(setup_slak_ps=-99.0),
+         "[UNKNOWN_KEY] connections[0]: unexpected key 'setup_slak_ps'"),
+    ], ids=["boolean-s-min", "misspelt-connection-key"])
+    def test_mistyped_report_field_is_an_input_error(self, workdir, capsys, edit, line):
+        # JSON true is no number, though Python takes it for 1; a misspelt key
+        # next to the four of a connection is a typo, as in any other object.
+        assert self.verify_edited(workdir, capsys, edit) == (1, "", line + "\n")
+
     def test_manifest_without_settings_verifies_under_the_defaults(self, workdir, capsys):
         def drop(report):
             config = report["manifest"]["config"]

@@ -17,13 +17,24 @@ from aqfpopt.ingest import (
     parse_library,
     parse_report,
     render_report_table,
+    report_connections,
     schedule_from_report,
     serialize_circuit,
     serialize_library,
     serialize_report,
 )
 from aqfpopt.bufferopt import ChainRemoval, RemovalPlan
-from aqfpopt.model import Circuit, Connection, Diagnostic, Gate, Schedule, ValidationError
+from aqfpopt.model import (
+    FINITE,
+    REAL,
+    Circuit,
+    Connection,
+    Diagnostic,
+    Gate,
+    OptimizationConfig,
+    Schedule,
+    ValidationError,
+)
 from aqfpopt.timing import ConnectionSlack, SlackReport, SlackTable
 
 from conftest import circuit_columns
@@ -580,3 +591,90 @@ class TestEmitReport:
         with pytest.raises(ValidationError) as e:
             parse_report(json.dumps(report))
         assert [str(d) for d in e.value.diagnostics] == [f"[PARSE_ERROR] report: {field} must be an integer >= 0"]
+
+
+#: Values that one rule must judge alike in every field it checks (wrong JSON
+#: types, non-finite numbers, an int no float holds, and plain numbers), each
+#: with whether it is a finite number and whether it is a real number.
+RULE_PROBES = [(True, False, False), ("1", False, False), (None, False, False), (math.nan, False, True),
+               (math.inf, False, True), (-math.inf, False, True), (10**400, False, False), (1, True, True),
+               (-0.0, True, True), (2.5, True, True)]
+
+
+def diagnostic_lines(call) -> list[str]:
+    """The diagnostics ``call()`` raises, as printed; none if it returns."""
+    try:
+        call()
+    except ValidationError as e:
+        return [str(d) for d in e.diagnostics]
+    return []
+
+
+def parse_with_offset(value, repeat_gates: bool, monkeypatch) -> tuple[bool, list[str]]:
+    """Parse the seed circuit with ``value`` as its first gate's clock offset:
+    whether the second decode ran, which it does when the column check turns
+    the value down, and the diagnostics. With ``repeat_gates`` a stale
+    ``gates`` list comes first, so the hook fills a row the document drops
+    and every value goes through the second decode."""
+    doc = parser_seed_doc()
+    doc["gates"][0]["clock_offset_ps"] = value
+    text = json.dumps(doc)
+    if repeat_gates:
+        text = text.replace('"gates": [', '"gates": [' + json.dumps(doc["gates"][1]) + '], "gates": [', 1)
+    second = []
+    monkeypatch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
+    lines = diagnostic_lines(lambda: parse_circuit(text))
+    monkeypatch.undo()
+    return bool(second), lines
+
+
+def library_rejects(value, ref_lib) -> bool:
+    doc = json.loads(serialize_library(ref_lib))
+    doc["l_buffer_um"] = value
+    return "[PARSE_ERROR] library: l_buffer_um must be a finite number" in diagnostic_lines(
+        lambda: parse_library(json.dumps(doc)))
+
+
+def seed_report() -> dict:
+    sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0, segment_index=1)
+    return json.loads(written_report(emit_report(sched, SlackReport(SlackTable(["a"], ["b"], [0.0], [62.0]), 0.0))))
+
+
+def row_delta_rejected(value) -> bool:
+    doc = seed_report()
+    doc["row_deltas_ps"][0] = value
+    return "[PARSE_ERROR] report: row_deltas_ps must be a list of numbers" in diagnostic_lines(
+        lambda: parse_report(json.dumps(doc)))
+
+
+def connection_slack_rejected(value) -> bool:
+    doc = seed_report()
+    doc["connections"][0]["setup_slack_ps"] = value
+    return "[PARSE_ERROR] connections: src and dst must be strings, slacks numbers" in diagnostic_lines(
+        lambda: report_connections(parse_report(json.dumps(doc))))
+
+
+@pytest.mark.parametrize("value,finite_number,real_number", RULE_PROBES, ids=["true", '"1"', "null", "NaN", "Infinity", "-Infinity", "10**400", "1", "-0.0", "2.5"])
+def test_each_rule_judges_a_value_alike_in_every_field(value, finite_number, real_number, ref_lib, monkeypatch):
+    # The circuit columns, the entries of the second decode, the library,
+    # the report and the run settings all check their fields with one rule
+    # set, so a value one of them takes for a finite or a real number every
+    # field of that rule takes for one too.
+    column_turned_down, _ = parse_with_offset(value, False, monkeypatch)
+    second, entry_lines = parse_with_offset(value, True, monkeypatch)
+    assert second
+    finite = {
+        "clock_offset_ps, whole column": column_turned_down,
+        "clock_offset_ps, one entry": "[PARSE_ERROR] g0_0: clock_offset_ps must be a finite number" in entry_lines,
+        "l_buffer_um": library_rejects(value, ref_lib),
+        "OptimizationConfig.s_min": bool(diagnostic_lines(lambda: OptimizationConfig(s_min=value))),
+    }
+    real = {
+        "row_deltas_ps": row_delta_rejected(value),
+        "setup_slack_ps": connection_slack_rejected(value),
+        "OptimizationConfig.tau type": "[INVALID_CONFIG] tau: tau must be a real number" in diagnostic_lines(
+            lambda: OptimizationConfig(tau=value)),
+    }
+    assert (FINITE.holds([value]), REAL.holds([value])) == (finite_number, real_number)
+    assert finite == dict.fromkeys(finite, not finite_number)
+    assert real == dict.fromkeys(real, not real_number)

@@ -193,7 +193,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("tau", "x"), ("sigma", [1.0]), ("lam", 1j), ("s_min", None),
                                              ("s_max", "50"), ("lam", None), ("t_min_override", "250"),
-                                             ("t_max_override", {})])
+                                             ("t_max_override", {}), ("s_min", True), ("tau", False)])
     def test_mistyped_number_rejected(self, field, value):
         with pytest.raises(ValidationError) as e:
             OptimizationConfig(**{field: value})
