@@ -3,6 +3,10 @@
 Exit codes are stable across commands: 0 success, 1 usage or input errors,
 2 infeasible schedule or solver breakdown, 3 verification failure. The ``QPRO_LOG`` environment
 variable (error, warn, info, debug) controls diagnostic verbosity.
+
+This module holds the parser, the shared plumbing and ``optimize``. Each
+other command lives in its own module (``aqfpopt.verify``, ``aqfpopt.generator``,
+``aqfpopt.sweep``), which ``main`` imports only when that command runs.
 """
 
 from __future__ import annotations
@@ -11,44 +15,29 @@ import argparse
 import atexit
 import gc
 import importlib.util
-import json
-import operator
 import os
-import random
 import sys
 import time
 from importlib import resources
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 from aqfpopt import __version__, timing
 from aqfpopt.ingest import (
     emit_report,
     parse_circuit,
     parse_library,
-    parse_report,
     render_report_table,
-    report_connections,
-    schedule_from_report,
-    serialize_circuit,
     serialize_report,
 )
 from aqfpopt.model import (
-    BUFFER_CELL,
-    FIX_TOL,
     HOLD_MODES,
     LOG_LEVELS,
     CellLibrary,
-    Circuit,
-    Connection,
     Diagnostic,
-    Gate,
     InfeasibleScheduleError,
     OptimizationConfig,
-    PwlDomainError,
-    Schedule,
     ValidationError,
     log,
-    segment_owning,
     validate_circuit,
 )
 
@@ -103,131 +92,14 @@ def reference_library() -> CellLibrary:
     return parse_library(text)
 
 
-# ---------------------------------------------------------------------------
-# Synthetic benchmark generation
+def __getattr__(name: str):
+    # ``from aqfpopt.cli import generate_circuit`` is the documented import;
+    # it loads aqfpopt.generator, which no other command compiles, on demand.
+    if name == "generate_circuit":
+        from aqfpopt.generator import generate_circuit
 
-_GATE_CELLS = ("majority3", "splitter2", "splitter3", "splitter4")
-
-
-def generate_circuit(
-    rows: int,
-    width: int,
-    seed: int,
-    chain_prob: float = 0.0,
-    skip_prob: float = 0.0,
-    adversarial: bool = False,
-    lib: Optional[CellLibrary] = None,
-) -> Circuit:
-    """Deterministic random pipeline: ``width`` gates per row, feedforward
-    connections to the next row, optional buffer chains and phase-skipping
-    connections.
-
-    Wire lengths are drawn across the full drivable range, but extracted
-    propagation delays are emitted with a bounded per-row spread so the
-    result is schedulable by construction; ``adversarial`` drops the
-    explicit delays and lets raw wire lengths produce infeasible instances.
-    Sizes below 1 and probabilities outside [0, 1], NaN included, raise a
-    :class:`ValidationError` naming each such argument.
-    """
-    errs = [
-        Diagnostic("INVALID_CONFIG", name, f"{name} must be >= 1")
-        for name, count in (("rows", rows), ("width", width))
-        if count < 1
-    ]
-    errs += [
-        Diagnostic("INVALID_CONFIG", name, f"{name} must be in [0, 1]")
-        for name, prob in (("chain_prob", chain_prob), ("skip_prob", skip_prob))
-        if not 0.0 <= prob <= 1.0
-    ]
-    if errs:
-        raise ValidationError(errs)
-    lib = lib if lib is not None else reference_library()
-    rng = random.Random(seed)
-    pool = [cell for cell in _GATE_CELLS if cell in lib.cells] or sorted(lib.cells)
-
-    prop_base, prop_spread = 25.0, 35.0
-
-    def draw_prop() -> Optional[float]:
-        if adversarial:
-            return None
-        return prop_base + rng.uniform(0.0, prop_spread)
-
-    gates: list[Gate] = []
-    grid: list[list[str]] = []
-    row_base_of: list[float] = []
-    row_tap: list[float] = []
-    base = 0.0
-    for r in range(rows):
-        if r:
-            base += rng.uniform(0.5, 2.0)
-        row_base_of.append(base)
-        tap = 0.0
-        ids = []
-        for w in range(width):
-            tap += rng.uniform(0.0, 0.1)
-            gid = f"g{r}_{w}"
-            gates.append(Gate(id=gid, cell=rng.choice(pool), row=r, clock_offset=base + tap))
-            ids.append(gid)
-        grid.append(ids)
-        row_tap.append(tap)
-
-    connections: list[Connection] = []
-    seen_pairs: set[tuple[str, str]] = set()
-
-    def connect(src: str, dst: str, length: float, prop: Optional[float]) -> None:
-        if (src, dst) in seen_pairs:
-            return
-        seen_pairs.add((src, dst))
-        connections.append(Connection(src=src, dst=dst, length=length, prop=prop))
-
-    for r in range(rows - 1):
-        for dst in grid[r + 1]:
-            src = rng.choice(grid[r])
-            connect(src, dst, rng.uniform(0.0, lib.l_max_drive), draw_prop())
-            if width > 1 and rng.random() < 0.3:
-                connect(rng.choice(grid[r]), dst, rng.uniform(0.0, lib.l_max_drive), draw_prop())
-
-    chain_count = 0
-    if BUFFER_CELL in lib.cells:
-        for r in range(rows):
-            if rng.random() >= chain_prob:
-                continue
-            k = rng.randint(1, 4)
-            if r + k + 1 > rows - 1:
-                continue
-            src = rng.choice(grid[r])
-            dst = rng.choice(grid[r + k + 1])
-            nodes = [src]
-            for j in range(1, k + 1):
-                row_tap[r + j] += rng.uniform(0.0, 0.1)
-                gid = f"c{chain_count}_{j}"
-                gates.append(
-                    Gate(
-                        id=gid,
-                        cell=BUFFER_CELL,
-                        row=r + j,
-                        clock_offset=row_base_of[r + j] + row_tap[r + j],
-                    )
-                )
-                nodes.append(gid)
-            nodes.append(dst)
-            for a, b in zip(nodes, nodes[1:]):
-                connect(a, b, rng.uniform(0.1, 0.45) * lib.l_max_drive, draw_prop())
-            chain_count += 1
-
-    for r in range(rows - 2):
-        if rng.random() < skip_prob:
-            src = rng.choice(grid[r])
-            dst = rng.choice(grid[r + 2])
-            prop = None if adversarial else draw_prop() + draw_prop()
-            connect(src, dst, rng.uniform(0.0, lib.l_max_drive), prop)
-
-    return Circuit(
-        name=f"gen-r{rows}-w{width}-s{seed}",
-        num_rows=rows,
-        gates=tuple(gates),
-        connections=tuple(connections),
-    )
+        return generate_circuit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,217 +256,6 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-_CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
-
-
-def _decode_report(path) -> dict:
-    """The parts of the report file at ``path`` that ``verify`` reads: the manifest
-    config, the schedule, the ``_CLAIMS`` figures and the connections as columns.
-    The rest of the document, one object per connection, is freed on return."""
-    report = _read_input(path, parse_report)
-    return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
-            "connections": report_connections(report),
-            **{key: report[key] for key in _CLAIMS}}
-
-
-def _manifest_config(recorded: dict) -> OptimizationConfig:
-    """The config of every setting a report's manifest records; one it leaves out takes its field default."""
-    given = {key: value for key, value in recorded.items() if key in OptimizationConfig._fields}
-    if isinstance(given.get("priority"), list):
-        given["priority"] = tuple(given["priority"])
-    return OptimizationConfig(**given)
-
-
-def _out_of_bounds(sched: Schedule, cfg: OptimizationConfig, lib: CellLibrary) -> list[Diagnostic]:
-    """One diagnostic per bound of ``cfg`` that the schedule's period or slack passes by more than FIX_TOL."""
-    lo, hi = cfg.period_bounds(lib)
-    bounds = (("PERIOD_OUT_OF_RANGE", "period", sched.period, lo, -1, "below the lower period bound"),
-              ("PERIOD_OUT_OF_RANGE", "period", sched.period, hi, 1, "above the upper period bound"),
-              ("SLACK_OUT_OF_RANGE", "slack", sched.slack, cfg.s_min, -1, "below s_min"),
-              ("SLACK_OUT_OF_RANGE", "slack", sched.slack, cfg.s_max, 1, "above s_max"))
-    return [Diagnostic(code, "schedule", f"{name} {value:.6g} ps {side} {bound:.6g} ps")
-            for code, name, value, bound, sign, side in bounds if sign * (value - bound) > FIX_TOL]
-
-
-def _connection_mismatch(claimed: list, found) -> list[Diagnostic]:
-    """A REPORT_MISMATCH unless the report's connections, as ``report_connections`` columns,
-    are the STA's ``found`` in order, each slack within ``FIX_TOL``."""
-    src, dst, setup, hold = claimed
-
-    def close(a, b):
-        return map(FIX_TOL.__ge__, map(abs, map(operator.sub, a, b)))
-
-    same = operator.and_
-    agree = list(map(same, map(same, map(operator.eq, src, found.src), map(operator.eq, dst, found.dst)),
-                     map(same, close(setup, found.setup_slack), close(hold, found.hold_slack))))
-    differ = agree.count(False) + abs(len(src) - len(found))
-    if not differ:
-        return []
-    i = agree.index(False) if False in agree else len(agree)
-
-    def entry(columns):
-        a, b, s, h = columns
-        return f"{a[i]}->{b[i]}, setup {s[i]!r} ps, hold {h[i]!r} ps" if i < len(a) else "no connection"
-
-    return [Diagnostic("REPORT_MISMATCH", "connections", f"report says {differ} of {len(src)} connections differ, "
-                       f"first connections[{i}]: {entry(claimed)}, the STA finds {entry(found.columns())}")]
-
-
-def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], lib: CellLibrary,
-                       plan) -> list[Diagnostic]:
-    """The report's figures that disagree with its schedule, with ``sta_min``,
-    the STA's minimum, or with ``plan``, the re-applied removal (None without removal)."""
-    latency, frequency, claimed = sum(sched.row_deltas), 1000.0 / sched.period, claims["min_slack_ps"]
-    sta = "none, the circuit has no connections" if sta_min is None else f"{sta_min:.6g} ps"
-    owner = segment_owning(lib.breakpoints, sched.period)
-    counts = (plan.buffers_total, plan.buffers_removed) if plan else (0, 0)
-    removal = "the re-applied removal gives" if plan else "without removal it is"
-    rules = (  # field, whether it agrees, what the report says against what is found
-        ("latency_ps", abs(sched.latency - latency) <= FIX_TOL,
-         f"{sched.latency:.6g} ps, the row deltas sum to {latency:.6g} ps"),
-        ("frequency_ghz", abs(claims["frequency_ghz"] - frequency) <= 1e-9 * frequency,
-         f"{claims['frequency_ghz']:.6g} GHz, the period gives {frequency:.6g} GHz"),
-        ("min_slack_ps", claimed == sta_min if None in (claimed, sta_min) else abs(claimed - sta_min) <= FIX_TOL,
-         f"{'null' if claimed is None else f'{claimed:.6g} ps'}, the STA finds {sta}"),
-        ("slack_ps", sta_min is None or sched.slack <= sta_min + FIX_TOL,
-         f"{sched.slack:.6g} ps, above the STA minimum of {sta}"),
-        ("segment_index", sched.segment_index == owner, f"{sched.segment_index}, the period lies in segment {owner}"),
-        *((field, claims[field] == n, f"{claims[field]}, {removal} {n}") for field, n in zip(_CLAIMS[2:], counts)),
-    )
-    return [Diagnostic("REPORT_MISMATCH", field, f"report says {said}") for field, agrees, said in rules if not agrees]
-
-
-def cmd_verify(args) -> int:
-    # Circuit and library errors are reported before report errors.
-    circuit, lib = _load_inputs(args)
-    decoded = _decode_report(args.schedule)
-    manifest_cfg, sched = decoded["config"], decoded["schedule"]
-    cfg = _manifest_config(manifest_cfg)
-
-    plan = None
-    if manifest_cfg.get("remove_buffers"):
-        circuit, plan = bufferopt.remove_buffers(circuit, lib, max_skip=cfg.max_skip)
-        log.info("re-applied buffer removal recorded in the report manifest")
-    if len(sched.row_deltas) != circuit.num_rows - 1:
-        message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
-        return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
-    outside = _out_of_bounds(sched, cfg, lib)
-    if outside:
-        return _fail(outside, EXIT_VERIFY)
-    try:
-        slacks = timing.sta_check(circuit, lib, sched, cfg.hold_mode)
-    except PwlDomainError as e:
-        return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
-    t = slacks.entries
-    failing = [
-        Diagnostic("STA_VIOLATION", f"{t.src[i]}->{t.dst[i]}",
-                   f"timing violation: setup {t.setup_slack[i]:.6g} ps, hold {t.hold_slack[i]:.6g} ps")
-        for i in slacks.failing()
-    ]
-    if failing:
-        return _fail(failing, EXIT_VERIFY)
-    mismatches = _report_mismatches(decoded, sched, slacks.min_slack, lib, plan)
-    mismatches += _connection_mismatch(decoded["connections"], t)
-    if mismatches:
-        return _fail(mismatches, EXIT_VERIFY)
-    ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
-    print(f"schedule verifies: min slack {ms}")
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    circuit = generate_circuit(
-        rows=args.rows,
-        width=args.width,
-        seed=args.seed,
-        chain_prob=args.chain_prob,
-        skip_prob=args.skip_prob,
-        adversarial=args.adversarial,
-        lib=_read_input(args.lib, parse_library) if args.lib else None,
-    )
-    text = serialize_circuit(circuit)
-    if args.out and args.out != "-":
-        _write_output(args.out, lambda fh: fh.write(text))
-    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
-    else:
-        # Under -u the byte stream is the raw file: a write cut short by a closed
-        # pipe takes part of the bytes, and the text layer would drop the rest.
-        sys.stdout.flush()
-        out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[out.write(data):]
-    return EXIT_OK
-
-
-def _figures(sched, slacks) -> dict:
-    """One run's row of ``sweep``, as printed and as written to ``--out``."""
-    return {"frequency_ghz": 1000.0 / sched.period, "latency_ps": sched.latency, "min_slack_ps": slacks.min_slack}
-
-
-def _sweep_line(tag: str, figures: dict, saved: str) -> str:
-    ms = "n/a" if figures["min_slack_ps"] is None else f"{figures['min_slack_ps']:.2f}"
-    return f"{tag:<14} {figures['frequency_ghz']:>11.3f} {figures['latency_ps']:>13.2f} {ms:>15} {saved:>14}"
-
-
-def cmd_sweep(args) -> int:
-    names = [p.strip() for p in (args.configs or "").split(",") if p.strip()]
-    if not names:
-        print("sweep requires --configs with at least one preset", file=sys.stderr)
-        return EXIT_INPUT
-    unknown = [p for p in names if p not in PRESETS]
-    if unknown:
-        print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
-        return EXIT_INPUT
-    configs = {name: _config_from_args(args, **PRESETS[name]) for name in names}
-    _load_now(solver, bufferopt if "table3" in names else None)
-    circuit, lib = _load_inputs(args)
-    # Each distinct config is solved once on the parsed circuit; table3's
-    # baseline is table1a's run, paired with one run after buffer removal.
-    distinct = list(dict.fromkeys(configs.values()))
-    _, outcomes = _schedule([circuit], lib, distinct, False, {})
-    solved = dict(zip(distinct, outcomes))
-
-    header = f"{'config':<14} {'freq (GHz)':>11} {'latency (ps)':>13} {'min slack (ps)':>15} {'buffers saved':>14}"
-    lines = [header, "-" * len(header)]
-    results = []
-    removal = None
-    for name in names:
-        runs = [solved[configs[name]]]
-        if name == "table3" and not isinstance(runs[0], InfeasibleScheduleError):
-            if removal is None:  # made when the first table3 row is reached
-                removal = _schedule([circuit], lib, [configs[name]], True, {})
-            plan, [skip_run] = removal
-            runs.append(skip_run)
-        err = next((r for r in runs if isinstance(r, InfeasibleScheduleError)), None)
-        if err is not None:
-            log.warning("preset %s failed: %s", name, err)
-            lines.append(f"{name:<14} {'infeasible':>11} {'-':>13} {'-':>15} {'-':>14}")
-            results.append({"config": name, "error": [str(d) for d in err.diagnostics]})
-            continue
-        figures = [_figures(*run) for run in runs]
-        if name != "table3":
-            lines.append(_sweep_line(name, figures[0], "-"))
-            results.append({"config": name, **figures[0]})
-            continue
-        base, skip = figures
-        saved_pct = 100.0 * plan.buffers_removed / plan.buffers_total if plan.buffers_total else 0.0
-        freq0, lat0 = base["frequency_ghz"], base["latency_ps"]
-        dfreq = 100.0 * (skip["frequency_ghz"] - freq0) / freq0
-        dlat = 100.0 * (skip["latency_ps"] - lat0) / lat0 if lat0 else 0.0
-        lines.append(_sweep_line("baseline", base, "-"))
-        lines.append(_sweep_line("phase-skip", skip, f"{saved_pct:.1f}%"))
-        lines.append(f"{'change':<14} {dfreq:>10.1f}% {dlat:>12.1f}% {'':>15} {saved_pct:>13.1f}%")
-        results.append({"config": name, "baseline": base, "phase_skipping": skip, "frequency_change_pct": dfreq,
-                        "latency_change_pct": dlat, "buffers_saved_pct": saved_pct})
-
-    print("\n".join(lines))
-    if args.out:
-        doc = {"circuit": circuit.name, "results": results}
-        _write_output(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -641,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--lib", required=True)
     sp.add_argument("--schedule", required=True, help="report file produced by optimize")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func="aqfpopt.verify:cmd_verify")
 
     sp = sub.add_parser("gen", help="emit a synthetic benchmark circuit")
     sp.add_argument("--rows", type=int, required=True)
@@ -655,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the schedulability guarantee")
     sp.add_argument("--lib", default=None, help="library whose envelope the generator targets")
     sp.add_argument("--out", default="-", help="output path, or - for stdout")
-    sp.set_defaults(func=cmd_gen)
+    sp.set_defaults(func="aqfpopt.generator:cmd_gen")
 
     sp = sub.add_parser("sweep", help="compare optimizer configurations on one circuit")
     sp.add_argument("--circuit", required=True)
@@ -664,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated presets from: {', '.join(PRESETS)}")
     sp.add_argument("--max-skip", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--out", default=None, help="write the comparison JSON here")
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func="aqfpopt.sweep:cmd_sweep")
     return parser
 
 
@@ -680,7 +341,11 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        func = args.func
+        if isinstance(func, str):  # "module:function", imported only when its command runs
+            module, _, name = func.partition(":")
+            func = getattr(importlib.import_module(module), name)
+        return func(args)
     except InfeasibleScheduleError as e:
         return _fail(e.diagnostics, EXIT_INFEASIBLE)
     except ValidationError as e:
@@ -731,4 +396,7 @@ def run() -> NoReturn:
 
 
 if __name__ == "__main__":
+    # Under ``python -m`` this module runs as __main__. The command modules
+    # import it by name, which would compile and run it a second time.
+    sys.modules.setdefault("aqfpopt.cli", sys.modules[__name__])
     run()

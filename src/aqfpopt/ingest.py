@@ -250,7 +250,10 @@ def parse_circuit(source) -> Circuit:
             return Connection
         return obj
 
-    text = source.read() if hasattr(source, "read") else source
+    try:
+        text = source.read() if hasattr(source, "read") else source
+    except UnicodeDecodeError as e:  # as _load_document names it for the other files
+        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
     try:
         doc = json.loads(text, object_pairs_hook=fill)
     except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable id, cell or endpoint
@@ -466,7 +469,10 @@ def emit_report(
 
 
 #: Connections encoded per batch: the writer holds one batch's text at a time.
-REPORT_BATCH = 4096
+#: A 200x5 report (1.3-1.5k connections) takes several batches, so writing it
+#: stays under the circuit read's peak; a smaller batch costs writer time on
+#: large reports (README, "Memory").
+REPORT_BATCH = 256
 
 
 def serialize_report(report: dict, out) -> None:

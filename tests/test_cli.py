@@ -1103,6 +1103,21 @@ print(json.dumps([code, [m for m in lazy if type(sys.modules[m]) is not importli
 """
 
 
+#: A sitecustomize module: as the process exits, it prints the aqfpopt
+#: modules in sys.modules, those of them whose code has not run, and whether
+#: the module run as __main__ is the one registered as aqfpopt.cli.
+MODULES_AT_EXIT = """
+import atexit, importlib.util, json, sys
+
+def report():
+    loaded = sorted(name for name in sys.modules if name.startswith("aqfpopt"))
+    unrun = [name for name in loaded if type(sys.modules[name]) is importlib.util._LazyModule]
+    print(json.dumps([loaded, unrun, sys.modules.get("aqfpopt.cli") is sys.modules["__main__"]]))
+
+atexit.register(report)
+"""
+
+
 class TestProcess:
     """The CLI as a process: which modules a command compiles, and how the
     process ends."""
@@ -1134,6 +1149,59 @@ class TestProcess:
         # file finds them loaded.
         argv = ["optimize", "--circuit", tmp_path / "missing.qc.json", "--lib", tmp_path / "missing.qlib.json"]
         assert self.loaded_after(*argv, *flags) == (1, loaded)
+
+    @pytest.mark.parametrize("command,own,absent,unrun", [
+        ("optimize", "cli", {"generator", "verify", "sweep"}, set()),
+        ("verify", "verify", {"generator", "sweep"}, {"solver"}),
+        ("gen", "generator", {"verify", "sweep"}, {"solver"}),
+        ("sweep", "sweep", {"generator", "verify"}, set()),
+    ])
+    def test_each_command_loads_only_its_own_code(self, workdir, command, own, absent, unrun):
+        # Each command's module is imported inside main, so the other
+        # commands never compile it; under -m the command modules share the
+        # running __main__ as aqfpopt.cli rather than load cli.py again.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=2, seed=4, chain_prob=0.9)
+        io = ["--circuit", circ, "--lib", lib_path]
+        report = tmp_path / "c.report.json"
+        assert main(["optimize", *map(str, io), "--out", str(report)]) == 0
+        argv = {"optimize": ["optimize", *io, "--out", report], "verify": ["verify", *io, "--schedule", report],
+                "gen": ["gen", "--rows", 3, "--width", 2, "--out", tmp_path / "g.qc.json"],
+                "sweep": ["sweep", *io, "--configs", "table1a"]}[command]
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(MODULES_AT_EXIT)
+        proc = run_module(*argv, PYTHONPATH=os.pathsep.join([str(site), str(SRC)]))
+        assert proc.returncode == 0, proc.stderr
+        loaded, not_run, cli_once = json.loads(proc.stdout.splitlines()[-1])
+        assert f"aqfpopt.{own}" in loaded
+        assert not {f"aqfpopt.{name}" for name in absent} & set(loaded)
+        assert {f"aqfpopt.{name}" for name in unrun} <= set(not_run)
+        assert cli_once
+
+    def test_undecodable_input_ends_in_one_diagnostic(self, workdir):
+        # A 0xff byte is no UTF-8, so the file cannot be read as text.
+        tmp_path, lib_path = workdir
+        files = {"circuit": gen(tmp_path, lib_path, "c.qc.json", rows=4, width=2, seed=2, chain_prob=0.5),
+                 "lib": lib_path, "schedule": tmp_path / "c.report.json"}
+        assert main(["optimize", "--circuit", str(files["circuit"]), "--lib", str(lib_path),
+                     "--out", str(files["schedule"])]) == 0
+        commands = {"optimize": ["circuit", "lib"], "verify": ["circuit", "lib", "schedule"],
+                    "sweep": ["circuit", "lib"], "gen": ["lib"]}
+        extra = {"sweep": ["--configs", "table1a"], "gen": ["--rows", "3", "--width", "2", "--out", "-"]}
+        for name, path in files.items():
+            data = path.read_bytes()
+            bad = tmp_path / f"bad-{name}"
+            bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+            for command, inputs in commands.items():
+                if name not in inputs:
+                    continue
+                paths = [x for key in inputs for x in (f"--{key}", bad if key == name else files[key])]
+                proc = run_module(command, *paths, *extra.get(command, []))
+                case = (command, name, proc.stderr)
+                assert proc.returncode == 1, case
+                assert proc.stderr.startswith("[PARSE_ERROR] document: 'utf-8' codec can't decode byte 0xff"), case
+                assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, case
 
     def test_module_run_keeps_exit_codes_and_output(self, workdir, capsys):
         tmp_path, lib_path = workdir

@@ -479,6 +479,13 @@ def test_report_writer_memory_does_not_grow_with_connections():
     assert _writer_peak_bytes(8 * B) <= 1.25 * _writer_peak_bytes(2 * B)
 
 
+def test_report_writer_splits_a_200x5_report():
+    # A 200x5 report has 1.3-1.5k connections. Encoded as one batch its text
+    # peaks at about 0.76 MB traced, above what the STA held before it, and
+    # so set optimize's peak RSS; batches of 256 peak at about 0.14 MB.
+    assert _writer_peak_bytes(1500) <= 200_000
+
+
 def sorted_spelling(text: str) -> str:
     """The same circuit with sorted keys and integer clock offsets, so no entry
     is spelled as the writer spells it and ``connections`` come first."""
