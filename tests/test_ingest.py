@@ -433,9 +433,12 @@ ODD_PLANS = st.builds(
 ODD_MANIFESTS = st.none() | st.dictionaries(ODD_TEXT, st.none() | ODD_FLOATS | ODD_TEXT, max_size=4)
 
 
-# No shrink phase: each step would re-encode thousands of connections, and a
-# failure already shows on the first example that meets it.
-@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+# Counts on each side of a batch boundary, for the first batch and for the
+# sixteenth (4096 is a whole number of batches). No shrink phase: each step
+# would re-encode thousands of connections, and a failure already shows on the
+# first example that meets it.
+assert 4096 % B == 0
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1, 4095, 4096, 4097, 8193])
 @settings(max_examples=8, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     pool=st.lists(st.builds(ConnectionSlack, ODD_TEXT, ODD_TEXT, ODD_FLOATS, ODD_FLOATS), min_size=1, max_size=5),
