@@ -115,7 +115,9 @@ def _fail(diagnostics, code: int = EXIT_INPUT) -> int:
 def _read_input(path, parse):
     """Open an input file and pass it to ``parse``; an OS error becomes an
     IO_ERROR diagnostic. The parsers read the file themselves, so no caller
-    frame keeps the text alive once it is decoded."""
+    frame keeps its text: ``parse_circuit`` decodes the circuit as it reads
+    it in chunks, and the library and report parsers free their text once
+    decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+from json.decoder import WHITESPACE
 from typing import Any, Optional
 
 from aqfpopt.model import (
@@ -58,12 +59,6 @@ _CIRCUIT_TYPES = {
     "num_rows": Rule(lambda v: INTEGER.holds(v) and min(v) >= 1, "a positive integer"),
     "gates": _OBJECTS,
     "connections": _OBJECTS,
-}
-# The same checks on a document decoded into columns: each list holds its own kind's marker only.
-_CIRCUIT_MARKER_TYPES = {
-    **_CIRCUIT_TYPES,
-    "gates": _list_of(lambda v: v.count(Gate) == len(v), "a list of gates"),
-    "connections": _list_of(lambda v: v.count(Connection) == len(v), "a list of connections"),
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
 _GATE_TYPES = {"id": STRING, "cell": STRING, "row": INTEGER, "clock_offset_ps": FINITE}
@@ -158,11 +153,11 @@ def _check_entry(entry: dict, types: dict, required, entity: str, errs: list) ->
         _check_types(entry, types, entity, errs)
 
 
-def _check_circuit_header(doc: dict, types: dict, errs: list) -> bool:
+def _check_circuit_header(doc: dict, errs: list) -> bool:
     _check_version(doc, "circuit", errs)
     _check_keys(doc, _CIRCUIT_KEYS, "circuit", errs)
     _check_missing(doc, ("name", "num_rows"), "circuit", errs)
-    return _check_types(doc, types, "circuit", errs)
+    return _check_types(doc, _CIRCUIT_TYPES, "circuit", errs)
 
 
 def _typed_columns(gates: tuple[list, ...], conns: tuple[list, ...]) -> bool:
@@ -181,6 +176,152 @@ def _typed_columns(gates: tuple[list, ...], conns: tuple[list, ...]) -> bool:
     return True
 
 
+#: Characters of circuit text read at a time. The parse holds a few chunks
+#: of text besides the columns; a larger chunk decodes no faster, and a
+#: smaller one costs a decoder call per few entries (README, "Memory").
+READ_CHUNK = 1 << 13
+
+_SPACE = WHITESPACE.match  # the whitespace JSON allows between tokens
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)  # TypeError: an unhashable id
+_MARKERS = {"gates": Gate, "connections": Connection}
+
+
+class _Unread(Exception):
+    """The text is not a circuit the stream takes in; the second decode names why."""
+
+
+class _CircuitStream:
+    """A circuit document's text, decoded as it is read ``READ_CHUNK``
+    characters at a time. ``scan_once`` is the scanner of a decoder whose
+    pairs hook fills ``columns``; a failed try at a value takes the rows it
+    filled back out."""
+
+    def __init__(self, read, scan_once, columns):
+        self.read, self.scan_once, self.columns = read, scan_once, columns
+        self.text, self.pos, self.base, self.end = "", 0, 0, False  # base: the source offset of text[0]
+
+    def more(self) -> None:
+        """Drop the text before the position and read on, at least as much as
+        is left, so a value longer than a chunk takes few reads."""
+        rest, self.text = self.text[self.pos:], ""  # the old text goes before the next is read
+        chunk = self.read(max(READ_CHUNK, len(rest)))
+        self.end = not chunk
+        self.base += self.pos
+        self.text, self.pos = rest + chunk, 0
+
+    def peek(self) -> str:
+        """The character after the whitespace at the position; "" at the end of the text."""
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.end:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def take(self, char: str) -> None:
+        if self.peek() != char:
+            raise _Unread
+        self.pos += 1
+
+    def restore(self, rows: list) -> None:
+        for column, n in zip(self.columns, rows):
+            del column[n:]
+
+    def value(self):
+        """Decode the value after the whitespace at the position, reading on until it is whole."""
+        self.peek()
+        rows = list(map(len, self.columns))
+        while True:
+            try:
+                value, end = self.scan_once(self.text, self.pos)
+                if end < len(self.text) or self.end:  # else a number may go on in the next chunk
+                    self.pos = end
+                    return value
+            except _SCAN_ERRORS:
+                if self.end:
+                    raise _Unread from None
+            self.restore(rows)
+            self.more()
+
+    def array(self, marker) -> int:
+        """Decode the list whose "[" was just read, each element to ``marker``;
+        returns their count. A batch runs up to the last "}" read and leaves
+        the position after it, or at the "]" that closes the list if that
+        comes first. Where that "}" ends no element (it sits in a string, say),
+        the elements up to it are taken one at a time."""
+        count, single_until = 0, 0  # single_until: the source offset up to which elements go one at a time
+        if self.peek() == "]":
+            self.pos += 1
+            return 0
+        while True:
+            items = None
+            if self.base + self.pos >= single_until:
+                cut = self.text.rfind("}", self.pos)
+                if cut < 0 and not self.end:
+                    self.more()
+                    continue
+                rows = list(map(len, self.columns))
+                try:
+                    items, end = self.scan_once(f"[{self.text[self.pos:cut + 1]}]", 0)
+                    self.pos += end - 2
+                except _SCAN_ERRORS:
+                    self.restore(rows)
+                    single_until = self.base + cut + 1
+            if items is None:
+                items = [self.value()]
+            if not items or items.count(marker) != len(items):
+                raise _Unread
+            count += len(items)
+            if self.peek() == "]":
+                self.pos += 1
+                return count
+            self.take(",")
+
+    def document(self) -> tuple[dict, dict]:
+        """The top-level object, and the element count of its gates and
+        connections lists, which stand in it as empty lists: their entries
+        are in the columns. A key given twice keeps its last value; if that
+        drops a list whose entries filled rows, the counts fall short of
+        the columns."""
+        doc, counts = {}, {}
+        self.take("{")
+        while True:
+            if self.peek() != '"':
+                raise _Unread
+            key = self.value()
+            self.take(":")
+            if key in _MARKERS and self.peek() == "[":
+                self.pos += 1
+                counts[key], doc[key] = self.array(_MARKERS[key]), []
+            else:
+                doc[key] = self.value()
+            if self.peek() != ",":
+                break
+            self.pos += 1
+        self.take("}")
+        if self.peek():  # text after the document
+            raise _Unread
+        return doc, counts
+
+
+def _slices(text: str):
+    """A ``read`` of ``text``: each call returns the next ``n`` characters."""
+    at = 0
+
+    def read(n: int) -> str:
+        nonlocal at
+        at += n
+        return text[at - n:at]
+
+    return read
+
+
+def _read_whole(source) -> str:
+    try:
+        return source.read()
+    except UnicodeDecodeError as e:  # as _load_document names it for the other files
+        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
+
+
 def parse_circuit(source) -> Circuit:
     """Parse a circuit document (JSON text or a readable text file) into columns.
 
@@ -191,20 +332,25 @@ def parse_circuit(source) -> Circuit:
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
 
-    The circuit's columns are filled inside the JSON decoder, so no object
-    per entry piles up. Every object with exactly a gate's keys, or a
-    connection's keys with or without ``prop_ps``, puts its values into the
-    gate or connection columns, whatever its key order (a repeated key keeps
-    its last value, as in ``json.loads``), and decodes to the marker
-    ``Gate`` or ``Connection``. After the decode each field's rule checks its
-    whole column, and integers in a number column become floats. A marker is
-    valid only in its own list, and anywhere else fails a check of the
-    document; so a document whose checks pass with markers alone in its
-    lists, one per row of its columns, is the circuit. Any other document is
-    decoded again without markers, and the same rules, given each entry's
-    values as lists of one, name what is wrong with it. If they find nothing,
-    a repeated key dropped an entry that had already filled a row, and the
-    columns are filled again from the entries the document keeps.
+    The text is read ``READ_CHUNK`` characters at a time, a text given as a
+    string sliced alike, and the ``gates`` and ``connections`` lists are
+    decoded in batches as it comes, each batch cut after the last "}" read.
+    So neither the whole text nor an object per entry is ever held: every
+    object with exactly a gate's keys, or a connection's keys with or
+    without ``prop_ps``, puts its values into the gate or connection columns
+    inside the decoder, whatever its key order (a repeated key keeps its last
+    value, as in ``json.loads``), and decodes to the marker ``Gate`` or
+    ``Connection``. After the decode each field's rule checks its whole
+    column, and integers in a number column become floats. A document whose
+    two lists hold only their own marker, one per row of its columns, and
+    whose other fields pass their checks, is the circuit.
+
+    Any other document is decoded again whole, from the start of the source,
+    without markers, and the same rules, given each entry's values as lists
+    of one, name what is wrong with it; a file that cannot seek back, such
+    as a pipe, is read whole first. If the rules find nothing, a repeated
+    key dropped an entry that had already filled a row, and the columns are
+    filled again from the entries the document keeps.
 
     Each distinct cell name and gate id is one string object, shared by the
     gate and the endpoints naming it, whichever list comes first.
@@ -250,24 +396,30 @@ def parse_circuit(source) -> Circuit:
             return Connection
         return obj
 
+    if hasattr(source, "read") and not source.seekable():
+        source = _read_whole(source)
+    if isinstance(source, str):
+        text, read = source, _slices(source)
+    else:
+        text, read, start = None, source.read, source.tell()
+    scan_once = json.JSONDecoder(object_pairs_hook=fill).scan_once
     try:
-        text = source.read() if hasattr(source, "read") else source
-    except UnicodeDecodeError as e:  # as _load_document names it for the other files
-        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
-    try:
-        doc = json.loads(text, object_pairs_hook=fill)
-    except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable id, cell or endpoint
-        doc = None  # named by the second decode below
+        doc, counts = _CircuitStream(read, scan_once, (*gates, *conns)).document()
+    except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
+        doc = None
     errs: list[Diagnostic] = []
-    if type(doc) is dict and _check_circuit_header(doc, _CIRCUIT_MARKER_TYPES, errs) and not errs \
-            and len(doc.get("gates", ())) == len(gates[0]) and len(doc.get("connections", ())) == len(conns[0]) \
+    if doc is not None and _check_circuit_header(doc, errs) and not errs \
+            and counts.get("gates", 0) == len(gates[0]) and counts.get("connections", 0) == len(conns[0]) \
             and _typed_columns(gates, conns):
         return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
     for column in (*gates, *conns):
         column.clear()
+    if text is None:
+        source.seek(start)
+        text = _read_whole(source)
     doc = _load_document(text)
     errs = []
-    if _check_circuit_header(doc, _CIRCUIT_TYPES, errs):
+    if _check_circuit_header(doc, errs):
         for i, entry in enumerate(doc.get("gates", [])):
             gid = entry.get("id")
             _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if STRING.holds([gid]) else f"gates[{i}]", errs)

@@ -379,13 +379,15 @@ class Circuit(_Checked, _CircuitFields):
     ``prop``, where a ``prop`` may be None. Either may be given as
     :class:`Gate` or :class:`Connection` records, which become columns. Unlike
     the other records a circuit has an instance ``__dict__``, which caches the
-    gate index and the connections' endpoints on first use.
+    connections' endpoints once they are resolved. The gate index is built
+    on each use and not kept: on a large circuit it is a dict as large as a
+    column of floats, and only validation and buffer removal read it.
     """
 
     def __new__(cls, name, num_rows, gates, connections):
         return super().__new__(cls, name, num_rows, GateTable.of(gates), ConnectionTable.of(connections))
 
-    @cached_property
+    @property
     def gate_index(self) -> dict[str, int]:
         """The position of each gate id in the gate columns; the first one of a repeated id."""
         n = len(self.gates)
@@ -394,8 +396,13 @@ class Circuit(_Checked, _CircuitFields):
     @cached_property
     def endpoints(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
         """The gate index of each connection's source, and of its sink; None for an id that names no gate."""
-        index = self.gate_index.get
-        return list(map(index, self.connections.src)), list(map(index, self.connections.dst))
+        return self.resolve_endpoints(self.gate_index)
+
+    def resolve_endpoints(self, gate_index: dict[str, int]) -> tuple[list[Optional[int]], list[Optional[int]]]:
+        """The endpoints by ``gate_index``, kept as ``endpoints`` from now on."""
+        k, index = self.connections, gate_index.get
+        self.__dict__["endpoints"] = ends = list(map(index, k.src)), list(map(index, k.dst))
+        return ends
 
 
 def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
@@ -403,12 +410,13 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
 
     Non-fatal observations (a clock tap order decreasing along a row) are
     logged rather than returned, so the empty-list contract stays sharp.
-    Each connection's endpoints are resolved to gate indices here, once, and
-    the later passes read them from ``c.endpoints``.
+    The gate index is built here once, and each connection's endpoints are
+    resolved by it; the later passes read them from ``c.endpoints``.
     """
     out: list[Diagnostic] = []
     by_row: dict[int, float] = {}
     num_rows, cells, index = c.num_rows, lib.cells, c.gate_index
+    endpoints = c.resolve_endpoints(index)
     g = c.gates
     for i, (gid, cell, row, offset) in enumerate(zip(g.id, g.cell, g.row, g.clock_offset)):
         if index[gid] != i:  # an earlier gate has this id
@@ -436,7 +444,7 @@ def validate_circuit(c: Circuit, lib: CellLibrary) -> list[Diagnostic]:
     rows = g.row
     l_max_drive = lib.l_max_drive
     k = c.connections
-    for src, dst, src_id, dst_id, length in zip(*c.endpoints, k.src, k.dst, k.length):
+    for src, dst, src_id, dst_id, length in zip(*endpoints, k.src, k.dst, k.length):
         if src is None or dst is None:
             for gid, i in ((src_id, src), (dst_id, dst)):
                 if i is None:

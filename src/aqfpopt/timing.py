@@ -70,8 +70,10 @@ class TimingConstraintSet(NamedTuple):
 
 def _delays(c: Circuit, lib: CellLibrary):
     """Each connection's propagation delay in turn: its extracted delay, else its length's."""
-    prop_per_um = lib.prop_per_um
     k = c.connections
+    if None not in k.prop:  # every delay extracted, as gen writes them
+        return k.prop
+    prop_per_um = lib.prop_per_um
     return (length * prop_per_um if prop is None else prop for length, prop in zip(k.length, k.prop))
 
 
@@ -135,10 +137,14 @@ def sta_check(
 
     Clock arrival at a gate is its base offset plus every row increment
     before its row. Each cell's timing functions are evaluated once at the
-    period and each gate's clock, launch and capture edges are resolved
-    once; the connections then only add their propagation delay. The
-    computation reads the circuit, the library and the schedule alone and
-    deliberately bypasses the reformulated constraint system.
+    period, and each gate's launch edge (clock plus c2q) and its setup and
+    hold capture edges are resolved once, before the clock column is
+    dropped; the connections then only add their propagation delay. Each
+    connection's arrival is summed once for its setup slack and again for its
+    hold slack, in the same float operations, rather than kept as a column
+    beside both slack columns. The computation reads the circuit, the
+    library and the schedule alone and deliberately bypasses the
+    reformulated constraint system.
     """
     k = c.connections
     if not len(k):
@@ -154,16 +160,19 @@ def sta_check(
         window[name] = period if hold_mode == "dlplace" else fns.rd(period)
     g = c.gates
     clock = list(map(operator.add, g.clock_offset, map(prefix.__getitem__, g.row)))
-
-    def at_gate(op, value):
-        """``op(clock, value of the cell)`` of each gate, looked up by gate index."""
-        return list(map(op, clock, map(value.__getitem__, g.cell))).__getitem__
-
+    # ``op(clock, value of the cell)`` of each gate, looked up by gate index.
+    launch, setup_edge, hold_edge = (list(map(op, clock, map(value.__getitem__, g.cell))).__getitem__
+                                     for op, value in ((operator.add, c2q), (operator.sub, setup), (operator.add, hold)))
+    del clock
     src, dst = c.endpoints
-    arrival = list(map(operator.add, map(at_gate(operator.add, c2q), src), _delays(c, lib)))
-    setup_slack = list(map(operator.sub, map(at_gate(operator.sub, setup), dst), arrival))
+
+    def arrival():
+        return map(operator.add, map(launch, src), _delays(c, lib))
+
+    setup_slack = list(map(operator.sub, map(setup_edge, dst), arrival()))
+    del setup_edge
     windows = map(window.__getitem__, map(g.cell.__getitem__, src))
-    hold_slack = list(map(operator.sub, map(operator.add, arrival, windows), map(at_gate(operator.add, hold), dst)))
+    hold_slack = list(map(operator.sub, map(operator.add, arrival(), windows), map(hold_edge, dst)))
     # min(setup, hold) is hold only when hold < setup, and min over the
     # connections keeps the first of equals, NaN included.
     min_slack = min(map(min, setup_slack, hold_slack))

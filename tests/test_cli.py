@@ -20,7 +20,7 @@ from conftest import records
 from aqfpopt import cli, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
-from aqfpopt.ingest import REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
+from aqfpopt.ingest import READ_CHUNK, REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
 from aqfpopt.model import (
     Circuit,
     Connection,
@@ -1202,6 +1202,44 @@ class TestProcess:
                 assert proc.returncode == 1, case
                 assert proc.stderr.startswith("[PARSE_ERROR] document: 'utf-8' codec can't decode byte 0xff"), case
                 assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, case
+        # A circuit of several chunks with its bad byte past the first: the
+        # position named is the byte's offset in the file, not in its chunk.
+        data = gen(tmp_path, lib_path, "large.qc.json", rows=40, width=10, seed=2).read_bytes()
+        at = 2 * READ_CHUNK + 1001
+        assert len(data) > 2 * at
+        bad = tmp_path / "bad-large"
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        for command, inputs in commands.items():
+            if "circuit" in inputs:
+                paths = [x for key in inputs for x in (f"--{key}", bad if key == "circuit" else files[key])]
+                proc = run_module(command, *paths, *extra.get(command, []))
+                line = f"[PARSE_ERROR] document: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+                assert (proc.returncode, proc.stderr) == (1, line), command
+
+    def test_piped_circuit_reads_as_its_file(self, workdir):
+        # /dev/stdin on a pipe cannot seek back, so the parse reads it whole
+        # before decoding it, and a second decode reads that text again.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=40, width=10, seed=5)
+        doc = json.loads(circ.read_text())
+        doc["gates"][-1]["row"] = "3"
+        bad = tmp_path / "bad.qc.json"
+        bad.write_text(json.dumps(doc, indent=2))
+        assert bad.read_text().index('"row": "3"') > READ_CHUNK
+        runs = {}
+        for name, path in (("good", circ), ("bad", bad)):
+            for source in ("file", "pipe"):
+                report = tmp_path / f"{name}-{source}.report.json"
+                argv = [sys.executable, "-m", "aqfpopt.cli", "optimize", "--circuit",
+                        path if source == "file" else "/dev/stdin", "--lib", lib_path, "--out", report]
+                proc = subprocess.run(list(map(str, argv)), input=path.read_bytes() if source == "pipe" else None,
+                                      env=process_env(), capture_output=True)
+                doc = json.loads(report.read_text()) if report.exists() else {}
+                doc.pop("manifest", None)  # it names the input path and holds the run's timings
+                runs[name, source] = proc.returncode, proc.stdout, proc.stderr, doc
+        assert runs["good", "pipe"] == runs["good", "file"]
+        assert runs["good", "file"][0] == 0 and runs["good", "file"][3]["connections"]
+        assert runs["bad", "pipe"] == runs["bad", "file"] == (1, b"", b"[PARSE_ERROR] g39_9: row must be an integer\n", {})
 
     def test_module_run_keeps_exit_codes_and_output(self, workdir, capsys):
         tmp_path, lib_path = workdir

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -34,6 +35,7 @@ from aqfpopt.model import (
     OptimizationConfig,
     Schedule,
     ValidationError,
+    validate_circuit,
 )
 from aqfpopt.timing import ConnectionSlack, SlackReport, SlackTable
 
@@ -421,6 +423,104 @@ def test_circuit_writer_matches_indent_2_json(c):
     assert serialize_circuit(c) == circuit_json_reference(c)
 
 
+#: Endings for gate ids that look like the end of an entry or a list, so a
+#: batch cut after a "}" inside one of them decodes nothing whole.
+ID_ENDINGS = ["}", "]", "},", '"', '"}', "}]", '\\"},', "x"]
+#: Spellings of the same document: compact, compact without spaces, indent 2.
+LAYOUTS = [{}, {"separators": (",", ":")}, {"indent": 2}]
+
+
+class Unseekable(io.StringIO):
+    """Text that reads like a pipe: once, from its start."""
+
+    def seekable(self):
+        return False
+
+
+#: Ways to spoil a respelled circuit: a field of the wrong type, an unknown
+#: key, a gate wrapped in an object or set in the connections list, and text
+#: cut short, given a trailing comma, a list for a key or more text after it.
+SPOILERS = [None, "row", "colour", "wrapped", "misplaced", "truncated", "comma", "key", "after"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=GENERATED_CIRCUITS, seed=st.integers(0, 2**32 - 1))
+def test_stream_reads_each_spelling_as_a_whole_decode(c, seed):
+    # Read in chunks of 1 to 64 characters, from a string, a file or a pipe,
+    # a respelled circuit must give what a decode of the whole text gives:
+    # the columns, their types and shared id strings of json.loads's entries
+    # if it is valid, and the diagnostics of the type tables or of the JSON
+    # error if not. Only a repeated gates key whose dropped list holds
+    # entries sends a valid text to the second decode.
+    rng = random.Random(seed)
+    doc = json.loads(serialize_circuit(c))
+    doc["num_rows"] += rng.choice([0, 10**6])  # a number long enough to straddle a chunk's end
+    ids = {gid: gid + "".join(rng.choices(ID_ENDINGS, k=rng.randint(0, 2))) for gid in c.gates.id}
+    for gate in doc["gates"]:
+        gate["id"] = ids[gate["id"]]
+        if rng.random() < 0.2:
+            gate["clock_offset_ps"] = round(gate["clock_offset_ps"])
+    for conn in doc["connections"]:
+        conn["src"], conn["dst"] = ids[conn["src"]], ids[conn["dst"]]
+    for key in ("gates", "connections"):
+        if rng.random() < 0.2:
+            doc[key] = []
+    for entry in doc["gates"] + doc["connections"]:
+        if rng.random() < 0.3:  # keys in another order
+            items = list(entry.items())
+            rng.shuffle(items)
+            entry.clear()
+            entry.update(items)
+    spoiler = rng.choice(SPOILERS)
+    if doc["gates"] and spoiler in ("row", "colour", "wrapped", "misplaced"):
+        gate = doc["gates"][rng.randrange(len(doc["gates"]))]
+        if spoiler in ("row", "colour"):
+            gate[spoiler] = "x"
+        else:
+            kind = "gates" if spoiler == "wrapped" else "connections"
+            doc[kind].insert(rng.randint(0, len(doc[kind])), {"wrap": dict(gate)} if kind == "gates" else dict(gate))
+    doc = dict(rng.sample(list(doc.items()), len(doc)))  # connections may come before gates
+    layout = rng.choice(LAYOUTS)
+    text = json.dumps(doc, **layout)
+    stale = None
+    if rng.random() < 0.3:  # gates given twice: json.loads keeps the last list
+        key = json.dumps({"gates": 0}, **layout).split("0")[0].lstrip("{\n ")
+        stale = rng.choice([[], doc["gates"][:2], [{"id": "stale"}], "x"])
+        text = text.replace(key, f"{key}{json.dumps(stale, **layout)}, {key}", 1)
+    if spoiler == "truncated":
+        text = text[:rng.randrange(len(text))]
+    elif spoiler == "comma":
+        end = text.rindex(rng.choice("]}"))
+        text = text[:end] + "," + text[end:]
+    elif spoiler == "key":
+        text = "{[]: 0, " + text[1:]
+    elif spoiler == "after":
+        text += rng.choice([" }", "x", " {}", "0"])
+    second = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "READ_CHUNK", rng.randint(1, 64))
+        sources = (text, io.StringIO(text), Unseekable(text))
+        try:
+            whole = json.loads(text)
+        except json.JSONDecodeError as error:
+            expected = [Diagnostic("PARSE_ERROR", f"line {error.lineno}", error.msg)]
+            for source in sources:
+                with pytest.raises(ValidationError) as e:
+                    parse_circuit(source)
+                assert e.value.diagnostics == expected
+            return
+        assert_parse_matches_tables(whole, sources)
+        if table_path(whole)[0]:
+            return
+        patch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
+        parsed = parse_circuit(rng.choice([text, Unseekable(text)]))
+    assert bool(second) == (type(stale) is list and stale != [])
+    shared = {gid: gid for gid in parsed.gates.id}
+    assert all(gid is shared[gid] for gid in parsed.gates.id)
+    assert all(end is shared.get(end, end) for end in parsed.connections.src + parsed.connections.dst)
+    assert len(set(map(id, parsed.gates.cell))) == len(set(parsed.gates.cell))
+
+
 B = ingest.REPORT_BATCH
 ODD_PLANS = st.builds(
     RemovalPlan,
@@ -498,27 +598,37 @@ def sorted_spelling(text: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def traced_parse(text: str):
-    """The circuit parsed from ``text``, with the bytes it retains and the peak while parsing."""
+def traced_parse(source):
+    """The circuit parsed from ``source``, with the bytes it retains and the peak while parsing."""
     tracemalloc.start()
     try:
-        circuit = parse_circuit(text)
+        circuit = parse_circuit(source)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return circuit, retained, peak
 
 
-@pytest.mark.parametrize("adversarial,sort_keys", [(False, False), (True, False), (False, True), (True, True)],
-                         ids=["False", "True", "sorted-False", "sorted-True"])
-def test_parse_memory_stays_near_the_records(adversarial, sort_keys):
-    # The text is made before tracing starts, so the peak leaves it out. The
-    # decoder puts each entry's values into the columns at once, however it
-    # is spelled, so the peak is the columns plus a little; holding every
-    # decoded object until the columns are built, as a separate pass must,
-    # reads about 2.4 to 2.9 times them.
+@pytest.mark.parametrize("adversarial,sort_keys,from_file",
+                         [(False, False, False), (True, False, False), (False, True, False), (True, True, False),
+                          (False, False, True)],
+                         ids=["False", "True", "sorted-False", "sorted-True", "file"])
+def test_parse_memory_stays_near_the_records(adversarial, sort_keys, from_file, tmp_path):
+    # The text, or the open file, is made before tracing starts, so the peak
+    # leaves it out. The decoder puts each entry's values into the columns
+    # at once, however it is spelled, so the peak is the columns plus a
+    # little; holding every decoded object until the columns are built, as a
+    # separate pass must, reads about 2.4 to 2.9 times them. A file is read
+    # a chunk at a time: its whole bytes and text read about 2.7 times them.
     text = serialize_circuit(generate_circuit(rows=100, width=10, seed=1, adversarial=adversarial))
-    circuit, retained, peak = traced_parse(sorted_spelling(text) if sort_keys else text)
+    spelled = sorted_spelling(text) if sort_keys else text
+    if from_file:
+        path = tmp_path / "c.qc.json"
+        path.write_text(spelled, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            circuit, retained, peak = traced_parse(fh)
+    else:
+        circuit, retained, peak = traced_parse(spelled)
     assert len(circuit.connections) > 1000
     assert peak <= 1.5 * retained
     if sort_keys:
@@ -549,9 +659,10 @@ def test_parse_leaves_no_reference_cycle(spelling):
 
 def test_benchmark_circuit_and_gate_index_stay_under_6_mib():
     # The wide benchmark circuit (gen --rows 1000 --width 20 --seed 101000)
-    # as columns, with its id strings and rows shared, and its gate index:
-    # about 5.2 MiB. A record per gate and connection, each float boxed, with
-    # an id-to-record index retained 7.3 MiB.
+    # as columns, with its id strings and rows shared: about 4.2 MiB. Its
+    # gate index is built on use and not kept, so it adds nothing here; kept,
+    # it made 5.2 MiB. A record per gate and connection, each float boxed,
+    # with an id-to-record index retained 7.3 MiB.
     text = serialize_circuit(generate_circuit(rows=1000, width=20, seed=101000))
     tracemalloc.start()
     try:
@@ -561,6 +672,17 @@ def test_benchmark_circuit_and_gate_index_stay_under_6_mib():
     finally:
         tracemalloc.stop()
     assert retained <= 6.0 * 2**20
+
+
+def test_validation_keeps_no_gate_index(ref_lib):
+    # On a large circuit the id-to-position dict is as large as a column of
+    # floats, and only validation and buffer removal read it: validation
+    # builds it once, resolves the endpoints by it and lets it go.
+    c = parse_circuit(serialize_circuit(generate_circuit(rows=6, width=3, seed=2, chain_prob=0.5)))
+    assert validate_circuit(c, ref_lib) == []
+    assert [type(v) for v in vars(c).values()] == [tuple]  # the endpoints
+    ids = c.gates.id
+    assert [[ids[i] for i in column] for column in c.endpoints] == [c.connections.src, c.connections.dst]
 
 
 class TestEmitReport:
