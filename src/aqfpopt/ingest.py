@@ -193,12 +193,13 @@ class _Unread(Exception):
 class _CircuitStream:
     """A circuit document's text, decoded as it is read ``READ_CHUNK``
     characters at a time. ``scan_once`` is the scanner of a decoder whose
-    pairs hook fills ``columns``; a failed try at a value takes the rows it
-    filled back out."""
+    pairs hook fills the columns. Rows filled outside a list's batches (a
+    gate-shaped header value, or one retried after a short read) leave the
+    document failing its header check or its element counts."""
 
-    def __init__(self, read, scan_once, columns):
-        self.read, self.scan_once, self.columns = read, scan_once, columns
-        self.text, self.pos, self.base, self.end = "", 0, 0, False  # base: the source offset of text[0]
+    def __init__(self, read, scan_once):
+        self.read, self.scan_once = read, scan_once
+        self.text, self.pos, self.end = "", 0, False
 
     def more(self) -> None:
         """Drop the text before the position and read on, at least as much as
@@ -206,7 +207,6 @@ class _CircuitStream:
         rest, self.text = self.text[self.pos:], ""  # the old text goes before the next is read
         chunk = self.read(max(READ_CHUNK, len(rest)))
         self.end = not chunk
-        self.base += self.pos
         self.text, self.pos = rest + chunk, 0
 
     def peek(self) -> str:
@@ -222,14 +222,9 @@ class _CircuitStream:
             raise _Unread
         self.pos += 1
 
-    def restore(self, rows: list) -> None:
-        for column, n in zip(self.columns, rows):
-            del column[n:]
-
     def value(self):
         """Decode the value after the whitespace at the position, reading on until it is whole."""
         self.peek()
-        rows = list(map(len, self.columns))
         while True:
             try:
                 value, end = self.scan_once(self.text, self.pos)
@@ -239,35 +234,28 @@ class _CircuitStream:
             except _SCAN_ERRORS:
                 if self.end:
                     raise _Unread from None
-            self.restore(rows)
             self.more()
 
     def array(self, marker) -> int:
         """Decode the list whose "[" was just read, each element to ``marker``;
         returns their count. A batch runs up to the last "}" read and leaves
         the position after it, or at the "]" that closes the list if that
-        comes first. Where that "}" ends no element (it sits in a string, say),
-        the elements up to it are taken one at a time."""
-        count, single_until = 0, 0  # single_until: the source offset up to which elements go one at a time
+        comes first. A "}" that ends no element (one inside an id, say)
+        leaves its batch undecodable, and the second decode reads the text."""
+        count = 0
         if self.peek() == "]":
             self.pos += 1
             return 0
         while True:
-            items = None
-            if self.base + self.pos >= single_until:
-                cut = self.text.rfind("}", self.pos)
-                if cut < 0 and not self.end:
-                    self.more()
-                    continue
-                rows = list(map(len, self.columns))
-                try:
-                    items, end = self.scan_once(f"[{self.text[self.pos:cut + 1]}]", 0)
-                    self.pos += end - 2
-                except _SCAN_ERRORS:
-                    self.restore(rows)
-                    single_until = self.base + cut + 1
-            if items is None:
-                items = [self.value()]
+            cut = self.text.rfind("}", self.pos)
+            if cut < 0 and not self.end:
+                self.more()
+                continue
+            try:
+                items, end = self.scan_once(f"[{self.text[self.pos:cut + 1]}]", 0)
+            except _SCAN_ERRORS:
+                raise _Unread from None
+            self.pos += end - 2
             if not items or items.count(marker) != len(items):
                 raise _Unread
             count += len(items)
@@ -348,9 +336,10 @@ def parse_circuit(source) -> Circuit:
     Any other document is decoded again whole, from the start of the source,
     without markers, and the same rules, given each entry's values as lists
     of one, name what is wrong with it; a file that cannot seek back, such
-    as a pipe, is read whole first. If the rules find nothing, a repeated
-    key dropped an entry that had already filled a row, and the columns are
-    filled again from the entries the document keeps.
+    as a pipe, is read whole first. If the rules find nothing, the document
+    is a circuit the stream did not take (a batch was cut at a "}" inside an
+    id or a cell, or a repeated key dropped an entry that had already filled
+    a row), and the columns are filled again from the entries it keeps.
 
     Each distinct cell name and gate id is one string object, shared by the
     gate and the endpoints naming it, whichever list comes first.
@@ -404,7 +393,7 @@ def parse_circuit(source) -> Circuit:
         text, read, start = None, source.read, source.tell()
     scan_once = json.JSONDecoder(object_pairs_hook=fill).scan_once
     try:
-        doc, counts = _CircuitStream(read, scan_once, (*gates, *conns)).document()
+        doc, counts = _CircuitStream(read, scan_once).document()
     except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
         doc = None
     errs: list[Diagnostic] = []

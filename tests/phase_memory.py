@@ -3,22 +3,29 @@
 Usage:
     PYTHONPATH=src python tests/phase_memory.py --circuit C.qc.json --lib L.qlib.json [optimize flags]
 
-Runs the phases of ``aqfpopt optimize`` one at a time on the given inputs,
-in the order ``cmd_optimize`` runs them, with the same references dropped
-and the cyclic collector off as ``main`` turns it. After each phase it prints
-the process's resident size (``VmRSS``) and its high-water mark (``VmHWM``)
-from ``/proc/self/status``, in MB of 2**20 bytes as the benchmark counts
-them. The phase after which the high-water mark last rises is the one that
-sets the peak. Any ``optimize`` flag may follow, ``--remove-buffers`` and
-``--out`` included; without ``--out`` the report goes to the null device.
-Set ``PYTHONDONTWRITEBYTECODE=1`` to count each module's compile as a
-process that writes no bytecode does. Linux only; pytest does not collect
-this file.
+Runs ``aqfpopt optimize`` in process through ``cli.main``, with each phase
+function wrapped, wherever an aqfpopt module refers to it, so that when it
+returns the script prints the process's resident size (``VmRSS``) and its
+high-water mark (``VmHWM``) from ``/proc/self/status``, in MB of 2**20
+bytes as the benchmark counts them. The phase after which the high-water
+mark last rises is the one that sets the peak. Any ``optimize`` flag may
+follow; the report is written, and ``serialize_report`` marked, only with
+``--out``. Set ``PYTHONDONTWRITEBYTECODE=1`` to count each module's compile
+as a process that writes no bytecode does. Linux only; pytest does not
+collect this file.
 """
 
-import gc
-import os
+import functools
 import sys
+
+#: The phase functions of ``optimize``, by module.
+PHASES = {
+    "ingest": ("parse_circuit", "parse_library", "emit_report", "serialize_report"),
+    "model": ("validate_circuit",),
+    "bufferopt": ("remove_buffers",),
+    "timing": ("build_constraints", "sta_check"),
+    "solver": ("optimize_schedule",),
+}
 
 
 def status_mb(field: str) -> float:
@@ -33,45 +40,43 @@ def mark(phase: str) -> None:
     print(f"{phase:<20} rss {status_mb('VmRSS'):7.2f} MB   hwm {status_mb('VmHWM'):7.2f} MB", flush=True)
 
 
+def marked(name: str, fn):
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            mark(name)
+
+    return call
+
+
+def install(modules) -> None:
+    """Replace every loaded aqfpopt module's reference to a phase function of ``modules``."""
+    wrapped = {}
+    for mod_name in modules:
+        module = sys.modules[f"aqfpopt.{mod_name}"]
+        for name in PHASES[mod_name]:
+            fn = getattr(module, name)
+            wrapped[id(fn)] = marked(name, fn)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "aqfpopt" or mod_name.startswith("aqfpopt."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrapped and callable(value):
+                    setattr(module, attr, wrapped[id(value)])
+
+
 def main(argv) -> int:
-    gc.disable()
     mark("interpreter")
-    from aqfpopt import cli, timing
-    from aqfpopt.ingest import emit_report, parse_circuit, parse_library, serialize_report
-    from aqfpopt.model import validate_circuit
+    from aqfpopt import cli
 
     mark("import")
-    args = cli.build_parser().parse_args(["optimize", *argv])
-    cli._load_now(cli.solver, cli.bufferopt if args.remove_buffers else None)
+    # A wrap looks a lazy module's function up, which loads it: optimize
+    # loads the solver before it reads its inputs, and bufferopt only to
+    # remove buffers.
+    install([mod for mod in PHASES if mod != "bufferopt" or "--remove-buffers" in argv])
     mark("load modules")
-    circuit = cli._read_input(args.circuit, parse_circuit)
-    mark("parse_circuit")
-    lib = cli._read_input(args.lib, parse_library)
-    mark("parse_library")
-    diags = validate_circuit(circuit, lib)
-    if diags:
-        print("\n".join(map(str, diags)), file=sys.stderr)
-        return 1
-    mark("validate_circuit")
-    cfg = cli._config_from_args(args)
-    plan = None
-    if args.remove_buffers:
-        circuit, plan = cli.bufferopt.remove_buffers(circuit, lib, max_skip=cfg.max_skip)
-        mark("remove_buffers")
-    tcs = timing.build_constraints(circuit, lib, cfg)
-    mark("build_constraints")
-    sched = cli.solver.optimize_schedule(tcs, lib, cfg)
-    del tcs
-    mark("optimize_schedule")
-    slacks = timing.sta_check(circuit, lib, sched, cfg.hold_mode)
-    del circuit
-    mark("sta_check")
-    report = emit_report(sched, slacks, plan, manifest={}, verbose=args.verbose)
-    mark("emit_report")
-    with open(args.out or os.devnull, "w", encoding="utf-8") as fh:
-        serialize_report(report, fh)
-    mark("serialize_report")
-    return 0
+    return cli.main(["optimize", *argv])
 
 
 if __name__ == "__main__":
