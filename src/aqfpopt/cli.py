@@ -92,16 +92,6 @@ def reference_library() -> CellLibrary:
     return parse_library(text)
 
 
-def __getattr__(name: str):
-    # ``from aqfpopt.cli import generate_circuit`` is the documented import;
-    # it loads aqfpopt.generator, which no other command compiles, on demand.
-    if name == "generate_circuit":
-        from aqfpopt.generator import generate_circuit
-
-        return generate_circuit
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 

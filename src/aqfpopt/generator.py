@@ -1,7 +1,7 @@
 """Synthetic benchmark circuits: the ``gen`` subcommand and ``generate_circuit``.
 
 ``main`` imports this module only for ``gen``, so the other commands never
-compile it; ``from aqfpopt.cli import generate_circuit`` loads it on demand.
+compile it.
 """
 
 from __future__ import annotations

@@ -544,12 +544,12 @@ def _solve_outcome(
         return SegmentOutcome(segment=seg, status="breakdown", reason=str(e))
 
 
-def _lex_le(a: tuple[float, ...], b: tuple[float, ...], tol: float = FIX_TOL) -> bool:
+def _lex_le(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     """True when a is lexicographically no worse than b at the fix tolerance."""
     for x, y in zip(a, b):
-        if x < y - tol:
+        if x < y - FIX_TOL:
             return True
-        if x > y + tol:
+        if x > y + FIX_TOL:
             return False
     return True
 

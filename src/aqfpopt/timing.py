@@ -69,11 +69,9 @@ class TimingConstraintSet(NamedTuple):
 
 
 def _delays(c: Circuit, lib: CellLibrary):
-    """Each connection's propagation delay in turn: its extracted delay, else its length's."""
-    k = c.connections
-    if None not in k.prop:  # every delay extracted, as gen writes them
-        return k.prop
-    prop_per_um = lib.prop_per_um
+    """Each connection's propagation delay in turn, its extracted delay else its length times
+    ``prop_per_um``, for the one pass that ``build_constraints`` and ``sta_check`` make over the connections."""
+    k, prop_per_um = c.connections, lib.prop_per_um
     return (length * prop_per_um if prop is None else prop for length, prop in zip(k.length, k.prop))
 
 
@@ -136,15 +134,15 @@ def sta_check(
     """Static timing check of a concrete schedule against the raw inequalities.
 
     Clock arrival at a gate is its base offset plus every row increment
-    before its row. Each cell's timing functions are evaluated once at the
-    period, and each gate's launch edge (clock plus c2q) and its setup and
-    hold capture edges are resolved once, before the clock column is
-    dropped; the connections then only add their propagation delay. Each
-    connection's arrival is summed once for its setup slack and again for its
-    hold slack, in the same float operations, rather than kept as a column
-    beside both slack columns. The computation reads the circuit, the
-    library and the schedule alone and deliberately bypasses the
-    reformulated constraint system.
+    before its row, and each cell's timing functions are evaluated once at
+    the period. One loop then takes each connection's source i, sink j and
+    propagation delay, computes the data arrival ``clock[i] + c2q(i) +
+    delay`` once, and appends the setup slack ``(clock[j] - setup(j)) -
+    arrival`` and the hold slack ``(arrival + window(i)) - (clock[j] +
+    hold(j))``, where the window is the source's reset delay, or the full
+    period under ``dlplace``. The computation reads the circuit, the library
+    and the schedule alone and deliberately bypasses the reformulated
+    constraint system.
     """
     k = c.connections
     if not len(k):
@@ -160,19 +158,13 @@ def sta_check(
         window[name] = period if hold_mode == "dlplace" else fns.rd(period)
     g = c.gates
     clock = list(map(operator.add, g.clock_offset, map(prefix.__getitem__, g.row)))
-    # ``op(clock, value of the cell)`` of each gate, looked up by gate index.
-    launch, setup_edge, hold_edge = (list(map(op, clock, map(value.__getitem__, g.cell))).__getitem__
-                                     for op, value in ((operator.add, c2q), (operator.sub, setup), (operator.add, hold)))
-    del clock
+    cell = g.cell
     src, dst = c.endpoints
-
-    def arrival():
-        return map(operator.add, map(launch, src), _delays(c, lib))
-
-    setup_slack = list(map(operator.sub, map(setup_edge, dst), arrival()))
-    del setup_edge
-    windows = map(window.__getitem__, map(g.cell.__getitem__, src))
-    hold_slack = list(map(operator.sub, map(operator.add, arrival(), windows), map(hold_edge, dst)))
+    setup_slack, hold_slack = [], []
+    for i, j, delay in zip(src, dst, _delays(c, lib)):
+        arrival = clock[i] + c2q[cell[i]] + delay
+        setup_slack.append((clock[j] - setup[cell[j]]) - arrival)
+        hold_slack.append((arrival + window[cell[i]]) - (clock[j] + hold[cell[j]]))
     # min(setup, hold) is hold only when hold < setup, and min over the
     # connections keeps the first of equals, NaN included.
     min_slack = min(map(min, setup_slack, hold_slack))

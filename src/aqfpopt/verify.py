@@ -6,7 +6,6 @@ compile its checks.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 from aqfpopt import timing
@@ -59,23 +58,20 @@ def _connection_mismatch(claimed: list, found) -> list[Diagnostic]:
     """A REPORT_MISMATCH unless the report's connections, as ``report_connections`` columns,
     are the STA's ``found`` in order, each slack within ``FIX_TOL``."""
     src, dst, setup, hold = claimed
-
-    def close(a, b):
-        return map(FIX_TOL.__ge__, map(abs, map(operator.sub, a, b)))
-
-    same = operator.and_
-    agree = list(map(same, map(same, map(operator.eq, src, found.src), map(operator.eq, dst, found.dst)),
-                     map(same, close(setup, found.setup_slack), close(hold, found.hold_slack))))
-    differ = agree.count(False) + abs(len(src) - len(found))
-    if not differ:
+    # A NaN is within FIX_TOL of nothing, so a NaN slack differs.
+    differ = [i for i, (a, b, s, h, found_a, found_b, found_s, found_h)
+              in enumerate(zip(src, dst, setup, hold, found.src, found.dst, found.setup_slack, found.hold_slack))
+              if a != found_a or b != found_b or not (abs(s - found_s) <= FIX_TOL and abs(h - found_h) <= FIX_TOL)]
+    count = len(differ) + abs(len(src) - len(found))
+    if not count:
         return []
-    i = agree.index(False) if False in agree else len(agree)
+    i = differ[0] if differ else min(len(src), len(found))
 
     def entry(columns):
         a, b, s, h = columns
         return f"{a[i]}->{b[i]}, setup {s[i]!r} ps, hold {h[i]!r} ps" if i < len(a) else "no connection"
 
-    return [Diagnostic("REPORT_MISMATCH", "connections", f"report says {differ} of {len(src)} connections differ, "
+    return [Diagnostic("REPORT_MISMATCH", "connections", f"report says {count} of {len(src)} connections differ, "
                        f"first connections[{i}]: {entry(claimed)}, the STA finds {entry(found.columns())}")]
 
 

@@ -11,7 +11,8 @@ import time
 from conftest import NO_CAP, make_library, records, reformulated_residuals
 from oracles import chain_brute_force, grid_min_period, min_latency_at
 from aqfpopt.bufferopt import extract_chains, remove_buffers, solve_chain
-from aqfpopt.cli import generate_circuit, main
+from aqfpopt.cli import main
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import parse_report, serialize_library
 from aqfpopt.model import (
     Circuit,

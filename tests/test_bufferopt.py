@@ -13,7 +13,7 @@ from aqfpopt.bufferopt import (
     remove_buffers,
     solve_chain,
 )
-from aqfpopt.cli import generate_circuit
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import serialize_circuit
 from aqfpopt.model import Circuit, Connection, Gate, OptimizationConfig, ValidationError, validate_circuit
 from aqfpopt.timing import build_constraints

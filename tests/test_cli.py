@@ -20,6 +20,7 @@ from conftest import records
 from aqfpopt import cli, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import READ_CHUNK, REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
 from aqfpopt.model import (
     Circuit,
@@ -27,6 +28,7 @@ from aqfpopt.model import (
     Diagnostic,
     Gate,
     OptimizationConfig,
+    Schedule,
     ValidationError,
     validate_circuit,
 )
@@ -49,6 +51,8 @@ def gen(tmp_path, lib_path, name, **kw):
         argv += ["--chain-prob", str(kw["chain_prob"])]
     if kw.get("skip_prob"):
         argv += ["--skip-prob", str(kw["skip_prob"])]
+    if kw.get("adversarial"):
+        argv.append("--adversarial")
     assert main(argv) == 0
     return out
 
@@ -99,7 +103,6 @@ class TestGen:
         assert out.getvalue() == (tmp_path / "c.qc.json").read_text()
 
     def test_generator_soundness_over_100_seeds(self, ref_lib):
-        from aqfpopt.cli import generate_circuit
         from aqfpopt.model import OptimizationConfig
         from aqfpopt.solver import optimize_schedule
         from aqfpopt.timing import build_constraints, sta_check
@@ -440,7 +443,8 @@ class TestOptimizeVerify:
             assert re.fullmatch(pattern, line), line
         assert out.startswith("schedule verifies: ") if code == 0 else out == ""
 
-    @pytest.mark.parametrize("case", ["slack-and-name", "within-tolerance", "dropped", "swapped"])
+    @pytest.mark.parametrize("case", ["slack-and-name", "within-tolerance", "dropped", "swapped", "sink-renamed",
+                                      "nan-slack"])
     def test_report_connections_must_be_the_stas(self, workdir, capsys, case):
         n = []
 
@@ -455,6 +459,10 @@ class TestOptimizeVerify:
                 conns[-1]["hold_slack_ps"] -= 9e-7
             elif case == "dropped":
                 conns.pop()
+            elif case == "sink-renamed":
+                conns[1]["dst"] = "renamed"
+            elif case == "nan-slack":  # within FIX_TOL of nothing
+                conns[2]["hold_slack_ps"] = math.nan
             else:
                 conns[2], conns[3] = conns[3], conns[2]
 
@@ -463,7 +471,7 @@ class TestOptimizeVerify:
             assert (code, err) == (0, "") and out.startswith("schedule verifies: ")
             return
         differ, count, first = {"slack-and-name": (2, n[0], 0), "dropped": (1, n[0] - 1, n[0] - 1),
-                                "swapped": (2, n[0], 2)}[case]
+                                "swapped": (2, n[0], 2), "sink-renamed": (1, n[0], 1), "nan-slack": (1, n[0], 2)}[case]
         assert (code, out) == (3, "")
         (line,) = err.splitlines()
         assert line.startswith(f"[REPORT_MISMATCH] connections: report says {differ} of {count} connections differ, "
@@ -719,6 +727,72 @@ def test_optimize_report_bytes_are_pinned(request, tmp_path, run):
                  "--out", str(report_path)]) == 0
     text = report_path.read_text()
     assert hashlib.sha256(text[:text.rindex(', "manifest": ')].encode()).hexdigest() == digest
+
+
+#: sta_check runs whose slacks are pinned at period 200 ps and every row delta
+#: 50 ps: gen's adversarial flag, hold mode and the sha256 of the repr of the
+#: setup and hold slack columns.
+PINNED_SLACKS = {
+    "extracted-reset-delay": (False, "reset-delay",
+                              "9c42387004daa0ba5378b7e7024519976bd63f9a91c405e1a474e83772589b0f"),
+    "extracted-dlplace": (False, "dlplace",
+                          "e11bc9ae06adda3a34c970aeee5f9b03891fbf571e3b700e9415d8cc90e6e862"),
+    "adversarial-reset-delay": (True, "reset-delay",
+                                "6156b406414efe8bb27b18c5c40d643b88fbf4f218e242d251fa33fb5c243156"),
+    "adversarial-dlplace": (True, "dlplace",
+                            "7e98c18ddbf290c94d3c36dbb725404730320db9d1349addcbc556c11632e09e"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_SLACKS))
+def test_sta_slack_bits_are_pinned(workdir, ref_lib, run):
+    # Adversarial connections carry no extracted delay, so each one's delay
+    # is derived from its length; the pin holds the bits of both paths.
+    adversarial, hold_mode, digest = PINNED_SLACKS[run]
+    tmp_path, lib_path = workdir
+    circuit = parse_circuit(gen(tmp_path, lib_path, "c.qc.json", rows=40, width=6, seed=3,
+                                adversarial=adversarial).read_text())
+    assert {prop is None for prop in circuit.connections.prop} == {adversarial}
+    sched = Schedule(200.0, [50.0] * 39, 0.0, 1950.0)
+    t = timing.sta_check(circuit, ref_lib, sched, hold_mode).entries
+    columns = repr((list(t.setup_slack), list(t.hold_slack)))
+    assert hashlib.sha256(columns.encode()).hexdigest() == digest
+
+
+#: Input checks, each as the file edited, the path of the entry set in it, the
+#: value set and the first line the run writes to stderr.
+INPUT_CHECKS = {
+    "zero-interconnect": ("lib", ("prop_ps_per_um",), 0,
+                          "[INVALID_INTERCONNECT] library: prop_per_um must be > 0"),
+    "inverted-period-range": ("lib", ("t_min_ps",), 400.0,
+                              "[INVALID_PERIOD_RANGE] library: need 0 < t_min < t_max, got 400.0..300.0"),
+    "zero-max-frequency": ("lib", ("max_frequency_ghz",), 0,
+                           "[INVALID_PERIOD_RANGE] library: max_frequency must be > 0"),
+    "cell-not-an-object": ("lib", ("cells", "buffer"), [], "[PARSE_ERROR] buffer: cell entry must be an object"),
+    "negative-length": ("circuit", ("connections", 0, "length_um"), -1.0,
+                        "[NEGATIVE_LENGTH] g0_5->g1_0: length must be >= 0"),
+    "unknown-priority-mode": ("report", ("manifest", "config", "priority_mode"), "x",
+                              "[INVALID_CONFIG] priority_mode: unknown mode 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_each_input_check_names_its_fault(workdir, capsys, case):
+    target, path, value, first_line = INPUT_CHECKS[case]
+    tmp_path, lib_path = workdir
+    files = {"circuit": gen(tmp_path, lib_path, "c.qc.json", rows=40, width=6, seed=3), "lib": lib_path,
+             "report": tmp_path / "c.report.json"}
+    io = ["--circuit", str(files["circuit"]), "--lib", str(lib_path)]
+    assert main(["optimize", *io, "--out", str(files["report"])]) == 0
+    doc = entry = json.loads(files[target].read_text())
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    files[target].write_text(json.dumps(doc))
+    capsys.readouterr()
+    command = ["verify", *io, "--schedule", str(files["report"])] if target == "report" else ["optimize", *io]
+    assert main(command) == 1
+    assert capsys.readouterr().err.splitlines()[0] == first_line
 
 
 class TestConfigDefaults:
@@ -1459,7 +1533,7 @@ def test_respelled_circuits_give_the_same_report(workdir):
     # delay (its length gives the delay) and the first row's clock offsets
     # are 0, so that integers and null delays can spell some of its values.
     tmp_path, lib_path = workdir
-    doc = json.loads(serialize_circuit(cli.generate_circuit(rows=12, width=4, seed=17, skip_prob=0.3)))
+    doc = json.loads(serialize_circuit(generate_circuit(rows=12, width=4, seed=17, skip_prob=0.3)))
     for conn in doc["connections"][::3]:
         conn["length_um"] = float(math.floor(conn.pop("prop_ps")))  # the reference library's 1 ps/um
     for gate in doc["gates"]:
@@ -1496,7 +1570,7 @@ def test_streamed_report_passes_the_checker(request, tmp_path, run):
     lib_fixture, gen_kw, flags, spec = CHECKED_RUNS[run]
     lib = request.getfixturevalue(lib_fixture)
     files = {name: tmp_path / f"c.{name}.json" for name in ("circuit", "lib", "report")}
-    files["circuit"].write_text(serialize_circuit(cli.generate_circuit(rows=20, width=220, seed=7, lib=lib, **gen_kw)))
+    files["circuit"].write_text(serialize_circuit(generate_circuit(rows=20, width=220, seed=7, lib=lib, **gen_kw)))
     files["lib"].write_text(serialize_library(lib))
     assert main(["optimize", "--circuit", str(files["circuit"]), "--lib", str(files["lib"]), *flags,
                  "--out", str(files["report"])]) == 0

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from aqfpopt import ingest
-from aqfpopt.cli import generate_circuit, main
+from aqfpopt.cli import main
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import (
     emit_report,
     parse_circuit,

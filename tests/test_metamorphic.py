@@ -11,7 +11,7 @@ import pytest
 
 from conftest import records
 from aqfpopt.bufferopt import remove_buffers
-from aqfpopt.cli import generate_circuit
+from aqfpopt.generator import generate_circuit
 from aqfpopt.model import Circuit, OptimizationConfig
 from aqfpopt.solver import FIX_TOL, optimize_schedule
 from aqfpopt.timing import build_constraints

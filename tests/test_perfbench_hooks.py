@@ -15,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from aqfpopt.cli import generate_circuit
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import serialize_circuit, serialize_library
 
 ROOT = Path(__file__).resolve().parents[1]

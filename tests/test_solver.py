@@ -11,7 +11,8 @@ from conftest import BP2, const_fn, make_library
 from oracles import grid_min_period, min_latency_at, segment_lp_oracle
 from aqfpopt import solver
 from aqfpopt.bufferopt import remove_buffers
-from aqfpopt.cli import generate_circuit, main
+from aqfpopt.cli import main
+from aqfpopt.generator import generate_circuit
 from aqfpopt.ingest import serialize_circuit, serialize_library
 from aqfpopt.model import (
     CellTiming,

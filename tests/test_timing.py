@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import NO_CAP, records, reformulated_residuals
-from aqfpopt.cli import generate_circuit
+from aqfpopt.generator import generate_circuit
 from aqfpopt.model import (
     Circuit,
     Connection,
