@@ -5,10 +5,11 @@ The package is organized around a small set of immutable domain types
 removal (:mod:`aqfpopt.bufferopt`), setup/hold constraint generation and an
 independent STA oracle (:mod:`aqfpopt.timing`), the segment-enumerating
 schedule solver (:mod:`aqfpopt.solver`), and a command-line front end
-(:mod:`aqfpopt.cli`, which holds ``optimize``). The other commands live in
-their own modules, each imported only when its command runs: ``verify``'s
-report checks (:mod:`aqfpopt.verify`), the synthetic circuit generator
-behind ``gen`` (:mod:`aqfpopt.generator`) and ``sweep``
+(:mod:`aqfpopt.cli`), which parses the arguments and maps failures to exit
+codes. Each command lives in its own module, imported only when its command
+runs: ``optimize`` and the schedule pipeline (:mod:`aqfpopt.optimize`),
+``verify``'s report checks (:mod:`aqfpopt.verify`), the synthetic circuit
+generator behind ``gen`` (:mod:`aqfpopt.generator`) and ``sweep``
 (:mod:`aqfpopt.sweep`).
 """
 

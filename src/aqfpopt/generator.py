@@ -10,8 +10,7 @@ import random
 import sys
 from typing import Optional
 
-from aqfpopt.cli import EXIT_OK, _read_input, _write_output, reference_library
-from aqfpopt.ingest import parse_library, serialize_circuit
+from aqfpopt.ingest import parse_library, read_input, reference_library, serialize_circuit, write_output
 from aqfpopt.model import (
     BUFFER_CELL,
     CellLibrary,
@@ -145,7 +144,7 @@ def generate_circuit(
     return Circuit(name=f"gen-r{rows}-w{width}-s{seed}", num_rows=rows, gates=gates, connections=connections)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     circuit = generate_circuit(
         rows=args.rows,
         width=args.width,
@@ -153,11 +152,11 @@ def cmd_gen(args) -> int:
         chain_prob=args.chain_prob,
         skip_prob=args.skip_prob,
         adversarial=args.adversarial,
-        lib=_read_input(args.lib, parse_library) if args.lib else None,
+        lib=read_input(args.lib, parse_library) if args.lib else None,
     )
     text = serialize_circuit(circuit)
     if args.out and args.out != "-":
-        _write_output(args.out, lambda fh: fh.write(text))
+        write_output(args.out, lambda fh: fh.write(text))
     elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
         sys.stdout.write(text)
     else:
@@ -167,4 +166,3 @@ def cmd_gen(args) -> int:
         out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
         while data:
             data = data[out.write(data):]
-    return EXIT_OK

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+from importlib import resources
 from json.decoder import WHITESPACE
 from typing import Any, Optional
 
@@ -37,6 +38,7 @@ from aqfpopt.model import (
     Schedule,
     ValidationError,
     log,
+    validate_circuit,
     validate_library,
 )
 
@@ -711,3 +713,42 @@ def render_report_table(report: dict) -> str:
     ]
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+
+
+def read_input(path, parse):
+    """Open the input file at ``path`` and pass it to ``parse``; an OS error
+    becomes an IO_ERROR diagnostic. The parsers read the file themselves, so
+    no caller frame keeps its text: ``parse_circuit`` decodes the circuit as
+    it reads it in chunks, and the library and report parsers free their
+    text once decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as e:
+        raise ValidationError([Diagnostic("IO_ERROR", str(path), str(e))]) from e
+
+
+def load_inputs(circuit, lib) -> tuple[Circuit, CellLibrary]:
+    """The circuit and library files at these paths, parsed and validated
+    against each other."""
+    circuit = read_input(circuit, parse_circuit)
+    lib = read_input(lib, parse_library)
+    diags = validate_circuit(circuit, lib)
+    if diags:
+        raise ValidationError(diags)
+    return circuit, lib
+
+
+def write_output(path, write) -> None:
+    """Open a command's output file at ``path`` and pass it to ``write``; an
+    OS error becomes an IO_ERROR diagnostic."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as e:
+        raise ValidationError([Diagnostic("IO_ERROR", str(path), str(e))]) from e
+
+
+def reference_library() -> CellLibrary:
+    """The library shipped with the package (uniform cells, 5 GHz limit)."""
+    return parse_library(resources.files("aqfpopt").joinpath("data/reference.qlib.json").read_text())

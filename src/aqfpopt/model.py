@@ -97,6 +97,10 @@ class InfeasibleScheduleError(ValidationError):
     """No schedule meets the constraints, or the solver broke down numerically."""
 
 
+class VerificationError(ValidationError):
+    """A stored report's schedule breaks the timing rules or disagrees with its own figures."""
+
+
 #: Tolerance used when a lexicographic stage fixes its criterion.
 FIX_TOL = 1e-6
 
@@ -598,3 +602,11 @@ class OptimizationConfig(_Checked, _OptimizationConfigFields):
         lo = lib.period_lo if self.t_min_override is None else max(self.t_min_override, lib.period_lo)
         hi = lib.t_max if self.t_max_override is None else min(self.t_max_override, lib.t_max)
         return lo, hi
+
+
+#: Built-in sweep presets, each the config fields it sets over the defaults.
+#: table1a/1b/1c are single optimizer configurations at different priorities;
+#: table3 pairs a baseline run of table1a's config against a buffer-removal
+#: run and reports the relative change.
+PRESETS = {"table1a": {}, "table1b": {"s_min": 5.0}, "table1c": {"priority": ("period", "slack", "latency")},
+           "table3": {}}

@@ -7,21 +7,11 @@ compile it.
 from __future__ import annotations
 
 import json
-import sys
 
-from aqfpopt.cli import (
-    EXIT_INPUT,
-    EXIT_OK,
-    PRESETS,
-    _config_from_args,
-    _load_inputs,
-    _load_now,
-    _schedule,
-    _write_output,
-    bufferopt,
-    solver,
-)
-from aqfpopt.model import InfeasibleScheduleError, log
+from aqfpopt import bufferopt, solver
+from aqfpopt.ingest import load_inputs, write_output
+from aqfpopt.model import PRESETS, Diagnostic, InfeasibleScheduleError, ValidationError, log
+from aqfpopt.optimize import _config_from_args, _load_now, _schedule
 
 
 def _figures(sched, slacks) -> dict:
@@ -34,18 +24,16 @@ def _sweep_line(tag: str, figures: dict, saved: str) -> str:
     return f"{tag:<14} {figures['frequency_ghz']:>11.3f} {figures['latency_ps']:>13.2f} {ms:>15} {saved:>14}"
 
 
-def cmd_sweep(args) -> int:
-    names = [p.strip() for p in (args.configs or "").split(",") if p.strip()]
-    if not names:
-        print("sweep requires --configs with at least one preset", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_sweep(args) -> None:
+    names = [p.strip() for p in args.configs.split(",") if p.strip()]
     unknown = [p for p in names if p not in PRESETS]
-    if unknown:
-        print(f"unknown presets: {', '.join(unknown)} (choose from {', '.join(PRESETS)})", file=sys.stderr)
-        return EXIT_INPUT
+    if unknown or not names:
+        given = ", ".join(unknown) or "none given"
+        raise ValidationError([Diagnostic("INVALID_CONFIG", "configs",
+                                          f"unknown presets: {given} (choose from {', '.join(PRESETS)})")])
     configs = {name: _config_from_args(args, **PRESETS[name]) for name in names}
     _load_now(solver, bufferopt if "table3" in names else None)
-    circuit, lib = _load_inputs(args)
+    circuit, lib = load_inputs(args.circuit, args.lib)
     # Each distinct config is solved once on the parsed circuit; table3's
     # baseline is table1a's run, paired with one run after buffer removal.
     distinct = list(dict.fromkeys(configs.values()))
@@ -88,5 +76,4 @@ def cmd_sweep(args) -> int:
     print("\n".join(lines))
     if args.out:
         doc = {"circuit": circuit.name, "results": results}
-        _write_output(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
-    return EXIT_OK
+        write_output(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))

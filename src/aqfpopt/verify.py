@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from aqfpopt import timing
-from aqfpopt.cli import EXIT_OK, EXIT_VERIFY, _fail, _load_inputs, _read_input, bufferopt
-from aqfpopt.ingest import parse_report, report_connections, schedule_from_report
+# Under ``main``, bufferopt is a lazy module, whose code runs only for a
+# report made with removal.
+from aqfpopt import bufferopt, timing
+from aqfpopt.ingest import load_inputs, parse_report, read_input, report_connections, schedule_from_report
 from aqfpopt.model import (
     FIX_TOL,
     CellLibrary,
@@ -18,6 +19,8 @@ from aqfpopt.model import (
     OptimizationConfig,
     PwlDomainError,
     Schedule,
+    ValidationError,
+    VerificationError,
     log,
     segment_owning,
 )
@@ -29,7 +32,7 @@ def _decode_report(path) -> dict:
     """The parts of the report file at ``path`` that ``verify`` reads: the manifest
     config, the schedule, the ``_CLAIMS`` figures and the connections as columns.
     The rest of the document, one object per connection, is freed on return."""
-    report = _read_input(path, parse_report)
+    report = read_input(path, parse_report)
     return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
             "connections": report_connections(report),
             **{key: report[key] for key in _CLAIMS}}
@@ -99,9 +102,9 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], 
     return [Diagnostic("REPORT_MISMATCH", field, f"report says {said}") for field, agrees, said in rules if not agrees]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     # Circuit and library errors are reported before report errors.
-    circuit, lib = _load_inputs(args)
+    circuit, lib = load_inputs(args.circuit, args.lib)
     decoded = _decode_report(args.schedule)
     manifest_cfg, sched = decoded["config"], decoded["schedule"]
     cfg = _manifest_config(manifest_cfg)
@@ -112,14 +115,14 @@ def cmd_verify(args) -> int:
         log.info("re-applied buffer removal recorded in the report manifest")
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
-        return _fail([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
+        raise ValidationError([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])
     outside = _out_of_bounds(sched, cfg, lib)
     if outside:
-        return _fail(outside, EXIT_VERIFY)
+        raise VerificationError(outside)
     try:
         slacks = timing.sta_check(circuit, lib, sched, cfg.hold_mode)
     except PwlDomainError as e:
-        return _fail([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))], EXIT_VERIFY)
+        raise VerificationError([Diagnostic("PERIOD_OUT_OF_RANGE", "schedule", str(e))]) from e
     t = slacks.entries
     failing = [
         Diagnostic("STA_VIOLATION", f"{t.src[i]}->{t.dst[i]}",
@@ -127,11 +130,10 @@ def cmd_verify(args) -> int:
         for i in slacks.failing()
     ]
     if failing:
-        return _fail(failing, EXIT_VERIFY)
+        raise VerificationError(failing)
     mismatches = _report_mismatches(decoded, sched, slacks.min_slack, lib, plan)
     mismatches += _connection_mismatch(decoded["connections"], t)
     if mismatches:
-        return _fail(mismatches, EXIT_VERIFY)
+        raise VerificationError(mismatches)
     ms = "n/a" if slacks.min_slack is None else f"{slacks.min_slack:.6g} ps"
     print(f"schedule verifies: min slack {ms}")
-    return EXIT_OK

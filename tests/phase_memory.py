@@ -5,17 +5,22 @@ Usage:
 
 Runs ``aqfpopt optimize`` in process through ``cli.main``, with each phase
 function wrapped, wherever an aqfpopt module refers to it, so that when it
-returns the script prints the process's resident size (``VmRSS``) and its
-high-water mark (``VmHWM``) from ``/proc/self/status``, in MB of 2**20
-bytes as the benchmark counts them. The phase after which the high-water
-mark last rises is the one that sets the peak. Any ``optimize`` flag may
+returns the script prints the process's resident size (``VmRSS`` from
+``/proc/self/status``) and its peak resident size so far (``ru_maxrss`` of
+``getrusage``, the figure the benchmark reads for a finished child), in MB
+of 2**20 bytes as the benchmark counts them. The phase after which the
+peak last rises is the one that sets it. The peak can read up to about
+0.1 MB below the resident size printed beside it, as Linux reports the
+two from different counters. Any ``optimize`` flag may
 follow; the report is written, and ``serialize_report`` marked, only with
 ``--out``. Set ``PYTHONDONTWRITEBYTECODE=1`` to count each module's compile
-as a process that writes no bytecode does. Linux only; pytest does not
-collect this file.
+as a process that writes no bytecode does. If the reader of stdout closes
+the pipe, the script ends as the CLI does, with an ``IO_ERROR`` diagnostic
+and exit 1. Linux only; pytest does not collect this file.
 """
 
 import functools
+import resource
 import sys
 
 #: The phase functions of ``optimize``, by module.
@@ -36,8 +41,20 @@ def status_mb(field: str) -> float:
     raise KeyError(field)
 
 
+class StdoutClosed(Exception):
+    """The reader of stdout closed the pipe during a mark. It is no OSError,
+    so the CLI's file handlers, which turn an OSError raised while they read
+    or write into an IO_ERROR of their file, let it through."""
+
+
 def mark(phase: str) -> None:
-    print(f"{phase:<20} rss {status_mb('VmRSS'):7.2f} MB   hwm {status_mb('VmHWM'):7.2f} MB", flush=True)
+    # VmHWM is no running peak: Linux updates it only at some events, such as
+    # an unmap, so it can read below a peak already reached.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux counts kB
+    try:
+        print(f"{phase:<20} rss {status_mb('VmRSS'):7.2f} MB   peak {peak:7.2f} MB", flush=True)
+    except BrokenPipeError as e:
+        raise StdoutClosed from e
 
 
 def marked(name: str, fn):
@@ -76,8 +93,17 @@ def main(argv) -> int:
     # remove buffers.
     install([mod for mod in PHASES if mod != "bufferopt" or "--remove-buffers" in argv])
     mark("load modules")
+    # main imports aqfpopt.optimize only now, so its names bind the wrapped
+    # ingest functions; it calls the solver and bufferopt through their modules.
     return cli.main(["optimize", *argv])
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except (BrokenPipeError, StdoutClosed):
+        from aqfpopt import cli
+
+        code = cli._stdout_closed()
+    sys.exit(code)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import records
-from aqfpopt import cli, solver, timing
+from aqfpopt import cli, optimize, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.generator import generate_circuit
@@ -27,6 +28,7 @@ from aqfpopt.model import (
     Connection,
     Diagnostic,
     Gate,
+    InfeasibleScheduleError,
     OptimizationConfig,
     Schedule,
     ValidationError,
@@ -348,7 +350,7 @@ class TestOptimizeVerify:
             monkeypatch.setattr(module, name, wrapped)
 
         spy(timing, "sta_check")
-        spy(cli, "emit_report")
+        spy(optimize, "emit_report")
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path), *flags]) == 0
         assert seen["sta_check"] == (0, [gates])
         assert seen["emit_report"] == (0, [])
@@ -528,7 +530,7 @@ class TestOptimizeVerify:
         monkeypatch.setattr(timing, "STA_MARGIN", 1e9)
         capsys.readouterr()
         assert main(["optimize", "--circuit", str(circ), "--lib", str(lib_path)]) == 2
-        assert re.fullmatch(r"schedule fails STA: min slack \S+ ps\n", capsys.readouterr().err)
+        assert re.fullmatch(r"\[STA_VIOLATION\] schedule: min slack \S+ ps\n", capsys.readouterr().err)
 
     def test_period_past_the_last_breakpoint_fails_verify(self, workdir, capsys):
         # Within FIX_TOL of t_max the range check passes, but no cell
@@ -1029,7 +1031,8 @@ class TestUsage:
         assert main(["optimize"]) == 1
 
     @pytest.mark.parametrize("caller_gc", [True, False])
-    @pytest.mark.parametrize("outcome,code", [(0, 0), (2, 2), (ValidationError([Diagnostic("X", "y", "z")]), 1)],
+    @pytest.mark.parametrize("outcome,code", [(0, 0), (InfeasibleScheduleError([Diagnostic("X", "y", "z")]), 2),
+                                              (ValidationError([Diagnostic("X", "y", "z")]), 1)],
                              ids=["exit0", "exit2", "exit1"])
     def test_command_runs_with_gc_paused(self, monkeypatch, caller_gc, outcome, code):
         seen = []
@@ -1040,7 +1043,7 @@ class TestUsage:
                 raise outcome
             return outcome
 
-        monkeypatch.setattr(cli, "cmd_optimize", fake_optimize)
+        monkeypatch.setattr(optimize, "cmd_optimize", fake_optimize)
         was = gc.isenabled()
         (gc.enable if caller_gc else gc.disable)()
         try:
@@ -1179,14 +1182,14 @@ print(json.dumps([code, [m for m in lazy if type(sys.modules[m]) is not importli
 
 #: A sitecustomize module: as the process exits, it prints the aqfpopt
 #: modules in sys.modules, those of them whose code has not run, and whether
-#: the module run as __main__ is the one registered as aqfpopt.cli.
+#: aqfpopt.cli was never imported by name.
 MODULES_AT_EXIT = """
 import atexit, importlib.util, json, sys
 
 def report():
     loaded = sorted(name for name in sys.modules if name.startswith("aqfpopt"))
     unrun = [name for name in loaded if type(sys.modules[name]) is importlib.util._LazyModule]
-    print(json.dumps([loaded, unrun, sys.modules.get("aqfpopt.cli") is sys.modules["__main__"]]))
+    print(json.dumps([loaded, unrun, "aqfpopt.cli" not in sys.modules]))
 
 atexit.register(report)
 """
@@ -1225,15 +1228,15 @@ class TestProcess:
         assert self.loaded_after(*argv, *flags) == (1, loaded)
 
     @pytest.mark.parametrize("command,own,absent,unrun", [
-        ("optimize", "cli", {"generator", "verify", "sweep"}, set()),
-        ("verify", "verify", {"generator", "sweep"}, {"solver"}),
-        ("gen", "generator", {"verify", "sweep"}, {"solver"}),
+        ("optimize", "optimize", {"generator", "verify", "sweep"}, set()),
+        ("verify", "verify", {"optimize", "generator", "sweep"}, {"solver"}),
+        ("gen", "generator", {"optimize", "verify", "sweep"}, {"solver"}),
         ("sweep", "sweep", {"generator", "verify"}, set()),
     ])
     def test_each_command_loads_only_its_own_code(self, workdir, command, own, absent, unrun):
         # Each command's module is imported inside main, so the other
-        # commands never compile it; under -m the command modules share the
-        # running __main__ as aqfpopt.cli rather than load cli.py again.
+        # commands never compile it; under -m no command module imports
+        # aqfpopt.cli, so cli.py runs once, as __main__.
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", rows=6, width=2, seed=4, chain_prob=0.9)
         io = ["--circuit", circ, "--lib", lib_path]
@@ -1372,6 +1375,24 @@ class TestProcess:
         assert getattr(importlib.import_module(module), name) is cli.run
 
 
+def test_no_module_imports_the_cli():
+    # Under ``python -m aqfpopt.cli`` the CLI runs as __main__; a module that
+    # imported aqfpopt.cli by name would run cli.py a second time.
+    importers = []
+    for path in sorted((SRC / "aqfpopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module if not node.level else ".".join(filter(None, ("aqfpopt", node.module)))
+                names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if "aqfpopt.cli" in names:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
 # Values swapped in by the fuzzer: wrong JSON types, non-finite numbers and
 # numbers of the wrong sign or kind.
 JUNK = st.sampled_from([NAN, math.inf, -math.inf, "x", None, True, [], {}, 5, -1, 0, 1.7])
@@ -1481,6 +1502,60 @@ def test_fuzzed_inputs_end_in_a_stable_exit_code(fuzz_seed_docs, tmp_path, capsy
         text = files["report"].read_text()
         assert "NaN" not in text and "Infinity" not in text
         assert main(["verify", *io, "--schedule", str(files["report"])]) == 0
+
+
+#: A stderr line of a failed command: a ``[CODE] entity: message`` diagnostic
+#: or a ``LEVEL aqfpopt: message`` log line.
+STDERR_LINE = re.compile(r"\[[A-Z_]+\] \S+: \S.*|[A-Z]+ aqfpopt: \S.*")
+
+
+def assert_diagnostic_lines(err):
+    assert err.strip(), "a failed command wrote nothing to stderr"
+    assert [line for line in err.splitlines() if not STDERR_LINE.fullmatch(line)] == [], err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_failures_write_only_diagnostics(fuzz_seed_docs, tmp_path, capsys, data):
+    # The inputs of test_fuzzed_inputs_end_in_a_stable_exit_code; each failed
+    # command is checked line by line.
+    docs = json.loads(json.dumps(fuzz_seed_docs))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(sorted(docs)))
+        path = data.draw(st.sampled_from(sorted(paths_of(docs[target]), key=str)))
+        parent = docs[target]
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JUNK)
+    solver_flags = data.draw(SOLVER_FLAGS)
+    files = {name: tmp_path / f"fuzz.{name}.json" for name in docs}
+    for name, path in files.items():
+        path.write_text(json.dumps(docs[name]))
+    io = ["--circuit", str(files["circuit"]), "--lib", str(files["lib"])]
+    capsys.readouterr()
+    for argv in (["verify", *io, "--schedule", str(files["report"])],
+                 ["optimize", *io, *solver_flags, "--out", str(files["report"])],
+                 ["sweep", *io, "--configs", "table1a,table3"]):
+        if main(argv):
+            assert_diagnostic_lines(capsys.readouterr().err)
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("case,code", [("unknown-preset", 1), ("no-preset", 1), ("sta-failure", 2)])
+def test_usage_and_sta_failures_write_only_diagnostics(workdir, capsys, monkeypatch, case, code):
+    tmp_path, lib_path = workdir
+    io = ["--circuit", str(gen(tmp_path, lib_path, "c.qc.json", seed=4, skip_prob=0.3)), "--lib", str(lib_path)]
+    if case == "sta-failure":
+        monkeypatch.setattr(timing, "STA_MARGIN", 1e9)  # a margin no slack reaches
+    argv = {"unknown-preset": ["sweep", *io, "--configs", "table9"], "no-preset": ["sweep", *io, "--configs", ""],
+            "sta-failure": ["optimize", *io]}[case]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert_diagnostic_lines(capsys.readouterr().err)
 
 
 def perfbench_checker():
