@@ -6,15 +6,17 @@ reports ``.report.json`` by convention. Unknown keys are rejected so typos
 fail loudly instead of silently dropping timing data.
 
 The parsers check the shape of a document: its keys, and each field against
-its rule in :mod:`aqfpopt.model`, the decoded columns of a circuit whole and
-any other value as a list of one. What the content means is checked by
-``validate_circuit`` and ``validate_library``, there too.
+its rule in :mod:`aqfpopt.model`, a decoded column whole and any other
+value as a list of one. What the content means is checked by
+``validate_circuit`` and ``validate_library``, there too. The circuit's
+``gates`` and ``connections`` and the report's ``connections`` are lists of
+four-field objects, and one decoder, ``_decode_lists``, streams each of
+them into columns as it reads the file.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from importlib import resources
 from json.decoder import WHITESPACE
 from typing import Any, Optional
@@ -28,10 +30,8 @@ from aqfpopt.model import (
     CellLibrary,
     CellTiming,
     Circuit,
-    Connection,
     ConnectionTable,
     Diagnostic,
-    Gate,
     GateTable,
     PiecewiseLinear,
     Rule,
@@ -64,15 +64,7 @@ _CIRCUIT_TYPES = {
 }
 _CIRCUIT_KEYS = {"format_version", *_CIRCUIT_TYPES}
 _GATE_TYPES = {"id": STRING, "cell": STRING, "row": INTEGER, "clock_offset_ps": FINITE}
-_CONN_TYPES = {
-    "src": STRING,
-    "dst": STRING,
-    "length_um": FINITE,
-    "prop_ps": FINITE_OR_NULL,
-}
-_GATE_KEYS = tuple(_GATE_TYPES)  # the file keys of each column, in column order
-_CONN_KEYS = tuple(_CONN_TYPES)  # of which a key whose value may be null may be left out
-_CONN_REQUIRED = tuple(key for key in _CONN_KEYS if _CONN_TYPES[key] is not FINITE_OR_NULL)
+_CONN_TYPES = {"src": STRING, "dst": STRING, "length_um": FINITE, "prop_ps": FINITE_OR_NULL}
 _LIBRARY_TYPES = {
     "l_max_drive_um": FINITE,
     "l_buffer_um": FINITE,
@@ -148,10 +140,16 @@ def _check_missing(doc: dict, required, entity: str, errs: list) -> bool:
     return not missing
 
 
-def _check_entry(entry: dict, types: dict, required, entity: str, errs: list) -> None:
-    """Check one gate or connection entry against its type table."""
+def _required(types: dict) -> set:
+    """The fields of a list entry's rule table that it may not leave out: all
+    but those whose rule is ``FINITE_OR_NULL``."""
+    return {key for key, rule in types.items() if rule is not FINITE_OR_NULL}
+
+
+def _check_entry(entry: dict, types: dict, entity: str, errs: list) -> None:
+    """Check one list entry against its type table."""
     _check_keys(entry, types, entity, errs)
-    if _check_missing(entry, required, entity, errs):
+    if _check_missing(entry, _required(types), entity, errs):
         _check_types(entry, types, entity, errs)
 
 
@@ -162,45 +160,41 @@ def _check_circuit_header(doc: dict, errs: list) -> bool:
     return _check_types(doc, _CIRCUIT_TYPES, "circuit", errs)
 
 
-def _typed_columns(gates: tuple[list, ...], conns: tuple[list, ...]) -> bool:
-    """Whether decoded gate and connection columns pass the rules of their
-    fields, each rule applied to a whole column. Integers in a number column
-    become floats, and equal rows one int object."""
-    rules = (*_GATE_TYPES.values(), *_CONN_TYPES.values())
-    if not all(rule.holds(column) for rule, column in zip(rules, (*gates, *conns))):
-        return False
-    rows = gates[2]
-    share = {}.setdefault
-    rows[:] = map(share, rows, rows)
-    for column in (gates[3], *conns[2:]):  # clock_offset, length and prop
-        if int in set(map(type, column)):  # only in a respelled circuit: gen writes floats
-            column[:] = [v if v is None else float(v) for v in column]
-    return True
+def _check_report_header(doc: dict, errs: list) -> bool:
+    _check_version(doc, "report", errs)
+    _check_keys(doc, _REPORT_KEYS, "report", errs)
+    _check_missing(doc, _REPORT_KEYS - {"chains", "manifest"}, "report", errs)
+    _check_types(doc, _REPORT_TYPES, "report", errs)
+    manifest = doc.get("manifest")
+    if isinstance(manifest, dict) and _check_types(manifest, {"config": _OBJECT}, "manifest", errs):
+        _check_types(manifest.get("config", {}), _REPORT_CONFIG_TYPES, "manifest.config", errs)
+    return not errs
 
 
-#: Characters of circuit text read at a time. The parse holds a few chunks
+#: Characters of document text read at a time. The parse holds a few chunks
 #: of text besides the columns; a larger chunk decodes no faster, and a
 #: smaller one costs a decoder call per few entries (README, "Memory").
 READ_CHUNK = 1 << 13
 
 _SPACE = WHITESPACE.match  # the whitespace JSON allows between tokens
-_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)  # TypeError: an unhashable id
-_MARKERS = {"gates": Gate, "connections": Connection}
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)  # TypeError: an unhashable name
 
 
 class _Unread(Exception):
-    """The text is not a circuit the stream takes in; the second decode names why."""
+    """The text is not a document the stream takes in; the second decode names why."""
 
 
-class _CircuitStream:
-    """A circuit document's text, decoded as it is read ``READ_CHUNK``
-    characters at a time. ``scan_once`` is the scanner of a decoder whose
-    pairs hook fills the columns. Rows filled outside a list's batches (a
-    gate-shaped header value, or one retried after a short read) leave the
-    document failing its header check or its element counts."""
+class _ListStream:
+    """A document's text, decoded as it is read ``READ_CHUNK`` characters
+    at a time. ``scan_once`` is the scanner of a decoder whose pairs hook
+    fills the columns, and ``markers`` maps the key of each top-level list
+    read in batches to the marker its entries decode to. Rows filled outside
+    a list's batches (an entry-shaped header value, or one retried after a
+    short read) leave the document failing its header check or its element
+    counts."""
 
-    def __init__(self, read, scan_once):
-        self.read, self.scan_once = read, scan_once
+    def __init__(self, read, scan_once, markers: dict):
+        self.read, self.scan_once, self.markers = read, scan_once, markers
         self.text, self.pos, self.end = "", 0, False
 
     def more(self) -> None:
@@ -242,7 +236,7 @@ class _CircuitStream:
         """Decode the list whose "[" was just read, each element to ``marker``;
         returns their count. A batch runs up to the last "}" read and leaves
         the position after it, or at the "]" that closes the list if that
-        comes first. A "}" that ends no element (one inside an id, say)
+        comes first. A "}" that ends no element (one inside a name, say)
         leaves its batch undecodable, and the second decode reads the text."""
         count = 0
         if self.peek() == "]":
@@ -267,11 +261,11 @@ class _CircuitStream:
             self.take(",")
 
     def document(self) -> tuple[dict, dict]:
-        """The top-level object, and the element count of its gates and
-        connections lists, which stand in it as empty lists: their entries
-        are in the columns. A key given twice keeps its last value; if that
-        drops a list whose entries filled rows, the counts fall short of
-        the columns."""
+        """The top-level object, and the element count of each of its marked
+        lists, which stand in it as empty lists: their entries are in the
+        columns. A key given twice keeps its last value; if that drops a
+        list whose entries filled rows, the counts fall short of the
+        columns."""
         doc, counts = {}, {}
         self.take("{")
         while True:
@@ -279,9 +273,9 @@ class _CircuitStream:
                 raise _Unread
             key = self.value()
             self.take(":")
-            if key in _MARKERS and self.peek() == "[":
+            if key in self.markers and self.peek() == "[":
                 self.pos += 1
-                counts[key], doc[key] = self.array(_MARKERS[key]), []
+                counts[key], doc[key] = self.array(self.markers[key]), []
             else:
                 doc[key] = self.value()
             if self.peek() != ",":
@@ -312,6 +306,107 @@ def _read_whole(source) -> str:
         raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
 
 
+def _decode_lists(source, lists: dict, header) -> dict:
+    """The top-level object of a document (JSON text or a readable text
+    file), with each list that ``lists`` names as a tuple of columns.
+
+    ``lists`` maps each list's key to the rule table of its entries, one
+    column per field in table order: two names, then two numbers. A field
+    whose rule is ``FINITE_OR_NULL`` may be left out. ``header(doc, errs)``
+    checks the other fields and returns whether the entries are worth
+    checking. Any fault raises :class:`ValidationError`, one diagnostic per finding.
+
+    The text is read ``READ_CHUNK`` characters at a time, a text given as a
+    string sliced alike, and the lists are decoded in batches as it comes,
+    each batch cut after the last "}" read. So neither the whole text nor
+    an object per entry is ever held: every object whose keys are a list's
+    fields, whatever their order (a repeated key keeps its last value, as
+    in ``json.loads``), puts its values into that list's columns inside the
+    decoder and decodes to the list's marker. After the decode each field's
+    rule checks its whole column. A document whose lists hold only their own
+    marker, one per row of their columns, and whose header passes, is taken.
+
+    Any other document is decoded again whole, from the start of the source,
+    without markers, and the same rules, given each entry's values as lists
+    of one, name what is wrong with it; a file that cannot seek back, such
+    as a pipe, is read whole first. If the rules find nothing, the document
+    is one the stream did not take (a batch was cut at a "}" inside a name,
+    or a repeated key or an entry-shaped header value filled a row of no
+    list entry), and the columns are filled again from its entries.
+
+    Each distinct name is one string object, shared by every list that
+    holds it, whichever comes first.
+    """
+    share = {}.setdefault
+    columns = {key: tuple([] for _ in types) for key, types in lists.items()}
+    markers = {key: object() for key in lists}
+    # Each list's marker and column appenders, by its fields in table order.
+    shapes = {tuple(types): (markers[key], *(column.append for column in columns[key]))
+              for key, types in lists.items()}
+    # Each list's fields, those an entry may not leave out, and its shape.
+    by_key = [(types.keys(), _required(types), shapes[tuple(types)]) for types in lists.values()]
+
+    def fill(pairs):
+        # An entry spelled as the writers spell it costs one length test,
+        # one lookup of its keys and tuple unpacking.
+        shape = None
+        if len(pairs) == 4:
+            (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
+            shape = shapes.get((k0, k1, k2, k3))
+        if shape is None:
+            obj = dict(pairs)  # a repeated key keeps its last value at its first place
+            keys = obj.keys()
+            for known, required, shape in by_key:
+                if required <= keys <= known:
+                    v0, v1, v2, v3 = map(obj.get, known)
+                    break
+            else:
+                return obj
+        marker, add0, add1, add2, add3 = shape
+        add0(share(v0, v0))
+        add1(share(v1, v1))
+        add2(v2)
+        add3(v3)
+        return marker
+
+    if hasattr(source, "read") and not source.seekable():
+        source = _read_whole(source)
+    if isinstance(source, str):
+        text, read = source, _slices(source)
+    else:
+        text, read, start = None, source.read, source.tell()
+    scan_once = json.JSONDecoder(object_pairs_hook=fill).scan_once
+    try:
+        doc, counts = _ListStream(read, scan_once, markers).document()
+    except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
+        doc = None
+    errs: list[Diagnostic] = []
+    if doc is not None and header(doc, errs) and not errs and all(
+            counts.get(key, 0) == len(columns[key][0])
+            and all(rule.holds(column) for rule, column in zip(types.values(), columns[key]))
+            for key, types in lists.items()):
+        return {**doc, **columns}
+    for key_columns in columns.values():
+        for column in key_columns:
+            column.clear()
+    if text is None:
+        source.seek(start)
+        text = _read_whole(source)
+    doc = _load_document(text)
+    errs = []
+    if header(doc, errs):
+        for key, types in lists.items():
+            for i, entry in enumerate(doc.get(key, [])):
+                name = entry.get("id") if "id" in types else None  # a gate is named by its id
+                _check_entry(entry, types, name if STRING.holds([name]) else f"{key}[{i}]", errs)
+    if errs:
+        raise ValidationError(errs)
+    for key in lists:
+        for entry in doc.get(key, ()):
+            fill(list(entry.items()))
+    return {**doc, **columns}
+
+
 def parse_circuit(source) -> Circuit:
     """Parse a circuit document (JSON text or a readable text file) into columns.
 
@@ -322,105 +417,19 @@ def parse_circuit(source) -> Circuit:
     runs next: unique ids, known cells and endpoints, rows in range and
     increasing along every connection, and drivable lengths.
 
-    The text is read ``READ_CHUNK`` characters at a time, a text given as a
-    string sliced alike, and the ``gates`` and ``connections`` lists are
-    decoded in batches as it comes, each batch cut after the last "}" read.
-    So neither the whole text nor an object per entry is ever held: every
-    object with exactly a gate's keys, or a connection's keys with or
-    without ``prop_ps``, puts its values into the gate or connection columns
-    inside the decoder, whatever its key order (a repeated key keeps its last
-    value, as in ``json.loads``), and decodes to the marker ``Gate`` or
-    ``Connection``. After the decode each field's rule checks its whole
-    column, and integers in a number column become floats. A document whose
-    two lists hold only their own marker, one per row of its columns, and
-    whose other fields pass their checks, is the circuit.
-
-    Any other document is decoded again whole, from the start of the source,
-    without markers, and the same rules, given each entry's values as lists
-    of one, name what is wrong with it; a file that cannot seek back, such
-    as a pipe, is read whole first. If the rules find nothing, the document
-    is a circuit the stream did not take (a batch was cut at a "}" inside an
-    id or a cell, or a repeated key dropped an entry that had already filled
-    a row), and the columns are filled again from the entries it keeps.
-
-    Each distinct cell name and gate id is one string object, shared by the
-    gate and the endpoints naming it, whichever list comes first.
+    ``_decode_lists`` streams the ``gates`` and ``connections`` lists into
+    their columns; a connection may leave out ``prop_ps``. Integers in a
+    number column then become floats, and equal rows one int object. Each
+    distinct cell name and gate id is one string object, shared by the gate
+    and the endpoints naming it, whichever list comes first.
     """
+    doc = _decode_lists(source, {"gates": _GATE_TYPES, "connections": _CONN_TYPES}, _check_circuit_header)
+    gates, conns = doc["gates"], doc["connections"]
     share = {}.setdefault
-    gates: tuple[list, ...] = ([], [], [], [])
-    conns: tuple[list, ...] = ([], [], [], [])
-    add_id, add_cell, add_row, add_offset = (column.append for column in gates)
-    add_src, add_dst, add_length, add_prop = (column.append for column in conns)
-
-    def fill(pairs):
-        # An entry as gen spells it costs one length test, one comparison of
-        # its keys and tuple unpacking.
-        if len(pairs) == 4:
-            (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
-            keys = (k0, k1, k2, k3)
-            if keys == _CONN_KEYS:
-                add_src(share(v0, v0))
-                add_dst(share(v1, v1))
-                add_length(v2)
-                add_prop(v3)
-                return Connection
-            if keys == _GATE_KEYS:
-                add_id(share(v0, v0))
-                add_cell(share(v1, v1))
-                add_row(v2)
-                add_offset(v3)
-                return Gate
-        obj = dict(pairs)  # a repeated key keeps its last value at its first place
-        if obj.keys() == _GATE_TYPES.keys():
-            gid, cell = obj["id"], obj["cell"]
-            add_id(share(gid, gid))
-            add_cell(share(cell, cell))
-            add_row(obj["row"])
-            add_offset(obj["clock_offset_ps"])
-            return Gate
-        if obj.keys() == _CONN_TYPES.keys() or obj.keys() == set(_CONN_REQUIRED):
-            src, dst = obj["src"], obj["dst"]
-            add_src(share(src, src))
-            add_dst(share(dst, dst))
-            add_length(obj["length_um"])
-            add_prop(obj.get("prop_ps"))
-            return Connection
-        return obj
-
-    if hasattr(source, "read") and not source.seekable():
-        source = _read_whole(source)
-    if isinstance(source, str):
-        text, read = source, _slices(source)
-    else:
-        text, read, start = None, source.read, source.tell()
-    scan_once = json.JSONDecoder(object_pairs_hook=fill).scan_once
-    try:
-        doc, counts = _CircuitStream(read, scan_once).document()
-    except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
-        doc = None
-    errs: list[Diagnostic] = []
-    if doc is not None and _check_circuit_header(doc, errs) and not errs \
-            and counts.get("gates", 0) == len(gates[0]) and counts.get("connections", 0) == len(conns[0]) \
-            and _typed_columns(gates, conns):
-        return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
-    for column in (*gates, *conns):
-        column.clear()
-    if text is None:
-        source.seek(start)
-        text = _read_whole(source)
-    doc = _load_document(text)
-    errs = []
-    if _check_circuit_header(doc, errs):
-        for i, entry in enumerate(doc.get("gates", [])):
-            gid = entry.get("id")
-            _check_entry(entry, _GATE_TYPES, _GATE_TYPES, gid if STRING.holds([gid]) else f"gates[{i}]", errs)
-        for i, entry in enumerate(doc.get("connections", [])):
-            _check_entry(entry, _CONN_TYPES, _CONN_REQUIRED, f"connections[{i}]", errs)
-    if errs:
-        raise ValidationError(errs)
-    for obj in (*doc.get("gates", ()), *doc.get("connections", ())):
-        fill(list(obj.items()))
-    _typed_columns(gates, conns)  # converts only: the rules passed every value
+    gates[2][:] = map(share, gates[2], gates[2])
+    for column in (gates[3], *conns[2:]):  # clock_offset, length and prop
+        if int in set(map(type, column)):  # only in a respelled circuit: gen writes floats
+            column[:] = [v if v is None else float(v) for v in column]
     return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
 
 
@@ -650,41 +659,15 @@ def parse_report(source) -> dict:
     The frequency, period, latency and slack must be finite numbers, the
     frequency and period also positive, and the STA slack a finite number or
     null; ``segment_index`` an integer, the buffer counts integers >= 0;
-    ``row_deltas_ps`` a list of numbers; ``connections`` a list of objects,
-    whose fields ``report_connections`` checks. The manifest's
-    ``config`` must be an object, with a boolean ``remove_buffers`` if it has
-    one; ``verify`` checks its other settings as an ``OptimizationConfig``.
+    ``row_deltas_ps`` a list of numbers. The manifest's ``config`` must be an
+    object, with a boolean ``remove_buffers`` if it has one; ``verify``
+    checks its other settings as an ``OptimizationConfig``. Each connection
+    holds exactly ``src`` and ``dst``, strings, and ``setup_slack_ps`` and
+    ``hold_slack_ps``, real numbers. ``_decode_lists`` streams them into
+    four columns in that order, which the returned document holds as its
+    ``connections``.
     """
-    doc = _load_document(source)
-    errs: list[Diagnostic] = []
-    _check_version(doc, "report", errs)
-    _check_keys(doc, _REPORT_KEYS, "report", errs)
-    _check_missing(doc, _REPORT_KEYS - {"chains", "manifest"}, "report", errs)
-    _check_types(doc, _REPORT_TYPES, "report", errs)
-    manifest = doc.get("manifest")
-    if isinstance(manifest, dict) and _check_types(manifest, {"config": _OBJECT}, "manifest", errs):
-        _check_types(manifest.get("config", {}), _REPORT_CONFIG_TYPES, "manifest.config", errs)
-    if errs:
-        raise ValidationError(errs)
-    return doc
-
-
-def report_connections(report: dict) -> list[list]:
-    """The parsed report's connections as four columns, ``src``, ``dst``,
-    ``setup_slack_ps`` and ``hold_slack_ps``: strings, then real numbers."""
-    connections = report["connections"]
-    try:
-        columns = [list(map(operator.itemgetter(key), connections)) for key in _SLACK_TYPES]
-    except KeyError as e:
-        raise ValidationError([Diagnostic("PARSE_ERROR", "connections", f"an entry has no {e.args[0]!r}")]) from e
-    if not all(rule.holds(column) for rule, column in zip(_SLACK_TYPES.values(), columns)):
-        raise ValidationError([Diagnostic("PARSE_ERROR", "connections", "src and dst must be strings, slacks numbers")])
-    if not set(map(len, connections)) <= {len(_SLACK_TYPES)}:  # an entry has a key beyond these
-        errs: list[Diagnostic] = []
-        for i, entry in enumerate(connections):
-            _check_keys(entry, _SLACK_TYPES, f"connections[{i}]", errs)
-        raise ValidationError(errs)
-    return columns
+    return _decode_lists(source, {"connections": _SLACK_TYPES}, _check_report_header)
 
 
 def schedule_from_report(report: dict) -> Schedule:

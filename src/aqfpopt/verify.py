@@ -11,7 +11,7 @@ from typing import Optional
 # Under ``main``, bufferopt is a lazy module, whose code runs only for a
 # report made with removal.
 from aqfpopt import bufferopt, timing
-from aqfpopt.ingest import load_inputs, parse_report, read_input, report_connections, schedule_from_report
+from aqfpopt.ingest import load_inputs, parse_report, read_input, schedule_from_report
 from aqfpopt.model import (
     FIX_TOL,
     CellLibrary,
@@ -30,12 +30,11 @@ _CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
 
 def _decode_report(path) -> dict:
     """The parts of the report file at ``path`` that ``verify`` reads: the manifest
-    config, the schedule, the ``_CLAIMS`` figures and the connections as columns.
-    The rest of the document, one object per connection, is freed on return."""
+    config, the schedule, the ``_CLAIMS`` figures and the connections, as the
+    four columns ``parse_report`` streams them into."""
     report = read_input(path, parse_report)
     return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
-            "connections": report_connections(report),
-            **{key: report[key] for key in _CLAIMS}}
+            "connections": report["connections"], **{key: report[key] for key in _CLAIMS}}
 
 
 def _manifest_config(recorded: dict) -> OptimizationConfig:
@@ -58,7 +57,7 @@ def _out_of_bounds(sched: Schedule, cfg: OptimizationConfig, lib: CellLibrary) -
 
 
 def _connection_mismatch(claimed: list, found) -> list[Diagnostic]:
-    """A REPORT_MISMATCH unless the report's connections, as ``report_connections`` columns,
+    """A REPORT_MISMATCH unless the report's connections, as ``parse_report``'s columns,
     are the STA's ``found`` in order, each slack within ``FIX_TOL``."""
     src, dst, setup, hold = claimed
     # A NaN is within FIX_TOL of nothing, so a NaN slack differs.

@@ -1,9 +1,10 @@
-"""Resident memory after each phase of ``optimize``, in one process.
+"""Resident memory after each phase of ``optimize`` or ``verify``, in one process.
 
 Usage:
-    PYTHONPATH=src python tests/phase_memory.py --circuit C.qc.json --lib L.qlib.json [optimize flags]
+    PYTHONPATH=src python tests/phase_memory.py optimize --circuit C.qc.json --lib L.qlib.json [optimize flags]
+    PYTHONPATH=src python tests/phase_memory.py verify --circuit C.qc.json --lib L.qlib.json --schedule R.report.json
 
-Runs ``aqfpopt optimize`` in process through ``cli.main``, with each phase
+Runs the command in process through ``cli.main``, with each phase
 function wrapped, wherever an aqfpopt module refers to it, so that when it
 returns the script prints the process's resident size (``VmRSS`` from
 ``/proc/self/status``) and its peak resident size so far (``ru_maxrss`` of
@@ -11,10 +12,12 @@ returns the script prints the process's resident size (``VmRSS`` from
 of 2**20 bytes as the benchmark counts them. The phase after which the
 peak last rises is the one that sets it. The peak can read up to about
 0.1 MB below the resident size printed beside it, as Linux reports the
-two from different counters. Any ``optimize`` flag may
-follow; the report is written, and ``serialize_report`` marked, only with
-``--out``. Set ``PYTHONDONTWRITEBYTECODE=1`` to count each module's compile
-as a process that writes no bytecode does. If the reader of stdout closes
+two from different counters. Any flag of the command may follow;
+``optimize`` writes its report, and ``serialize_report`` is marked, only
+with ``--out``. ``verify`` marks ``parse_report``, but not buffer removal:
+it removes buffers only as its report's manifest says, and a wrap would
+load ``bufferopt`` in every run. Set ``PYTHONDONTWRITEBYTECODE=1`` to count
+each module's compile as a process that writes no bytecode does. If the reader of stdout closes
 the pipe, the script ends as the CLI does, with an ``IO_ERROR`` diagnostic
 and exit 1. Linux only; pytest does not collect this file.
 """
@@ -23,9 +26,9 @@ import functools
 import resource
 import sys
 
-#: The phase functions of ``optimize``, by module.
+#: The phase functions of ``optimize`` and ``verify``, by module.
 PHASES = {
-    "ingest": ("parse_circuit", "parse_library", "emit_report", "serialize_report"),
+    "ingest": ("parse_circuit", "parse_library", "parse_report", "emit_report", "serialize_report"),
     "model": ("validate_circuit",),
     "bufferopt": ("remove_buffers",),
     "timing": ("build_constraints", "sta_check"),
@@ -84,18 +87,26 @@ def install(modules) -> None:
 
 
 def main(argv) -> int:
+    command = argv[0] if argv else ""
+    if command not in ("optimize", "verify"):
+        print("usage: phase_memory.py {optimize,verify} [flags]", file=sys.stderr)
+        return 2
     mark("interpreter")
     from aqfpopt import cli
 
     mark("import")
     # A wrap looks a lazy module's function up, which loads it: optimize
     # loads the solver before it reads its inputs, and bufferopt only to
-    # remove buffers.
-    install([mod for mod in PHASES if mod != "bufferopt" or "--remove-buffers" in argv])
+    # remove buffers; verify runs no solver.
+    if command == "optimize":
+        install([mod for mod in PHASES if mod != "bufferopt" or "--remove-buffers" in argv])
+    else:
+        install([mod for mod in PHASES if mod not in ("solver", "bufferopt")])
     mark("load modules")
-    # main imports aqfpopt.optimize only now, so its names bind the wrapped
-    # ingest functions; it calls the solver and bufferopt through their modules.
-    return cli.main(["optimize", *argv])
+    # main imports the command's module only now, so its names bind the
+    # wrapped ingest functions; it calls the solver and bufferopt through
+    # their modules.
+    return cli.main(argv)
 
 
 if __name__ == "__main__":

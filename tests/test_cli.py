@@ -775,6 +775,15 @@ INPUT_CHECKS = {
                         "[NEGATIVE_LENGTH] g0_5->g1_0: length must be >= 0"),
     "unknown-priority-mode": ("report", ("manifest", "config", "priority_mode"), "x",
                               "[INVALID_CONFIG] priority_mode: unknown mode 'x'"),
+    "report-connection-without-src": ("report", ("connections", 7), {"dst": "g1_0", "setup_slack_ps": 1.0,
+                                                                     "hold_slack_ps": 1.0},
+                                      "[PARSE_ERROR] connections[7]: missing keys ['src']"),
+    "report-string-slack": ("report", ("connections", 7, "setup_slack_ps"), "1",
+                            "[PARSE_ERROR] connections[7]: setup_slack_ps must be a real number"),
+    "report-connection-extra-key": ("report", ("connections", 7, "colour"), "blue",
+                                    "[UNKNOWN_KEY] connections[7]: unexpected key 'colour'"),
+    "report-connection-not-an-object": ("report", ("connections", 7), 5,
+                                        "[PARSE_ERROR] report: connections must be a list of objects"),
 }
 
 

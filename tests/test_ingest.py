@@ -8,7 +8,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from aqfpopt import ingest
 from aqfpopt.cli import main
@@ -19,7 +19,6 @@ from aqfpopt.ingest import (
     parse_library,
     parse_report,
     render_report_table,
-    report_connections,
     schedule_from_report,
     serialize_circuit,
     serialize_library,
@@ -370,7 +369,7 @@ class TestRoundTrips:
         text = written_report(emit_report(sched, slacks, None, manifest={"tool_version": "x"}))
         reference = report_json_reference(sched, slacks, None, manifest={"tool_version": "x"})
         assert text == reference
-        assert parse_report(io.StringIO(text)) == json.loads(reference)
+        assert parse_report(io.StringIO(text)) == report_columns(json.loads(reference))
         assert schedule_from_report(parse_report(text)) == sched
 
     def test_endpoints_are_the_gates_own_ids(self, ref_lib):
@@ -381,6 +380,13 @@ class TestRoundTrips:
             assert src is ids[index[src]] and dst is ids[index[dst]]
         # One object per distinct cell name.
         assert len(set(map(id, parsed.gates.cell))) == len(set(parsed.gates.cell))
+
+
+def report_columns(doc: dict) -> dict:
+    """A decoded report document with its connections as ``parse_report``
+    gives them: four columns, each the values of one key in entry order."""
+    keys = ("src", "dst", "setup_slack_ps", "hold_slack_ps")
+    return {**doc, "connections": tuple([entry[key] for entry in doc["connections"]] for key in keys)}
 
 
 def written_report(report) -> str:
@@ -525,6 +531,122 @@ def test_stream_reads_each_spelling_as_a_whole_decode(c, seed):
     assert all(gid is shared[gid] for gid in parsed.gates.id)
     assert all(end is shared.get(end, end) for end in parsed.connections.src + parsed.connections.dst)
     assert len(set(map(id, parsed.gates.cell))) == len(set(parsed.gates.cell))
+
+
+#: Ways to spoil a respelled report: a connection without ``src``, with a
+#: string slack or an unknown key, or that is no object, and text cut short,
+#: given a trailing comma or more text after it.
+REPORT_SPOILERS = [None, "no-src", "string-slack", "colour", "not-an-object", "truncated", "comma", "after"]
+
+
+def report_table_path(doc) -> list[Diagnostic]:
+    """The diagnostics the type tables make of a decoded report document."""
+    errs = []
+    if ingest._check_report_header(doc, errs):
+        for i, entry in enumerate(doc["connections"]):
+            ent = f"connections[{i}]"
+            ingest._check_keys(entry, ingest._SLACK_TYPES, ent, errs)
+            if ingest._check_missing(entry, ingest._SLACK_TYPES, ent, errs):
+                ingest._check_types(entry, ingest._SLACK_TYPES, ent, errs)
+    return errs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(count=st.integers(0, 3), spoiler=st.sampled_from(REPORT_SPOILERS),
+       shaped=st.sampled_from([None, "whole", "inside"]),
+       stale=st.sampled_from([None, [], "entries", [{"src": "stale"}], "x"]), seed=st.integers(0, 2**32 - 1))
+@example(count=2, spoiler=None, shaped="inside", stale=None, seed=1)
+@example(count=2, spoiler=None, shaped=None, stale="entries", seed=2)
+@example(count=2, spoiler="no-src", shaped=None, stale=None, seed=3)
+@example(count=2, spoiler="string-slack", shaped=None, stale=None, seed=4)
+@example(count=2, spoiler="colour", shaped=None, stale=None, seed=5)
+@example(count=2, spoiler="not-an-object", shaped=None, stale=None, seed=6)
+def test_stream_reads_each_report_spelling_as_a_whole_decode(count, spoiler, shaped, stale, seed):
+    # A report's connections go through the circuit's stream. Read in chunks
+    # of every size from 1 to 64 characters, or in one, from a string, a
+    # file or a pipe, a respelled report must give
+    # what a decode of the whole text gives: its fields, with its
+    # connections as the per-key columns of json.loads's entries, if it is
+    # valid, and the diagnostics of the type tables or of the JSON error if
+    # not. A manifest, or an object in it, shaped like a connection, or a
+    # repeated connections key whose dropped list holds entries, sends a
+    # valid text to the second decode, and so may an endpoint holding "}";
+    # no other valid text goes there.
+    rng = random.Random(seed)
+    endings = ID_ENDINGS if rng.random() < 0.3 else [end for end in ID_ENDINGS if "}" not in end]
+    ids = [f"g{i}" + "".join(rng.choices(endings, k=rng.randint(0, 2))) for i in range(3)]
+    entries = [ConnectionSlack(rng.choice(ids), rng.choice(ids), rng.uniform(-5, 5), rng.uniform(0, 60))
+               for _ in range(count)]
+    sched = Schedule(period=200.0, row_deltas=(18.0,), slack=0.0, latency=18.0, segment_index=1)
+    slacks = SlackReport(SlackTable.of(entries), min((e.setup_slack for e in entries), default=None))
+    doc = json.loads(written_report(emit_report(sched, slacks, None, manifest={"config": {}})))
+    for entry in doc["connections"]:
+        if rng.random() < 0.2:
+            entry["hold_slack_ps"] = round(entry["hold_slack_ps"])
+        if rng.random() < 0.3:  # keys in another order
+            items = list(entry.items())
+            rng.shuffle(items)
+            entry.clear()
+            entry.update(items)
+    if shaped:  # the manifest, or an object in it, shaped like a connection
+        entry = {"src": ids[0], "dst": ids[1], "setup_slack_ps": 1.0, "hold_slack_ps": 2.0}
+        doc["manifest"] = entry if shaped == "whole" else {"config": {}, "inputs": entry}
+    elif rng.random() < 0.2:  # four keys, but no connection's
+        doc["chains"] = [{"source": ids[0], "sink": ids[1], "kept_nodes": [0], "removed_gate_ids": []}]
+    if doc["connections"] and spoiler in ("no-src", "string-slack", "colour", "not-an-object"):
+        i = rng.randrange(len(doc["connections"]))
+        entry = doc["connections"][i]
+        if spoiler == "no-src":
+            del entry["src"]
+        elif spoiler == "string-slack":
+            entry["setup_slack_ps"] = "1"
+        elif spoiler == "colour":
+            entry["colour"] = "blue"
+        else:
+            doc["connections"][i] = [entry]
+    doc = dict(rng.sample(list(doc.items()), len(doc)))
+    layout = rng.choice(LAYOUTS)
+    text = json.dumps(doc, **layout)
+    if stale is not None:  # connections given twice: json.loads keeps the last list
+        key = json.dumps({"connections": 0}, **layout).split("0")[0].lstrip("{\n ")
+        stale = doc["connections"][:2] if stale == "entries" else stale
+        text = text.replace(key, f"{key}{json.dumps(stale, **layout)}, {key}", 1)
+    if spoiler == "truncated":
+        text = text[:rng.randrange(len(text))]
+    elif spoiler == "comma":
+        end = text.rindex(rng.choice("]}"))
+        text = text[:end] + "," + text[end:]
+    elif spoiler == "after":
+        text += rng.choice([" }", "x", " {}", "0"])
+    try:
+        whole = json.loads(text)
+    except json.JSONDecodeError as error:
+        errs = [Diagnostic("PARSE_ERROR", f"line {error.lineno}", error.msg)]
+    else:
+        errs = report_table_path(whole)
+    sources = (str, io.StringIO, Unseekable)
+    with pytest.MonkeyPatch.context() as patch:
+        for size in (*range(1, 65), len(text) + 1):
+            patch.setattr(ingest, "READ_CHUNK", size)
+            source = rng.choice(sources)(text)
+            if errs:
+                with pytest.raises(ValidationError) as e:
+                    parse_report(source)
+                assert e.value.diagnostics == errs, size
+                continue
+            parsed = parse_report(source)
+            # repr tells 1 from 1.0, so the field types must match too.
+            assert repr(parsed) == repr(report_columns(whole)), size
+        if errs:
+            return
+        second = []
+        patch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
+        parsed = parse_report(rng.choice(sources)(text))
+    dropped = type(stale) is list and stale != []
+    braced = any("}" in gid for gid in ids)
+    assert bool(second) == (dropped or bool(shaped)) or (braced and bool(second))
+    names = {}
+    assert all(names.setdefault(name, name) is name for name in parsed["connections"][0] + parsed["connections"][1])
 
 
 @pytest.mark.parametrize("key", ["gates", "connections"])
@@ -806,8 +928,8 @@ def row_delta_rejected(value) -> bool:
 def connection_slack_rejected(value) -> bool:
     doc = seed_report()
     doc["connections"][0]["setup_slack_ps"] = value
-    return "[PARSE_ERROR] connections: src and dst must be strings, slacks numbers" in diagnostic_lines(
-        lambda: report_connections(parse_report(json.dumps(doc))))
+    return "[PARSE_ERROR] connections[0]: setup_slack_ps must be a real number" in diagnostic_lines(
+        lambda: parse_report(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("value,finite_number,real_number", RULE_PROBES, ids=["true", '"1"', "null", "NaN", "Infinity", "-Infinity", "10**400", "1", "-0.0", "2.5"])
