@@ -144,6 +144,18 @@ def generate_circuit(
     return Circuit(name=f"gen-r{rows}-w{width}-s{seed}", num_rows=rows, gates=gates, connections=connections)
 
 
+class _WholeWrites:
+    """A text stream that writes to ``sys.stdout``'s byte stream, each text
+    in full. Under -u the byte stream is the raw file: a write cut short by a
+    closed pipe takes part of the bytes, and the text layer would drop the
+    rest."""
+
+    def write(self, text: str) -> None:
+        out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[out.write(data):]
+
+
 def cmd_gen(args) -> None:
     circuit = generate_circuit(
         rows=args.rows,
@@ -154,15 +166,11 @@ def cmd_gen(args) -> None:
         adversarial=args.adversarial,
         lib=read_input(args.lib, parse_library) if args.lib else None,
     )
-    text = serialize_circuit(circuit)
     if args.out and args.out != "-":
-        write_output(args.out, lambda fh: fh.write(text))
+        write_output(args.out, lambda fh: serialize_circuit(circuit, fh))
     elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
+        serialize_circuit(circuit, sys.stdout)
     else:
-        # Under -u the byte stream is the raw file: a write cut short by a closed
-        # pipe takes part of the bytes, and the text layer would drop the rest.
         sys.stdout.flush()
-        out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[out.write(data):]
+        serialize_circuit(circuit, _WholeWrites())
+

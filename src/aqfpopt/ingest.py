@@ -10,14 +10,18 @@ its rule in :mod:`aqfpopt.model`, a decoded column whole and any other
 value as a list of one. What the content means is checked by
 ``validate_circuit`` and ``validate_library``, there too. The circuit's
 ``gates`` and ``connections`` and the report's ``connections`` are lists of
-four-field objects, and one decoder, ``_decode_lists``, streams each of
-them into columns as it reads the file.
+four-field objects, held as columns. Their field tables (``_GATE_TYPES``,
+``_CONN_TYPES``, ``_SLACK_TYPES``) drive both directions: one decoder,
+``_decode_lists``, reads each list in batches of plain objects into its
+columns, and one writer, ``_write_document``, writes each from its columns
+in batches. Neither holds the whole text.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import repeat
 from json.decoder import WHITESPACE
 from typing import Any, Optional
 
@@ -96,6 +100,10 @@ _REPORT_TYPES = {
 }
 _REPORT_CONFIG_TYPES = {"remove_buffers": Rule(lambda v: set(map(type, v)) <= {bool}, "a boolean")}
 _REPORT_KEYS = {"format_version", "chains", *_REPORT_TYPES}
+#: Each format's lists of four-field objects, by key: the rule table of their
+#: entries, one column per field in table order.
+_CIRCUIT_LISTS = {"gates": _GATE_TYPES, "connections": _CONN_TYPES}
+_REPORT_LISTS = {"connections": _SLACK_TYPES}
 
 
 def _load_document(source) -> dict:
@@ -177,7 +185,8 @@ def _check_report_header(doc: dict, errs: list) -> bool:
 READ_CHUNK = 1 << 13
 
 _SPACE = WHITESPACE.match  # the whitespace JSON allows between tokens
-_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)  # TypeError: an unhashable name
+_SCAN = json.JSONDecoder().scan_once  # the C scanner of one value at an index
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
 
 
 class _Unread(Exception):
@@ -186,15 +195,12 @@ class _Unread(Exception):
 
 class _ListStream:
     """A document's text, decoded as it is read ``READ_CHUNK`` characters
-    at a time. ``scan_once`` is the scanner of a decoder whose pairs hook
-    fills the columns, and ``markers`` maps the key of each top-level list
-    read in batches to the marker its entries decode to. Rows filled outside
-    a list's batches (an entry-shaped header value, or one retried after a
-    short read) leave the document failing its header check or its element
-    counts."""
+    at a time. Each top-level list whose key is in ``lists`` is decoded in
+    batches of plain objects, and ``batch(key, items)`` puts each one into
+    that list's columns, or raises :class:`_Unread`."""
 
-    def __init__(self, read, scan_once, markers: dict):
-        self.read, self.scan_once, self.markers = read, scan_once, markers
+    def __init__(self, read, lists, batch):
+        self.read, self.lists, self.batch = read, lists, batch
         self.text, self.pos, self.end = "", 0, False
 
     def more(self) -> None:
@@ -223,7 +229,7 @@ class _ListStream:
         self.peek()
         while True:
             try:
-                value, end = self.scan_once(self.text, self.pos)
+                value, end = _SCAN(self.text, self.pos)
                 if end < len(self.text) or self.end:  # else a number may go on in the next chunk
                     self.pos = end
                     return value
@@ -232,12 +238,13 @@ class _ListStream:
                     raise _Unread from None
             self.more()
 
-    def array(self, marker) -> int:
-        """Decode the list whose "[" was just read, each element to ``marker``;
-        returns their count. A batch runs up to the last "}" read and leaves
-        the position after it, or at the "]" that closes the list if that
-        comes first. A "}" that ends no element (one inside a name, say)
-        leaves its batch undecodable, and the second decode reads the text."""
+    def array(self, key) -> int:
+        """Decode the list at ``key`` whose "[" was just read, a batch at a
+        time; returns its element count. A batch runs up to the last "}"
+        read and leaves the position after it, or at the "]" that closes the
+        list if that comes first. A "}" that ends no element (one inside a
+        name, say) leaves its batch undecodable, and the second decode reads
+        the text."""
         count = 0
         if self.peek() == "]":
             self.pos += 1
@@ -248,34 +255,38 @@ class _ListStream:
                 self.more()
                 continue
             try:
-                items, end = self.scan_once(f"[{self.text[self.pos:cut + 1]}]", 0)
+                items, end = _SCAN(f"[{self.text[self.pos:cut + 1]}]", 0)
             except _SCAN_ERRORS:
                 raise _Unread from None
-            self.pos += end - 2
-            if not items or items.count(marker) != len(items):
+            if not items:
                 raise _Unread
+            self.batch(key, items)
+            self.pos += end - 2
             count += len(items)
             if self.peek() == "]":
                 self.pos += 1
                 return count
             self.take(",")
 
-    def document(self) -> tuple[dict, dict]:
-        """The top-level object, and the element count of each of its marked
-        lists, which stand in it as empty lists: their entries are in the
-        columns. A key given twice keeps its last value; if that drops a
-        list whose entries filled rows, the counts fall short of the
-        columns."""
-        doc, counts = {}, {}
+    def document(self) -> dict:
+        """The top-level object, in which each list read in batches stands
+        as an empty list: its entries are in the columns. A key given twice
+        keeps its last value, as in ``json.loads``; a list key given again
+        after its entries filled rows raises :class:`_Unread`."""
+        doc, filled = {}, set()
         self.take("{")
         while True:
             if self.peek() != '"':
                 raise _Unread
             key = self.value()
             self.take(":")
-            if key in self.markers and self.peek() == "[":
+            if key in self.lists and self.peek() == "[":
+                if key in filled:
+                    raise _Unread
                 self.pos += 1
-                counts[key], doc[key] = self.array(self.markers[key]), []
+                if self.array(key):
+                    filled.add(key)
+                doc[key] = []
             else:
                 doc[key] = self.value()
             if self.peek() != ",":
@@ -284,7 +295,7 @@ class _ListStream:
         self.take("}")
         if self.peek():  # text after the document
             raise _Unread
-        return doc, counts
+        return doc
 
 
 def _slices(text: str):
@@ -311,63 +322,45 @@ def _decode_lists(source, lists: dict, header) -> dict:
     file), with each list that ``lists`` names as a tuple of columns.
 
     ``lists`` maps each list's key to the rule table of its entries, one
-    column per field in table order: two names, then two numbers. A field
-    whose rule is ``FINITE_OR_NULL`` may be left out. ``header(doc, errs)``
-    checks the other fields and returns whether the entries are worth
-    checking. Any fault raises :class:`ValidationError`, one diagnostic per finding.
+    column per field in table order. A field whose rule is
+    ``FINITE_OR_NULL`` may be left out. ``header(doc, errs)`` checks the
+    other fields and returns whether the entries are worth checking. Any
+    fault raises :class:`ValidationError`, one diagnostic per finding.
 
     The text is read ``READ_CHUNK`` characters at a time, a text given as a
-    string sliced alike, and the lists are decoded in batches as it comes,
-    each batch cut after the last "}" read. So neither the whole text nor
-    an object per entry is ever held: every object whose keys are a list's
-    fields, whatever their order (a repeated key keeps its last value, as
-    in ``json.loads``), puts its values into that list's columns inside the
-    decoder and decodes to the list's marker. After the decode each field's
-    rule checks its whole column. A document whose lists hold only their own
-    marker, one per row of their columns, and whose header passes, is taken.
+    string sliced alike, and each list is decoded as it comes, by a plain
+    ``json.JSONDecoder``, in batches cut after the last "}" read. So
+    neither the whole text nor an object per entry is ever held. A batch is
+    taken when every entry is an object of its list's fields, whatever
+    their order (a repeated key keeps its last value, as in
+    ``json.loads``), and each field's values pass its rule: they are then
+    appended to the field's column. A document whose batches are all taken
+    and whose header passes is taken.
 
-    Any other document is decoded again whole, from the start of the source,
-    without markers, and the same rules, given each entry's values as lists
-    of one, name what is wrong with it; a file that cannot seek back, such
-    as a pipe, is read whole first. If the rules find nothing, the document
-    is one the stream did not take (a batch was cut at a "}" inside a name,
-    or a repeated key or an entry-shaped header value filled a row of no
-    list entry), and the columns are filled again from its entries.
+    Any other document is decoded again whole, from the start of the
+    source, and the same rules, given each entry's values as lists of one,
+    name what is wrong with it; a file that cannot seek back, such as a
+    pipe, is read whole first. If the rules find nothing, the document is
+    one the stream did not take (a batch was cut at a "}" inside a name, or
+    a list key repeated after its entries filled rows), and its lists go
+    into fresh columns as one batch each.
 
     Each distinct name is one string object, shared by every list that
     holds it, whichever comes first.
     """
     share = {}.setdefault
     columns = {key: tuple([] for _ in types) for key, types in lists.items()}
-    markers = {key: object() for key in lists}
-    # Each list's marker and column appenders, by its fields in table order.
-    shapes = {tuple(types): (markers[key], *(column.append for column in columns[key]))
-              for key, types in lists.items()}
-    # Each list's fields, those an entry may not leave out, and its shape.
-    by_key = [(types.keys(), _required(types), shapes[tuple(types)]) for types in lists.values()]
 
-    def fill(pairs):
-        # An entry spelled as the writers spell it costs one length test,
-        # one lookup of its keys and tuple unpacking.
-        shape = None
-        if len(pairs) == 4:
-            (k0, v0), (k1, v1), (k2, v2), (k3, v3) = pairs
-            shape = shapes.get((k0, k1, k2, k3))
-        if shape is None:
-            obj = dict(pairs)  # a repeated key keeps its last value at its first place
-            keys = obj.keys()
-            for known, required, shape in by_key:
-                if required <= keys <= known:
-                    v0, v1, v2, v3 = map(obj.get, known)
-                    break
-            else:
-                return obj
-        marker, add0, add1, add2, add3 = shape
-        add0(share(v0, v0))
-        add1(share(v1, v1))
-        add2(v2)
-        add3(v3)
-        return marker
+    def batch(key, items: list) -> None:
+        # A field left out reads None, which only the rule of an optional field passes.
+        types = lists[key]
+        if not set(map(type, items)) <= {dict} or not set().union(*items) <= types.keys():
+            raise _Unread
+        values = [list(map(dict.get, items, repeat(field))) for field in types]
+        if not all(rule.holds(vals) for rule, vals in zip(types.values(), values)):
+            raise _Unread
+        for rule, column, vals in zip(types.values(), columns[key], values):
+            column.extend(map(share, vals, vals) if rule is STRING else vals)
 
     if hasattr(source, "read") and not source.seekable():
         source = _read_whole(source)
@@ -375,20 +368,14 @@ def _decode_lists(source, lists: dict, header) -> dict:
         text, read = source, _slices(source)
     else:
         text, read, start = None, source.read, source.tell()
-    scan_once = json.JSONDecoder(object_pairs_hook=fill).scan_once
     try:
-        doc, counts = _ListStream(read, scan_once, markers).document()
+        doc = _ListStream(read, lists, batch).document()
     except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
         doc = None
     errs: list[Diagnostic] = []
-    if doc is not None and header(doc, errs) and not errs and all(
-            counts.get(key, 0) == len(columns[key][0])
-            and all(rule.holds(column) for rule, column in zip(types.values(), columns[key]))
-            for key, types in lists.items()):
+    if doc is not None and header(doc, errs) and not errs:
         return {**doc, **columns}
-    for key_columns in columns.values():
-        for column in key_columns:
-            column.clear()
+    columns = {key: tuple([] for _ in types) for key, types in lists.items()}  # the stream may have filled some
     if text is None:
         source.seek(start)
         text = _read_whole(source)
@@ -402,8 +389,7 @@ def _decode_lists(source, lists: dict, header) -> dict:
     if errs:
         raise ValidationError(errs)
     for key in lists:
-        for entry in doc.get(key, ()):
-            fill(list(entry.items()))
+        batch(key, doc.get(key, []))
     return {**doc, **columns}
 
 
@@ -423,7 +409,7 @@ def parse_circuit(source) -> Circuit:
     distinct cell name and gate id is one string object, shared by the gate
     and the endpoints naming it, whichever list comes first.
     """
-    doc = _decode_lists(source, {"gates": _GATE_TYPES, "connections": _CONN_TYPES}, _check_circuit_header)
+    doc = _decode_lists(source, _CIRCUIT_LISTS, _check_circuit_header)
     gates, conns = doc["gates"], doc["connections"]
     share = {}.setdefault
     gates[2][:] = map(share, gates[2], gates[2])
@@ -433,6 +419,13 @@ def parse_circuit(source) -> Circuit:
     return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
 
 
+#: Rows encoded per batch by the writers, which hold one batch's text at a
+#: time. A 200x5 report (1.3-1.5k connections) takes several batches, so
+#: writing it stays under the circuit read's peak; a smaller batch costs
+#: writer time on large documents (README, "Memory").
+REPORT_BATCH = 256
+
+
 def _field_tokens(columns) -> list[list[str]]:
     """The JSON token of every value of each of ``columns``, one list per column.
 
@@ -440,43 +433,62 @@ def _field_tokens(columns) -> list[list[str]]:
     items. ``ensure_ascii`` escapes every newline inside a string, so each
     newline in the output separates two tokens.
     """
-    return [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns if column]
+    return [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns]
 
 
-def _indented_list(key: str, items: list[str]) -> str:
-    if not items:
-        return f'  "{key}": []'
-    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]"
+def _write_document(doc: dict, lists: dict, out, indent: Optional[int] = None) -> None:
+    """Write ``doc`` to the text stream ``out`` in key order, byte for byte as
+    ``json.dumps(doc, indent=indent)`` and a newline, where each key that
+    ``lists`` names holds a column table: it stands for a list of one object
+    per row, keyed by the fields of its rule table in order, with a
+    ``FINITE_OR_NULL`` field left out where its value is null.
 
-
-def serialize_circuit(c: Circuit) -> str:
-    """The circuit document, byte for byte as ``json.dumps(doc, indent=2)`` writes it.
-
-    An indent forces CPython's pure-Python encoder, which takes about three
-    times as long on a large circuit. Here the C encoder spells the tokens
-    and fixed indent-2 templates lay them out.
+    Neither those objects nor the document's text is ever built. Each table
+    is encoded ``REPORT_BATCH`` rows at a time, one C encoder call per
+    column, and a batch's text is one join of a list into which the
+    constant text before each field and the field's tokens are interleaved
+    by slice assignment. (An indent forces CPython's pure-Python encoder,
+    about three times as slow on a large circuit.)
     """
-    gates = [
-        f'    {{\n      "id": {gid},\n      "cell": {cell},\n      "row": {row},\n'
-        f'      "clock_offset_ps": {offset}\n    }}'
-        for gid, cell, row, offset in zip(*_field_tokens(c.gates.columns()))
-    ]
-    connections = [
-        # A connection without an extracted delay has no prop_ps key.
-        f'    {{\n      "src": {src},\n      "dst": {dst},\n      "length_um": {length}\n    }}'
-        if prop == "null"
-        else f'    {{\n      "src": {src},\n      "dst": {dst},\n      "length_um": {length},\n'
-        f'      "prop_ps": {prop}\n    }}'
-        for src, dst, length, prop in zip(*_field_tokens(c.connections.columns()))
-    ]
-    return "".join((
-        f'{{\n  "format_version": {FORMAT_VERSION},\n  "name": {json.dumps(c.name)},\n',
-        f'  "num_rows": {json.dumps(c.num_rows)},\n',
-        _indented_list("gates", gates),
-        ",\n",
-        _indented_list("connections", connections),
-        "\n}\n",
-    ))
+    # The text that starts a line at each depth ("" without an indent) and the text between two items.
+    lines = ["" if indent is None else "\n" + " " * (indent * depth) for depth in range(4)]
+    seps = [", " if indent is None else "," + line for line in lines]
+    for i, (key, value) in enumerate(doc.items()):
+        out.write((seps[1] if i else "{" + lines[1]) + json.dumps(key) + ": ")
+        if key not in lists:
+            # Each newline of an encoded value starts a line; ensure_ascii escapes those in strings.
+            out.write(json.dumps(value, indent=indent).replace("\n", lines[1]))
+            continue
+        types, rows = lists[key], len(value)
+        fields = [json.dumps(field) + ": " for field in types]
+        # The text before each field's token; the first's follows the row before.
+        befores = [seps[2] + "{" + lines[3] + fields[0], *(seps[3] + field for field in fields[1:])]
+        width = 2 * len(types) + 1  # a row's slots: text and token of each field, then its closing
+        out.write("[")
+        for start in range(0, rows, REPORT_BATCH):
+            tokens = _field_tokens(column[start:start + REPORT_BATCH] for column in value.columns())
+            count = len(tokens[0])
+            flat = [lines[2] + "}"] * (width * count)
+            for j, (before, rule, column) in enumerate(zip(befores, types.values(), tokens)):
+                if rule is FINITE_OR_NULL:  # left out where null
+                    before, column = "", ["" if token == "null" else before + token for token in column]
+                flat[2 * j::width] = [before] * count
+                flat[2 * j + 1::width] = column
+            if not start:  # the list's first row follows no other
+                flat[0] = lines[2] + "{" + lines[3] + fields[0]
+            out.write("".join(flat))
+        out.write(lines[1] + "]" if rows else "]")
+    out.write(lines[0] + "}\n")
+
+
+def serialize_circuit(c: Circuit, out) -> None:
+    """Write the circuit document to the text stream ``out``, byte for byte
+    as ``json.dumps(doc, indent=2)`` and a newline, where ``doc`` holds one
+    object per row of the gate and connection columns. A connection without
+    an extracted delay has no ``prop_ps`` key."""
+    doc = {"format_version": FORMAT_VERSION, "name": c.name, "num_rows": c.num_rows,
+           "gates": c.gates, "connections": c.connections}
+    _write_document(doc, _CIRCUIT_LISTS, out, indent=2)
 
 
 def _parse_pwl(entry, breakpoints, entity, errs) -> Optional[PiecewiseLinear]:
@@ -620,37 +632,12 @@ def emit_report(
     return doc
 
 
-#: Connections encoded per batch: the writer holds one batch's text at a time.
-#: A 200x5 report (1.3-1.5k connections) takes several batches, so writing it
-#: stays under the circuit read's peak; a smaller batch costs writer time on
-#: large reports (README, "Memory").
-REPORT_BATCH = 256
-
-
 def serialize_report(report: dict, out) -> None:
-    """Write the report document to the text stream ``out``.
-
-    The bytes equal ``json.dumps(doc)`` and a newline, where ``doc`` holds
-    one object per row of the ``connections`` columns; but neither those
-    objects nor a string of the whole report is ever built. The connections
-    are encoded in batches of ``REPORT_BATCH``, one C encoder call per
-    column, as in ``serialize_circuit``. No indent, since reports run to
-    megabytes.
-    """
-    head = {key: value for key, value in report.items() if key not in ("connections", "chains", "manifest")}
-    out.write(json.dumps(head)[:-1] + ', "connections": [')
-    connections = report["connections"]
-    for start in range(0, len(connections), REPORT_BATCH):
-        tokens = _field_tokens(column[start:start + REPORT_BATCH] for column in connections.columns())
-        out.write((", " if start else "") + ", ".join(
-            f'{{"src": {src}, "dst": {dst}, "setup_slack_ps": {setup}, "hold_slack_ps": {hold}}}'
-            for src, dst, setup, hold in zip(*tokens)
-        ))
-    out.write("]")
-    for key in ("chains", "manifest"):
-        if key in report:
-            out.write(f', "{key}": {json.dumps(report[key])}')
-    out.write("}\n")
+    """Write the report document to the text stream ``out``, byte for byte
+    as ``json.dumps(doc)`` and a newline, where ``doc`` holds one object per
+    row of the ``connections`` columns. No indent, since reports run to
+    megabytes."""
+    _write_document(report, _REPORT_LISTS, out)
 
 
 def parse_report(source) -> dict:
@@ -667,7 +654,7 @@ def parse_report(source) -> dict:
     four columns in that order, which the returned document holds as its
     ``connections``.
     """
-    return _decode_lists(source, {"connections": _SLACK_TYPES}, _check_report_header)
+    return _decode_lists(source, _REPORT_LISTS, _check_report_header)
 
 
 def schedule_from_report(report: dict) -> Schedule:

@@ -1,6 +1,9 @@
+import io
+
 import pytest
 
 from aqfpopt.cli import reference_library
+from aqfpopt.ingest import serialize_circuit
 from aqfpopt.model import (
     CellLibrary,
     CellTiming,
@@ -23,6 +26,13 @@ def records(table) -> list:
 def circuit_columns(c: Circuit) -> tuple:
     """A circuit's name, row count and columns, to compare two circuits by value."""
     return c.name, c.num_rows, c.gates.columns(), c.connections.columns()
+
+
+def circuit_text(c: Circuit) -> str:
+    """The circuit document as ``serialize_circuit`` writes it to a file."""
+    out = io.StringIO()
+    serialize_circuit(c, out)
+    return out.getvalue()
 
 BP2 = (0.0, 100.0, 300.0)
 BP3 = (0.0, 100.0, 200.0, 300.0)

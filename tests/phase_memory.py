@@ -1,8 +1,9 @@
-"""Resident memory after each phase of ``optimize`` or ``verify``, in one process.
+"""Resident memory after each phase of ``optimize``, ``verify`` or ``gen``, in one process.
 
 Usage:
     PYTHONPATH=src python tests/phase_memory.py optimize --circuit C.qc.json --lib L.qlib.json [optimize flags]
     PYTHONPATH=src python tests/phase_memory.py verify --circuit C.qc.json --lib L.qlib.json --schedule R.report.json
+    PYTHONPATH=src python tests/phase_memory.py gen --rows 1000 --width 20 --out C.qc.json [gen flags]
 
 Runs the command in process through ``cli.main``, with each phase
 function wrapped, wherever an aqfpopt module refers to it, so that when it
@@ -16,19 +17,24 @@ two from different counters. Any flag of the command may follow;
 ``optimize`` writes its report, and ``serialize_report`` is marked, only
 with ``--out``. ``verify`` marks ``parse_report``, but not buffer removal:
 it removes buffers only as its report's manifest says, and a wrap would
-load ``bufferopt`` in every run. Set ``PYTHONDONTWRITEBYTECODE=1`` to count
+load ``bufferopt`` in every run. ``gen`` marks ``generate_circuit`` and
+the write, ``serialize_circuit``; without ``--out`` its circuit goes to
+stdout between the marks. Set ``PYTHONDONTWRITEBYTECODE=1`` to count
 each module's compile as a process that writes no bytecode does. If the reader of stdout closes
 the pipe, the script ends as the CLI does, with an ``IO_ERROR`` diagnostic
 and exit 1. Linux only; pytest does not collect this file.
 """
 
 import functools
+import importlib
 import resource
 import sys
 
-#: The phase functions of ``optimize`` and ``verify``, by module.
+#: The phase functions of ``optimize``, ``verify`` and ``gen``, by module.
 PHASES = {
-    "ingest": ("parse_circuit", "parse_library", "parse_report", "emit_report", "serialize_report"),
+    "ingest": ("parse_circuit", "parse_library", "parse_report", "emit_report", "serialize_report",
+               "serialize_circuit"),
+    "generator": ("generate_circuit",),
     "model": ("validate_circuit",),
     "bufferopt": ("remove_buffers",),
     "timing": ("build_constraints", "sta_check"),
@@ -75,7 +81,7 @@ def install(modules) -> None:
     """Replace every loaded aqfpopt module's reference to a phase function of ``modules``."""
     wrapped = {}
     for mod_name in modules:
-        module = sys.modules[f"aqfpopt.{mod_name}"]
+        module = importlib.import_module(f"aqfpopt.{mod_name}")
         for name in PHASES[mod_name]:
             fn = getattr(module, name)
             wrapped[id(fn)] = marked(name, fn)
@@ -88,8 +94,8 @@ def install(modules) -> None:
 
 def main(argv) -> int:
     command = argv[0] if argv else ""
-    if command not in ("optimize", "verify"):
-        print("usage: phase_memory.py {optimize,verify} [flags]", file=sys.stderr)
+    if command not in ("optimize", "verify", "gen"):
+        print("usage: phase_memory.py {optimize,verify,gen} [flags]", file=sys.stderr)
         return 2
     mark("interpreter")
     from aqfpopt import cli
@@ -97,15 +103,17 @@ def main(argv) -> int:
     mark("import")
     # A wrap looks a lazy module's function up, which loads it: optimize
     # loads the solver before it reads its inputs, and bufferopt only to
-    # remove buffers; verify runs no solver.
+    # remove buffers; verify runs no solver, and gen only the generator.
     if command == "optimize":
-        install([mod for mod in PHASES if mod != "bufferopt" or "--remove-buffers" in argv])
+        install([mod for mod in PHASES if mod != "generator" and (mod != "bufferopt" or "--remove-buffers" in argv)])
+    elif command == "verify":
+        install(["ingest", "model", "timing"])
     else:
-        install([mod for mod in PHASES if mod not in ("solver", "bufferopt")])
+        install(["ingest", "generator"])
     mark("load modules")
-    # main imports the command's module only now, so its names bind the
-    # wrapped ingest functions; it calls the solver and bufferopt through
-    # their modules.
+    # main imports optimize's or verify's module only now, so its names bind
+    # the wrapped ingest functions (install rebound those of the generator,
+    # which it loaded); it calls the solver and bufferopt through their modules.
     return cli.main(argv)
 
 

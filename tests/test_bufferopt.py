@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import NO_CAP, circuit_columns, make_library, records
+from conftest import NO_CAP, circuit_columns, circuit_text, make_library, records
 from oracles import chain_brute_force
 from aqfpopt.bufferopt import (
     extract_chains,
@@ -14,7 +14,6 @@ from aqfpopt.bufferopt import (
     solve_chain,
 )
 from aqfpopt.generator import generate_circuit
-from aqfpopt.ingest import serialize_circuit
 from aqfpopt.model import Circuit, Connection, Gate, OptimizationConfig, ValidationError, validate_circuit
 from aqfpopt.timing import build_constraints
 
@@ -327,6 +326,6 @@ class TestRemoveBuffers:
     def test_output_is_pinned(self, ref_lib):
         c = generate_circuit(rows=60, width=5, seed=7, chain_prob=0.8, skip_prob=0.3, lib=ref_lib)
         rewritten, plan = remove_buffers(c, ref_lib, max_skip=2)
-        digest = hashlib.sha256(serialize_circuit(rewritten).encode()).hexdigest()
+        digest = hashlib.sha256(circuit_text(rewritten).encode()).hexdigest()
         assert digest == "bfd45ed6445ee7f8df8e247774ea949491460b0f4dff68c69af11ed0ee2b04bd"
         assert (len(plan.chains), plan.buffers_removed, plan.buffers_total) == (40, 55, 86)

@@ -17,12 +17,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import records
+from conftest import circuit_text, records
 from aqfpopt import cli, optimize, solver, timing
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.generator import generate_circuit
-from aqfpopt.ingest import READ_CHUNK, REPORT_BATCH, parse_circuit, parse_report, serialize_circuit, serialize_library
+from aqfpopt.ingest import READ_CHUNK, REPORT_BATCH, parse_circuit, parse_report, serialize_library
 from aqfpopt.model import (
     Circuit,
     Connection,
@@ -103,6 +103,17 @@ class TestGen:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0
         assert out.getvalue() == (tmp_path / "c.qc.json").read_text()
+
+    def test_stdout_bytes_equal_the_file(self, tmp_path):
+        # gen writes to stdout a batch at a time, each in full, also where
+        # stdout's byte stream is the raw file (-u).
+        argv = [sys.executable, "-m", "aqfpopt.cli", "gen", "--rows", "300", "--width", "20"]
+        path = tmp_path / "c.qc.json"
+        subprocess.run([*argv, "--out", str(path)], env=process_env(), check=True)
+        for changes in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.run([*argv, "--out", "-"], env=process_env(**changes), capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b""), changes
+            assert proc.stdout == path.read_bytes(), changes
 
     def test_generator_soundness_over_100_seeds(self, ref_lib):
         from aqfpopt.model import OptimizationConfig
@@ -199,7 +210,7 @@ class TestOptimizeVerify:
         lib_path = tmp_path / "fixture.qlib.json"
         lib_path.write_text(serialize_library(fixture_library))
         circ_path = tmp_path / "c.qc.json"
-        circ_path.write_text(serialize_circuit(two_row_circuit))
+        circ_path.write_text(circuit_text(two_row_circuit))
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert main(["optimize", "--circuit", str(circ_path), "--lib", str(lib_path)]) == 0
         text = err.getvalue()
@@ -657,7 +668,7 @@ def test_verify_gives_each_report_case_its_outcome(workdir, capsys, case):
 class TestFixtureCircuit:
     def test_two_row_fixture_reaches_10ghz(self, tmp_path, two_row_circuit, fixture_library, capsys):
         circ_path = tmp_path / "fix2row.qc.json"
-        circ_path.write_text(serialize_circuit(two_row_circuit))
+        circ_path.write_text(circuit_text(two_row_circuit))
         lib_path = tmp_path / "fix.qlib.json"
         lib_path.write_text(serialize_library(fixture_library))
         report_path = tmp_path / "fix.report.json"
@@ -889,7 +900,7 @@ class TestSweep:
         row = dict(zip(removed.gates.id, removed.gates.row))
         assert max(row[dst] - row[src] for src, dst in zip(removed.connections.src, removed.connections.dst)) == 3
         removed_path = tmp_path / "removed.qc.json"
-        removed_path.write_text(serialize_circuit(removed))
+        removed_path.write_text(circuit_text(removed))
         # Each preset row is optimize with the matching flags. table3 removes
         # buffers itself; the others get the circuit removal made.
         for name, path, flags in (("table3", circ, ["--remove-buffers"]), ("table1a", removed_path, []),
@@ -944,7 +955,7 @@ class TestSweep:
                  Connection("a", "y", 10.0, 30.0), Connection("x", "buf", 10.0, 30.0),
                  Connection("y", "buf", 10.0, 30.0), Connection("buf", "z", 10.0, 30.0))
         circ = tmp_path / "c.qc.json"
-        circ.write_text(serialize_circuit(Circuit("infeasible-twofanin", 4, gates, conns)))
+        circ.write_text(circuit_text(Circuit("infeasible-twofanin", 4, gates, conns)))
         io = ["--circuit", str(circ), "--lib", str(lib_path)]
         assert main(["optimize", *io, "--remove-buffers"]) == 1
         assert capsys.readouterr().err.startswith("[MALFORMED_CHAIN] ")
@@ -967,14 +978,14 @@ class TestSweep:
             conns = (Connection("a", "buf", 10.0, 30.0), Connection("b", "buf", 10.0, 30.0),
                      Connection("buf", "d", 10.0, 30.0))
             circ, flags = tmp_path / "c.qc.json", []
-            circ.write_text(serialize_circuit(Circuit("twofanin", 3, gates, conns)))
+            circ.write_text(circuit_text(Circuit("twofanin", 3, gates, conns)))
         else:
             # A chain hop that itself spans 3 rows is the skip it is, with or
             # without buffer removal.
             gates = (Gate("s", "majority3", 0, 0.0), Gate("b", "buffer", 3, 3.0), Gate("t", "majority3", 4, 4.0))
             conns = (Connection("s", "b", 10.0, 30.0), Connection("b", "t", 10.0, 30.0))
             circ, flags = tmp_path / "c.qc.json", []
-            circ.write_text(serialize_circuit(Circuit("skiphop", 5, gates, conns)))
+            circ.write_text(circuit_text(Circuit("skiphop", 5, gates, conns)))
         io = ["--circuit", str(circ), "--lib", str(lib_path), *flags]
         capsys.readouterr()
         assert main(["optimize", *io, "--remove-buffers"]) == 1
@@ -1335,7 +1346,7 @@ class TestProcess:
         gates = (Gate("a", "majority3", 0, 0.0), Gate("b", "majority3", 0, 0.0), Gate("x", "majority3", 1, 1.0))
         conns = (Connection("a", "x", 10.0, 5.0), Connection("b", "x", 10.0, 400.0))
         infeasible = tmp_path / "infeasible.qc.json"
-        infeasible.write_text(serialize_circuit(Circuit("infeasible", 2, gates, conns)))
+        infeasible.write_text(circuit_text(Circuit("infeasible", 2, gates, conns)))
         report, falsified = tmp_path / "c.report.json", tmp_path / "falsified.report.json"
         assert main(["optimize", *io, "--out", str(report)]) == 0
         doc = json.loads(report.read_text())
@@ -1617,12 +1628,12 @@ def test_respelled_circuits_give_the_same_report(workdir):
     # delay (its length gives the delay) and the first row's clock offsets
     # are 0, so that integers and null delays can spell some of its values.
     tmp_path, lib_path = workdir
-    doc = json.loads(serialize_circuit(generate_circuit(rows=12, width=4, seed=17, skip_prob=0.3)))
+    doc = json.loads(circuit_text(generate_circuit(rows=12, width=4, seed=17, skip_prob=0.3)))
     for conn in doc["connections"][::3]:
         conn["length_um"] = float(math.floor(conn.pop("prop_ps")))  # the reference library's 1 ps/um
     for gate in doc["gates"]:
         gate["clock_offset_ps"] = 0.0 if gate["row"] == 0 else gate["clock_offset_ps"]
-    texts = {"writer": serialize_circuit(parse_circuit(json.dumps(doc)))}
+    texts = {"writer": circuit_text(parse_circuit(json.dumps(doc)))}
     texts.update(respellings(texts["writer"]))
     reports = {}
     for name, text in texts.items():
@@ -1654,7 +1665,7 @@ def test_streamed_report_passes_the_checker(request, tmp_path, run):
     lib_fixture, gen_kw, flags, spec = CHECKED_RUNS[run]
     lib = request.getfixturevalue(lib_fixture)
     files = {name: tmp_path / f"c.{name}.json" for name in ("circuit", "lib", "report")}
-    files["circuit"].write_text(serialize_circuit(generate_circuit(rows=20, width=220, seed=7, lib=lib, **gen_kw)))
+    files["circuit"].write_text(circuit_text(generate_circuit(rows=20, width=220, seed=7, lib=lib, **gen_kw)))
     files["lib"].write_text(serialize_library(lib))
     assert main(["optimize", "--circuit", str(files["circuit"]), "--lib", str(files["lib"]), *flags,
                  "--out", str(files["report"])]) == 0

@@ -15,8 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import circuit_text
 from aqfpopt.generator import generate_circuit
-from aqfpopt.ingest import serialize_circuit, serialize_library
+from aqfpopt.ingest import serialize_library
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,7 +67,7 @@ def test_make_libraries_imports_resolve():
 def test_traced_run_records_constraint_and_sta_spans(tmp_path, ref_lib):
     circuit = generate_circuit(rows=6, width=3, seed=5, skip_prob=0.3, lib=ref_lib)
     circuit_path, lib_path = tmp_path / "c.qc.json", tmp_path / "ref.qlib.json"
-    circuit_path.write_text(serialize_circuit(circuit))
+    circuit_path.write_text(circuit_text(circuit))
     lib_path.write_text(serialize_library(ref_lib))
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -114,7 +115,7 @@ def test_traced_verify_writes_its_spans_once(tmp_path, ref_lib):
     circuit = generate_circuit(rows=6, width=3, seed=5, skip_prob=0.3, lib=ref_lib)
     names = ("c.qc.json", "ref.qlib.json", "c.report.json", "spans.json", "log")
     paths = {name: tmp_path / name for name in names}
-    paths["c.qc.json"].write_text(serialize_circuit(circuit))
+    paths["c.qc.json"].write_text(circuit_text(circuit))
     paths["ref.qlib.json"].write_text(serialize_library(ref_lib))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     io = ["--circuit", str(paths["c.qc.json"]), "--lib", str(paths["ref.qlib.json"])]

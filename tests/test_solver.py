@@ -7,13 +7,13 @@ import pytest
 
 from scipy.optimize import linprog
 
-from conftest import BP2, const_fn, make_library
+from conftest import BP2, circuit_text, const_fn, make_library
 from oracles import grid_min_period, min_latency_at, segment_lp_oracle
 from aqfpopt import solver
 from aqfpopt.bufferopt import remove_buffers
 from aqfpopt.cli import main
 from aqfpopt.generator import generate_circuit
-from aqfpopt.ingest import serialize_circuit, serialize_library
+from aqfpopt.ingest import serialize_library
 from aqfpopt.model import (
     CellTiming,
     Circuit,
@@ -441,7 +441,7 @@ def reported_excess(err):
 
 def cli_inputs(tmp_path, circuit, lib):
     """Write the circuit and library files; returns their command-line flags."""
-    (tmp_path / "c.qc.json").write_text(serialize_circuit(circuit))
+    (tmp_path / "c.qc.json").write_text(circuit_text(circuit))
     (tmp_path / "l.qlib.json").write_text(serialize_library(lib))
     return ["--circuit", str(tmp_path / "c.qc.json"), "--lib", str(tmp_path / "l.qlib.json")]
 
