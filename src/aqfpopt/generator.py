@@ -173,4 +173,3 @@ def cmd_gen(args) -> None:
     else:
         sys.stdout.flush()
         serialize_circuit(circuit, _WholeWrites())
-

@@ -105,7 +105,7 @@ def main(argv) -> int:
     # loads the solver before it reads its inputs, and bufferopt only to
     # remove buffers; verify runs no solver, and gen only the generator.
     if command == "optimize":
-        install([mod for mod in PHASES if mod != "generator" and (mod != "bufferopt" or "--remove-buffers" in argv)])
+        install(["ingest", "model", "timing", "solver", *(["bufferopt"] if "--remove-buffers" in argv else [])])
     elif command == "verify":
         install(["ingest", "model", "timing"])
     else:
