@@ -14,11 +14,14 @@ four-field objects, held as columns. Their field tables (``_GATE_TYPES``,
 ``_CONN_TYPES``, ``_SLACK_TYPES``) drive both directions: one decoder,
 ``_decode_lists``, reads each list in batches of plain objects into its
 columns, and one writer, ``_write_document``, writes each from its columns
-in batches. Neither holds the whole text.
+in batches. Neither holds the whole text. One reader, ``_ListStream``,
+reads every document once, a library's too, and names each fault itself.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 from importlib import resources
 from itertools import repeat
@@ -106,22 +109,6 @@ _CIRCUIT_LISTS = {"gates": _GATE_TYPES, "connections": _CONN_TYPES}
 _REPORT_LISTS = {"connections": _SLACK_TYPES}
 
 
-def _load_document(source) -> dict:
-    """Decode ``source``, JSON text or a readable text file, to its top-level object.
-
-    A file is read and decoded here, so its text is freed on return.
-    """
-    try:
-        doc = (json.load if hasattr(source, "read") else json.loads)(source)
-    except json.JSONDecodeError as e:
-        raise ValidationError([Diagnostic("PARSE_ERROR", f"line {e.lineno}", e.msg)]) from e
-    except (ValueError, RecursionError) as e:  # an integer of over 4300 digits, or nesting too deep
-        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
-    if not isinstance(doc, dict):
-        raise ValidationError([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
-    return doc
-
-
 def _check_keys(doc: dict, allowed, entity: str, errs: list) -> None:
     for key in sorted(doc.keys() - allowed):
         errs.append(Diagnostic("UNKNOWN_KEY", entity, f"unexpected key {key!r}"))
@@ -148,16 +135,11 @@ def _check_missing(doc: dict, required, entity: str, errs: list) -> bool:
     return not missing
 
 
-def _required(types: dict) -> set:
-    """The fields of a list entry's rule table that it may not leave out: all
-    but those whose rule is ``FINITE_OR_NULL``."""
-    return {key for key, rule in types.items() if rule is not FINITE_OR_NULL}
-
-
 def _check_entry(entry: dict, types: dict, entity: str, errs: list) -> None:
-    """Check one list entry against its type table."""
+    """Check one list entry against its type table, in which only a field
+    whose rule is ``FINITE_OR_NULL`` may be left out."""
     _check_keys(entry, types, entity, errs)
-    if _check_missing(entry, _required(types), entity, errs):
+    if _check_missing(entry, [key for key, rule in types.items() if rule is not FINITE_OR_NULL], entity, errs):
         _check_types(entry, types, entity, errs)
 
 
@@ -179,123 +161,14 @@ def _check_report_header(doc: dict, errs: list) -> bool:
     return not errs
 
 
-#: Characters of document text read at a time. The parse holds a few chunks
-#: of text besides the columns; a larger chunk decodes no faster, and a
-#: smaller one costs a decoder call per few entries (README, "Memory").
+#: Bytes, or characters of a text, read at a time. The parse holds a few
+#: chunks of text besides the columns; a larger chunk decodes no faster, and
+#: a smaller one costs a decoder call per few entries (README, "Memory").
 READ_CHUNK = 1 << 13
 
 _SPACE = WHITESPACE.match  # the whitespace JSON allows between tokens
 _SCAN = json.JSONDecoder().scan_once  # the C scanner of one value at an index
 _SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
-
-
-class _Unread(Exception):
-    """The text is not a document the stream takes in; the second decode names why."""
-
-
-class _ListStream:
-    """A document's text, decoded as it is read ``READ_CHUNK`` characters
-    at a time. Each top-level list whose key is in ``lists`` is decoded in
-    batches of plain objects, and ``batch(key, items)`` puts each one into
-    that list's columns, or raises :class:`_Unread`."""
-
-    def __init__(self, read, lists, batch):
-        self.read, self.lists, self.batch = read, lists, batch
-        self.text, self.pos, self.end = "", 0, False
-
-    def more(self) -> None:
-        """Drop the text before the position and read on, at least as much as
-        is left, so a value longer than a chunk takes few reads."""
-        rest, self.text = self.text[self.pos:], ""  # the old text goes before the next is read
-        chunk = self.read(max(READ_CHUNK, len(rest)))
-        self.end = not chunk
-        self.text, self.pos = rest + chunk, 0
-
-    def peek(self) -> str:
-        """The character after the whitespace at the position; "" at the end of the text."""
-        while True:
-            self.pos = _SPACE(self.text, self.pos).end()
-            if self.pos < len(self.text) or self.end:
-                return self.text[self.pos:self.pos + 1]
-            self.more()
-
-    def take(self, char: str) -> None:
-        if self.peek() != char:
-            raise _Unread
-        self.pos += 1
-
-    def value(self):
-        """Decode the value after the whitespace at the position, reading on until it is whole."""
-        self.peek()
-        while True:
-            try:
-                value, end = _SCAN(self.text, self.pos)
-                if end < len(self.text) or self.end:  # else a number may go on in the next chunk
-                    self.pos = end
-                    return value
-            except _SCAN_ERRORS:
-                if self.end:
-                    raise _Unread from None
-            self.more()
-
-    def array(self, key) -> int:
-        """Decode the list at ``key`` whose "[" was just read, a batch at a
-        time; returns its element count. A batch runs up to the last "}"
-        read and leaves the position after it, or at the "]" that closes the
-        list if that comes first. A "}" that ends no element (one inside a
-        name, say) leaves its batch undecodable, and the second decode reads
-        the text."""
-        count = 0
-        if self.peek() == "]":
-            self.pos += 1
-            return 0
-        while True:
-            cut = self.text.rfind("}", self.pos)
-            if cut < 0 and not self.end:
-                self.more()
-                continue
-            try:
-                items, end = _SCAN(f"[{self.text[self.pos:cut + 1]}]", 0)
-            except _SCAN_ERRORS:
-                raise _Unread from None
-            if not items:
-                raise _Unread
-            self.batch(key, items)
-            self.pos += end - 2
-            count += len(items)
-            if self.peek() == "]":
-                self.pos += 1
-                return count
-            self.take(",")
-
-    def document(self) -> dict:
-        """The top-level object, in which each list read in batches stands
-        as an empty list: its entries are in the columns. A key given twice
-        keeps its last value, as in ``json.loads``; a list key given again
-        after its entries filled rows raises :class:`_Unread`."""
-        doc, filled = {}, set()
-        self.take("{")
-        while True:
-            if self.peek() != '"':
-                raise _Unread
-            key = self.value()
-            self.take(":")
-            if key in self.lists and self.peek() == "[":
-                if key in filled:
-                    raise _Unread
-                self.pos += 1
-                if self.array(key):
-                    filled.add(key)
-                doc[key] = []
-            else:
-                doc[key] = self.value()
-            if self.peek() != ",":
-                break
-            self.pos += 1
-        self.take("}")
-        if self.peek():  # text after the document
-            raise _Unread
-        return doc
 
 
 def _slices(text: str):
@@ -310,16 +183,192 @@ def _slices(text: str):
     return read
 
 
-def _read_whole(source) -> str:
-    try:
-        return source.read()
-    except UnicodeDecodeError as e:  # as _load_document names it for the other files
-        raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from e
+def _reader(source):
+    """A ``read(n)`` of the text of ``source``: JSON text, a text stream or a
+    file. A file's bytes are decoded as UTF-8, with a text file's newlines,
+    and a byte that is not UTF-8 is named by its offset in the file."""
+    if isinstance(source, str):
+        return _slices(source)
+    source = getattr(source, "buffer", source)  # the bytes under a text file
+    if isinstance(source.read(0), str):
+        return source.read
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True).decode
+    done = 0
+
+    def read(n: int) -> str:
+        nonlocal done
+        data = source.read(n)
+        done += len(data)
+        try:
+            text = decode(data, not data)
+        except UnicodeDecodeError as e:  # its object: the bytes held back from the last read, then these
+            at = done - len(e.object)
+            e = UnicodeDecodeError(e.encoding, bytes(at) + e.object, at + e.start, at + e.end, e.reason)
+            raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from None
+        return read(n) if data and not text else text  # bytes that end inside a character decode to none of it
+
+    return read
+
+
+class _ListStream:
+    """A document's text, decoded as it is read ``READ_CHUNK`` at a time.
+
+    Each top-level list whose key is in ``lists`` is decoded in batches into
+    its ``columns``, or its entries' faults into its ``faults``. Any other
+    fault raises the diagnostic ``json.loads`` makes of the whole text. The
+    text is kept from the ``mark``, the end of the last whole token, on; the
+    ``state`` is JSON text that puts a decoder where the stream stood there.
+    """
+
+    def __init__(self, read, lists: dict):
+        self.read, self.lists = read, lists
+        self.text, self.pos, self.end = "", 0, False
+        self.mark, self.state, self.lines = 0, "", 0  # lines: the newlines of the text dropped
+        self.share = {}.setdefault
+        self.columns = {key: tuple([] for _ in types) for key, types in lists.items()}
+        self.faults = {key: [] for key in lists}
+
+    def more(self) -> None:
+        """Drop the text before the mark and read on, at least as much as is
+        kept, so a value longer than a chunk takes few reads."""
+        self.lines += self.text.count("\n", 0, self.mark)
+        rest, self.text = self.text[self.mark:], ""  # the old text goes before the next is read
+        chunk = self.read(max(READ_CHUNK, len(rest)))
+        self.text, self.pos, self.mark, self.end = rest + chunk, self.pos - self.mark, 0, not chunk
+
+    def fault(self):
+        """Raise what ``json.loads`` makes of the text: read to its end, the
+        text after the mark, behind the state, is at fault at the same
+        place. If it is not, the top level is no object."""
+        while not self.end:
+            self.more()
+        try:
+            json.loads(self.state + self.text[self.mark:])
+        except json.JSONDecodeError as e:
+            line = self.lines + self.text.count("\n", 0, self.mark) + e.lineno
+            raise ValidationError([Diagnostic("PARSE_ERROR", f"line {line}", e.msg)]) from None
+        except (ValueError, RecursionError) as e:  # an integer of over 4300 digits, or nesting too deep
+            raise ValidationError([Diagnostic("PARSE_ERROR", "document", str(e))]) from None
+        raise ValidationError([Diagnostic("PARSE_ERROR", "document", "top level must be an object")])
+
+    def peek(self) -> str:
+        """The character after the whitespace at the position; "" at the end of the text."""
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.end:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def token(self, char: str, state: str) -> None:
+        """Read ``char``, which must come next, and mark the text after it, which stands in ``state``."""
+        if self.peek() != char:
+            self.fault()
+        self.pos += 1
+        self.mark, self.state = self.pos, state
+
+    def value(self):
+        """Decode the value after the whitespace at the position, reading on
+        until it is whole, and a number until three characters follow it: one
+        cut after its "." or exponent may go on in the next chunk."""
+        self.peek()
+        while True:
+            try:
+                value, end = _SCAN(self.text, self.pos)
+                if type(value) not in (int, float) or len(self.text) - end > 2 or self.end:
+                    self.pos = end
+                    return value
+            except _SCAN_ERRORS:
+                if self.end:
+                    self.fault()
+            self.more()
+
+    def batch(self, key, items: list, index: int) -> None:
+        """Take entries of the list at ``key``, the first its ``index``-th:
+        objects of the list's fields whose values pass their rules (a field
+        left out reads None, which only an optional field's rule passes) go
+        into the columns. Else the rules name each entry's faults, a gate by
+        its id, any other entry by its place."""
+        types, faults = self.lists[key], self.faults[key]
+        if faults is None or not set(map(type, items)) <= {dict}:
+            self.faults[key] = None  # the list fails its rule as a whole
+            return
+        if set().union(*items) <= types.keys():
+            values = [list(map(dict.get, items, repeat(field))) for field in types]
+            if all(rule.holds(vals) for rule, vals in zip(types.values(), values)):
+                for rule, column, vals in zip(types.values(), self.columns[key], values):
+                    column.extend(map(self.share, vals, vals) if rule is STRING or rule is INTEGER else vals)
+                return
+        for i, entry in enumerate(items, index):
+            name = entry.get("id") if "id" in types else None
+            _check_entry(entry, types, name if STRING.holds([name]) else f"{key}[{i}]", faults)
+
+    def array(self, key) -> list:
+        """Decode the list at ``key``, whose "[" comes next, into fresh
+        columns (``json.loads`` keeps the last list of a key given twice), a
+        batch at a time. A batch runs up to the last "}" read, or to the "]"
+        that closes the list if that comes first. A batch cut at a "}" that
+        ends no entry (one inside a name, say) is cut at the "}" before
+        instead; where no cut decodes, one entry is decoded alone. Returns
+        the list's value in the document: empty, or holding a value that is
+        no object."""
+        self.token("[", '{"":[')
+        self.columns[key], self.faults[key] = tuple([] for _ in self.lists[key]), []
+        index = 0
+        if self.peek() != "]":
+            while True:
+                # A list that held a value other than an object goes on an entry at a time.
+                cut = self.text.rfind("}", self.pos) if self.faults[key] is not None else self.pos
+                if cut < 0 and not self.end:
+                    self.more()
+                    continue
+                items = None
+                while items is None and cut > self.pos:
+                    try:
+                        items, end = _SCAN(f"[{self.text[self.pos:cut + 1]}]", 0)
+                    except _SCAN_ERRORS:
+                        cut = self.text.rfind("}", self.pos, cut)
+                    else:
+                        self.pos += end - 2
+                items = items or [self.value()]
+                self.batch(key, items, index)
+                index += len(items)
+                self.mark, self.state = self.pos, '{"":[""'
+                if self.peek() != ",":
+                    break
+                self.pos += 1
+        self.token("]", '{"":""')
+        return [] if self.faults[key] is not None else [None]
+
+    def document(self) -> dict:
+        """The top-level object, in which each list read in batches stands
+        as an empty list. With no list to read in batches, it is decoded
+        whole."""
+        doc = self.members() if self.lists else self.value()
+        if self.peek() or type(doc) is not dict:  # text after it, or a top level of another type
+            self.fault()
+        return doc
+
+    def members(self) -> dict:
+        """The top-level object, a member at a time. A key given twice keeps
+        its last value, as in ``json.loads``."""
+        doc = {}
+        self.token("{", "{")
+        while doc or self.peek() != "}":
+            if self.peek() != '"':
+                self.fault()
+            key = self.value()
+            self.token(":", '{"":')
+            doc[key] = self.array(key) if key in self.lists and self.peek() == "[" else self.value()
+            if self.peek() != ",":
+                break
+            self.pos += 1
+        self.token("}", '""')
+        return doc
 
 
 def _decode_lists(source, lists: dict, header) -> dict:
-    """The top-level object of a document (JSON text or a readable text
-    file), with each list that ``lists`` names as a tuple of columns.
+    """The top-level object of ``source`` (JSON text or a readable file),
+    with each list that ``lists`` names as a tuple of columns.
 
     ``lists`` maps each list's key to the rule table of its entries, one
     column per field in table order. A field whose rule is
@@ -327,74 +376,26 @@ def _decode_lists(source, lists: dict, header) -> dict:
     other fields and returns whether the entries are worth checking. Any
     fault raises :class:`ValidationError`, one diagnostic per finding.
 
-    The text is read ``READ_CHUNK`` characters at a time, a text given as a
-    string sliced alike, and each list is decoded as it comes, by a plain
-    ``json.JSONDecoder``, in batches cut after the last "}" read. So
-    neither the whole text nor an object per entry is ever held. A batch is
-    taken when every entry is an object of its list's fields, whatever
-    their order (a repeated key keeps its last value, as in
-    ``json.loads``), and each field's values pass its rule: they are then
-    appended to the field's column. A document whose batches are all taken
-    and whose header passes is taken.
-
-    Any other document is decoded again whole, from the start of the
-    source, and the same rules, given each entry's values as lists of one,
-    name what is wrong with it; a file that cannot seek back, such as a
-    pipe, is read whole first. If the rules find nothing, the document is
-    one the stream did not take (a batch was cut at a "}" inside a name, or
-    a list key repeated after its entries filled rows), and its lists go
-    into fresh columns as one batch each.
-
-    Each distinct name is one string object, shared by every list that
-    holds it, whichever comes first.
+    :class:`_ListStream` reads the text once, and decodes each list as it
+    comes, by a plain ``json.JSONDecoder``, in batches cut after the last
+    "}" read; so neither the whole text nor an object per entry is ever
+    held, and a pipe is read as a file is. The same rules check each
+    batch's values a column at a time and, if they fail, each entry's as
+    lists of one; the stream reads on, so every faulty entry is named. Each
+    distinct name or integer is one object, shared by every list.
     """
-    share = {}.setdefault
-    columns = {key: tuple([] for _ in types) for key, types in lists.items()}
-
-    def batch(key, items: list) -> None:
-        # A field left out reads None, which only the rule of an optional field passes.
-        types = lists[key]
-        if not set(map(type, items)) <= {dict} or not set().union(*items) <= types.keys():
-            raise _Unread
-        values = [list(map(dict.get, items, repeat(field))) for field in types]
-        if not all(rule.holds(vals) for rule, vals in zip(types.values(), values)):
-            raise _Unread
-        for rule, column, vals in zip(types.values(), columns[key], values):
-            column.extend(map(share, vals, vals) if rule is STRING else vals)
-
-    if hasattr(source, "read") and not source.seekable():
-        source = _read_whole(source)
-    if isinstance(source, str):
-        text, read = source, _slices(source)
-    else:
-        text, read, start = None, source.read, source.tell()
-    try:
-        doc = _ListStream(read, lists, batch).document()
-    except (_Unread, UnicodeDecodeError):  # the whole read below names a bad byte by its offset in the file
-        doc = None
+    stream = _ListStream(_reader(source), lists)
+    doc = stream.document()
     errs: list[Diagnostic] = []
-    if doc is not None and header(doc, errs) and not errs:
-        return {**doc, **columns}
-    columns = {key: tuple([] for _ in types) for key, types in lists.items()}  # the stream may have filled some
-    if text is None:
-        source.seek(start)
-        text = _read_whole(source)
-    doc = _load_document(text)
-    errs = []
     if header(doc, errs):
-        for key, types in lists.items():
-            for i, entry in enumerate(doc.get(key, [])):
-                name = entry.get("id") if "id" in types else None  # a gate is named by its id
-                _check_entry(entry, types, name if STRING.holds([name]) else f"{key}[{i}]", errs)
+        errs += [fault for faults in stream.faults.values() for fault in faults]
     if errs:
         raise ValidationError(errs)
-    for key in lists:
-        batch(key, doc.get(key, []))
-    return {**doc, **columns}
+    return {**doc, **stream.columns}
 
 
 def parse_circuit(source) -> Circuit:
-    """Parse a circuit document (JSON text or a readable text file) into columns.
+    """Parse a circuit document (JSON text or a readable file) into columns.
 
     This pass checks the shape only: keys and the rule of each field (string
     ids, cells and endpoints, integer rows, finite numbers, lists of objects).
@@ -404,15 +405,13 @@ def parse_circuit(source) -> Circuit:
     increasing along every connection, and drivable lengths.
 
     ``_decode_lists`` streams the ``gates`` and ``connections`` lists into
-    their columns; a connection may leave out ``prop_ps``. Integers in a
-    number column then become floats, and equal rows one int object. Each
-    distinct cell name and gate id is one string object, shared by the gate
-    and the endpoints naming it, whichever list comes first.
+    their columns; a connection may leave out ``prop_ps``. Equal rows are
+    one int object, and each distinct cell name and gate id one string
+    object, shared by the gate and the endpoints naming it, whichever list
+    comes first. Integers in a number column then become floats.
     """
     doc = _decode_lists(source, _CIRCUIT_LISTS, _check_circuit_header)
     gates, conns = doc["gates"], doc["connections"]
-    share = {}.setdefault
-    gates[2][:] = map(share, gates[2], gates[2])
     for column in (gates[3], *conns[2:]):  # clock_offset, length and prop
         if int in set(map(type, column)):  # only in a respelled circuit: gen writes floats
             column[:] = [v if v is None else float(v) for v in column]
@@ -520,7 +519,7 @@ def parse_library(source) -> CellLibrary:
     warnings (reset delay reaching the period, segment discontinuities) are
     logged once here, so callers need not re-run it.
     """
-    doc = _load_document(source)
+    doc = _ListStream(_reader(source), {}).document()
     errs: list[Diagnostic] = []
     _check_version(doc, "library", errs)
     _check_keys(doc, _LIBRARY_KEYS, "library", errs)
@@ -687,12 +686,10 @@ def render_report_table(report: dict) -> str:
 
 def read_input(path, parse):
     """Open the input file at ``path`` and pass it to ``parse``; an OS error
-    becomes an IO_ERROR diagnostic. The parsers read the file themselves, so
-    no caller frame keeps its text: ``parse_circuit`` decodes the circuit as
-    it reads it in chunks, and the library and report parsers free their
-    text once decoded."""
+    becomes an IO_ERROR diagnostic. The parsers read the file's bytes
+    themselves, a chunk at a time, so no caller frame keeps its text."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return parse(fh)
     except OSError as e:
         raise ValidationError([Diagnostic("IO_ERROR", str(path), str(e))]) from e

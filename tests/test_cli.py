@@ -1312,10 +1312,26 @@ class TestProcess:
                 proc = run_module(command, *paths, *extra.get(command, []))
                 line = f"[PARSE_ERROR] document: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
                 assert (proc.returncode, proc.stderr) == (1, line), command
+        # A JSON fault in the first chunk does not hide a bad byte past the
+        # third: the whole text is read before the fault is named, so the byte
+        # is found first, at its offset in the file.
+        spoiled = data.replace(b'"name":', b'"name"', 1)
+        at = 3 * READ_CHUNK + 1001
+        assert spoiled.index(b'"name"') < READ_CHUNK
+        bad.write_bytes(spoiled[:at] + b"\xff" + spoiled[at:])
+        line = f"[PARSE_ERROR] document: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+        proc = run_module("optimize", "--circuit", bad, "--lib", lib_path)
+        assert (proc.returncode, proc.stderr) == (1, line)
+        # Through a pipe the offset is the byte's in the stream.
+        proc = subprocess.run([sys.executable, "-m", "aqfpopt.cli", "optimize", "--circuit", "/dev/stdin",
+                               "--lib", str(lib_path)], input=bad.read_bytes(), env=process_env(),
+                              capture_output=True)
+        assert (proc.returncode, proc.stderr) == (1, line.encode())
 
     def test_piped_circuit_reads_as_its_file(self, workdir):
-        # /dev/stdin on a pipe cannot seek back, so the parse reads it whole
-        # before decoding it, and a second decode reads that text again.
+        # /dev/stdin on a pipe cannot seek back. The parse reads each input
+        # once, a chunk at a time, so a piped circuit or report, valid or
+        # not, gives what its file gives.
         tmp_path, lib_path = workdir
         circ = gen(tmp_path, lib_path, "c.qc.json", rows=40, width=10, seed=5)
         doc = json.loads(circ.read_text())
@@ -1337,6 +1353,23 @@ class TestProcess:
         assert runs["good", "pipe"] == runs["good", "file"]
         assert runs["good", "file"][0] == 0 and runs["good", "file"][3]["connections"]
         assert runs["bad", "pipe"] == runs["bad", "file"] == (1, b"", b"[PARSE_ERROR] g39_9: row must be an integer\n", {})
+        report = tmp_path / "good-file.report.json"
+        doc = json.loads(report.read_text())
+        doc["connections"][-1]["hold_slack_ps"] = "1"
+        bad_report = tmp_path / "bad.report.json"
+        bad_report.write_text(json.dumps(doc))
+        assert bad_report.read_text().index('"hold_slack_ps": "1"') > READ_CHUNK
+        checks = {}
+        for name, path in (("good", report), ("bad", bad_report)):
+            for source in ("file", "pipe"):
+                argv = [sys.executable, "-m", "aqfpopt.cli", "verify", "--circuit", circ, "--lib", lib_path,
+                        "--schedule", path if source == "file" else "/dev/stdin"]
+                proc = subprocess.run(list(map(str, argv)), input=path.read_bytes() if source == "pipe" else None,
+                                      env=process_env(), capture_output=True)
+                checks[name, source] = proc.returncode, proc.stdout, proc.stderr
+        assert checks["good", "pipe"] == checks["good", "file"] and checks["good", "file"][0] == 0
+        line = f"[PARSE_ERROR] connections[{len(doc['connections']) - 1}]: hold_slack_ps must be a real number\n"
+        assert checks["bad", "pipe"] == checks["bad", "file"] == (1, b"", line.encode())
 
     def test_module_run_keeps_exit_codes_and_output(self, workdir, capsys):
         tmp_path, lib_path = workdir

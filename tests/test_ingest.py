@@ -444,6 +444,58 @@ class Unseekable(io.StringIO):
         return False
 
 
+def before(text, at: int, insert):
+    """``text`` (a string or bytes) with ``insert`` put before its ``at``-th item."""
+    return text[:at] + insert + text[at:]
+
+
+class Recorded:
+    """A pipe that records the size asked of each read: -1 asks for all that is left."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def seekable(self):
+        return False
+
+    def read(self, n=-1):
+        self.sizes.append(n)
+        return super().read(n)
+
+
+class RecordedText(Recorded, io.StringIO):
+    pass
+
+
+class RecordedBytes(Recorded, io.BytesIO):
+    pass
+
+
+@pytest.mark.parametrize("spoiler", [None, "key", "comma"])
+@pytest.mark.parametrize("parse", [parse_circuit, parse_report, parse_library])
+def test_a_pipe_is_never_read_whole(parse, spoiler, ref_lib, monkeypatch):
+    # Whether the document is valid, has a field the rules turn down (an
+    # unknown key) or is no JSON (a trailing comma), each read of a pipe of
+    # text or of bytes asks for a number of characters or bytes, never for
+    # the rest of it.
+    text = {parse_circuit: circuit_text(generate_circuit(rows=4, width=2, seed=1)),
+            parse_report: written_report(_slack_report(40)),
+            parse_library: serialize_library(ref_lib)}[parse]
+    if spoiler == "key":
+        text = '{"colour": 1, ' + text[1:]
+    elif spoiler == "comma":
+        text = before(text, text.rindex("}"), ",")
+    monkeypatch.setattr(ingest, "READ_CHUNK", 64)
+    for pipe in (RecordedText(text), RecordedBytes(text.encode())):
+        if spoiler:
+            with pytest.raises(ValidationError):
+                parse(pipe)
+        else:
+            parse(pipe)
+        assert pipe.sizes and min(pipe.sizes) >= 0, pipe.sizes
+
+
 #: Ways to spoil a respelled circuit: a field of the wrong type, an unknown
 #: key, a gate wrapped in an object or set in the connections list, and text
 #: cut short, given a trailing comma, a list for a key or more text after it.
@@ -453,13 +505,13 @@ SPOILERS = [None, "row", "colour", "wrapped", "misplaced", "truncated", "comma",
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(c=GENERATED_CIRCUITS, seed=st.integers(0, 2**32 - 1))
 def test_stream_reads_each_spelling_as_a_whole_decode(c, seed):
-    # Read in chunks of 1 to 64 characters, from a string, a file or a pipe,
-    # a respelled circuit must give what a decode of the whole text gives:
-    # the columns, their types and shared id strings of json.loads's entries
-    # if it is valid, and the diagnostics of the type tables or of the JSON
-    # error if not. A repeated gates key whose dropped list holds entries
-    # sends a valid text to the second decode, and so may an id holding "}",
-    # when a batch is cut inside it; no other valid text goes there.
+    # Read in chunks of 1 to 64 characters, from a string, a file, a pipe
+    # or the file's bytes, a respelled circuit must give what a decode of the
+    # whole text gives: the columns, their types and shared id strings of
+    # json.loads's entries if it is valid, and the diagnostics of the type
+    # tables or of the JSON error if not. So must a repeated gates key whose
+    # dropped list holds entries, and an id holding "}", where a batch is
+    # cut inside it.
     rng = random.Random(seed)
     doc = json.loads(circuit_text(c))
     doc["num_rows"] += rng.choice([0, 10**6])  # a number long enough to straddle a chunk's end
@@ -506,10 +558,9 @@ def test_stream_reads_each_spelling_as_a_whole_decode(c, seed):
         text = "{[]: 0, " + text[1:]
     elif spoiler == "after":
         text += rng.choice([" }", "x", " {}", "0"])
-    second = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "READ_CHUNK", rng.randint(1, 64))
-        sources = (text, io.StringIO(text), Unseekable(text))
+        sources = (text, io.StringIO(text), Unseekable(text), io.BytesIO(text.encode()))
         try:
             whole = json.loads(text)
         except json.JSONDecodeError as error:
@@ -522,11 +573,7 @@ def test_stream_reads_each_spelling_as_a_whole_decode(c, seed):
         assert_parse_matches_tables(whole, sources)
         if table_path(whole)[0]:
             return
-        patch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
         parsed = parse_circuit(rng.choice([text, Unseekable(text)]))
-    dropped = type(stale) is list and stale != []
-    braced = any("}" in gid for gid in ids.values())
-    assert bool(second) == dropped or (braced and bool(second))
     shared = {gid: gid for gid in parsed.gates.id}
     assert all(gid is shared[gid] for gid in parsed.gates.id)
     assert all(end is shared.get(end, end) for end in parsed.connections.src + parsed.connections.dst)
@@ -564,14 +611,13 @@ def report_table_path(doc) -> list[Diagnostic]:
 def test_stream_reads_each_report_spelling_as_a_whole_decode(count, spoiler, shaped, stale, seed):
     # A report's connections go through the circuit's stream. Read in chunks
     # of every size from 1 to 64 characters, or in one, from a string, a
-    # file or a pipe, a respelled report must give
-    # what a decode of the whole text gives: its fields, with its
-    # connections as the per-key columns of json.loads's entries, if it is
-    # valid, and the diagnostics of the type tables or of the JSON error if
-    # not. A repeated connections key whose dropped list holds entries
-    # sends a valid text to the second decode, and so may an endpoint
-    # holding "}"; no other valid text goes there, not even a manifest, or
-    # an object in it, shaped like a connection.
+    # file, a pipe or the file's bytes, a respelled report must give what a
+    # decode of the whole text gives: its fields, with its connections as
+    # the per-key columns of json.loads's entries, if it is valid, and the
+    # diagnostics of the type tables or of the JSON error if not. So must a
+    # repeated connections key whose dropped list holds entries, an
+    # endpoint holding "}", and a manifest, or an object in it, shaped like
+    # a connection.
     rng = random.Random(seed)
     endings = ID_ENDINGS if rng.random() < 0.3 else [end for end in ID_ENDINGS if "}" not in end]
     ids = [f"g{i}" + "".join(rng.choices(endings, k=rng.randint(0, 2))) for i in range(3)]
@@ -624,7 +670,7 @@ def test_stream_reads_each_report_spelling_as_a_whole_decode(count, spoiler, sha
         errs = [Diagnostic("PARSE_ERROR", f"line {error.lineno}", error.msg)]
     else:
         errs = report_table_path(whole)
-    sources = (str, io.StringIO, Unseekable)
+    sources = (str, io.StringIO, Unseekable, lambda text: io.BytesIO(text.encode()))
     with pytest.MonkeyPatch.context() as patch:
         for size in (*range(1, 65), len(text) + 1):
             patch.setattr(ingest, "READ_CHUNK", size)
@@ -639,32 +685,84 @@ def test_stream_reads_each_report_spelling_as_a_whole_decode(count, spoiler, sha
             assert repr(parsed) == repr(report_columns(whole)), size
         if errs:
             return
-        second = []
-        patch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
         parsed = parse_report(rng.choice(sources)(text))
-    dropped = type(stale) is list and stale != []
-    braced = any("}" in gid for gid in ids)
-    assert bool(second) == dropped or (braced and bool(second))
     names = {}
     assert all(names.setdefault(name, name) is name for name in parsed["connections"][0] + parsed["connections"][1])
 
 
-@pytest.mark.parametrize("key", ["gates", "connections"])
+#: Structural faults of a compact circuit text: a trailing comma in either
+#: list or in the object, a missing ":", a missing "," between members or
+#: between entries, and text after the document.
+STRUCTURAL_FAULTS = {
+    "gates": lambda text: before(text, text.index("]", text.index('"gates"')), ","),
+    "connections": lambda text: before(text, text.index("]", text.index('"connections"')), ","),
+    "object": lambda text: before(text, len(text) - 1, ","),
+    "missing-colon": lambda text: text.replace('"name":', '"name"', 1),
+    "missing-member-comma": lambda text: text.replace(', "num_rows"', ' "num_rows"', 1),
+    "missing-entry-comma": lambda text: text.replace("}, {", "} {", 1),
+    "after": lambda text: text + " {}",
+}
+
+
+@pytest.mark.parametrize("key", list(STRUCTURAL_FAULTS))
 def test_trailing_comma_in_a_list_is_a_json_error_at_every_chunk_size(key, monkeypatch):
-    # A read that ends between the last entry and the list's "]" leaves a
-    # batch after the comma that decodes to no entry at all.
+    # Each fault is named as json.loads names it, in the wording of the
+    # running Python (3.13 names a trailing comma as such), however the
+    # reads cut the text or its bytes. A read that ends between the last
+    # entry and a list's "]" leaves a batch after the comma that decodes to
+    # no entry at all.
     doc = json.loads(circuit_text(generate_circuit(rows=2, width=1, seed=1)))
-    text = json.dumps(doc)
-    end = text.index("]", text.index(f'"{key}"'))
-    text = text[:end] + "," + text[end:]
+    text = STRUCTURAL_FAULTS[key](json.dumps(doc))
     with pytest.raises(json.JSONDecodeError) as error:
         json.loads(text)
     expected = [Diagnostic("PARSE_ERROR", f"line {error.value.lineno}", error.value.msg)]
     for size in range(1, len(text) + 1):
         monkeypatch.setattr(ingest, "READ_CHUNK", size)
-        with pytest.raises(ValidationError) as e:
-            parse_circuit(text)
-        assert e.value.diagnostics == expected, size
+        for source in (text, io.BytesIO(text.encode())):
+            with pytest.raises(ValidationError) as e:
+                parse_circuit(source)
+            assert e.value.diagnostics == expected, (size, source)
+
+
+def undecodable(data: bytes) -> list[Diagnostic]:
+    """The diagnostic of a whole decode of ``data``, none if it is UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return [Diagnostic("PARSE_ERROR", "document", str(e))]
+    return []
+
+
+@pytest.mark.parametrize("fault", [None, "json", "byte", "cut"])
+def test_file_bytes_decode_as_their_text_at_every_chunk_size(fault, monkeypatch):
+    # A file's bytes are decoded as they are read: a character of two to
+    # four bytes may be cut by any read, and so may a "\r\n" line end. The
+    # circuit must be what its text gives, a JSON fault must be named at the
+    # line of that text, with "\r\n" read as one line end as a text file
+    # reads it, and a byte that is not UTF-8, or a character cut short at
+    # the end, by its offset in the file.
+    doc = json.loads(circuit_text(generate_circuit(rows=2, width=2, seed=1)))
+    doc["name"] = "µ-é€𝄞"
+    text = json.dumps(doc, indent=2, ensure_ascii=False)
+    if fault == "json":
+        text = text.replace('"name":', '"name"', 1)
+    data = text.replace("\n", "\r\n").encode()
+    if fault == "byte":
+        data = before(data, data.index("€".encode()) + 1, b"\xff")
+    elif fault == "cut":
+        data += "€".encode()[:2]
+
+    def outcome(source) -> list:
+        try:
+            return [parse_circuit(source).name]
+        except ValidationError as e:
+            return e.diagnostics
+
+    expected = undecodable(data) or outcome(text)
+    assert (fault is None) == (expected == ["µ-é€𝄞"])
+    for size in range(1, 65):
+        monkeypatch.setattr(ingest, "READ_CHUNK", size)
+        assert outcome(io.BytesIO(data)) == expected, size
 
 
 B = ingest.REPORT_BATCH
@@ -906,22 +1004,23 @@ def diagnostic_lines(call) -> list[str]:
     return []
 
 
-def parse_with_offset(value, repeat_gates: bool, monkeypatch) -> tuple[bool, list[str]]:
+def parse_with_offset(value, spoil_batch: bool, monkeypatch) -> tuple[bool, list[str]]:
     """Parse the seed circuit with ``value`` as its first gate's clock offset:
-    whether the second decode ran, which it does when the column check turns
-    the value down, and the diagnostics. With ``repeat_gates`` a stale
-    ``gates`` list comes first, so the hook fills a row the document drops
-    and every value goes through the second decode."""
+    whether an entry was checked alone, which it is when the column check
+    turns its batch down, and the diagnostics. With ``spoil_batch`` the
+    second gate holds an unknown key, so the column check turns down the
+    batch of both and every value is checked in its entry alone."""
     doc = parser_seed_doc()
     doc["gates"][0]["clock_offset_ps"] = value
+    if spoil_batch:
+        doc["gates"][1]["colour"] = "blue"
     text = json.dumps(doc)
-    if repeat_gates:
-        text = text.replace('"gates": [', '"gates": [' + json.dumps(doc["gates"][1]) + '], "gates": [', 1)
-    second = []
-    monkeypatch.setattr(ingest, "_load_document", lambda text: second.append(text) or json.loads(text))
+    checked = []
+    check = ingest._check_entry
+    monkeypatch.setattr(ingest, "_check_entry", lambda entry, *rest: checked.append(entry) or check(entry, *rest))
     lines = diagnostic_lines(lambda: parse_circuit(text))
     monkeypatch.undo()
-    return bool(second), lines
+    return bool(checked), lines
 
 
 def library_rejects(value, ref_lib) -> bool:
@@ -952,13 +1051,13 @@ def connection_slack_rejected(value) -> bool:
 
 @pytest.mark.parametrize("value,finite_number,real_number", RULE_PROBES, ids=["true", '"1"', "null", "NaN", "Infinity", "-Infinity", "10**400", "1", "-0.0", "2.5"])
 def test_each_rule_judges_a_value_alike_in_every_field(value, finite_number, real_number, ref_lib, monkeypatch):
-    # The circuit columns, the entries of the second decode, the library,
-    # the report and the run settings all check their fields with one rule
-    # set, so a value one of them takes for a finite or a real number every
-    # field of that rule takes for one too.
+    # The circuit columns, each entry checked alone, the library, the report
+    # and the run settings all check their fields with one rule set, so a
+    # value one of them takes for a finite or a real number every field of
+    # that rule takes for one too.
     column_turned_down, _ = parse_with_offset(value, False, monkeypatch)
-    second, entry_lines = parse_with_offset(value, True, monkeypatch)
-    assert second
+    checked, entry_lines = parse_with_offset(value, True, monkeypatch)
+    assert checked
     finite = {
         "clock_offset_ps, whole column": column_turned_down,
         "clock_offset_ps, one entry": "[PARSE_ERROR] g0_0: clock_offset_ps must be a finite number" in entry_lines,
