@@ -27,6 +27,7 @@ from aqfpopt.model import (
     Diagnostic,
     OptimizationConfig,
     ValidationError,
+    left_sum,
     log,
 )
 
@@ -89,7 +90,7 @@ def extract_chains(c: Circuit) -> list[tuple[Connection, ...]]:
 
 def merged_length(span: tuple[Connection, ...], lib: CellLibrary) -> float:
     """Length of the connection that replaces the hops of ``span``: their sum plus a buffer length per buffer."""
-    return sum(h.length for h in span) + (len(span) - 1) * lib.l_buffer
+    return left_sum(h.length for h in span) + (len(span) - 1) * lib.l_buffer
 
 
 def solve_chain(
@@ -146,7 +147,7 @@ def remove_buffers(
             span = hops[a:b]
             length = merged_length(span, lib)
             if all(h.prop is not None for h in span):
-                prop = sum(h.prop for h in span) + (b - a - 1) * lib.l_buffer * lib.prop_per_um
+                prop = left_sum(h.prop for h in span) + (b - a - 1) * lib.l_buffer * lib.prop_per_um
             else:
                 prop = None  # resolved lazily as length * prop_per_um
             merged.append(Connection(src=nodes[a], dst=nodes[b], length=length, prop=prop))

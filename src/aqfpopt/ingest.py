@@ -23,6 +23,7 @@ from __future__ import annotations
 import codecs
 import io
 import json
+from array import array
 from importlib import resources
 from itertools import repeat
 from json.decoder import WHITESPACE
@@ -44,6 +45,7 @@ from aqfpopt.model import (
     Rule,
     Schedule,
     ValidationError,
+    float_column,
     log,
     validate_circuit,
     validate_library,
@@ -171,6 +173,12 @@ _SCAN = json.JSONDecoder().scan_once  # the C scanner of one value at an index
 _SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
 
 
+def _columns(types: dict) -> tuple:
+    """Empty columns for the fields of ``types``: a float column for each
+    number that is never null, a list for any other field."""
+    return tuple(float_column() if rule is FINITE or rule is REAL else [] for rule in types.values())
+
+
 def _slices(text: str):
     """A ``read`` of ``text``: each call returns the next ``n`` characters."""
     at = 0
@@ -218,14 +226,18 @@ class _ListStream:
     fault raises the diagnostic ``json.loads`` makes of the whole text. The
     text is kept from the ``mark``, the end of the last whole token, on; the
     ``state`` is JSON text that puts a decoder where the stream stood there.
+    A name or integer read is replaced by an equal one in ``names`` or one
+    read before, so each is one object.
     """
 
-    def __init__(self, read, lists: dict):
+    def __init__(self, read, lists: dict, names=()):
         self.read, self.lists = read, lists
         self.text, self.pos, self.end = "", 0, False
         self.mark, self.state, self.lines = 0, "", 0  # lines: the newlines of the text dropped
-        self.share = {}.setdefault
-        self.columns = {key: tuple([] for _ in types) for key, types in lists.items()}
+        # Names and integers are shared through separate dicts, so the names'
+        # dict keeps the compact form of a dict whose keys are all strings.
+        self.shares = {STRING: dict(zip(names, names)).setdefault, INTEGER: {}.setdefault}
+        self.columns = {key: _columns(types) for key, types in lists.items()}
         self.faults = {key: [] for key in lists}
 
     def more(self) -> None:
@@ -296,7 +308,8 @@ class _ListStream:
             values = [list(map(dict.get, items, repeat(field))) for field in types]
             if all(rule.holds(vals) for rule, vals in zip(types.values(), values)):
                 for rule, column, vals in zip(types.values(), self.columns[key], values):
-                    column.extend(map(self.share, vals, vals) if rule is STRING or rule is INTEGER else vals)
+                    share = self.shares.get(rule)
+                    column.extend(vals if share is None else map(share, vals, vals))
                 return
         for i, entry in enumerate(items, index):
             name = entry.get("id") if "id" in types else None
@@ -312,7 +325,7 @@ class _ListStream:
         the list's value in the document: empty, or holding a value that is
         no object."""
         self.token("[", '{"":[')
-        self.columns[key], self.faults[key] = tuple([] for _ in self.lists[key]), []
+        self.columns[key], self.faults[key] = _columns(self.lists[key]), []
         index = 0
         if self.peek() != "]":
             while True:
@@ -366,7 +379,7 @@ class _ListStream:
         return doc
 
 
-def _decode_lists(source, lists: dict, header) -> dict:
+def _decode_lists(source, lists: dict, header, names=()) -> dict:
     """The top-level object of ``source`` (JSON text or a readable file),
     with each list that ``lists`` names as a tuple of columns.
 
@@ -382,9 +395,12 @@ def _decode_lists(source, lists: dict, header) -> dict:
     held, and a pipe is read as a file is. The same rules check each
     batch's values a column at a time and, if they fail, each entry's as
     lists of one; the stream reads on, so every faulty entry is named. Each
-    distinct name or integer is one object, shared by every list.
+    distinct name or integer is one object, shared by every list and with
+    the strings of ``names``. A field whose rule is ``FINITE`` or ``REAL``
+    goes into a float column, extended a batch at a time, and any other
+    into a list.
     """
-    stream = _ListStream(_reader(source), lists)
+    stream = _ListStream(_reader(source), lists, names)
     doc = stream.document()
     errs: list[Diagnostic] = []
     if header(doc, errs):
@@ -408,13 +424,18 @@ def parse_circuit(source) -> Circuit:
     their columns; a connection may leave out ``prop_ps``. Equal rows are
     one int object, and each distinct cell name and gate id one string
     object, shared by the gate and the endpoints naming it, whichever list
-    comes first. Integers in a number column then become floats.
+    comes first. ``clock_offset`` and ``length`` are float columns, which
+    read an integer as the float it equals. ``prop`` stays a list, since
+    None in it means a length-derived delay; an integer in it then becomes
+    a float, in place.
     """
     doc = _decode_lists(source, _CIRCUIT_LISTS, _check_circuit_header)
     gates, conns = doc["gates"], doc["connections"]
-    for column in (gates[3], *conns[2:]):  # clock_offset, length and prop
-        if int in set(map(type, column)):  # only in a respelled circuit: gen writes floats
-            column[:] = [v if v is None else float(v) for v in column]
+    prop = conns[3]
+    if int in set(map(type, prop)):  # only in a respelled circuit: gen writes floats
+        for i, v in enumerate(prop):
+            if type(v) is int:
+                prop[i] = float(v)
     return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
 
 
@@ -429,10 +450,12 @@ def _field_tokens(columns) -> list[list[str]]:
     """The JSON token of every value of each of ``columns``, one list per column.
 
     Each column takes one call to the C encoder, with a newline between
-    items. ``ensure_ascii`` escapes every newline inside a string, so each
-    newline in the output separates two tokens.
+    items; a float column goes in as the list of its floats. ``ensure_ascii``
+    escapes every newline inside a string, so each newline in the output
+    separates two tokens.
     """
-    return [json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") for column in columns]
+    return [json.dumps(column.tolist() if type(column) is array else column, separators=("\n", ": "))[1:-1]
+            .split("\n") for column in columns]
 
 
 def _write_document(doc: dict, lists: dict, out, indent: Optional[int] = None) -> None:
@@ -639,7 +662,7 @@ def serialize_report(report: dict, out) -> None:
     _write_document(report, _REPORT_LISTS, out)
 
 
-def parse_report(source) -> dict:
+def parse_report(source, names) -> dict:
     """Parse a report document and check the shape of what ``verify`` reads.
 
     The frequency, period, latency and slack must be finite numbers, the
@@ -651,9 +674,12 @@ def parse_report(source) -> dict:
     holds exactly ``src`` and ``dst``, strings, and ``setup_slack_ps`` and
     ``hold_slack_ps``, real numbers. ``_decode_lists`` streams them into
     four columns in that order, which the returned document holds as its
-    ``connections``.
+    ``connections``: the endpoints as lists of strings, each the string of
+    ``names`` it equals if there is one (``verify`` passes the circuit's
+    gate ids, so a report's names take no memory of their own), and the
+    slacks as float columns, which read an integer as the float it equals.
     """
-    return _decode_lists(source, _REPORT_LISTS, _check_report_header)
+    return _decode_lists(source, _REPORT_LISTS, _check_report_header, names)
 
 
 def schedule_from_report(report: dict) -> Schedule:

@@ -12,10 +12,12 @@ in GHz (frequency = 1000 / period_ps).
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from array import array
 from bisect import bisect_left
-from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property, partial, reduce
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 #: ``QPRO_LOG`` values and the least severity each one lets through.
 LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
@@ -62,6 +64,13 @@ CRITERIA = ("period", "latency", "slack")  # what a schedule is judged by, in th
 #: Absolute tolerance (ps) above which adjacent piecewise-linear segments are
 #: reported as discontinuous. Discontinuous libraries are legal but suspicious.
 CONTINUITY_TOL = 1e-9
+
+
+def left_sum(values) -> float:
+    """The sum of ``values``, added left to right as ``sum`` adds them up to
+    Python 3.11. From 3.12 ``sum`` compensates the rounding of floats, which
+    moved solved schedules by a few ulps from one Python version to another."""
+    return reduce(operator.add, values, 0)
 
 
 def segment_owning(breakpoints, t: float) -> int:
@@ -321,21 +330,36 @@ class Connection(NamedTuple):
     prop: Optional[float] = None  # ps, extracted delay; None = length-derived
 
 
+def float_column(values=()) -> array:
+    """A column of numbers that are never None, as floats: an ``array('d')``
+    of ``values``. It holds 8 bytes a value, where a list of floats holds a
+    pointer and a 24-byte float object."""
+    return array("d", values)
+
+
 class Table:
-    """Equal-length columns, one list per field of the named tuple type
+    """Equal-length columns, one per field of the named tuple type
     ``record``, each an attribute under its field's name. A subclass names
     its record type: ``class GateTable(Table, record=Gate)``.
 
-    The package reads the columns; ``at`` builds the record of one row.
+    A field typed ``float`` is held as a :func:`float_column`: one given as
+    such is kept, and a list or any other iterable is copied into one, so an
+    int in it reads as the float it equals. Every other column is kept as
+    given, a list where a value may be None. The package reads the columns;
+    ``at`` builds the record of one row.
     """
 
     record: type
+    floats: frozenset  # the fields typed float
 
     def __init_subclass__(cls, record):
         cls.record = record
+        cls.floats = frozenset(name for name, kind in get_type_hints(record).items() if kind is float)
 
     def __init__(self, *columns):
         for name, column in zip(self.record._fields, columns, strict=True):
+            if name in self.floats and type(column) is not array:
+                column = float_column(column)
             setattr(self, name, column)
 
     @classmethod
@@ -398,14 +422,23 @@ class Circuit(_Checked, _CircuitFields):
         return dict(zip(reversed(self.gates.id), range(n - 1, -1, -1)))  # the first position is written last
 
     @cached_property
-    def endpoints(self) -> tuple[list[Optional[int]], list[Optional[int]]]:
-        """The gate index of each connection's source, and of its sink; None for an id that names no gate."""
+    def endpoints(self) -> tuple:
+        """The gate index of each connection's source, and of its sink: two
+        ``array('i')``, or a list holding None for an id that names no gate."""
         return self.resolve_endpoints(self.gate_index)
 
-    def resolve_endpoints(self, gate_index: dict[str, int]) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    def resolve_endpoints(self, gate_index: dict[str, int]) -> tuple:
         """The endpoints by ``gate_index``, kept as ``endpoints`` from now on."""
         k, index = self.connections, gate_index.get
-        self.__dict__["endpoints"] = ends = list(map(index, k.src)), list(map(index, k.dst))
+
+        def positions(ids):
+            found = list(map(index, ids))  # an array fills faster from a list than from an iterator
+            try:
+                return array("i", found)
+            except TypeError:  # an id that names no gate, which validation reports
+                return found
+
+        self.__dict__["endpoints"] = ends = positions(k.src), positions(k.dst)
         return ends
 
 

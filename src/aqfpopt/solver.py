@@ -37,6 +37,7 @@ from aqfpopt.model import (
     InfeasibleScheduleError,
     OptimizationConfig,
     Schedule,
+    left_sum,
     log,
     segment_owning,
 )
@@ -383,9 +384,9 @@ class _ConstraintGraph:
 
     def cut(self, edges: list[int]) -> tuple[float, float, float, tuple[str, ...]]:
         """Summed weight coefficients of T and S, the constant, and the connections."""
-        ta = sum(self.edges[e][2] for e in edges)
-        sa = sum(self.edges[e][3] for e in edges)
-        c = sum(self.edges[e][4] for e in edges)
+        ta = left_sum(self.edges[e][2] for e in edges)
+        sa = left_sum(self.edges[e][3] for e in edges)
+        c = left_sum(self.edges[e][4] for e in edges)
         tags = tuple(dict.fromkeys(self.edges[e][5] for e in edges if self.edges[e][5]))
         return ta, sa, c, tags
 
@@ -510,7 +511,7 @@ def _solve_segment(edges, num_deltas: int, seg: SegmentRestriction, cfg: Optimiz
         point, dist, cert = _cut_loop(g, master, cuts)
         if cert:
             return SegmentOutcome(segment=seg, status="infeasible", violations=cert)
-        value = sum(a * x for a, x in zip(vec, point))
+        value = left_sum(a * x for a, x in zip(vec, point))
         stage_values.append(value)
         master.constraints.append(Cut(*vec, value + FIX_TOL))
     deltas = tuple(min(DELTA_MAX, max(0.0, dist[r + 1] - dist[r])) for r in range(num_deltas))
@@ -607,6 +608,6 @@ def optimize_schedule(
         period=best.period,
         row_deltas=best.deltas,
         slack=best.slack,
-        latency=sum(best.deltas),
+        latency=left_sum(best.deltas),
         segment_index=segment_owning(lib.breakpoints, best.period),
     )

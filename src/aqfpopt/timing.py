@@ -24,6 +24,7 @@ from aqfpopt.model import (
     Schedule,
     Table,
     ValidationError,
+    float_column,
 )
 
 #: Slack (ps) below which the STA counts a connection as failing.
@@ -96,7 +97,7 @@ def build_constraints(
             for i in too_long
         ])
     offsets = g.clock_offset
-    rhs = [prop - (offsets[j] - offsets[i]) for prop, i, j in zip(_delays(c, lib), src, dst)]
+    rhs = float_column(prop - (offsets[j] - offsets[i]) for prop, i, j in zip(_delays(c, lib), src, dst))
     cells = g.cell.__getitem__
     table = ConstraintTable(k.src, k.dst, first, last, list(map(cells, src)), list(map(cells, dst)), rhs)
     return TimingConstraintSet(constraints=table, num_rows=c.num_rows)
@@ -134,15 +135,16 @@ def sta_check(
     """Static timing check of a concrete schedule against the raw inequalities.
 
     Clock arrival at a gate is its base offset plus every row increment
-    before its row, and each cell's timing functions are evaluated once at
-    the period. One loop then takes each connection's source i, sink j and
-    propagation delay, computes the data arrival ``clock[i] + c2q(i) +
-    delay`` once, and appends the setup slack ``(clock[j] - setup(j)) -
-    arrival`` and the hold slack ``(arrival + window(i)) - (clock[j] +
-    hold(j))``, where the window is the source's reset delay, or the full
-    period under ``dlplace``. The computation reads the circuit, the library
-    and the schedule alone and deliberately bypasses the reformulated
-    constraint system.
+    before its row, a float column, and each cell's timing functions are
+    evaluated once at the period. One loop then takes each connection's
+    source i, sink j and propagation delay, computes the data arrival
+    ``clock[i] + c2q(i) + delay`` once, and appends the setup slack
+    ``(clock[j] - setup(j)) - arrival`` and the hold slack ``(arrival +
+    window(i)) - (clock[j] + hold(j))`` to their float columns, where the
+    window is the source's reset delay, or the full period under
+    ``dlplace``. The computation reads the circuit, the library and the
+    schedule alone and deliberately bypasses the reformulated constraint
+    system.
     """
     k = c.connections
     if not len(k):
@@ -157,14 +159,15 @@ def sta_check(
         c2q[name], setup[name], hold[name] = fns.c2q(period), fns.setup(period), fns.hold(period)
         window[name] = period if hold_mode == "dlplace" else fns.rd(period)
     g = c.gates
-    clock = list(map(operator.add, g.clock_offset, map(prefix.__getitem__, g.row)))
+    clock = float_column(map(operator.add, g.clock_offset, map(prefix.__getitem__, g.row)))
     cell = g.cell
     src, dst = c.endpoints
-    setup_slack, hold_slack = [], []
+    setup_slack, hold_slack = float_column(), float_column()
+    add_setup, add_hold = setup_slack.append, hold_slack.append  # looked up once: an array's is no fast path
     for i, j, delay in zip(src, dst, _delays(c, lib)):
         arrival = clock[i] + c2q[cell[i]] + delay
-        setup_slack.append((clock[j] - setup[cell[j]]) - arrival)
-        hold_slack.append((arrival + window[cell[i]]) - (clock[j] + hold[cell[j]]))
+        add_setup((clock[j] - setup[cell[j]]) - arrival)
+        add_hold((arrival + window[cell[i]]) - (clock[j] + hold[cell[j]]))
     # min(setup, hold) is hold only when hold < setup, and min over the
     # connections keeps the first of equals, NaN included.
     min_slack = min(map(min, setup_slack, hold_slack))

@@ -21,6 +21,7 @@ from aqfpopt.model import (
     Schedule,
     ValidationError,
     VerificationError,
+    left_sum,
     log,
     segment_owning,
 )
@@ -28,11 +29,12 @@ from aqfpopt.model import (
 _CLAIMS = ("frequency_ghz", "min_slack_ps", "buffers_total", "buffers_removed")
 
 
-def _decode_report(path) -> dict:
+def _decode_report(path, names) -> dict:
     """The parts of the report file at ``path`` that ``verify`` reads: the manifest
     config, the schedule, the ``_CLAIMS`` figures and the connections, as the
-    four columns ``parse_report`` streams them into."""
-    report = read_input(path, parse_report)
+    four columns ``parse_report`` streams them into, each endpoint the string
+    of ``names``, the circuit's gate ids, that it equals."""
+    report = read_input(path, lambda fh: parse_report(fh, names))
     return {"config": (report.get("manifest") or {}).get("config", {}), "schedule": schedule_from_report(report),
             "connections": report["connections"], **{key: report[key] for key in _CLAIMS}}
 
@@ -81,7 +83,7 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], 
                        plan) -> list[Diagnostic]:
     """The report's figures that disagree with its schedule, with ``sta_min``,
     the STA's minimum, or with ``plan``, the re-applied removal (None without removal)."""
-    latency, frequency, claimed = sum(sched.row_deltas), 1000.0 / sched.period, claims["min_slack_ps"]
+    latency, frequency, claimed = left_sum(sched.row_deltas), 1000.0 / sched.period, claims["min_slack_ps"]
     sta = "none, the circuit has no connections" if sta_min is None else f"{sta_min:.6g} ps"
     owner = segment_owning(lib.breakpoints, sched.period)
     counts = (plan.buffers_total, plan.buffers_removed) if plan else (0, 0)
@@ -104,7 +106,7 @@ def _report_mismatches(claims: dict, sched: Schedule, sta_min: Optional[float], 
 def cmd_verify(args) -> None:
     # Circuit and library errors are reported before report errors.
     circuit, lib = load_inputs(args.circuit, args.lib)
-    decoded = _decode_report(args.schedule)
+    decoded = _decode_report(args.schedule, circuit.gates.id)
     manifest_cfg, sched = decoded["config"], decoded["schedule"]
     cfg = _manifest_config(manifest_cfg)
 

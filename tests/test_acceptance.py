@@ -157,7 +157,7 @@ def test_criterion_5_timing_closure(tmp_path, ref_lib):
             if rng.random() < 0.5:
                 argv.append("--remove-buffers")
             assert main(argv) == 0
-            report = parse_report(report_path.read_text())
+            report = parse_report(report_path.read_text(), ())
             assert report["min_slack_ps"] >= report["slack_ps"] - 1e-6
             assert main(["verify", "--circuit", str(circ_path), "--lib", str(lib_path),
                          "--schedule", str(report_path)]) == 0

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -35,6 +36,7 @@ from aqfpopt.model import (
     OptimizationConfig,
     Schedule,
     ValidationError,
+    float_column,
     validate_circuit,
 )
 from aqfpopt.timing import ConnectionSlack, SlackReport, SlackTable
@@ -52,6 +54,10 @@ MINIMAL_CIRCUIT = {
     ],
     "connections": [{"src": "a", "dst": "b", "length_um": 5.0}],
 }
+
+
+#: ``parse_report`` with no names to share, under its own name in test ids.
+PARSE_REPORT = pytest.param(partial(parse_report, names=()), id="parse_report")
 
 
 def codes(excinfo):
@@ -269,12 +275,13 @@ def assert_parse_matches_tables(doc, sources):
             assert e.value.diagnostics == errs
         else:
             c = parse_circuit(source)
-            # repr tells 1 from 1.0, so the field types must match too.
-            assert repr(c.gates.columns()) == repr([list(column) for column in zip(*gates)] or [[]] * 4)
-            assert repr(c.connections.columns()) == repr([list(column) for column in zip(*connections)] or [[]] * 4)
+            # Compared as lists by value; repr tells 1 from 1.0, so the field types must match too.
+            for table, records in ((c.gates, gates), (c.connections, connections)):
+                assert repr(list(map(list, table.columns()))) == repr([list(column) for column in zip(*records)]
+                                                                      or [[]] * 4)
 
 
-@pytest.mark.parametrize("parse", [parse_circuit, parse_library, parse_report])
+@pytest.mark.parametrize("parse", [parse_circuit, parse_library, PARSE_REPORT])
 @pytest.mark.parametrize("text", ['{"format_version": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
                          ids=["long-integer", "deep-nesting"])
 def test_text_the_decoder_cannot_hold_is_a_parse_error(parse, text):
@@ -369,8 +376,8 @@ class TestRoundTrips:
         text = written_report(emit_report(sched, slacks, None, manifest={"tool_version": "x"}))
         reference = report_json_reference(sched, slacks, None, manifest={"tool_version": "x"})
         assert text == reference
-        assert parse_report(io.StringIO(text)) == report_columns(json.loads(reference))
-        assert schedule_from_report(parse_report(text)) == sched
+        assert parse_report(io.StringIO(text), ()) == report_columns(json.loads(reference))
+        assert schedule_from_report(parse_report(text, ())) == sched
 
     def test_endpoints_are_the_gates_own_ids(self, ref_lib):
         c = generate_circuit(rows=8, width=4, seed=3, chain_prob=0.5, skip_prob=0.5, lib=ref_lib)
@@ -384,9 +391,12 @@ class TestRoundTrips:
 
 def report_columns(doc: dict) -> dict:
     """A decoded report document with its connections as ``parse_report``
-    gives them: four columns, each the values of one key in entry order."""
-    keys = ("src", "dst", "setup_slack_ps", "hold_slack_ps")
-    return {**doc, "connections": tuple([entry[key] for entry in doc["connections"]] for key in keys)}
+    gives them: four columns, each the values of one key in entry order, the
+    endpoints as lists and the slacks as float columns."""
+    entries = doc["connections"]
+    names = tuple([entry[key] for entry in entries] for key in ("src", "dst"))
+    slacks = tuple(float_column(entry[key] for entry in entries) for key in ("setup_slack_ps", "hold_slack_ps"))
+    return {**doc, "connections": names + slacks}
 
 
 def written_report(report) -> str:
@@ -473,7 +483,7 @@ class RecordedBytes(Recorded, io.BytesIO):
 
 
 @pytest.mark.parametrize("spoiler", [None, "key", "comma"])
-@pytest.mark.parametrize("parse", [parse_circuit, parse_report, parse_library])
+@pytest.mark.parametrize("parse", [parse_circuit, PARSE_REPORT, parse_library])
 def test_a_pipe_is_never_read_whole(parse, spoiler, ref_lib, monkeypatch):
     # Whether the document is valid, has a field the rules turn down (an
     # unknown key) or is no JSON (a trailing comma), each read of a pipe of
@@ -481,7 +491,7 @@ def test_a_pipe_is_never_read_whole(parse, spoiler, ref_lib, monkeypatch):
     # the rest of it.
     text = {parse_circuit: circuit_text(generate_circuit(rows=4, width=2, seed=1)),
             parse_report: written_report(_slack_report(40)),
-            parse_library: serialize_library(ref_lib)}[parse]
+            parse_library: serialize_library(ref_lib)}[getattr(parse, "func", parse)]
     if spoiler == "key":
         text = '{"colour": 1, ' + text[1:]
     elif spoiler == "comma":
@@ -677,16 +687,19 @@ def test_stream_reads_each_report_spelling_as_a_whole_decode(count, spoiler, sha
             source = rng.choice(sources)(text)
             if errs:
                 with pytest.raises(ValidationError) as e:
-                    parse_report(source)
+                    parse_report(source, ())
                 assert e.value.diagnostics == errs, size
                 continue
-            parsed = parse_report(source)
+            parsed = parse_report(source, ())
             # repr tells 1 from 1.0, so the field types must match too.
             assert repr(parsed) == repr(report_columns(whole)), size
         if errs:
             return
-        parsed = parse_report(rng.choice(sources)(text))
-    names = {}
+        # An endpoint equal to a name given is that very string; any other
+        # name is one object.
+        fresh = ["".join(name) for name in ids[:2]]  # new strings equal to two of the names
+        parsed = parse_report(rng.choice(sources)(text), fresh)
+    names = dict(zip(fresh, fresh))
     assert all(names.setdefault(name, name) is name for name in parsed["connections"][0] + parsed["connections"][1])
 
 
@@ -919,12 +932,14 @@ def test_parse_leaves_no_reference_cycle(spelling):
         gc.enable()
 
 
-def test_benchmark_circuit_and_gate_index_stay_under_6_mib():
+def test_benchmark_circuit_and_gate_index_stay_under_3_5_mib():
     # The wide benchmark circuit (gen --rows 1000 --width 20 --seed 101000)
-    # as columns, with its id strings and rows shared: about 4.2 MiB. Its
-    # gate index is built on use and not kept, so it adds nothing here; kept,
-    # it made 5.2 MiB. A record per gate and connection, each float boxed,
-    # with an id-to-record index retained 7.3 MiB.
+    # as columns, with its id strings and rows shared and every float column
+    # an array('d'): 3.0-3.2 MiB on Python 3.10-3.13. With a float object per
+    # clock offset and length it retained 4.2 MiB. Its gate index is built on
+    # use and not kept, so it adds nothing here; kept, it made 5.2 MiB. A
+    # record per gate and connection, each float boxed, with an id-to-record
+    # index retained 7.3 MiB.
     text = circuit_text(generate_circuit(rows=1000, width=20, seed=101000))
     tracemalloc.start()
     try:
@@ -933,7 +948,7 @@ def test_benchmark_circuit_and_gate_index_stay_under_6_mib():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 6.0 * 2**20
+    assert retained <= 3.5 * 2**20
 
 
 def test_validation_keeps_no_gate_index(ref_lib):
@@ -974,7 +989,7 @@ class TestEmitReport:
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValidationError) as e:
-            parse_report(json.dumps({"format_version": 1}))
+            parse_report(json.dumps({"format_version": 1}), ())
         assert codes(e) == {"PARSE_ERROR"}
 
     @pytest.mark.parametrize("field", ["buffers_total", "buffers_removed"])
@@ -983,7 +998,7 @@ class TestEmitReport:
         sched = Schedule(period=250.0, row_deltas=(1.5,), slack=3.0, latency=1.5)
         report = {**emit_report(sched, SlackReport(SlackTable([], [], [], []), None)), "connections": [], field: value}
         with pytest.raises(ValidationError) as e:
-            parse_report(json.dumps(report))
+            parse_report(json.dumps(report), ())
         assert [str(d) for d in e.value.diagnostics] == [f"[PARSE_ERROR] report: {field} must be an integer >= 0"]
 
 
@@ -1039,14 +1054,14 @@ def row_delta_rejected(value) -> bool:
     doc = seed_report()
     doc["row_deltas_ps"][0] = value
     return "[PARSE_ERROR] report: row_deltas_ps must be a list of numbers" in diagnostic_lines(
-        lambda: parse_report(json.dumps(doc)))
+        lambda: parse_report(json.dumps(doc), ()))
 
 
 def connection_slack_rejected(value) -> bool:
     doc = seed_report()
     doc["connections"][0]["setup_slack_ps"] = value
     return "[PARSE_ERROR] connections[0]: setup_slack_ps must be a real number" in diagnostic_lines(
-        lambda: parse_report(json.dumps(doc)))
+        lambda: parse_report(json.dumps(doc), ()))
 
 
 @pytest.mark.parametrize("value,finite_number,real_number", RULE_PROBES, ids=["true", '"1"', "null", "NaN", "Infinity", "-Infinity", "10**400", "1", "-0.0", "2.5"])

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,11 +8,15 @@ from aqfpopt.model import (
     CellTiming,
     Circuit,
     Connection,
+    ConnectionTable,
     Gate,
+    GateTable,
     OptimizationConfig,
     PiecewiseLinear,
     PwlDomainError,
     ValidationError,
+    float_column,
+    left_sum,
     validate_circuit,
     validate_library,
 )
@@ -216,3 +222,21 @@ class TestConfig:
     def test_period_bounds_respect_overrides(self, ref_lib):
         cfg = OptimizationConfig(t_min_override=250.0)
         assert cfg.period_bounds(ref_lib) == (250.0, 300.0)
+
+
+def test_left_sum_adds_left_to_right():
+    # Python 3.12's sum gives 1.0 here: it compensates the rounding of 1e16 + 1.0.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0
+
+
+def test_float_fields_are_float_columns():
+    # A field typed float is an array('d'): one given is kept, and a list is
+    # copied into one, in which an int reads as the float it equals. Other
+    # fields stay as given, so prop keeps its None.
+    lengths = float_column([2.5])
+    k = ConnectionTable(["a"], ["b"], lengths, [None])
+    assert k.length is lengths and k.prop == [None]
+    g = GateTable(["a"], ["majority3"], [0], [1])
+    assert type(g.clock_offset) is array and repr(g.clock_offset.tolist()) == "[1.0]"
+    assert g.row == [0] and g.at(0) == Gate("a", "majority3", 0, 1.0)
