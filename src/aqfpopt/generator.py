@@ -18,6 +18,7 @@ from aqfpopt.model import (
     ConnectionTable,
     Diagnostic,
     GateTable,
+    NULL_FLOAT,
     ValidationError,
 )
 
@@ -63,9 +64,10 @@ def generate_circuit(
 
     prop_base, prop_spread = 25.0, 35.0
 
-    def draw_prop() -> Optional[float]:
+    def draw_prop() -> float:
+        """An extracted delay, or NULL_FLOAT, a length-derived one, under ``adversarial``."""
         if adversarial:
-            return None
+            return NULL_FLOAT
         return prop_base + rng.uniform(0.0, prop_spread)
 
     gates = GateTable([], [], [], [])
@@ -97,7 +99,7 @@ def generate_circuit(
     connections = ConnectionTable([], [], [], [])
     seen_pairs: set[tuple[str, str]] = set()
 
-    def connect(src: str, dst: str, length: float, prop: Optional[float]) -> None:
+    def connect(src: str, dst: str, length: float, prop: float) -> None:
         if (src, dst) in seen_pairs:
             return
         seen_pairs.add((src, dst))
@@ -138,7 +140,7 @@ def generate_circuit(
         if rng.random() < skip_prob:
             src = rng.choice(grid[r])
             dst = rng.choice(grid[r + 2])
-            prop = None if adversarial else draw_prop() + draw_prop()
+            prop = NULL_FLOAT if adversarial else draw_prop() + draw_prop()
             connect(src, dst, rng.uniform(0.0, lib.l_max_drive), prop)
 
     return Circuit(name=f"gen-r{rows}-w{width}-s{seed}", num_rows=rows, gates=gates, connections=connections)

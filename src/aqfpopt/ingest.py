@@ -33,6 +33,7 @@ from aqfpopt.model import (
     FINITE,
     FINITE_OR_NULL,
     INTEGER,
+    NULL_FLOAT,
     REAL,
     STRING,
     CellLibrary,
@@ -47,6 +48,7 @@ from aqfpopt.model import (
     ValidationError,
     float_column,
     log,
+    nullable_column,
     validate_circuit,
     validate_library,
 )
@@ -175,8 +177,8 @@ _SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
 
 def _columns(types: dict) -> tuple:
     """Empty columns for the fields of ``types``: a float column for each
-    number that is never null, a list for any other field."""
-    return tuple(float_column() if rule is FINITE or rule is REAL else [] for rule in types.values())
+    number, which holds NaN for a null, and a list for any other field."""
+    return tuple(float_column() if rule in (FINITE, REAL, FINITE_OR_NULL) else [] for rule in types.values())
 
 
 def _slices(text: str):
@@ -227,16 +229,20 @@ class _ListStream:
     text is kept from the ``mark``, the end of the last whole token, on; the
     ``state`` is JSON text that puts a decoder where the stream stood there.
     A name or integer read is replaced by an equal one in ``names`` or one
-    read before, so each is one object.
+    read before, so each is one object. A number that may be null goes
+    into its float column as a :func:`~aqfpopt.model.nullable_column`.
     """
 
     def __init__(self, read, lists: dict, names=()):
         self.read, self.lists = read, lists
         self.text, self.pos, self.end = "", 0, False
         self.mark, self.state, self.lines = 0, "", 0  # lines: the newlines of the text dropped
-        # Names and integers are shared through separate dicts, so the names'
-        # dict keeps the compact form of a dict whose keys are all strings.
-        self.shares = {STRING: dict(zip(names, names)).setdefault, INTEGER: {}.setdefault}
+        # What a column takes of a batch's values, by the column's rule. Names
+        # and integers are shared through separate dicts, so the names' dict
+        # keeps the compact form of a dict whose keys are all strings.
+        names, integers = dict(zip(names, names)).setdefault, {}.setdefault
+        self.takes = {STRING: lambda vals: map(names, vals, vals), INTEGER: lambda vals: map(integers, vals, vals),
+                      FINITE_OR_NULL: nullable_column}
         self.columns = {key: _columns(types) for key, types in lists.items()}
         self.faults = {key: [] for key in lists}
 
@@ -308,8 +314,8 @@ class _ListStream:
             values = [list(map(dict.get, items, repeat(field))) for field in types]
             if all(rule.holds(vals) for rule, vals in zip(types.values(), values)):
                 for rule, column, vals in zip(types.values(), self.columns[key], values):
-                    share = self.shares.get(rule)
-                    column.extend(vals if share is None else map(share, vals, vals))
+                    take = self.takes.get(rule)
+                    column.extend(vals if take is None else take(vals))
                 return
         for i, entry in enumerate(items, index):
             name = entry.get("id") if "id" in types else None
@@ -396,9 +402,9 @@ def _decode_lists(source, lists: dict, header, names=()) -> dict:
     batch's values a column at a time and, if they fail, each entry's as
     lists of one; the stream reads on, so every faulty entry is named. Each
     distinct name or integer is one object, shared by every list and with
-    the strings of ``names``. A field whose rule is ``FINITE`` or ``REAL``
-    goes into a float column, extended a batch at a time, and any other
-    into a list.
+    the strings of ``names``. A field whose rule is ``FINITE``, ``REAL`` or
+    ``FINITE_OR_NULL`` goes into a float column, extended a batch at a
+    time, in which NaN stands for a null, and any other into a list.
     """
     stream = _ListStream(_reader(source), lists, names)
     doc = stream.document()
@@ -424,19 +430,13 @@ def parse_circuit(source) -> Circuit:
     their columns; a connection may leave out ``prop_ps``. Equal rows are
     one int object, and each distinct cell name and gate id one string
     object, shared by the gate and the endpoints naming it, whichever list
-    comes first. ``clock_offset`` and ``length`` are float columns, which
-    read an integer as the float it equals. ``prop`` stays a list, since
-    None in it means a length-derived delay; an integer in it then becomes
-    a float, in place.
+    comes first. ``clock_offset``, ``length`` and ``prop`` are float
+    columns, which read an integer as the float it equals; a NaN in
+    ``prop`` stands for a connection without ``prop_ps``, whose delay is
+    length-derived.
     """
     doc = _decode_lists(source, _CIRCUIT_LISTS, _check_circuit_header)
-    gates, conns = doc["gates"], doc["connections"]
-    prop = conns[3]
-    if int in set(map(type, prop)):  # only in a respelled circuit: gen writes floats
-        for i, v in enumerate(prop):
-            if type(v) is int:
-                prop[i] = float(v)
-    return Circuit(doc["name"], doc["num_rows"], GateTable(*gates), ConnectionTable(*conns))
+    return Circuit(doc["name"], doc["num_rows"], GateTable(*doc["gates"]), ConnectionTable(*doc["connections"]))
 
 
 #: Rows encoded per batch by the writers, which hold one batch's text at a
@@ -444,6 +444,8 @@ def parse_circuit(source) -> Circuit:
 #: writing it stays under the circuit read's peak; a smaller batch costs
 #: writer time on large documents (README, "Memory").
 REPORT_BATCH = 256
+
+_NULL_TOKEN = json.dumps(NULL_FLOAT)  # a null's token in a float column: NaN
 
 
 def _field_tokens(columns) -> list[list[str]]:
@@ -463,7 +465,8 @@ def _write_document(doc: dict, lists: dict, out, indent: Optional[int] = None) -
     ``json.dumps(doc, indent=indent)`` and a newline, where each key that
     ``lists`` names holds a column table: it stands for a list of one object
     per row, keyed by the fields of its rule table in order, with a
-    ``FINITE_OR_NULL`` field left out where its value is null.
+    ``FINITE_OR_NULL`` field left out where its float column holds NaN, the
+    null.
 
     Neither those objects nor the document's text is ever built. Each table
     is encoded ``REPORT_BATCH`` rows at a time, one C encoder call per
@@ -493,7 +496,7 @@ def _write_document(doc: dict, lists: dict, out, indent: Optional[int] = None) -
             flat = [lines[2] + "}"] * (width * count)
             for j, (before, rule, column) in enumerate(zip(befores, types.values(), tokens)):
                 if rule is FINITE_OR_NULL:  # left out where null
-                    before, column = "", ["" if token == "null" else before + token for token in column]
+                    before, column = "", ["" if token == _NULL_TOKEN else before + token for token in column]
                 flat[2 * j::width] = [before] * count
                 flat[2 * j + 1::width] = column
             if not start:  # the list's first row follows no other

@@ -337,6 +337,26 @@ def float_column(values=()) -> array:
     return array("d", values)
 
 
+#: What a :func:`nullable_column` holds for None. No input rule admits a NaN
+#: (``FINITE_OR_NULL`` admits finite numbers and null), so a NaN held always
+#: stands for None.
+NULL_FLOAT = math.nan
+
+
+def nullable_column(values=()) -> array:
+    """A column of numbers any of which may be None: the :func:`float_column`
+    of the sequence ``values``, with ``NULL_FLOAT`` for each None."""
+    try:
+        return float_column(values)
+    except TypeError:  # a None among the values
+        return float_column([NULL_FLOAT if v is None else v for v in values])
+
+
+def none_for_nan(value: float) -> Optional[float]:
+    """The number or None that ``value``, read from a :func:`nullable_column`, stands for."""
+    return None if value != value else value  # NaN alone differs from itself
+
+
 class Table:
     """Equal-length columns, one per field of the named tuple type
     ``record``, each an attribute under its field's name. A subclass names
@@ -344,22 +364,30 @@ class Table:
 
     A field typed ``float`` is held as a :func:`float_column`: one given as
     such is kept, and a list or any other iterable is copied into one, so an
-    int in it reads as the float it equals. Every other column is kept as
-    given, a list where a value may be None. The package reads the columns;
-    ``at`` builds the record of one row.
+    int in it reads as the float it equals. A field typed
+    ``Optional[float]`` is held as a :func:`nullable_column` in the same
+    way, from an array or a sequence, with NaN for None. Every other column
+    is kept as given. The package reads the columns; ``at`` builds the
+    record of one row, in which such a NaN reads None again.
     """
 
     record: type
     floats: frozenset  # the fields typed float
+    nullables: frozenset  # the fields typed Optional[float]
 
     def __init_subclass__(cls, record):
         cls.record = record
-        cls.floats = frozenset(name for name, kind in get_type_hints(record).items() if kind is float)
+        kinds = get_type_hints(record).items()
+        cls.floats = frozenset(name for name, kind in kinds if kind is float)
+        cls.nullables = frozenset(name for name, kind in kinds if kind == Optional[float])
 
     def __init__(self, *columns):
         for name, column in zip(self.record._fields, columns, strict=True):
-            if name in self.floats and type(column) is not array:
-                column = float_column(column)
+            if type(column) is not array:
+                if name in self.floats:
+                    column = float_column(column)
+                elif name in self.nullables:
+                    column = nullable_column(column)
             setattr(self, name, column)
 
     @classmethod
@@ -381,7 +409,8 @@ class Table:
 
     def at(self, i: int):
         """The ``record`` of row ``i``."""
-        return self.record._make([col[i] for col in self.columns()])
+        return self.record._make([none_for_nan(col[i]) if name in self.nullables else col[i]
+                                  for name, col in zip(self.record._fields, self.columns())])
 
 
 class GateTable(Table, record=Gate):
@@ -404,7 +433,8 @@ class Circuit(_Checked, _CircuitFields):
 
     ``gates`` has the columns ``id``, ``cell``, ``row`` and
     ``clock_offset``; ``connections`` has ``src``, ``dst``, ``length`` and
-    ``prop``, where a ``prop`` may be None. Either may be given as
+    ``prop``, a :func:`nullable_column` whose NaN stands for a length-derived
+    delay. Either may be given as
     :class:`Gate` or :class:`Connection` records, which become columns. Unlike
     the other records a circuit has an instance ``__dict__``, which caches the
     connections' endpoints once they are resolved. The gate index is built

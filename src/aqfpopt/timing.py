@@ -70,10 +70,31 @@ class TimingConstraintSet(NamedTuple):
 
 
 def _delays(c: Circuit, lib: CellLibrary):
-    """Each connection's propagation delay in turn, its extracted delay else its length times
-    ``prop_per_um``, for the one pass that ``build_constraints`` and ``sta_check`` make over the connections."""
+    """Each connection's propagation delay in turn, its extracted delay else (a NaN ``prop``) its length
+    times ``prop_per_um``, for the one pass that ``build_constraints`` and ``sta_check`` make over the connections."""
     k, prop_per_um = c.connections, lib.prop_per_um
-    return (length * prop_per_um if prop is None else prop for length, prop in zip(k.length, k.prop))
+    if not any(map(math.isnan, k.prop)):  # every delay extracted: the column itself, read in C
+        return k.prop
+    return (prop if prop == prop else length * prop_per_um for length, prop in zip(k.length, k.prop))
+
+
+def connection_rows(c: Circuit, max_skip: int) -> tuple[list[int], list[int]]:
+    """The row of each connection's source and of its sink. A connection
+    that spans more than ``max_skip`` rows raises UNSUPPORTED_SKIP, one
+    diagnostic each, since the clock schedule was never characterized for
+    it. The circuit must have passed ``validate_circuit``."""
+    src, dst = c.endpoints
+    row = c.gates.row.__getitem__
+    first, last = list(map(row, src)), list(map(row, dst))
+    too_long = [i for i, span in enumerate(map(operator.sub, last, first)) if span > max_skip]
+    if too_long:
+        k = c.connections
+        raise ValidationError([
+            Diagnostic("UNSUPPORTED_SKIP", f"{k.src[i]}->{k.dst[i]}",
+                       f"row span {last[i] - first[i]} exceeds the supported maximum {max_skip}")
+            for i in too_long
+        ])
+    return first, last
 
 
 def build_constraints(
@@ -82,20 +103,13 @@ def build_constraints(
     """Emit one constraint row per connection, carrying its setup and its hold row.
 
     A connection from row m to row n contributes the increments
-    delta_m .. delta_{n-1} with coefficient +1; spans beyond ``cfg.max_skip``
-    are rejected since the clock schedule was never characterized for them.
-    The circuit must have passed ``validate_circuit``.
+    delta_m .. delta_{n-1} with coefficient +1; ``connection_rows`` rejects
+    spans beyond ``cfg.max_skip``. The circuit must have passed
+    ``validate_circuit``.
     """
+    first, last = connection_rows(c, cfg.max_skip)
     src, dst = c.endpoints
     g, k = c.gates, c.connections
-    first, last = list(map(g.row.__getitem__, src)), list(map(g.row.__getitem__, dst))
-    too_long = [i for i, span in enumerate(map(operator.sub, last, first)) if span > cfg.max_skip]
-    if too_long:
-        raise ValidationError([
-            Diagnostic("UNSUPPORTED_SKIP", f"{k.src[i]}->{k.dst[i]}",
-                       f"row span {last[i] - first[i]} exceeds the supported maximum {cfg.max_skip}")
-            for i in too_long
-        ])
     offsets = g.clock_offset
     rhs = float_column(prop - (offsets[j] - offsets[i]) for prop, i, j in zip(_delays(c, lib), src, dst))
     cells = g.cell.__getitem__

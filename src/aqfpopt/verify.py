@@ -114,6 +114,10 @@ def cmd_verify(args) -> None:
     if manifest_cfg.get("remove_buffers"):
         circuit, plan = bufferopt.remove_buffers(circuit, lib, max_skip=cfg.max_skip)
         log.info("re-applied buffer removal recorded in the report manifest")
+    try:
+        timing.connection_rows(circuit, cfg.max_skip)
+    except ValidationError as e:  # a span the recorded max_skip admits no schedule for
+        raise VerificationError(e.diagnostics) from None
     if len(sched.row_deltas) != circuit.num_rows - 1:
         message = f"report has {len(sched.row_deltas)} row deltas, circuit needs {circuit.num_rows - 1}"
         raise ValidationError([Diagnostic("SCHEMA_MISMATCH", "schedule", message)])

@@ -384,6 +384,26 @@ class TestOptimizeVerify:
         assert main(["verify", *io, "--schedule", str(report_path)]) == 1
         assert capsys.readouterr().err == "[INVALID_CONFIG] max_skip: max_skip must be an integer >= 1\n"
 
+    def test_manifest_max_skip_bounds_every_span(self, workdir, capsys):
+        # A 20x3 circuit with 2-row skips, solved at the default max_skip of
+        # 2, its manifest edited to 1. No removal merges those connections,
+        # yet the recorded setting rejects them as optimize --max-skip 1
+        # does, with verify's exit code for a schedule it rejects.
+        tmp_path, lib_path = workdir
+        circ = gen(tmp_path, lib_path, "c.qc.json", rows=20, width=3, seed=4, skip_prob=0.5)
+        report_path = tmp_path / "c.report.json"
+        io = ["--circuit", str(circ), "--lib", str(lib_path)]
+        assert main(["optimize", *io, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["manifest"]["config"]["max_skip"] = 1
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["optimize", *io, "--max-skip", "1"]) == 1
+        rejected = capsys.readouterr().err
+        assert rejected.startswith("[UNSUPPORTED_SKIP] ")
+        assert main(["verify", *io, "--schedule", str(report_path)]) == 3
+        assert capsys.readouterr() == ("", rejected)
+
     @staticmethod
     def verify_edited(workdir, capsys, edit, flags=("--remove-buffers",)):
         """Exit code, stdout and stderr of verify on the removal-run report of a
@@ -792,7 +812,7 @@ def test_sta_slack_bits_are_pinned(workdir, ref_lib, run):
     tmp_path, lib_path = workdir
     circuit = parse_circuit(gen(tmp_path, lib_path, "c.qc.json", rows=40, width=6, seed=3,
                                 adversarial=adversarial).read_text())
-    assert {prop is None for prop in circuit.connections.prop} == {adversarial}
+    assert {math.isnan(prop) for prop in circuit.connections.prop} == {adversarial}
     sched = Schedule(200.0, [50.0] * 39, 0.0, 1950.0)
     t = timing.sta_check(circuit, ref_lib, sched, hold_mode).entries
     columns = repr((list(t.setup_slack), list(t.hold_slack)))

@@ -39,9 +39,9 @@ from aqfpopt.model import (
     float_column,
     validate_circuit,
 )
-from aqfpopt.timing import ConnectionSlack, SlackReport, SlackTable
+from aqfpopt.timing import ConnectionSlack, SlackReport, SlackTable, build_constraints, sta_check
 
-from conftest import circuit_columns, circuit_text
+from conftest import circuit_columns, circuit_text, records
 from oracles import circuit_json_reference, report_json_reference
 
 MINIMAL_CIRCUIT = {
@@ -82,7 +82,7 @@ class TestParseCircuit:
     def test_minimal_document(self):
         c = parse_circuit(json.dumps(MINIMAL_CIRCUIT))
         assert len(c.gates) == 2
-        assert c.connections.prop[0] is None
+        assert c.connections.at(0).prop is None
 
     def test_duplicate_id(self, tmp_path, ref_lib, capsys):
         doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
@@ -126,6 +126,28 @@ class TestParseCircuit:
         doc["connections"][0]["prop_ps"] = 7.25
         c = parse_circuit(json.dumps(doc))
         assert c.connections.prop[0] == 7.25
+
+    def test_left_out_prop_is_nan_and_length_derived(self, ref_lib):
+        # A connection without prop_ps holds NaN in the prop column and reads
+        # None in its record; the writer leaves the key out again. Both the
+        # constraint build and the STA take its delay from its length, as
+        # for a twin circuit that states that delay.
+        doc = json.loads(json.dumps(MINIMAL_CIRCUIT))
+        doc["gates"].append({"id": "c", "cell": "majority3", "row": 1, "clock_offset_ps": 3.0})
+        doc["connections"].append({"src": "a", "dst": "c", "length_um": 4.0, "prop_ps": 7.25})
+        text = json.dumps(doc, indent=2) + "\n"
+        c = parse_circuit(text)
+        assert math.isnan(c.connections.prop[0]) and c.connections.prop[1] == 7.25
+        assert records(c.connections) == [Connection("a", "b", 5.0, None), Connection("a", "c", 4.0, 7.25)]
+        assert circuit_text(c) == text
+        twin = Circuit(c.name, c.num_rows, c.gates, [Connection("a", "b", 5.0, 5.0 * ref_lib.prop_per_um),
+                                                      Connection("a", "c", 4.0, 7.25)])
+        assert validate_circuit(c, ref_lib) == validate_circuit(twin, ref_lib) == []
+        rhs = [build_constraints(circ, ref_lib, OptimizationConfig()).constraints.rhs for circ in (c, twin)]
+        assert rhs[0] == rhs[1] and rhs[0][0] == 5.0 * ref_lib.prop_per_um - 2.0
+        sched = Schedule(200.0, [50.0], 0.0, 50.0)
+        slacks = [sta_check(circ, ref_lib, sched).entries for circ in (c, twin)]
+        assert slacks[0].setup_slack == slacks[1].setup_slack and slacks[0].hold_slack == slacks[1].hold_slack
 
 
 def table_path(doc):
@@ -275,10 +297,9 @@ def assert_parse_matches_tables(doc, sources):
             assert e.value.diagnostics == errs
         else:
             c = parse_circuit(source)
-            # Compared as lists by value; repr tells 1 from 1.0, so the field types must match too.
-            for table, records in ((c.gates, gates), (c.connections, connections)):
-                assert repr(list(map(list, table.columns()))) == repr([list(column) for column in zip(*records)]
-                                                                      or [[]] * 4)
+            # Compared as records by value; repr tells 1 from 1.0, so the field types must match too.
+            for table, expected in ((c.gates, gates), (c.connections, connections)):
+                assert repr(records(table)) == repr(list(expected))
 
 
 @pytest.mark.parametrize("parse", [parse_circuit, parse_library, PARSE_REPORT])
@@ -932,14 +953,15 @@ def test_parse_leaves_no_reference_cycle(spelling):
         gc.enable()
 
 
-def test_benchmark_circuit_and_gate_index_stay_under_3_5_mib():
+def test_benchmark_circuit_and_gate_index_stay_under_2_8_mib():
     # The wide benchmark circuit (gen --rows 1000 --width 20 --seed 101000)
     # as columns, with its id strings and rows shared and every float column
-    # an array('d'): 3.0-3.2 MiB on Python 3.10-3.13. With a float object per
-    # clock offset and length it retained 4.2 MiB. Its gate index is built on
-    # use and not kept, so it adds nothing here; kept, it made 5.2 MiB. A
-    # record per gate and connection, each float boxed, with an id-to-record
-    # index retained 7.3 MiB.
+    # an array('d'), the extracted delays too: 2.4-2.6 MiB on Python
+    # 3.10-3.13. With a float object per extracted delay it retained
+    # 3.0-3.2 MiB, and with one per clock offset and length as well 4.2 MiB.
+    # Its gate index is built on use and not kept, so it adds nothing here;
+    # kept, it made 5.2 MiB. A record per gate and connection, each float
+    # boxed, with an id-to-record index retained 7.3 MiB.
     text = circuit_text(generate_circuit(rows=1000, width=20, seed=101000))
     tracemalloc.start()
     try:
@@ -948,7 +970,7 @@ def test_benchmark_circuit_and_gate_index_stay_under_3_5_mib():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 3.5 * 2**20
+    assert retained <= 2.8 * 2**20
 
 
 def test_validation_keeps_no_gate_index(ref_lib):

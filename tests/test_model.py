@@ -1,3 +1,4 @@
+import math
 from array import array
 
 import pytest
@@ -232,11 +233,14 @@ def test_left_sum_adds_left_to_right():
 
 def test_float_fields_are_float_columns():
     # A field typed float is an array('d'): one given is kept, and a list is
-    # copied into one, in which an int reads as the float it equals. Other
-    # fields stay as given, so prop keeps its None.
+    # copied into one, in which an int reads as the float it equals. prop,
+    # typed Optional[float], is one too, with NaN for None; its record reads
+    # None again. Other fields stay as given.
     lengths = float_column([2.5])
-    k = ConnectionTable(["a"], ["b"], lengths, [None])
-    assert k.length is lengths and k.prop == [None]
+    k = ConnectionTable(["a", "a"], ["b", "c"], lengths * 2, [None, 3])
+    assert type(k.prop) is array and math.isnan(k.prop[0]) and repr(k.prop[1]) == "3.0"
+    assert k.at(0) == Connection("a", "b", 2.5, None) and k.at(1).prop == 3.0
+    assert ConnectionTable(["a"], ["b"], lengths, float_column([1.5])).length is lengths
     g = GateTable(["a"], ["majority3"], [0], [1])
     assert type(g.clock_offset) is array and repr(g.clock_offset.tolist()) == "[1.0]"
     assert g.row == [0] and g.at(0) == Gate("a", "majority3", 0, 1.0)

@@ -4,13 +4,15 @@
 ``perfbench/make_libraries.py`` imports from ``aqfpopt``. Both are read as
 source here, and ``traced_cli.py`` also runs one small ``optimize``, so a
 rename in the package or a change to what the spans record fails these
-tests rather than a traced benchmark run.
+tests rather than a traced benchmark run. ``tests/phase_memory.py``, which
+pytest does not collect, runs each command it measures once as well.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +133,30 @@ def test_traced_verify_writes_its_spans_once(tmp_path, ref_lib):
     assert traced["exit_code"] == 0
     (decode,) = [span for span in traced["spans"] if span["name"] == "ingest.parse_report"]
     assert decode["end"] > decode["start"]
+
+
+#: A line that ``tests/phase_memory.py`` prints after a phase: its name, then
+#: the resident size and the peak so far.
+PHASE_LINE = re.compile(r"(.{20}) rss +\d+\.\d\d MB   peak +\d+\.\d\d MB")
+
+
+def test_phase_memory_marks_each_phase_of_each_command(tmp_path, ref_lib):
+    # Every peak-memory figure quoted for a command comes from this script.
+    paths = {name: tmp_path / name for name in ("c.qc.json", "ref.qlib.json", "c.report.json")}
+    paths["ref.qlib.json"].write_text(serialize_library(ref_lib))
+    inputs = ["--circuit", str(paths["c.qc.json"]), "--lib", str(paths["ref.qlib.json"])]
+    loads = ["parse_circuit", "parse_library", "validate_circuit"]
+    runs = {  # in the order they must run: gen writes the circuit, and optimize the report
+        "gen": (["--rows", "6", "--width", "3", "--seed", "5", "--out", str(paths["c.qc.json"])],
+                ["parse_library", "generate_circuit", "serialize_circuit"]),
+        "optimize": ([*inputs, "--out", str(paths["c.report.json"])],
+                     [*loads, "build_constraints", "optimize_schedule", "sta_check", "emit_report", "serialize_report"]),
+        "verify": ([*inputs, "--schedule", str(paths["c.report.json"])], [*loads, "parse_report", "sta_check"]),
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    for command, (argv, phases) in runs.items():
+        proc = subprocess.run([sys.executable, str(ROOT / "tests" / "phase_memory.py"), command, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        marks = [m.group(1).strip() for m in map(PHASE_LINE.fullmatch, proc.stdout.splitlines()) if m]
+        assert marks == ["interpreter", "import", "load modules", *phases], command
